@@ -14,7 +14,7 @@ use scsq_core::HardwareSpec;
 use scsq_engine::columnar;
 use scsq_net::{TorusDims, TorusNet, TorusParams};
 use scsq_ql::batch::Batch;
-use scsq_ql::column::{ColRow, Column, ColumnData, ColumnarBatch};
+use scsq_ql::column::{Column, ColumnData, ColumnarBatch};
 use scsq_ql::value::Value;
 use scsq_sim::{EventQueue, SimTime};
 use std::hint::black_box;
@@ -147,30 +147,26 @@ fn bench_column_kernels(c: &mut Criterion) {
 }
 
 /// The cross-SP relay hand-off against the marshal round trip it
-/// replaces. The relay forwards each surviving row as an `Arc`-backed
-/// [`ColRow`] handle and the receiver reassembles a contiguous
-/// same-view run with a zero-copy slice; the scalar path materializes
-/// every row as an owned `Value` on the way out and the columnar
-/// admission on the far side transposes the values back into columns.
+/// replaces. The relay forwards the surviving rows as one `Arc`-backed
+/// view, the channel cuts it into per-buffer slices and the receiver
+/// reassembles adjacent slices with `try_extend`, all zero-copy; the
+/// scalar path materializes every row as an owned `Value` on the way
+/// out and the columnar admission on the far side transposes the
+/// values back into columns.
 fn bench_relay_handoff(c: &mut Criterion) {
     let mut group = c.benchmark_group("relay_handoff");
     for n in [64usize, 4_096, 65_536] {
         let batch =
             ColumnarBatch::from_values(&(0..n as i64).map(Value::Integer).collect::<Vec<_>>());
-        group.bench_with_input(BenchmarkId::new("col_handles", n), &batch, |b, batch| {
+        group.bench_with_input(BenchmarkId::new("col_views", n), &batch, |b, batch| {
             b.iter(|| {
-                // Sender side: one handle per surviving row.
-                let handles: Vec<ColRow> = (0..batch.rows() as u32)
-                    .map(|row| ColRow {
-                        batch: batch.clone(),
-                        row,
-                    })
-                    .collect();
-                // Receiver side: a contiguous same-view run reassembles
-                // without touching the payload.
-                let first = handles[0].row as usize;
-                let last = handles[handles.len() - 1].row as usize;
-                black_box(handles[0].batch.slice(first, last + 1))
+                // In flight: a straddling head row, then the whole rows
+                // of the same buffer behind it.
+                let mut view = batch.slice(0, 1);
+                // Receiver side: adjacent slices reassemble without
+                // touching the payload.
+                assert!(view.try_extend(&batch.slice(1, batch.rows())));
+                black_box(view)
             });
         });
         group.bench_with_input(

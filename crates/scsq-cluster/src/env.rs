@@ -306,6 +306,36 @@ impl Environment {
         server.serve(ready, service).finish
     }
 
+    /// `count` chained [`Environment::generate`] calls in one: element
+    /// `i` starts generating when element `i - 1` is done (the first at
+    /// `ready`), and each element's finish time goes to `out` (cleared
+    /// first). Call-for-call identical to the loop
+    /// `t = generate(node, bytes, t)` — same serve sequence, same
+    /// jitter-draw positions — with the service-time division hoisted
+    /// out of it: the sibling of [`Environment::compute_each`] for a
+    /// source that emits a whole column of same-sized elements.
+    pub fn generate_each(
+        &mut self,
+        node: NodeId,
+        bytes: u64,
+        count: u64,
+        ready: SimTime,
+        out: &mut Vec<SimTime>,
+    ) {
+        out.clear();
+        out.reserve(count as usize);
+        let (_, rate) = self.tx_server(node, true);
+        let base = SimDur::for_bytes(bytes, rate);
+        let mut t = ready;
+        for _ in 0..count {
+            let factor = self.jitter_factor();
+            let service = if factor == 1.0 { base } else { base * factor };
+            let (server, _) = self.tx_server(node, true);
+            t = server.serve(t, service).finish;
+            out.push(t);
+        }
+    }
+
     /// Charges marshaling CPU time (§2.3 step ii) on `node`.
     pub fn marshal(&mut self, node: NodeId, bytes: u64, ready: SimTime) -> SimTime {
         let factor = self.jitter_factor();
@@ -877,6 +907,43 @@ mod tests {
             let mut each = Vec::new();
             env.compute_each(NodeId::bg(2), 9, 7, ready, &mut each);
             assert_eq!(each, scalar, "jitter amplitude {amp}");
+        }
+    }
+
+    #[test]
+    fn generate_each_matches_successive_generates() {
+        // A prepared column source charges its n generations with one
+        // `generate_each` call; it must be call-for-call identical to
+        // the per-element loop's chained `generate` calls — finish
+        // times, server books and jitter-draw count — under jitter and
+        // without, on a BlueGene and on a Linux node.
+        for amp in [0.0, 0.05] {
+            for node in [NodeId::bg(2), NodeId::be(1)] {
+                let ready = SimTime::from_micros(3);
+                let mut scalar_env = Environment::lofar();
+                scalar_env.set_service_jitter(amp);
+                let mut t = ready;
+                let scalar: Vec<SimTime> = (0..7)
+                    .map(|_| {
+                        t = scalar_env.generate(node, 9, t);
+                        t
+                    })
+                    .collect();
+                let mut env = Environment::lofar();
+                env.set_service_jitter(amp);
+                let mut each = vec![SimTime::ZERO; 3];
+                env.generate_each(node, 9, 7, ready, &mut each);
+                assert_eq!(each, scalar, "jitter amplitude {amp} on {node}");
+                assert_eq!(env.jitter_draws(), scalar_env.jitter_draws());
+                assert_eq!(env.jitter_draws(), if amp > 0.0 { 7 } else { 0 });
+                assert_eq!(env.cpu_busy(node), scalar_env.cpu_busy(node));
+                // The next service on the node queues behind the same
+                // backlog either way.
+                assert_eq!(
+                    env.generate(node, 9, ready),
+                    scalar_env.generate(node, 9, ready)
+                );
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 use crate::coordinator::Coordinator;
 use crate::error::EngineError;
 use crate::funcs;
-use crate::fused::FusedProgram;
+use crate::fused::{FusedProgram, PreparedSource};
 use crate::ops::{AggKind, ArithOp, CmpOp, InputKind, MapFunc, Pipeline, Stage};
 use crate::placement::PlacementPolicy;
 use crate::runtime::RunOptions;
@@ -40,6 +40,10 @@ pub struct SpSpec {
     /// The pipeline's fused lowering, prepared once at build time and
     /// reused by every run of the graph.
     pub program: FusedProgram,
+    /// The pipeline's constant source as shared columns, when it
+    /// qualifies ([`PreparedSource::prepare`]) — transposed here, once,
+    /// so no run has to.
+    pub source: Option<PreparedSource>,
     /// Where the RP runs.
     pub node: NodeId,
 }
@@ -494,10 +498,12 @@ impl<'a> QueryBuilder<'a> {
         let handle = SpHandle(self.next_handle);
         self.next_handle += 1;
         let program = FusedProgram::compile(&pipeline);
+        let source = PreparedSource::prepare(&pipeline).ok();
         self.sps.push(SpSpec {
             handle,
             pipeline,
             program,
+            source,
             node,
         });
         Ok(handle)
@@ -859,21 +865,19 @@ impl<'a> QueryBuilder<'a> {
 /// Turns an already-evaluated value into a pipeline: SP handles become
 /// subscriptions, anything else becomes a constant stream.
 fn value_pipeline(v: Value) -> Pipeline {
-    match &v {
-        Value::Sp(h) => Pipeline::relay(vec![*h]),
+    let values = match v {
+        Value::Sp(h) => return Pipeline::relay(vec![h]),
         Value::Bag(items) if !items.is_empty() && items.iter().all(|i| i.as_sp().is_some()) => {
-            Pipeline::relay(items.iter().map(|i| i.as_sp().expect("all sps")).collect())
+            return Pipeline::relay(items.iter().map(|i| i.as_sp().expect("all sps")).collect())
         }
-        Value::Bag(items) => Pipeline {
-            input: InputKind::Const {
-                values: items.clone(),
-            },
-            stages: Vec::new(),
+        Value::Bag(items) => items,
+        other => vec![other],
+    };
+    Pipeline {
+        input: InputKind::Const {
+            values: values.into(),
         },
-        _ => Pipeline {
-            input: InputKind::Const { values: vec![v] },
-            stages: Vec::new(),
-        },
+        stages: Vec::new(),
     }
 }
 

@@ -7,6 +7,7 @@
 //! allocations) happen against a scratch environment.
 
 use crate::builder::QueryGraph;
+use crate::fused::PreparedSource;
 use crate::ops::{InputKind, Pipeline, Stage};
 use scsq_cluster::ClusterName;
 use scsq_ql::SpHandle;
@@ -28,7 +29,7 @@ pub fn explain_graph(graph: &QueryGraph) -> String {
             sp.node.to_string(),
             describe_pipeline(&sp.pipeline)
         );
-        write_verdicts(&mut out, &sp.pipeline);
+        write_verdicts(&mut out, &sp.pipeline, sp.source.as_ref());
     }
     let _ = writeln!(
         out,
@@ -36,7 +37,7 @@ pub fn explain_graph(graph: &QueryGraph) -> String {
         graph.client_node.to_string(),
         describe_pipeline(&graph.client)
     );
-    write_verdicts(&mut out, &graph.client);
+    write_verdicts(&mut out, &graph.client, None);
     let mut streams = Vec::new();
     let mut collect = |producers: &[SpHandle], dst: String, dst_cluster: ClusterName| {
         for p in producers {
@@ -80,9 +81,25 @@ pub fn explain_graph(graph: &QueryGraph) -> String {
 /// Appends one indented line per stage with its static
 /// columnar-admission verdict (`columnar` / `columnar (relay)` /
 /// `scalar: <reason>`), so rejected shapes are diagnosable from the
-/// set-up report alone.
-fn write_verdicts(out: &mut String, p: &Pipeline) {
-    let verdicts = crate::fused::admission_verdicts(&p.stages);
+/// set-up report alone. An SP's constant source gets a line of the
+/// same form first: `columnar (prepared source)` — its pass-through
+/// stages then ride the prepared column too — or why it is walked
+/// element by element.
+fn write_verdicts(out: &mut String, p: &Pipeline, source: Option<&PreparedSource>) {
+    const PREPARED: &str = "columnar (prepared source)";
+    let mut verdicts = crate::fused::admission_verdicts(&p.stages);
+    if matches!(p.input, InputKind::Const { .. }) {
+        let verdict = if source.is_some() {
+            verdicts.fill(PREPARED.to_string());
+            PREPARED.to_string()
+        } else {
+            // Only the client's pipeline reaches here with a source
+            // that would qualify: its constants feed the result sink.
+            let why = PreparedSource::prepare(p).err();
+            format!("scalar: {}", why.unwrap_or("client-side constant"))
+        };
+        let _ = writeln!(out, "      {:<20} {verdict}", describe_input(&p.input));
+    }
     for (stage, verdict) in p.stages.iter().zip(&verdicts) {
         let _ = writeln!(out, "      {:<20} {}", describe_stage(stage), verdict);
     }
@@ -262,6 +279,52 @@ mod tests {
         );
         assert!(
             text.contains("take(3)              scalar: chain neither absorbs nor transforms"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn annotates_constant_sources_with_a_verdict() {
+        // A fixed-width constant behind a pass-through chain is
+        // prepared; its stages ride the column.
+        let text = explain(
+            "select extract(b) from sp a, sp b
+             where b=sp(streamof(sum(extract(a))), 'bg', 0)
+             and a=sp(streamof(iota(1,100)),'bg',1);",
+        );
+        assert!(
+            text.contains("const[100 values]    columnar (prepared source)"),
+            "{text}"
+        );
+        assert!(
+            text.contains("streamof             columnar (prepared source)"),
+            "{text}"
+        );
+        // Each way of not qualifying names itself.
+        for (source, why) in [
+            ("streamof(iota(7,7))", "fewer than two rows"),
+            ("arith(iota(1,100), '+', 1)", "chain is not pass-through"),
+            (
+                "streamof({'a', 'bb'})",
+                "rows share no fixed-width column layout",
+            ),
+        ] {
+            let text = explain(&format!(
+                "select extract(b) from sp a, sp b
+                 where b=sp(streamof(count(extract(a))), 'bg', 0)
+                 and a=sp({source},'bg',1);"
+            ));
+            let verdict = format!("scalar: {why}");
+            let mut lines = text.lines().map(str::trim_start);
+            assert!(
+                lines.any(|l| l.starts_with("const[") && l.ends_with(&verdict)),
+                "{text}"
+            );
+        }
+        // Client-side constants feed the result sink, never a channel.
+        let text = explain("iota(1,5);");
+        assert!(
+            text.contains("const[5 values]      scalar: client-side constant"),
             "{text}"
         );
     }

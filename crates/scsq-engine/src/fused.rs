@@ -25,7 +25,8 @@ use crate::columnar;
 use crate::error::EngineError;
 use crate::funcs;
 use crate::ops::{
-    arith_apply, cmp_apply, AggKind, CmpOp, MapFunc, Pipeline, Stage, StageChain, StageState,
+    arith_apply, cmp_apply, AggKind, CmpOp, InputKind, MapFunc, Pipeline, Stage, StageChain,
+    StageState,
 };
 use scsq_ql::column::{Column, SelectionVector, METRIC_COLUMNS};
 use scsq_ql::{Batch, ColumnarBatch, SpHandle, Value};
@@ -91,6 +92,60 @@ impl FusedProgram {
             ops: self.cost_ops.clone(),
             memo: None,
         }
+    }
+}
+
+/// A constant source transposed into shared columns once, at prepare
+/// time. A run on the columnar tier hands the whole view to the
+/// source's output channels instead of walking the values one by one —
+/// and the receivers' column kernels read it without ever transposing.
+#[derive(Debug, Clone)]
+pub struct PreparedSource {
+    /// Every row of the source, in order, as `Arc`-backed columns.
+    pub cols: ColumnarBatch,
+    /// The marshaled size every row shares.
+    pub row_bytes: u64,
+}
+
+impl PartialEq for PreparedSource {
+    /// Equal when they replay the same rows (two plans prepared from
+    /// the same statement do; storage identity is irrelevant here).
+    fn eq(&self, other: &PreparedSource) -> bool {
+        let rows = self.cols.rows();
+        self.row_bytes == other.row_bytes
+            && rows == other.cols.rows()
+            && (0..rows).all(|r| self.cols.value_at(r) == other.cols.value_at(r))
+    }
+}
+
+impl PreparedSource {
+    /// Transposes `pipeline`'s source when it is a constant of at
+    /// least two rows behind a pass-through (`streamof`-only, hence
+    /// cost-free) chain whose rows share one fixed-width column layout
+    /// — then every sub-run of it transposes to the same layout, one
+    /// row's generation cost is every row's, and the rows can travel
+    /// as one run ([`scsq_transport::StreamChannel::enqueue_run`]).
+    ///
+    /// # Errors
+    ///
+    /// Which of those conditions failed, worded for `explain`.
+    pub fn prepare(pipeline: &Pipeline) -> Result<PreparedSource, &'static str> {
+        let InputKind::Const { values } = &pipeline.input else {
+            return Err("not a constant source");
+        };
+        if values.len() < 2 {
+            // A lone element never forms a batch on the per-element
+            // path either.
+            return Err("fewer than two rows");
+        }
+        if !pipeline.stages.iter().all(|s| *s == Stage::StreamOf) {
+            return Err("chain is not pass-through");
+        }
+        let cols = ColumnarBatch::from_values(values);
+        let row_bytes = cols
+            .uniform_row_size()
+            .ok_or("rows share no fixed-width column layout")?;
+        Ok(PreparedSource { cols, row_bytes })
     }
 }
 
@@ -1351,6 +1406,20 @@ impl ExecChain {
         }
     }
 
+    /// Books `rows` elements through every stage of a pass-through
+    /// chain as one batch invocation (a prepared source's drain).
+    pub(crate) fn tally_passthrough(&mut self, rows: u64) {
+        let tally = match self {
+            ExecChain::Interpreted(c) => &mut c.tally,
+            ExecChain::Fused(f) => &mut f.chain.tally,
+        };
+        for t in tally {
+            t.calls += 1;
+            t.elems_in += rows;
+            t.elems_out += rows;
+        }
+    }
+
     /// The per-stage tallies (empty unless profiling is enabled).
     pub(crate) fn tally(&self) -> &[crate::profile::StageTally] {
         match self {
@@ -1367,7 +1436,9 @@ mod tests {
 
     fn pipeline(stages: Vec<Stage>) -> Pipeline {
         Pipeline {
-            input: InputKind::Const { values: vec![] },
+            input: InputKind::Const {
+                values: Vec::new().into(),
+            },
             stages,
         }
     }

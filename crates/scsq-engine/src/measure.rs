@@ -31,8 +31,9 @@ pub struct ChannelReport {
     pub buffers_dropped: u64,
     /// Elements lost to dropped datagrams.
     pub elements_lost: u64,
-    /// High-water mark of the send queue, in trains (how far the
-    /// producer ran ahead of the carrier).
+    /// High-water mark of the send queue, in queue nodes — a train of
+    /// identical elements is one, and so is a whole pack or column run
+    /// (how far the producer ran ahead of the carrier).
     pub queue_peak_trains: u64,
     /// When the first buffer began marshaling.
     pub first_send: Option<SimTime>,

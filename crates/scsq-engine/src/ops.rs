@@ -13,6 +13,7 @@ use crate::window::{WindowSpec, WindowState};
 use scsq_ql::{SpHandle, Value};
 use scsq_sim::{LatencyHistogram, StateProbe};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Where a pipeline's elements come from.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +36,9 @@ pub enum InputKind {
     /// `streamof(v)` over an already-evaluated value: emit the value(s)
     /// once and terminate.
     Const {
-        /// The values to emit.
-        values: Vec<Value>,
+        /// The values to emit, shared with every run of the plan (a run
+        /// walks them by index; nothing copies the source per run).
+        values: Arc<[Value]>,
     },
     /// `receiver(name)` — a named external signal source (the paper's
     /// radix2 input): a finite stream of signal arrays.
@@ -856,7 +858,9 @@ mod tests {
 
     fn chain(stages: Vec<Stage>) -> StageChain {
         StageChain::new(&Pipeline {
-            input: InputKind::Const { values: vec![] },
+            input: InputKind::Const {
+                values: Arc::new([]),
+            },
             stages,
         })
     }

@@ -15,15 +15,16 @@ use crate::builder::QueryGraph;
 use crate::coordinator::Coordinator;
 use crate::error::EngineError;
 use crate::funcs;
-use crate::fused::{CostModel, ExecChain, FusedProgram};
+use crate::fused::{CostModel, ExecChain, FusedProgram, PreparedSource};
 use crate::measure::{ChannelReport, QueryResult, QueryStats};
 use crate::ops::{InputKind, Pipeline};
 use scsq_cluster::{ClusterName, Environment, NodeId};
 use scsq_net::FlowId;
-use scsq_ql::{ColRow, ColumnarBatch, SelectionVector, SpHandle, Value};
+use scsq_ql::{ColumnarBatch, SpHandle, Value};
 use scsq_sim::{typed::Event, SimTime, StateProbe, TypedSimulator};
-use scsq_transport::{Carrier, ChannelConfig, StreamChannel};
+use scsq_transport::{Carrier, ChannelConfig, Payload, StreamChannel};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Execution knobs for one query run.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,9 +118,14 @@ struct RpState {
     /// Input channels still streaming.
     eos_remaining: usize,
     gen: Option<GenRt>,
-    /// Non-gen source elements (receiver / grep / const), reversed so we
-    /// can pop from the back.
-    source_items: Vec<Value>,
+    /// Non-gen source elements (receiver / grep / const) not yet
+    /// emitted — a constant's are the plan's own, shared, never copied.
+    /// Emptied by the one `drain_source` call that emits them.
+    source: Arc<[Value]>,
+    /// The constant source as prepared columns, when the plan holds
+    /// them and this run is on the columnar tier: `drain_source` then
+    /// sends the view instead of walking `source`.
+    prepared: Option<PreparedSource>,
     is_client: bool,
     /// Whether the RP already flushed its aggregates and closed its
     /// outputs (guards against the EOS event racing the RP's own
@@ -134,45 +140,80 @@ struct RpState {
     wall_ns: u64,
 }
 
-/// One element riding a stream channel: either an owned scalar value or
-/// a zero-copy row of an Arc-backed columnar batch (a relay survivor).
-/// Column rows travel the channel without materializing a `Value`; the
-/// simulated byte accounting uses the row's marshaled size, so channel
-/// timing is identical either way. Consecutive rows of one batch are
-/// never `PartialEq`-equal (rows differ), so column trains never merge —
-/// safe, because train merging only affects equal-payload runs and
-/// channel timing depends only on `(bytes, ready)`.
-#[derive(Debug, Clone, PartialEq)]
+/// What rides a stream channel: an owned scalar value, or a zero-copy
+/// view of one or more consecutive rows of an Arc-backed columnar batch
+/// (relay survivors, a prepared constant source). Rows travel without
+/// ever materializing a `Value`; the simulated byte accounting uses
+/// their marshaled sizes, so channel timing is identical either way.
+/// Views are equal only when they are the same view of the same
+/// storage, so distinct rows never merge into a train — safe, because
+/// train merging only affects equal-payload runs and channel timing
+/// depends only on `(bytes, ready)`.
+#[derive(Debug, Clone)]
 pub(crate) enum Elem {
     /// An owned scalar element (the classic path).
     Val(Value),
-    /// One row of a shared columnar batch, handed across zero-copy.
-    Col(ColRow),
+    /// A run of rows of a shared columnar batch, handed across
+    /// zero-copy; the channel cuts it into per-buffer slices.
+    Col(ColumnarBatch),
 }
 
-impl Elem {
-    /// Simulated marshaled size — byte-identical to marshaling the
-    /// materialized value ([`ColumnarBatch::row_marshaled_size`] is
-    /// proven against `Value::marshaled_size`).
-    fn marshaled_size(&self) -> u64 {
-        match self {
-            Elem::Val(v) => v.marshaled_size(),
-            Elem::Col(c) => c.batch.row_marshaled_size(c.row as usize),
+impl PartialEq for Elem {
+    fn eq(&self, other: &Elem) -> bool {
+        match (self, other) {
+            (Elem::Val(a), Elem::Val(b)) => a == b,
+            (Elem::Col(a), Elem::Col(b)) => a.same_view(b),
+            _ => false,
         }
     }
 }
 
-/// Hashes a channel element's full contents into a coalescing probe.
-/// Column rows hash their *materialized* value behind a distinct tag —
+impl Payload for Elem {
+    fn rows(&self) -> usize {
+        match self {
+            Elem::Val(_) => 1,
+            Elem::Col(c) => c.rows(),
+        }
+    }
+
+    fn slice_rows(&self, start: usize, end: usize) -> Elem {
+        match self {
+            Elem::Val(_) => self.clone(),
+            Elem::Col(c) => Elem::Col(c.slice(start, end)),
+        }
+    }
+}
+
+impl Elem {
+    /// Simulated marshaled size of every element the payload stands
+    /// for — byte-identical to marshaling the materialized values
+    /// ([`ColumnarBatch::row_marshaled_size`] is proven against
+    /// `Value::marshaled_size`).
+    fn marshaled_size(&self) -> u64 {
+        match self {
+            Elem::Val(v) => v.marshaled_size(),
+            Elem::Col(c) => match c.uniform_row_size() {
+                Some(each) => each * c.rows() as u64,
+                None => (0..c.rows()).map(|r| c.row_marshaled_size(r)).sum(),
+            },
+        }
+    }
+}
+
+/// Hashes a channel payload's full contents into a coalescing probe.
+/// Column views hash their *materialized* rows behind a distinct tag —
 /// never the Arc pointer, which would be nondeterministic across runs.
 pub(crate) fn elem_shape(e: &Elem, p: &mut StateProbe<'_>) {
     match e {
         Elem::Val(v) => value_shape(v, p),
         Elem::Col(c) => {
             p.shape(11);
-            match c.batch.value_at(c.row as usize) {
-                Some(v) => value_shape(&v, p),
-                None => p.shape(0),
+            p.shape(c.rows() as u64);
+            for row in 0..c.rows() {
+                match c.value_at(row) {
+                    Some(v) => value_shape(&v, p),
+                    None => p.shape(0),
+                }
             }
         }
     }
@@ -180,7 +221,7 @@ pub(crate) fn elem_shape(e: &Elem, p: &mut StateProbe<'_>) {
 
 /// Per-channel ingress→delivery latency tracking. An element is stamped
 /// with simulated time when it enters the channel (`enqueue_elem` /
-/// `relay_pack`) and its stamp is closed into the histogram when the
+/// `send_run`) and its stamp is closed into the histogram when the
 /// element becomes visible at the subscriber (`deliver`). Channels are
 /// FIFO, so the stamps form a queue: the front stamps belong to buffers
 /// already transmitted (counted by `in_flight`) and deliver next; a UDP
@@ -289,9 +330,9 @@ pub(crate) enum Ev {
     /// One stream-channel buffer cycle.
     Cycle(usize),
     /// A buffer's elements become visible at the subscriber. Column
-    /// rows arrive as `Elem::Col` and reassemble into batch views
-    /// zero-copy; scalar runs are gathered and processed per element or
-    /// transposed for the columnar fast path.
+    /// rows arrive as `Elem::Col` slices and reassemble into batch
+    /// views zero-copy; scalar runs are gathered and processed per
+    /// element or transposed for the columnar fast path.
     Deliver { ci: usize, batch: Vec<Elem> },
     /// End-of-stream control message arrives at the subscriber.
     Eos(usize),
@@ -405,8 +446,8 @@ impl RpState {
             p.shape(gen.bytes);
             p.num(&mut gen.remaining);
         }
-        p.shape(self.source_items.len() as u64);
-        for v in &self.source_items {
+        p.shape(self.source.len() as u64);
+        for v in self.source.iter() {
             value_shape(v, p);
         }
         p.shape(self.finished as u64);
@@ -507,6 +548,7 @@ pub fn run_graph(
 
     let mut make_rp = |pipeline: &Pipeline,
                        program: &FusedProgram,
+                       prepared: Option<&PreparedSource>,
                        node: NodeId,
                        dst_rp: usize,
                        is_client: bool,
@@ -551,39 +593,29 @@ pub fn run_graph(
                 lat: None,
             });
         }
-        let (gen, source_items) = match &pipeline.input {
-            InputKind::Gen { bytes, count } => (
-                Some(GenRt {
+        let mut gen = None;
+        let source: Arc<[Value]> = match &pipeline.input {
+            InputKind::Gen { bytes, count } => {
+                gen = Some(GenRt {
                     bytes: *bytes,
                     remaining: *count,
-                }),
-                Vec::new(),
-            ),
-            InputKind::Const { values } => {
-                let mut items = values.clone();
-                items.reverse();
-                (None, items)
+                });
+                Arc::new([])
             }
-            InputKind::Grep { pattern, file } => {
-                let mut items = funcs::grep(pattern, file);
-                items.reverse();
-                (None, items)
-            }
+            InputKind::Const { values } => Arc::clone(values),
+            InputKind::Grep { pattern, file } => funcs::grep(pattern, file).into(),
             InputKind::Receiver {
                 name,
                 arrays,
                 samples,
-            } => {
-                let mut items: Vec<Value> = (0..*arrays)
-                    .map(|i| funcs::receiver_array(name, i, *samples))
-                    .collect();
-                items.reverse();
-                (None, items)
-            }
-            InputKind::Receive { .. } => (None, Vec::new()),
+            } => (0..*arrays)
+                .map(|i| funcs::receiver_array(name, i, *samples))
+                .collect(),
             // Observers subscribe to nothing: their samples are
             // synthesized by `deliver` as observed channels deliver.
-            InputKind::Metrics { .. } | InputKind::Latency { .. } => (None, Vec::new()),
+            InputKind::Receive { .. } | InputKind::Metrics { .. } | InputKind::Latency { .. } => {
+                Arc::new([])
+            }
         };
         let mut chain = ExecChain::new(program, options.fuse);
         if options.profile {
@@ -596,7 +628,12 @@ pub fn run_graph(
             outputs: Vec::new(),
             eos_remaining: producers.len(),
             gen,
-            source_items,
+            source,
+            // Views exist on the columnar tier only; every other
+            // configuration walks `source` and never looks at this.
+            prepared: prepared
+                .filter(|_| options.columnar && options.fuse)
+                .cloned(),
             is_client,
             finished: false,
             elements_in: 0,
@@ -609,6 +646,7 @@ pub fn run_graph(
         let rp = make_rp(
             &sp.pipeline,
             &sp.program,
+            sp.source.as_ref(),
             sp.node,
             i,
             false,
@@ -621,6 +659,8 @@ pub fn run_graph(
     let client = make_rp(
         &graph.client,
         &graph.client_program,
+        // Client-side constants feed the result sink, not a channel.
+        None,
         graph.client_node,
         client_rp,
         true,
@@ -829,7 +869,7 @@ fn start_rp(world: &mut World, sim: &mut Sim, idx: usize) {
     }
     if world.rps[idx].gen.is_some() {
         produce(world, sim, idx);
-    } else if !world.rps[idx].source_items.is_empty() {
+    } else if !world.rps[idx].source.is_empty() {
         drain_source(world, sim, idx);
     } else if world.rps[idx].eos_remaining == 0 {
         // A source with no elements at all (e.g. grep with no matches, or
@@ -867,15 +907,41 @@ fn produce(world: &mut World, sim: &mut Sim, idx: usize) {
 
 /// Emits all items of a non-gen source (receiver / grep / const), pacing
 /// each on the node CPU, then finishes.
+///
+/// A prepared constant source goes out as one run per output channel.
+/// That is the element loop below, regrouped: with a pass-through,
+/// cost-free chain the loop does nothing per element but draw a
+/// generation jitter factor, serve the generation and enqueue the
+/// element at its finish time — no cycle event can fire inside this
+/// handler, so drawing g₁…gₙ first (`Environment::generate_each`) and
+/// enqueueing afterwards (`send_run`) leaves every server, the jitter
+/// stream and the event queue exactly where the loop leaves them.
 fn drain_source(world: &mut World, sim: &mut Sim, idx: usize) {
     if world.error.is_some() {
         return;
     }
     let node = world.rps[idx].node;
-    let mut t = sim.now();
-    while let Some(item) = world.rps[idx].source_items.pop() {
+    let now = sim.now();
+    let items = std::mem::take(&mut world.rps[idx].source);
+    if let Some(src) = world.rps[idx].prepared.take() {
+        let n = items.len() as u64;
+        let mut readies = Vec::new();
+        world
+            .env
+            .generate_each(node, src.row_bytes, n, now, &mut readies);
+        let done = *readies.last().expect("a prepared source has rows");
+        let rp = &mut world.rps[idx];
+        rp.elements_in += n;
+        rp.elements_out += n;
+        rp.chain.tally_passthrough(n);
+        send_run(world, sim, idx, &src.cols, readies, src.row_bytes, now);
+        sim.schedule_at(done, Ev::FinishRp(idx));
+        return;
+    }
+    let mut t = now;
+    for item in items.iter() {
         t = world.env.generate(node, item.marshaled_size(), t);
-        process_and_emit(world, sim, idx, item, None, t);
+        process_and_emit(world, sim, idx, item.clone(), None, t);
         if world.error.is_some() {
             return;
         }
@@ -1021,6 +1087,13 @@ fn finish_rp(world: &mut World, sim: &mut Sim, idx: usize) {
 }
 
 /// One stream-channel buffer cycle.
+///
+/// Kept out of line (as is `deliver`): inlined, every handler and the
+/// whole of `StreamChannel::cycle` land in one several-thousand-line
+/// `Ev::fire`, whose register allocation shifts with edits to arms the
+/// per-event path never runs. Out of line the Figure 6 sweep's
+/// per-event path measured 2–3 % faster (91 vs 93–95 ns/event).
+#[inline(never)]
 fn cycle(world: &mut World, sim: &mut Sim, ci: usize) {
     if world.error.is_some() {
         return;
@@ -1041,7 +1114,7 @@ fn cycle(world: &mut World, sim: &mut Sim, ci: usize) {
             }
             lat.last_lost = lost_total;
             if out.delivered_at.is_some() {
-                lat.in_flight += out.delivered.len();
+                lat.in_flight += out.delivered.iter().map(Elem::rows).sum::<usize>();
             }
         }
         out
@@ -1073,11 +1146,15 @@ fn cycle(world: &mut World, sim: &mut Sim, ci: usize) {
 /// The delivered run is partitioned in order: consecutive `Elem::Val`s
 /// form scalar runs (gathered into a reusable buffer, then transposed
 /// for the columnar fast path or walked per element); consecutive
-/// `Elem::Col`s sharing one backing batch with contiguous ascending
-/// rows reassemble the upstream columnar view **zero-copy** — no
+/// `Elem::Col` slices that continue one another in one backing batch
+/// reassemble the upstream columnar view **zero-copy** — no
 /// re-marshaling, no per-row materialization — before the same
-/// absorb/relay/fallback ladder. Processing order is exactly delivery
-/// order either way.
+/// absorb/relay/fallback ladder. The channel cuts a run where buffers
+/// cut it (the element straddling a buffer boundary travels apart from
+/// the whole elements behind it), so reassembly restores exactly the
+/// per-buffer batches the per-element path delivers. Processing order
+/// is delivery order either way.
+#[inline(never)]
 fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
     if world.error.is_some() {
         return;
@@ -1107,7 +1184,7 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
     // for untracked channels.
     if world.channels[ci].lat.is_some() {
         let has_obs = !world.lat_observers.is_empty() && !world.lat_observers[ci].is_empty();
-        let n = batch.len();
+        let n: usize = batch.iter().map(Elem::rows).sum();
         let lat = world.channels[ci].lat.as_mut().expect("checked above");
         let mut samples: Vec<u64> = Vec::new();
         for _ in 0..n {
@@ -1137,52 +1214,31 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
         }
     }
     let mut vals = std::mem::take(&mut world.val_scratch);
-    vals.clear();
-    // A pending column group: (backing view, first row, length).
-    let mut cols: Option<(ColumnarBatch, u32, u32)> = None;
+    // The pending column group (both deliver helpers do nothing once
+    // the query has failed, so the loop needs no early exits).
+    let mut cols: Option<ColumnarBatch> = None;
     for e in batch.drain(..) {
         match e {
             Elem::Val(v) => {
                 if let Some(g) = cols.take() {
-                    deliver_col_group(world, sim, dst, from, g, now);
-                    if world.error.is_some() {
-                        world.val_scratch = vals;
-                        return;
-                    }
+                    deliver_columns(world, sim, dst, from, &g, now);
                 }
                 vals.push(v);
             }
             Elem::Col(c) => {
-                if !vals.is_empty() {
-                    deliver_value_run(world, sim, dst, from, &mut vals, now);
-                    if world.error.is_some() {
-                        world.val_scratch = vals;
-                        return;
+                deliver_value_run(world, sim, dst, from, &mut vals, now);
+                if !cols.as_mut().is_some_and(|g| g.try_extend(&c)) {
+                    if let Some(g) = cols.replace(c) {
+                        deliver_columns(world, sim, dst, from, &g, now);
                     }
                 }
-                cols = Some(match cols.take() {
-                    Some((b, first, len)) if c.batch.same_view(&b) && c.row == first + len => {
-                        (b, first, len + 1)
-                    }
-                    Some(g) => {
-                        deliver_col_group(world, sim, dst, from, g, now);
-                        if world.error.is_some() {
-                            world.val_scratch = vals;
-                            return;
-                        }
-                        (c.batch, c.row, 1)
-                    }
-                    None => (c.batch, c.row, 1),
-                });
             }
         }
     }
-    if let Some(g) = cols.take() {
-        deliver_col_group(world, sim, dst, from, g, now);
+    if let Some(g) = cols {
+        deliver_columns(world, sim, dst, from, &g, now);
     }
-    if !vals.is_empty() && world.error.is_none() {
-        deliver_value_run(world, sim, dst, from, &mut vals, now);
-    }
+    deliver_value_run(world, sim, dst, from, &mut vals, now);
     world.val_scratch = vals;
     if let Some(busy0) = span_busy0 {
         // The RP's processing of this buffer, as simulated CPU time it
@@ -1197,15 +1253,15 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
         });
     }
     // Hand the drained delivery vector's capacity back to the channel
-    // for its next transmit (error paths above simply drop it).
+    // for its next transmit.
     world.channels[ci].chan.recycle(batch);
 }
 
-/// Processes one run of scalar values delivered back-to-back: transpose
-/// and try the columnar ladder when the destination chain can use
-/// columns at all (`--columnar off`, an interpreted chain, or a
-/// non-qualifying chain skips the decomposition entirely), else walk
-/// the run per element.
+/// Processes one run of scalar values delivered back-to-back, leaving
+/// `run` empty: transpose and try the columnar ladder when the
+/// destination chain can use columns at all (`--columnar off`, an
+/// interpreted chain, or a non-qualifying chain skips the decomposition
+/// entirely), else walk the run per element.
 fn deliver_value_run(
     world: &mut World,
     sim: &mut Sim,
@@ -1214,6 +1270,10 @@ fn deliver_value_run(
     run: &mut Vec<Value>,
     now: SimTime,
 ) {
+    if world.error.is_some() {
+        run.clear();
+        return;
+    }
     if world.columnar && run.len() > 1 && world.rps[dst].chain.wants_columnar() {
         let cols = ColumnarBatch::from_values(run);
         world.columnar_transposes += 1;
@@ -1230,20 +1290,21 @@ fn deliver_value_run(
     }
 }
 
-/// Processes one reassembled column group: the delivered rows form a
-/// contiguous slice of the upstream batch, so the view is shared
-/// storage — the zero-copy hand-off. Falls back to materializing each
-/// row as a `Value` when the chain declines columns.
-fn deliver_col_group(
+/// Processes one reassembled column view: shared storage all the way
+/// from the producer — the zero-copy hand-off. Falls back to
+/// materializing each row as a `Value` when the chain declines columns.
+fn deliver_columns(
     world: &mut World,
     sim: &mut Sim,
     dst: usize,
     from: SpHandle,
-    (batch, first, len): (ColumnarBatch, u32, u32),
+    view: &ColumnarBatch,
     now: SimTime,
 ) {
-    let view = batch.slice(first as usize, (first + len) as usize);
-    if absorb_columns(world, dst, &view, now) || relay_columns(world, sim, dst, &view, now) {
+    if world.error.is_some()
+        || absorb_columns(world, dst, view, now)
+        || relay_columns(world, sim, dst, view, now)
+    {
         return;
     }
     for row in 0..view.rows() {
@@ -1343,7 +1404,14 @@ fn relay_columns(
     let n_out = world.rps[dst].outputs.len();
     if m > 0 && n_out > 0 {
         if let Some(size) = out.uniform_row_size() {
-            relay_pack(world, sim, dst, &out, sel.as_ref(), &readies, size, now);
+            // Survivor ready times in output-row order: nondecreasing,
+            // because selections ascend and the compute server finishes
+            // in FIFO order.
+            let survivors = match &sel {
+                Some(s) => s.rows().iter().map(|&r| readies[r as usize]).collect(),
+                None => readies[..m].to_vec(),
+            };
+            send_run(world, sim, dst, &out, survivors, size, now);
             world.ready_scratch = readies;
             return true;
         }
@@ -1357,90 +1425,74 @@ fn relay_columns(
         let size = out.row_marshaled_size(j);
         for oi in 0..n_out {
             let ci = world.rps[dst].outputs[oi];
-            let item = Elem::Col(ColRow {
-                batch: out.clone(),
-                row: j as u32,
-            });
-            enqueue_elem(world, sim, ci, item, size, at);
+            enqueue_elem(world, sim, ci, Elem::Col(out.slice(j, j + 1)), size, at);
         }
     }
     world.ready_scratch = readies;
     true
 }
 
-/// Forward a relayed batch's survivors as one send-queue pack per
-/// output channel instead of `m` per-element enqueues.
+/// Sends `view` — same-sized rows, row `j` ready at `readies[j]` — to
+/// every output channel of `rp` as one send-queue run each, instead of
+/// one enqueue per row per channel.
 ///
-/// Byte-identity with the per-element loop: the pack carries each
-/// survivor's own ready time and the shared uniform marshaled size, so
-/// packing, buffer boundaries, delivery grouping, and corruption all
-/// still happen per element inside the channel. The only other effect
-/// of the per-element loop is its buffer-crossing `Ev::Cycle`
-/// schedules, which this reproduces arithmetically: with every element
-/// `size` bytes, the element whose enqueue first crosses the `k`-th
-/// boundary past `base` pending bytes is
-/// `r = ceil((k*B - base%B) / size) - 1`, and the per-element path
-/// schedules that crossing at `readies[r].max(now)`. An element wider
-/// than a whole buffer crosses several boundaries with one enqueue but
-/// still schedules one cycle, hence the consecutive-`r` dedup. Emitting
-/// the schedules sorted by (element, channel) reproduces the
-/// interleaved loop's insertion order, which matters for
+/// Byte-identity with the per-element loop: the run carries each row's
+/// own ready time and the shared marshaled size, so buffer boundaries,
+/// delivery grouping, and corruption all fall where they would for
+/// individually enqueued rows. The only other effect of the
+/// per-element loop is its buffer-crossing `Ev::Cycle` schedules, which
+/// this reproduces arithmetically: with every element `size` bytes, the
+/// element whose enqueue first crosses the `k`-th boundary past `base`
+/// pending bytes is `r = ceil((k*B - base%B) / size) - 1`, and the
+/// per-element path schedules that crossing at `readies[r].max(now)`.
+/// An element wider than a whole buffer crosses several boundaries with
+/// one enqueue but still schedules one cycle, hence the consecutive-`r`
+/// dedup. Emitting the schedules sorted by (element, channel)
+/// reproduces the interleaved loop's insertion order, which matters for
 /// equal-timestamp events feeding the shared per-node marshal server.
-#[allow(clippy::too_many_arguments)]
-fn relay_pack(
+fn send_run(
     world: &mut World,
     sim: &mut Sim,
-    dst: usize,
-    out: &ColumnarBatch,
-    sel: Option<&SelectionVector>,
-    readies: &[SimTime],
+    rp: usize,
+    view: &ColumnarBatch,
+    mut readies: Vec<SimTime>,
     size: u64,
     now: SimTime,
 ) {
-    let m = out.rows();
-    // Survivor ready times in output-row order: nondecreasing, because
-    // selections ascend and the compute server finishes in FIFO order.
-    let survivor_readies: Vec<SimTime> = match sel {
-        Some(s) => s.rows().iter().map(|&r| readies[r as usize]).collect(),
-        None => readies[..m].to_vec(),
-    };
-    let n_out = world.rps[dst].outputs.len();
-    let mut crossings: Vec<(usize, usize)> = Vec::new();
+    let n_out = world.rps[rp].outputs.len();
+    // (element, channel, when): the time is the element's, so sorting
+    // orders by (element, channel).
+    let mut crossings: Vec<(usize, usize, SimTime)> = Vec::new();
     for oi in 0..n_out {
-        let ci = world.rps[dst].outputs[oi];
-        let chan = &mut world.channels[ci].chan;
-        let bsize = chan.buffer_bytes(&world.env);
-        let base = chan.pending_bytes();
+        let ch = &mut world.channels[world.rps[rp].outputs[oi]];
+        let bsize = ch.chan.buffer_bytes(&world.env);
+        let base = ch.chan.pending_bytes();
         let before = base / bsize;
-        let after = (base + size * m as u64) / bsize;
+        let after = (base + size * readies.len() as u64) / bsize;
         let mut last_r = usize::MAX;
         for k in 1..=(after - before) {
             let target = (before + k) * bsize;
             let r = ((target - base).div_ceil(size) - 1) as usize;
             if r != last_r {
-                crossings.push((r, oi));
+                crossings.push((r, oi, readies[r].max(now)));
                 last_r = r;
             }
         }
-        let items: Vec<Elem> = (0..m)
-            .map(|j| {
-                Elem::Col(ColRow {
-                    batch: out.clone(),
-                    row: j as u32,
-                })
-            })
-            .collect();
-        chan.enqueue_pack(items, size, survivor_readies.clone());
-        if let Some(lat) = &mut world.channels[ci].lat {
-            // Ingress stamps: each survivor enters the channel at its
-            // own compute-finish time, same as the per-element loop.
-            lat.ingress.extend(survivor_readies.iter().copied());
+        if let Some(lat) = &mut ch.lat {
+            // Ingress stamps: each row enters the channel at its own
+            // ready time, same as the per-element loop.
+            lat.ingress.extend(readies.iter().copied());
         }
+        let readies = if oi + 1 == n_out {
+            std::mem::take(&mut readies)
+        } else {
+            readies.clone()
+        };
+        ch.chan.enqueue_run(Elem::Col(view.clone()), size, readies);
     }
     crossings.sort_unstable();
-    for (r, oi) in crossings {
-        let ci = world.rps[dst].outputs[oi];
-        sim.schedule_at(survivor_readies[r].max(now), Ev::Cycle(ci));
+    for (_, oi, at) in crossings {
+        sim.schedule_at(at, Ev::Cycle(world.rps[rp].outputs[oi]));
     }
 }
 
@@ -1911,27 +1963,42 @@ mod tests {
 
     #[test]
     fn columnar_off_skips_decomposition_entirely() {
-        // `--columnar off` must not even speculatively transpose a
-        // delivered run into columns: the skip is observable through
-        // the transpose counter, not just the admission counter.
-        let q = "select extract(b) from sp a, sp b
+        // `columnar_transposes` counts *run-time* `Value`→column
+        // transposes. A prepared constant source reaches the absorber
+        // as the plan's own columns, so batches are absorbed and
+        // nothing is transposed; a source that cannot be prepared (its
+        // chain computes) emits values, which the receiver transposes
+        // per delivered run. `--columnar off` must not even
+        // speculatively transpose, and must not touch the prepared
+        // column either: the source walks its values one by one.
+        let prepared = "select extract(b) from sp a, sp b
              where b=sp(streamof(count(extract(a))), 'bg', 0)
              and a=sp(streamof(iota(1,100)),'bg',1);";
-        let on = run(q).unwrap();
-        assert!(on.stats().columnar_transposes > 0, "{:?}", on.stats());
-        assert!(on.stats().columnar_batches > 0);
-        let off = run_opts(
-            q,
-            &RunOptions {
-                columnar: false,
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(off.stats().columnar_transposes, 0);
-        assert_eq!(off.stats().columnar_batches, 0);
-        assert_eq!(on.values(), off.values());
-        assert_eq!(on.finished(), off.finished());
+        let computed = "select extract(b) from sp a, sp b
+             where b=sp(streamof(count(extract(a))), 'bg', 0)
+             and a=sp(arith(iota(1,100), '+', 1),'bg',1);";
+        let off_options = RunOptions {
+            columnar: false,
+            ..RunOptions::default()
+        };
+        let a_to_b_peak = |r: &QueryResult| {
+            let mpi = r.stats().channels.iter().find(|c| c.carrier == "mpi");
+            mpi.expect("a→b channel").queue_peak_trains
+        };
+        for (q, transposes_on, peak_on) in [(prepared, false, 1), (computed, true, 100)] {
+            let on = run(q).unwrap();
+            assert_eq!(on.values(), &[Value::Integer(100)]);
+            assert_eq!(on.stats().columnar_transposes > 0, transposes_on, "{q}");
+            assert!(on.stats().columnar_batches > 0, "{q}");
+            assert_eq!(a_to_b_peak(&on), peak_on, "{q}");
+            let off = run_opts(q, &off_options).unwrap();
+            assert_eq!(off.stats().columnar_transposes, 0);
+            assert_eq!(off.stats().columnar_batches, 0);
+            assert_eq!(a_to_b_peak(&off), 100, "one train per element: {q}");
+            assert_eq!(on.values(), off.values());
+            assert_eq!(on.finished(), off.finished());
+            assert_eq!(on.stats().events, off.stats().events);
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 
 use proptest::prelude::*;
 use scsq_engine::ops::{AggKind, MapFunc, Pipeline, Stage, StageChain};
-use scsq_engine::{ArithOp, CmpOp, FusedChain, FusedProgram};
-use scsq_ql::{Batch, Value};
+use scsq_engine::{ArithOp, CmpOp, FusedChain, FusedProgram, PreparedSource};
+use scsq_ql::{Batch, ColumnarBatch, Value};
 
 fn agg() -> impl Strategy<Value = AggKind> {
     prop_oneof![
@@ -132,7 +132,9 @@ fn batch_values() -> impl Strategy<Value = Vec<Value>> {
 /// outputs, errors, and the end-of-stream flush.
 fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(), TestCaseError> {
     let pipeline = Pipeline {
-        input: scsq_engine::InputKind::Const { values: Vec::new() },
+        input: scsq_engine::InputKind::Const {
+            values: Vec::new().into(),
+        },
         stages,
     };
     let mut interpreted = StageChain::new(&pipeline);
@@ -255,7 +257,9 @@ fn assert_relay_equivalent(
     batches: Vec<Vec<Value>>,
 ) -> Result<(), TestCaseError> {
     let pipeline = Pipeline {
-        input: scsq_engine::InputKind::Const { values: Vec::new() },
+        input: scsq_engine::InputKind::Const {
+            values: Vec::new().into(),
+        },
         stages,
     };
     let mut interpreted = StageChain::new(&pipeline);
@@ -324,8 +328,147 @@ fn assert_relay_equivalent(
     Ok(())
 }
 
+/// One constant source and whether the plan must prepare it: runs of
+/// one fixed-width kind (integers, floats, booleans, fixed-width
+/// records) of at least two rows are prepared; strings, mixed bags and
+/// one-element sources are not.
+fn source_values() -> impl Strategy<Value = (Vec<Value>, bool)> {
+    let fixed = |v: Vec<Value>| {
+        let prepared = v.len() >= 2;
+        (v, prepared)
+    };
+    prop_oneof![
+        proptest::collection::vec((-100i64..100).prop_map(Value::Integer), 1..150).prop_map(fixed),
+        proptest::collection::vec((-100.0f64..100.0).prop_map(Value::Real), 1..40).prop_map(fixed),
+        proptest::collection::vec(any::<bool>().prop_map(Value::Bool), 1..40).prop_map(fixed),
+        proptest::collection::vec(metric(), 1..40).prop_map(fixed),
+        proptest::collection::vec(record(), 1..40).prop_map(fixed),
+        proptest::collection::vec(word(), 2..40).prop_map(|v| (v, false)),
+        (
+            proptest::collection::vec(mixed_value(), 2..40),
+            -100i64..100
+        )
+            .prop_map(|(mut v, i)| {
+                // Force two kinds, so the run is never accidentally
+                // homogeneous.
+                v.push(Value::Integer(i));
+                v.push(Value::Str("y".to_string()));
+                (v, false)
+            }),
+    ]
+}
+
+/// Drives a chain over a prepared source the way `World::deliver` does
+/// on the two kinds of tier: `views` hands it slices of the plan's
+/// column (admit, else walk the rows with `value_at`), the other hands
+/// it the delivered values (transpose-and-admit when the run is a
+/// batch, else walk them). Returns everything emitted plus the flush,
+/// or the first error's message.
+fn drive_source(
+    stages: &[Stage],
+    values: &[Value],
+    prepared: &PreparedSource,
+    cuts: &[usize],
+    views: bool,
+) -> Result<Vec<Value>, String> {
+    let pipeline = Pipeline {
+        input: scsq_engine::InputKind::Const {
+            values: Vec::new().into(),
+        },
+        stages: stages.to_vec(),
+    };
+    let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
+    let mut out = Vec::new();
+    let mut start = 0;
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % values.len()).collect();
+    bounds.push(values.len());
+    bounds.sort_unstable();
+    for end in bounds {
+        if end == start {
+            continue;
+        }
+        let run = &values[start..end];
+        let absorbed = if views {
+            let view = prepared.cols.slice(start, end);
+            match fused.columnar_admit_cols(&view) {
+                // A one-row view is a batch; a one-value run is not.
+                // Either way the row is folded exactly once.
+                Some(admit) => {
+                    fused.process_admitted(admit).map_err(|e| e.to_string())?;
+                    true
+                }
+                None => false,
+            }
+        } else {
+            fused
+                .process_batch_columnar(&Batch::new(run.to_vec()))
+                .map_err(|e| e.to_string())?
+        };
+        if !absorbed {
+            for (row, v) in run.iter().enumerate() {
+                let v = if views {
+                    prepared.cols.value_at(start + row).expect("all rows valid")
+                } else {
+                    v.clone()
+                };
+                fused
+                    .process_into(v, None, &mut out)
+                    .map_err(|e| e.to_string())?;
+            }
+        }
+        start = end;
+    }
+    out.extend(fused.finish().map_err(|e| e.to_string())?);
+    Ok(out)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A source is prepared exactly when its rows share one fixed-width
+    /// layout behind a pass-through chain, the prepared column *is* the
+    /// source (every slice of it has the layout and the rows a
+    /// transpose of the same sub-run has), and a chain fed slices of it
+    /// ends where the same chain fed the transposed values ends.
+    #[test]
+    fn prepared_sources_equal_their_values(
+        source in source_values(),
+        stages in proptest::collection::vec(stage(), 1..4),
+        cuts in proptest::collection::vec(0usize..1_000, 0..6),
+    ) {
+        let (values, expect_prepared) = source;
+        let source = |stages: Vec<Stage>| Pipeline {
+            input: scsq_engine::InputKind::Const {
+                values: values.clone().into(),
+            },
+            stages,
+        };
+        let prepared = PreparedSource::prepare(&source(vec![Stage::StreamOf]));
+        prop_assert_eq!(prepared.is_ok(), expect_prepared, "{:?}", prepared.as_ref().err());
+        // Any computing stage in the source's own chain blocks it.
+        let computing = source(vec![Stage::StreamOf, Stage::Take { limit: 1 }]);
+        prop_assert!(PreparedSource::prepare(&computing).is_err());
+        let Ok(prepared) = prepared else {
+            return Ok(());
+        };
+        prop_assert_eq!(prepared.cols.rows(), values.len());
+        prop_assert_eq!(prepared.row_bytes, values[0].marshaled_size());
+        let (i, j) = match cuts[..] {
+            [a, b, ..] => (a % values.len(), b % values.len()),
+            _ => (0, values.len() - 1),
+        };
+        let (i, j) = (i.min(j), i.max(j) + 1);
+        let (view, run) = (prepared.cols.slice(i, j), ColumnarBatch::from_values(&values[i..j]));
+        let mut rows = Vec::new();
+        view.to_values_into(&mut rows);
+        prop_assert_eq!(&rows[..], &values[i..j], "rows {}..{}", i, j);
+        prop_assert_eq!(view.width(), run.width());
+        prop_assert_eq!(view.uniform_row_size(), run.uniform_row_size());
+        prop_assert_eq!(
+            drive_source(&stages, &values, &prepared, &cuts, true),
+            drive_source(&stages, &values, &prepared, &cuts, false)
+        );
+    }
 
     /// The columnar batch pass (with its per-element fallback) agrees
     /// with the interpreted reference on outputs, accumulator state (via
@@ -362,7 +505,9 @@ proptest! {
 #[test]
 fn columnar_pass_absorbs_metric_batches() {
     let pipeline = Pipeline {
-        input: scsq_engine::InputKind::Const { values: Vec::new() },
+        input: scsq_engine::InputKind::Const {
+            values: Vec::new().into(),
+        },
         stages: vec![Stage::StreamOf, Stage::Bandwidth],
     };
     let sample = |t: i64, b: i64| {
@@ -397,7 +542,9 @@ fn relay_chains_decline_the_columnar_pass() {
         vec![Stage::StreamOf, Stage::Take { limit: 4 }],
     ] {
         let pipeline = Pipeline {
-            input: scsq_engine::InputKind::Const { values: Vec::new() },
+            input: scsq_engine::InputKind::Const {
+                values: Vec::new().into(),
+            },
             stages,
         };
         let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));

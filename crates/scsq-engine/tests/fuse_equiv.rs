@@ -64,7 +64,9 @@ fn value() -> impl Strategy<Value = Value> {
 /// end-of-stream flush.
 fn assert_equivalent(stages: Vec<Stage>, inputs: Vec<Value>) -> Result<(), TestCaseError> {
     let pipeline = Pipeline {
-        input: scsq_engine::InputKind::Const { values: Vec::new() },
+        input: scsq_engine::InputKind::Const {
+            values: Vec::new().into(),
+        },
         stages,
     };
     let mut interpreted = StageChain::new(&pipeline);

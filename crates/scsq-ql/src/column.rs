@@ -579,13 +579,28 @@ impl ColumnarBatch {
 
     /// Whether `other` is a view of the *same* backing column set (by
     /// `Arc` identity) with identical view bounds. This is the equality
-    /// notion the transport uses for relayed column rows: two views are
+    /// notion the transport uses for relayed column views: two views are
     /// interchangeable only when they share storage, so value-equal but
     /// separately built batches compare unequal on purpose.
     pub fn same_view(&self, other: &ColumnarBatch) -> bool {
         Arc::ptr_eq(&self.columns, &other.columns)
             && self.start == other.start
             && self.end == other.end
+    }
+
+    /// Widens this view over `next` when `next` views the rows that
+    /// directly follow it in the same backing column set (by `Arc`
+    /// identity), and reports whether it did. This is how a receiver
+    /// reassembles a batch that crossed a stream channel as several
+    /// adjacent slices (an element straddling a buffer boundary travels
+    /// apart from the whole elements packed after it): no column data is
+    /// touched.
+    pub fn try_extend(&mut self, next: &ColumnarBatch) -> bool {
+        let adjacent = Arc::ptr_eq(&self.columns, &next.columns) && next.start == self.end;
+        if adjacent {
+            self.end = next.end;
+        }
+        adjacent
     }
 
     /// The marshaled wire size of view-relative row `row`, mirroring
@@ -685,30 +700,6 @@ impl ColumnarBatch {
         let mut out = Vec::new();
         self.to_values_into(&mut out);
         crate::Batch::new(out)
-    }
-}
-
-/// One row of a shared [`ColumnarBatch`], cheap to clone (two `Arc`
-/// bumps) — the unit a relayed column travels as through a stream
-/// channel. Consumers that receive consecutive `ColRow`s of the same
-/// view reassemble the original batch without copying any column data.
-#[derive(Debug, Clone)]
-pub struct ColRow {
-    /// The shared batch view the row belongs to.
-    pub batch: ColumnarBatch,
-    /// View-relative row index into `batch`.
-    pub row: u32,
-}
-
-impl PartialEq for ColRow {
-    /// Identity-based equality: same backing storage (by `Arc`
-    /// pointer), same view, same row. Consecutive rows of one batch
-    /// always compare unequal, so channel train coalescing — which only
-    /// merges *equal* items — never merges relayed column rows; channel
-    /// timing is unaffected because it depends only on each item's
-    /// `(bytes, ready)` pair.
-    fn eq(&self, other: &Self) -> bool {
-        self.row == other.row && self.batch.same_view(&other.batch)
     }
 }
 
@@ -989,19 +980,25 @@ mod tests {
     }
 
     #[test]
-    fn col_rows_compare_by_storage_identity() {
+    fn views_compare_and_extend_by_storage_identity() {
         let vals: Vec<Value> = (0..4).map(Value::Integer).collect();
         let b = ColumnarBatch::from_values(&vals);
         let twin = ColumnarBatch::from_values(&vals);
-        let row = |batch: &ColumnarBatch, row| ColRow {
-            batch: batch.clone(),
-            row,
-        };
-        assert_eq!(row(&b, 2), row(&b, 2));
-        assert_ne!(row(&b, 1), row(&b, 2), "consecutive rows never merge");
-        assert_ne!(row(&b, 2), row(&twin, 2), "value-equal twins are distinct");
-        assert_ne!(row(&b.slice(1, 4), 0), row(&b, 0), "views must match");
         assert!(b.slice(1, 4).same_view(&b.slice(1, 4)));
+        assert!(!b.slice(1, 2).same_view(&b.slice(2, 3)), "rows differ");
+        assert!(!b.same_view(&twin), "value-equal twins are distinct");
+        // Adjacent slices of one storage reassemble; anything else —
+        // a gap, an overlap, a twin — is left alone.
+        let mut head = b.slice(0, 1);
+        assert!(head.try_extend(&b.slice(1, 3)));
+        assert!(head.same_view(&b.slice(0, 3)));
+        assert!(!head.try_extend(&b.slice(2, 4)), "overlap");
+        assert!(!b.slice(0, 1).try_extend(&b.slice(2, 4)), "gap");
+        assert!(!b.slice(0, 1).try_extend(&twin.slice(1, 2)), "twin storage");
+        assert!(
+            head.same_view(&b.slice(0, 3)),
+            "a refused extend changes nothing"
+        );
     }
 
     #[test]

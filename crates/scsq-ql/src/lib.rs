@@ -49,7 +49,7 @@ pub mod value;
 pub use ast::{Expr, FunctionDef, PredOp, Predicate, SelectQuery, Statement, TypeName, VarDecl};
 pub use batch::Batch;
 pub use catalog::{Builtin, Catalog, Resolved};
-pub use column::{ColRow, Column, ColumnData, ColumnarBatch, SelectionVector, ValidityBitmap};
+pub use column::{Column, ColumnData, ColumnarBatch, SelectionVector, ValidityBitmap};
 pub use error::QlError;
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{parse_program, parse_statement};

@@ -17,6 +17,33 @@ use std::collections::VecDeque;
 /// point-to-point intra-BlueGene streams (Fig 6).
 pub const MPI_DEFAULT_BUFFER: u64 = 1000;
 
+/// What a channel can carry. Most payloads stand for exactly one stream
+/// element and take both defaults; a *view* payload (a slice of a shared
+/// column, say) can stand for a run of elements and be cut into
+/// sub-runs, which lets [`StreamChannel::enqueue_run`] keep a whole run
+/// as one queue node and one roster entry per buffer.
+pub trait Payload: Clone + PartialEq {
+    /// How many stream elements this payload stands for.
+    fn rows(&self) -> usize {
+        1
+    }
+
+    /// The payload for elements `start..end` of this one. Only called
+    /// with `end <= self.rows()`; a one-element payload is its own only
+    /// slice.
+    fn slice_rows(&self, start: usize, end: usize) -> Self {
+        debug_assert_eq!((start, end), (0, 1), "a one-element payload has one slice");
+        self.clone()
+    }
+}
+
+macro_rules! one_element_payloads {
+    ($($t:ty),*) => { $(impl Payload for $t {})* };
+}
+// The payloads this crate's tests and the repo benchmark drive channels
+// with.
+one_element_payloads!((), i32, u32, u64, usize, &'static str);
+
 /// How a channel carries its buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Carrier {
@@ -86,10 +113,11 @@ pub struct ChannelStats {
     pub first_send: Option<SimTime>,
     /// When the most recent buffer finished de-marshaling.
     pub last_delivery: SimTime,
-    /// High-water mark of the send queue, in trains (a run of identical
-    /// elements counts once — see the train coalescing notes on
-    /// [`StreamChannel::enqueue`]). Gauges how far the producer ran
-    /// ahead of the carrier.
+    /// High-water mark of the send queue, in queue *nodes*: a run of
+    /// identical elements counts once (see the train coalescing notes
+    /// on [`StreamChannel::enqueue`]), and so does a whole pack or run
+    /// ([`StreamChannel::enqueue_pack`] / [`StreamChannel::enqueue_run`]).
+    /// Gauges how far the producer ran ahead of the carrier.
     pub queue_peak_trains: u64,
 }
 
@@ -115,10 +143,10 @@ impl ChannelStats {
 ///
 /// Trains (and their sibling, [`Pack`]) are a transport-side encoding
 /// only: delivery hands the receiver a materialized batch per buffer.
-/// The payload type is opaque here — a relayed column row travels as
-/// just another element whose bytes and ready time drive packing; any
-/// columnar reassembly of a delivered batch happens inside the
-/// engine's `deliver` step, after transport.
+/// The payload type is opaque here — a column view travels as just
+/// another payload whose rows' bytes and ready times drive packing
+/// ([`Payload`]); reassembling the slices of a delivered batch happens
+/// inside the engine's `deliver` step, after transport.
 #[derive(Debug)]
 struct Train<T> {
     /// The element every copy materializes as. `None` only transiently
@@ -147,20 +175,21 @@ impl<T> Train<T> {
 }
 
 /// A pack of *distinct* elements sharing one marshaled size, enqueued
-/// in a single call ([`StreamChannel::enqueue_pack`]) with an explicit
-/// nondecreasing ready time per element — the complement of [`Train`],
-/// which compresses *identical* elements on an arithmetic ready
-/// progression. A relayed column batch is the motivating producer:
-/// thousands of same-sized, pairwise-distinct rows become ready at
-/// jittered (so non-arithmetic) times within one event, and storing
-/// them as one queue node instead of one train each keeps the send
-/// queue short. Packing and delivery treat each element exactly as if
-/// it had been enqueued individually.
+/// in a single call ([`StreamChannel::enqueue_pack`] /
+/// [`StreamChannel::enqueue_run`]) with an explicit nondecreasing ready
+/// time per element — the complement of [`Train`], which compresses
+/// *identical* elements on an arithmetic ready progression. A column
+/// batch (relayed, or a prepared constant source) is the motivating
+/// producer: thousands of same-sized, pairwise-distinct rows become
+/// ready at jittered (so non-arithmetic) times within one event, and
+/// storing them as one queue node instead of one train each keeps the
+/// send queue short. Packing and delivery treat each element exactly
+/// as if it had been enqueued individually.
 #[derive(Debug)]
 struct Pack<T> {
     /// The elements, consumed front to back from `next`.
-    items: Vec<T>,
-    /// Per-element ready times; same length as `items`, nondecreasing.
+    items: PackItems<T>,
+    /// Per-element ready times, nondecreasing; one per element.
     readies: Vec<SimTime>,
     /// Index of the head element.
     next: usize,
@@ -172,10 +201,20 @@ struct Pack<T> {
     head_corrupted: bool,
 }
 
+/// The two payload forms of a [`Pack`].
+#[derive(Debug)]
+enum PackItems<T> {
+    /// One payload per element.
+    Each(Vec<T>),
+    /// One view payload standing for every element; sub-runs are cut
+    /// with [`Payload::slice_rows`] as buffers fill.
+    Run(T),
+}
+
 impl<T> Pack<T> {
     /// Elements not yet fully packed, including the head.
     fn remaining(&self) -> usize {
-        self.items.len() - self.next
+        self.readies.len() - self.next
     }
 
     /// Bytes not yet packed into buffers.
@@ -194,9 +233,11 @@ enum Node<T> {
 /// What one [`StreamChannel::cycle`] call produced.
 #[derive(Debug)]
 pub struct CycleOutput<T> {
-    /// Elements whose final byte was de-marshaled in this buffer. All of
-    /// them ride the same receive buffer, so they become visible to the
-    /// subscriber's operators at one shared instant, `delivered_at`.
+    /// Elements whose final byte was de-marshaled in this buffer, in
+    /// order. All of them ride the same receive buffer, so they become
+    /// visible to the subscriber's operators at one shared instant,
+    /// `delivered_at`. An entry cut from a run ([`StreamChannel::enqueue_run`])
+    /// stands for [`Payload::rows`] consecutive elements.
     pub delivered: Vec<T>,
     /// When the elements in `delivered` become visible; `None` when the
     /// cycle delivered nothing.
@@ -251,7 +292,7 @@ pub struct StreamChannel<T> {
     registered_inbound: bool,
 }
 
-impl<T: Clone + PartialEq> StreamChannel<T> {
+impl<T: Payload> StreamChannel<T> {
     /// Creates an idle channel. If the channel crosses from a Linux
     /// cluster into the BlueGene it registers itself as an inbound flow so
     /// the I/O-node coordination penalties account for it.
@@ -363,10 +404,10 @@ impl<T: Clone + PartialEq> StreamChannel<T> {
     /// marshaled bytes as one queue node, element `i` ready at
     /// `readies[i]`. Byte-for-byte and instant-for-instant equivalent
     /// to calling [`StreamChannel::enqueue`] once per element in order —
-    /// packing, buffer boundaries, delivery grouping and corruption all
-    /// treat pack elements individually — but the send queue grows by
-    /// one node instead of `items.len()` trains (distinct elements
-    /// never coalesce).
+    /// buffer boundaries, delivery grouping and corruption all fall
+    /// where they would for individual elements — but the send queue
+    /// grows by one node instead of `items.len()` trains (distinct
+    /// elements never coalesce).
     ///
     /// # Panics
     ///
@@ -376,19 +417,39 @@ impl<T: Clone + PartialEq> StreamChannel<T> {
     /// generates them with one FIFO compute server, whose finish times
     /// are monotone.
     pub fn enqueue_pack(&mut self, items: Vec<T>, bytes_each: u64, readies: Vec<SimTime>) {
+        assert_eq!(items.len(), readies.len(), "one ready time per element");
+        self.push_pack(PackItems::Each(items), bytes_each, readies);
+    }
+
+    /// [`StreamChannel::enqueue_pack`] for a run that is one view
+    /// payload: `view` stands for `view.rows()` same-sized elements,
+    /// element `i` ready at `readies[i]`. Equivalent to enqueueing
+    /// `view.slice_rows(i, i + 1)` for every `i` in order, except that
+    /// whole elements packed into a buffer together are delivered as
+    /// one sliced payload instead of one payload each.
+    ///
+    /// # Panics
+    ///
+    /// As [`StreamChannel::enqueue_pack`], with `view.rows()` in place
+    /// of `items.len()`.
+    pub fn enqueue_run(&mut self, view: T, bytes_each: u64, readies: Vec<SimTime>) {
+        assert_eq!(view.rows(), readies.len(), "one ready time per element");
+        self.push_pack(PackItems::Run(view), bytes_each, readies);
+    }
+
+    fn push_pack(&mut self, items: PackItems<T>, bytes_each: u64, readies: Vec<SimTime>) {
         assert!(
             !self.eos_queued,
             "enqueue after finish on flow {:?}",
             self.cfg.flow
         );
         assert!(bytes_each > 0, "elements must have positive marshaled size");
-        assert!(!items.is_empty(), "a pack must hold at least one element");
-        assert_eq!(items.len(), readies.len(), "one ready time per element");
+        assert!(!readies.is_empty(), "a pack must hold at least one element");
         debug_assert!(
             readies.windows(2).all(|w| w[0] <= w[1]),
             "pack ready times must be nondecreasing"
         );
-        let bytes = bytes_each * items.len() as u64;
+        let bytes = bytes_each * readies.len() as u64;
         self.stats.bytes_enqueued += bytes;
         self.pending_bytes += bytes;
         self.queue.push_back(Node::Pack(Pack {
@@ -498,23 +559,47 @@ impl<T: Clone + PartialEq> StreamChannel<T> {
                     }
                 }
                 Node::Pack(front) => {
-                    let take = space.min(front.head_bytes_left);
-                    front.head_bytes_left -= take;
-                    self.fill += take;
-                    self.fill_ready = self.fill_ready.max(front.readies[front.next]);
-                    if front.head_bytes_left == 0 {
-                        let corrupted = std::mem::replace(&mut front.head_corrupted, false);
-                        // Cheap clone by construction: pack producers
-                        // relay shared column handles (two pointer-sized
-                        // fields and a reference-count bump).
-                        let item = front.items[front.next].clone();
-                        self.fill_items.push((item, corrupted));
-                        front.next += 1;
-                        if front.next == front.items.len() {
-                            self.queue.pop_front();
-                        } else {
-                            front.head_bytes_left = front.bytes_each;
+                    // Whole, untouched, uncorrupted elements that fit
+                    // go in one step: packing them one by one would add
+                    // `bytes_each` to the fill each time and leave
+                    // `fill_ready` at the last one's ready time (ready
+                    // times are nondecreasing). Only the element
+                    // straddling the buffer boundary, elements wider
+                    // than a buffer and a corrupted head take the
+                    // byte-wise path.
+                    let whole = front.head_bytes_left == front.bytes_each && !front.head_corrupted;
+                    let fit = (space / front.bytes_each).min(front.remaining() as u64) as usize;
+                    let (start, end, corrupted) = if whole && fit > 0 {
+                        self.fill += fit as u64 * front.bytes_each;
+                        (front.next, front.next + fit, false)
+                    } else {
+                        let take = space.min(front.head_bytes_left);
+                        front.head_bytes_left -= take;
+                        self.fill += take;
+                        if front.head_bytes_left > 0 {
+                            self.fill_ready = self.fill_ready.max(front.readies[front.next]);
+                            continue;
                         }
+                        let corrupted = std::mem::replace(&mut front.head_corrupted, false);
+                        (front.next, front.next + 1, corrupted)
+                    };
+                    self.fill_ready = self.fill_ready.max(front.readies[end - 1]);
+                    match &front.items {
+                        // Cheap clones by construction: pack producers
+                        // hand over small handles.
+                        PackItems::Each(items) => self.fill_items.extend(
+                            items[start..end]
+                                .iter()
+                                .map(|item| (item.clone(), corrupted)),
+                        ),
+                        PackItems::Run(view) => self
+                            .fill_items
+                            .push((view.slice_rows(start, end), corrupted)),
+                    }
+                    front.next = end;
+                    front.head_bytes_left = front.bytes_each;
+                    if front.remaining() == 0 {
+                        self.queue.pop_front();
                     }
                 }
             }
@@ -548,7 +633,7 @@ impl<T: Clone + PartialEq> StreamChannel<T> {
                     self.stats.last_delivery = self.stats.last_delivery.max(visible);
                     for (item, corrupted) in self.fill_items.drain(..) {
                         if corrupted {
-                            self.stats.elements_lost += 1;
+                            self.stats.elements_lost += item.rows() as u64;
                         } else {
                             out.delivered.push(item);
                         }
@@ -562,8 +647,11 @@ impl<T: Clone + PartialEq> StreamChannel<T> {
                     // in it is lost, and a partially-packed element at
                     // the queue front is poisoned.
                     self.stats.buffers_dropped += 1;
-                    self.stats.elements_lost += self.fill_items.len() as u64;
-                    self.fill_items.clear();
+                    self.stats.elements_lost += self
+                        .fill_items
+                        .drain(..)
+                        .map(|(item, _)| item.rows() as u64)
+                        .sum::<u64>();
                     if self.fill > 0 {
                         match self.queue.front_mut() {
                             Some(Node::Train(front))
@@ -727,9 +815,20 @@ impl<T: Clone + PartialEq> StreamChannel<T> {
                     p.shape(pk.bytes_each);
                     p.num(&mut pk.head_bytes_left);
                     p.shape(pk.head_corrupted as u64);
-                    for i in pk.next..pk.items.len() {
-                        p.time(&mut pk.readies[i]);
-                        probe_item(&pk.items[i], p);
+                    match &pk.items {
+                        PackItems::Each(items) => {
+                            let left = pk.readies[pk.next..].iter_mut();
+                            for (t, item) in left.zip(&items[pk.next..]) {
+                                p.time(t);
+                                probe_item(item, p);
+                            }
+                        }
+                        PackItems::Run(view) => {
+                            for t in &mut pk.readies[pk.next..] {
+                                p.time(t);
+                            }
+                            probe_item(&view.slice_rows(pk.next, view.rows()), p);
+                        }
                     }
                 }
             }
@@ -803,7 +902,7 @@ mod tests {
     }
 
     /// Runs a channel to completion, returning (deliveries, eos time).
-    fn drain<T: Clone + PartialEq>(
+    fn drain<T: Payload>(
         ch: &mut StreamChannel<T>,
         env: &mut Environment,
     ) -> (Vec<(SimTime, T)>, SimTime) {

@@ -27,5 +27,5 @@
 pub mod channel;
 
 pub use channel::{
-    Carrier, ChannelConfig, ChannelStats, CycleOutput, StreamChannel, MPI_DEFAULT_BUFFER,
+    Carrier, ChannelConfig, ChannelStats, CycleOutput, Payload, StreamChannel, MPI_DEFAULT_BUFFER,
 };

@@ -8,8 +8,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# The whole workspace, not just the root package: the transport, engine
+# equivalence and figure-CSV suites live under crates/*/tests.
+cargo test -q --workspace
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

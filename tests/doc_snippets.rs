@@ -73,6 +73,30 @@ fn scsql_reference_snippets_run() {
     check_doc("docs/scsql_reference.md", 7);
 }
 
+/// The reference shows `explain`'s report for its relay pipeline,
+/// source verdict included; the shown text must be what `explain`
+/// prints for the snippet right above it.
+#[test]
+fn scsql_reference_explain_transcript_is_current() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/scsql_reference.md");
+    let text = std::fs::read_to_string(&path).expect("read the reference");
+    let (before, after) = text
+        .split_once("For the relay pipeline above:")
+        .expect("the explain walkthrough");
+    let query = scsql_blocks(before).pop().expect("the relay snippet");
+    let shown = after
+        .split_once("```text\n")
+        .and_then(|(_, rest)| rest.split_once("```"))
+        .expect("a ```text transcript")
+        .0;
+    let report = scsq::Scsq::lofar().explain(&query).expect("explains");
+    assert!(shown.contains("columnar (prepared source)"), "{shown}");
+    assert!(
+        report.starts_with(shown),
+        "docs/scsql_reference.md shows a stale explain report; current:\n{report}"
+    );
+}
+
 #[test]
 fn server_doc_snippets_run() {
     check_doc("docs/server.md", 1);

@@ -486,6 +486,52 @@ fn metric_catalog_doc_matches_snapshot_json_keys() {
         "metric catalog drifted from MetricsSnapshot::to_json — \
          undocumented: {undocumented:?}, stale rows: {stale:?}"
     );
+
+    // The "Further counters" table right below it names fields of
+    // `QueryStats` and the reports inside it: every name in its first
+    // column must be a real field, and every field of `QueryStats`
+    // itself must be documented in one of the two tables (by name, or
+    // as the prefix of a flattened key such as `coalesce_jumps`).
+    let further = doc
+        .split("### Further counters")
+        .nth(1)
+        .expect("docs/observability.md has a '### Further counters' table");
+    let mut counters = std::collections::BTreeSet::new();
+    for line in further.lines().skip(1) {
+        if line.starts_with('#') {
+            break;
+        }
+        let Some(cell) = line.strip_prefix("| `") else {
+            continue;
+        };
+        let cell = cell.split('|').next().expect("first column");
+        for name in cell.split('`').step_by(2).filter(|n| !n.is_empty()) {
+            counters.insert(name.rsplit('.').next().expect("a name").to_string());
+        }
+    }
+    let fields = format!("{:#?}", r.stats());
+    for name in &counters {
+        assert!(
+            fields.contains(&format!(" {name}: ")),
+            "docs/observability.md documents `{name}`, which QueryStats does not carry"
+        );
+    }
+    for line in fields.lines() {
+        // Top-level fields sit at one level of indentation.
+        let Some(field) = line.strip_prefix("    ").filter(|l| !l.starts_with(' ')) else {
+            continue;
+        };
+        let Some((field, _)) = field.split_once(':') else {
+            continue;
+        };
+        assert!(
+            documented
+                .iter()
+                .chain(&counters)
+                .any(|d| d.starts_with(field)),
+            "QueryStats::{field} is documented in neither table of docs/observability.md"
+        );
+    }
 }
 
 #[test]
