@@ -1,59 +1,101 @@
-//! Per-point coalescing diagnostics (dev tool).
-use scsq_bench::{buffer_sweep, fig15, fig6, Scale};
-use scsq_core::{HardwareSpec, RunOptions, Scsq, Value};
+//! Per-point coalescing diagnostics (dev tool): one row per Figure 6,
+//! Figure 8 and Figure 15 point — the 102 queries of a paper sweep —
+//! with the detector's counts and the wall clock with and without the
+//! coalescer.
+//!
+//! `cargo run --release -p scsq-bench --example coalstat [arrays] [jitter] [seed] [counts]`
+//! (defaults: the paper's 100 arrays, no service jitter; a seed other
+//! than 0 perturbs the LOFAR rates by 2 % like the repo benchmark;
+//! a fourth argument skips the timing and prints the counts only).
+use scsq_bench::{buffer_sweep, fig15, fig6, fig8, Scale};
+use scsq_core::{HardwareSpec, PreparedQuery, RunOptions, Scsq, Value};
 use std::time::Instant;
 
+fn wall_ms(plan: &PreparedQuery, spec: &HardwareSpec, options: &RunOptions) -> f64 {
+    // Best of seven: the table is about the detector, not the host.
+    (0..7)
+        .map(|_| {
+            let t = Instant::now();
+            plan.run(spec, options).unwrap();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 fn main() {
-    let spec = HardwareSpec::lofar();
+    let mut args = std::env::args().skip(1);
+    let arrays = args.next().map_or(100, |a| a.parse().expect("arrays"));
+    let service_jitter = args.next().map_or(0.0, |a| a.parse().expect("jitter"));
+    let spec = match args.next().map(|a| a.parse().expect("seed")) {
+        Some(seed) if seed != 0 => HardwareSpec::lofar().jittered(seed, 0.02),
+        _ => HardwareSpec::lofar(),
+    };
+    let timed = args.next().is_none();
     let scale = Scale {
-        arrays: 40,
-        ..Scale::quick()
+        arrays,
+        ..Scale::paper()
     };
     let mut scsq = Scsq::with_spec(spec.clone());
-    let plan = scsq.prepare(&fig6::query(scale)).unwrap();
-    for &buffer in &buffer_sweep() {
-        let options = RunOptions {
-            mpi_buffer: buffer,
-            ..RunOptions::default()
-        };
-        let t = Instant::now();
+    let legs = [
+        ("fig6", fig6::query(scale)),
+        ("fig8-seq", fig8::query(scale, fig8::Selection::Sequential)),
+        ("fig8-bal", fig8::query(scale, fig8::Selection::Balanced)),
+    ];
+    println!("leg,buffering,buffer,events,digests,jumps,dispatched,on_ms,off_ms");
+    let mut totals = (0u64, 0u64, 0u64, 0.0, 0.0);
+    let mut row = |leg: &str, variant: &str, x: u64, plan: &PreparedQuery, options: RunOptions| {
         let on = plan.run(&spec, &options).unwrap();
-        let t_on = t.elapsed();
-        let off_opts = RunOptions {
-            coalesce: false,
-            ..options.clone()
-        };
-        let t = Instant::now();
-        let _off = plan.run(&spec, &off_opts).unwrap();
-        let t_off = t.elapsed();
         let s = on.stats();
+        let dispatched = s.events - s.coalesce.events_skipped;
+        let (mut on_ms, mut off_ms) = (0.0, 0.0);
+        if timed {
+            on_ms = wall_ms(plan, &spec, &options);
+            let off = RunOptions {
+                coalesce: false,
+                ..options
+            };
+            off_ms = wall_ms(plan, &spec, &off);
+        }
         println!(
-            "fig6 buf={buffer:>8}: events={:>8} jumps={:>4} skipped={:>8} digests={:>6} on={:>9.3?} off={:>9.3?} speedup={:.2}",
-            s.events, s.coalesce.jumps, s.coalesce.periods_skipped, s.coalesce.digests, t_on, t_off,
-            t_off.as_secs_f64() / t_on.as_secs_f64()
+            "{leg},{variant},{x},{},{},{},{dispatched},{on_ms:.2},{off_ms:.2}",
+            s.events, s.coalesce.digests, s.coalesce.jumps,
         );
+        totals.0 += s.coalesce.digests;
+        totals.1 += s.coalesce.jumps;
+        totals.2 += dispatched;
+        totals.3 += on_ms;
+        totals.4 += off_ms;
+    };
+    for (leg, text) in &legs {
+        let plan = scsq.prepare(text).unwrap();
+        for double in [false, true] {
+            for &buffer in &buffer_sweep() {
+                let options = RunOptions {
+                    mpi_buffer: buffer,
+                    mpi_double: double,
+                    service_jitter,
+                    ..RunOptions::default()
+                };
+                let variant = if double { "double" } else { "single" };
+                row(leg, variant, buffer, &plan, options);
+            }
+        }
     }
     for q in 1..=6u8 {
         let text = fig15::query(q, scale);
-        let plan = scsq
-            .prepare_with(&text, &[("n", Value::Integer(4))])
-            .unwrap();
-        let options = RunOptions::default();
-        let t = Instant::now();
-        let on = plan.run(&spec, &options).unwrap();
-        let t_on = t.elapsed();
-        let off_opts = RunOptions {
-            coalesce: false,
-            ..options
-        };
-        let t = Instant::now();
-        let _off = plan.run(&spec, &off_opts).unwrap();
-        let t_off = t.elapsed();
-        let s = on.stats();
-        println!(
-            "fig15 q{q} n=4:     events={:>8} jumps={:>4} skipped={:>8} digests={:>6} on={:>9.3?} off={:>9.3?} speedup={:.2}",
-            s.events, s.coalesce.jumps, s.coalesce.periods_skipped, s.coalesce.digests, t_on, t_off,
-            t_off.as_secs_f64() / t_on.as_secs_f64()
-        );
+        for n in 1..=4u32 {
+            let plan = scsq
+                .prepare_with(&text, &[("n", Value::Integer(i64::from(n)))])
+                .unwrap();
+            let options = RunOptions {
+                service_jitter,
+                ..RunOptions::default()
+            };
+            row("fig15", &format!("q{q}"), u64::from(n), &plan, options);
+        }
     }
+    println!(
+        "total,,,,{},{},{},{:.2},{:.2}",
+        totals.0, totals.1, totals.2, totals.3, totals.4
+    );
 }

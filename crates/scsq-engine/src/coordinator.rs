@@ -141,7 +141,7 @@ impl PreparedQuery {
             .profile
             .clone()
             .expect("profiled run carries a profile");
-        Ok((result, profile))
+        Ok((result, *profile))
     }
 
     /// The plan's set-up picture (same rendering as

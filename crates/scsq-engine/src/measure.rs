@@ -96,8 +96,9 @@ pub struct QueryStats {
     /// exactly as many draws, in the same order, or jittered replays
     /// diverge.
     pub jitter_draws: u64,
-    /// The explain-analyze profile (`Some` iff `RunOptions::profile`).
-    pub profile: Option<crate::profile::ProfileReport>,
+    /// The explain-analyze profile (`Some` iff `RunOptions::profile`;
+    /// boxed so the rare report does not widen every `QueryResult`).
+    pub profile: Option<Box<crate::profile::ProfileReport>>,
 }
 
 /// The outcome of executing one continuous query to completion.

@@ -21,7 +21,7 @@
 //! profiled run still produces byte-identical query results.
 
 use scsq_cluster::NodeId;
-use scsq_sim::SimDur;
+use scsq_sim::{CoalesceStats, SimDur};
 use std::fmt::Write;
 
 /// Per-stage invocation and element counters, updated by whichever
@@ -80,6 +80,10 @@ pub struct RpProfile {
 pub struct ProfileReport {
     /// Per-RP sections, in RP creation order.
     pub rps: Vec<RpProfile>,
+    /// Simulator events executed, dispatched or skipped analytically.
+    pub events: u64,
+    /// What the train coalescer did (all zero when it was disabled).
+    pub coalesce: CoalesceStats,
 }
 
 impl ProfileReport {
@@ -127,6 +131,20 @@ impl ProfileReport {
                 );
             }
         }
+        // Where the simulator's own wall time went: every digest costs
+        // about what dispatching some fifty events does, every jump
+        // saves the events it skipped.
+        let c = &self.coalesce;
+        let _ = writeln!(
+            out,
+            "coalescer: {} digests, {} jumps ({:.1} digests/jump); \
+             {} events dispatched, {} skipped",
+            c.digests,
+            c.jumps,
+            c.digests as f64 / c.jumps.max(1) as f64,
+            self.events - c.events_skipped,
+            c.events_skipped,
+        );
         out
     }
 
@@ -191,6 +209,13 @@ mod tests {
                     elems_out: 0,
                 }],
             }],
+            events: 1_000,
+            coalesce: CoalesceStats {
+                digests: 12,
+                jumps: 3,
+                periods_skipped: 300,
+                events_skipped: 900,
+            },
         }
     }
 
@@ -201,6 +226,13 @@ mod tests {
         assert!(text.contains("rp#0 @ bg:1"), "{text}");
         assert!(text.contains("count"), "{text}");
         assert!(text.contains("gen_array"), "{text}");
+        assert!(
+            text.contains(
+                "coalescer: 12 digests, 3 jumps (4.0 digests/jump); \
+                 100 events dispatched, 900 skipped"
+            ),
+            "{text}"
+        );
         assert_eq!(r.total_wall_ns(), 5_000);
     }
 

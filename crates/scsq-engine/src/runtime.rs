@@ -841,7 +841,11 @@ pub fn run_graph(
                 }
             })
             .collect();
-        crate::profile::ProfileReport { rps: rp_profiles }
+        Box::new(crate::profile::ProfileReport {
+            rps: rp_profiles,
+            events,
+            coalesce,
+        })
     });
     Ok(QueryResult::new(
         world.results,

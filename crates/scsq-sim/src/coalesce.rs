@@ -21,9 +21,8 @@
 //!   ([`StateProbe::shape`]).
 //! * [`Snapshot`] — the digest a probe walk produces.
 //! * [`Coalescer`] — the detector: confirms three consecutive equal
-//!   delta vectors before the first jump, then re-jumps after a single
-//!   matching period, with exponential backoff when a phase refuses to
-//!   lock.
+//!   delta vectors before every jump, and lets the event schedule say
+//!   when that is worth trying (see [`Coalescer`]).
 //!
 //! ## Soundness
 //!
@@ -55,14 +54,18 @@ const RESERVE_PERIODS: u64 = 2;
 /// Consecutive equal delta vectors required before the first jump of a
 /// phase.
 const CONFIRM_MATCHES: u32 = 3;
-/// Digests without a jump before backing off. Digesting is an order of
-/// magnitude more expensive than dispatching the events of a period, so
-/// barren stretches (e.g. the pipeline-ramp transient after each train,
-/// whose in-flight set changes size every period) must stop digesting
-/// quickly.
-const BARREN_LIMIT: u32 = 4;
-/// Upper bound on the exponential backoff, in periods.
-const MAX_SKIP: u64 = 512;
+/// Periods the first missed confirm window stays away; each further
+/// one quadruples it, without bound. Digesting is an order of magnitude
+/// more expensive than dispatching the events of a period, so barren
+/// stretches must stop digesting quickly.
+const FIRST_SKIP: u64 = 4;
+/// Events a jump must skip per digest spent finding it to count as
+/// repaid (a state walk costs what dispatching 40 to 60 events does).
+const DIGEST_EVENTS: u64 = 64;
+/// Events a post-jump sleep may cost: what the four back-off windows
+/// (two digests each) that would otherwise probe the stretch cost, so a
+/// jumpable phase hiding in it loses no more than looking for it would.
+const SLEEP_EVENTS: u64 = 8 * DIGEST_EVENTS;
 /// Events without seeing the anchor key again before re-anchoring on
 /// the current event.
 const REANCHOR_AFTER: u64 = 4096;
@@ -299,45 +302,56 @@ pub struct JumpPlan {
 
 /// Detects periodic phases from a stream of event keys and state
 /// snapshots, and plans affine jumps across them.
-#[derive(Debug)]
+///
+/// *Whether* a jump is allowed is decided by the snapshots alone:
+/// [`CONFIRM_MATCHES`] equal delta vectors over consecutive cuts (a
+/// *confirm window*), then [`Coalescer::plan_periods`]. *When* to open
+/// a window is the schedule's call, because a digest costs what
+/// dispatching some fifty events does:
+///
+/// * a window that ends without a jump — a changed shape, a changed
+///   delta, no room, or an irregular period cutting it short — is a
+///   miss, and each miss stays away four times as long as the last;
+/// * a jump runs into whatever capped it, so a transient follows. The
+///   detector sleeps through it: until the first disturbance of the
+///   schedule (an irregular period — a foreign event fired, which is
+///   how a transient that slides an event through the queue ends), or
+///   for as long as that disturbance took to come last time, never
+///   longer than probing the stretch would have cost ([`SLEEP_EVENTS`]);
+/// * a jump that did not repay the digests spent finding it postpones
+///   the next look, four times as long after each further one.
+#[derive(Debug, Default)]
 pub struct Coalescer {
     anchor: Option<u64>,
     events_since_cut: u64,
     last_period_len: u64,
+    /// The confirm window: previous cut's snapshot, the delta it
+    /// established, and how many consecutive deltas equalled it.
     prev: Option<Snapshot>,
     delta: Vec<i64>,
     matches: u32,
-    confirmed: Option<Vec<i64>>,
-    warm_missed: bool,
-    fails: u32,
+    /// Stable cuts to let pass before the next confirm window opens.
     skip: u64,
-    barren: u32,
+    /// The skip the last miss imposed (0: none since the last reset).
+    backoff: u64,
+    /// Cuts since the last jump, whether a disturbance has woken the
+    /// detector since, and how many cuts that took the last time it
+    /// happened (0 once a window missed with no disturbance to wait
+    /// for).
+    since_jump: u64,
+    woken: bool,
+    transient: u64,
+    /// Cuts after a jump during which disturbances do not wake.
+    penalty: u64,
+    /// Digests taken up to the last jump.
+    paid_digests: u64,
     stats: CoalesceStats,
-}
-
-impl Default for Coalescer {
-    fn default() -> Self {
-        Coalescer::new()
-    }
 }
 
 impl Coalescer {
     /// Creates an idle detector.
     pub fn new() -> Self {
-        Coalescer {
-            anchor: None,
-            events_since_cut: 0,
-            last_period_len: 0,
-            prev: None,
-            delta: Vec::new(),
-            matches: 0,
-            confirmed: None,
-            warm_missed: false,
-            fails: 0,
-            skip: 0,
-            barren: 0,
-            stats: CoalesceStats::default(),
-        }
+        Coalescer::default()
     }
 
     /// Counters describing the coalescer's activity so far.
@@ -345,17 +359,20 @@ impl Coalescer {
         self.stats
     }
 
-    fn reset_chain(&mut self) {
+    fn close_window(&mut self) {
         self.prev = None;
         self.matches = 0;
-        self.confirmed = None;
-        self.warm_missed = false;
     }
 
-    fn back_off(&mut self) {
-        self.fails = (self.fails + 1).min(8);
-        self.skip = (1u64 << (2 * self.fails)).min(MAX_SKIP);
-        self.barren = 0;
+    /// A confirm window ended without a jump: stay away for a while,
+    /// four times as long after each further miss.
+    fn miss(&mut self) {
+        self.close_window();
+        self.backoff = self.backoff.saturating_mul(4).max(FIRST_SKIP);
+        self.skip = self.backoff;
+        if !self.woken {
+            self.transient = 0;
+        }
     }
 
     /// Reports the key of the event about to fire. Returns `true` when
@@ -372,17 +389,21 @@ impl Coalescer {
             Some(a) if a == key => {
                 let len = self.events_since_cut;
                 self.events_since_cut = 0;
+                self.since_jump += 1;
                 let stable = len == self.last_period_len && len > 0;
                 self.last_period_len = len;
                 if !stable {
-                    // An irregular period can be the expected wrap of a
-                    // warm phase; give the warm delta one chance to
-                    // re-match, otherwise restart cold.
-                    if self.confirmed.is_some() && !self.warm_missed {
-                        self.warm_missed = true;
-                        self.prev = None;
-                    } else {
-                        self.reset_chain();
+                    // A foreign event fired: deltas across this cut mean
+                    // nothing, and the transient being slept through
+                    // may just have ended.
+                    if self.prev.is_some() {
+                        self.miss();
+                    }
+                    if !self.woken && self.since_jump > self.penalty {
+                        self.woken = true;
+                        self.skip = 0;
+                        self.backoff = 0;
+                        self.transient = self.since_jump;
                     }
                     return false;
                 }
@@ -397,8 +418,9 @@ impl Coalescer {
                     self.anchor = Some(key);
                     self.events_since_cut = 0;
                     self.last_period_len = 0;
-                    self.reset_chain();
-                    self.fails = 0;
+                    self.close_window();
+                    self.skip = 0;
+                    self.backoff = 0;
                 }
                 false
             }
@@ -464,102 +486,59 @@ impl Coalescer {
     /// must then apply the plan and call [`Coalescer::after_jump`].
     pub fn observe(&mut self, snap: Snapshot) -> Option<JumpPlan> {
         self.stats.digests += 1;
-        let plan = self.observe_inner(snap);
-        if plan.is_none() {
-            self.barren += 1;
-            if self.barren >= BARREN_LIMIT {
-                self.back_off();
+        let prev = self.prev.replace(snap)?;
+        let snap = self.prev.as_ref().expect("just stored");
+        if Self::comparable(&prev, snap) {
+            if self.matches == 0 {
+                self.delta = Self::deltas_of(&prev, snap);
+                self.matches = 1;
+                return None;
             }
-        }
-        plan
-    }
-
-    fn observe_inner(&mut self, snap: Snapshot) -> Option<JumpPlan> {
-        let Some(prev) = self.prev.take() else {
-            self.prev = Some(snap);
-            return None;
-        };
-        let comparable = Self::comparable(&prev, &snap);
-
-        if let Some(conf) = self.confirmed.take() {
-            if comparable && Self::deltas_match(&prev, &snap, &conf) {
-                self.confirmed = Some(conf);
-                self.prev = Some(snap);
-                let snap = self.prev.as_ref().expect("just stored");
-                let conf = self.confirmed.as_ref().expect("just stored");
-                self.warm_missed = false;
-                let periods = Self::plan_periods(snap, conf)?;
-                return Some(JumpPlan {
-                    deltas: conf.clone(),
-                    periods,
-                });
-            }
-            // One anomalous period (a buffer wrap, a boundary element)
-            // is tolerated; two demote the phase.
-            if self.warm_missed {
-                self.warm_missed = false;
-                self.matches = 0;
-                self.back_off();
-            } else {
-                self.confirmed = Some(conf);
-                self.warm_missed = true;
-                if comparable {
-                    self.delta = Self::deltas_of(&prev, &snap);
-                    self.matches = 1;
-                } else {
-                    self.matches = 0;
+            if Self::deltas_match(&prev, snap, &self.delta) {
+                self.matches += 1;
+                if self.matches < CONFIRM_MATCHES {
+                    return None;
+                }
+                if let Some(periods) = Self::plan_periods(snap, &self.delta) {
+                    return Some(JumpPlan {
+                        deltas: self.delta.clone(),
+                        periods,
+                    });
                 }
             }
-            self.prev = Some(snap);
-            return None;
         }
-
-        if comparable {
-            if self.matches > 0 && Self::deltas_match(&prev, &snap, &self.delta) {
-                self.matches += 1;
-            } else {
-                self.delta = Self::deltas_of(&prev, &snap);
-                self.matches = 1;
-            }
-            self.prev = Some(snap);
-            if self.matches >= CONFIRM_MATCHES {
-                let snap = self.prev.as_ref().expect("just stored");
-                self.confirmed = Some(self.delta.clone());
-                let periods = Self::plan_periods(snap, &self.delta)?;
-                return Some(JumpPlan {
-                    deltas: self.delta.clone(),
-                    periods,
-                });
-            }
-            None
-        } else {
-            self.matches = 0;
-            self.prev = Some(snap);
-            None
-        }
+        // A changed shape, a changed delta or a locked phase with no
+        // room: no later cut of this window can do better.
+        self.miss();
+        None
     }
 
-    /// Records a performed jump of `periods` periods (each
-    /// `events_per_period` events long), and extrapolates the stored
-    /// snapshot so the next cut compares against the post-jump state.
+    /// Records a performed jump of `plan.periods` periods.
     pub fn after_jump(&mut self, plan: &JumpPlan) {
-        let prev = self
-            .prev
-            .as_mut()
-            .expect("after_jump without a preceding observe");
-        for (x, &d) in prev.nums.iter_mut().zip(&plan.deltas) {
-            *x = StateProbe::apply(*x, d, plan.periods);
-        }
-        self.fails = 0;
-        // The jump deliberately stops RESERVE_PERIODS short of the
-        // tightest cap, so the next few cuts provably have no room:
-        // don't pay for digesting them.
-        self.skip = RESERVE_PERIODS;
-        self.barren = 0;
-        self.warm_missed = false;
+        self.close_window();
+        let events = plan.periods * self.last_period_len;
         self.stats.jumps += 1;
         self.stats.periods_skipped += plan.periods;
-        self.stats.events_skipped += plan.periods * self.last_period_len;
+        self.stats.events_skipped += events;
+        // A jump that did not repay the digests spent finding it
+        // postpones the next look: phases too short to pay for
+        // themselves are looked at ever more rarely.
+        let spent = self.stats.digests - self.paid_digests;
+        self.paid_digests = self.stats.digests;
+        self.penalty = if events < DIGEST_EVENTS * spent {
+            self.penalty.saturating_mul(4).max(FIRST_SKIP)
+        } else {
+            0
+        };
+        // The jump stops RESERVE_PERIODS short of the tightest cap, so
+        // the next cuts provably have no room, and what capped it then
+        // disturbs the phase: sleep until the schedule shows that is
+        // over, or for as long as that took last time.
+        let affordable = SLEEP_EVENTS / self.last_period_len.max(1);
+        self.skip = self.penalty + self.transient.min(affordable).max(RESERVE_PERIODS);
+        self.backoff = 0;
+        self.since_jump = 0;
+        self.woken = false;
     }
 }
 
@@ -636,96 +615,215 @@ mod tests {
         assert_eq!(Coalescer::plan_periods(&snap, &[0]), None);
     }
 
-    #[test]
-    fn detector_confirms_then_jumps() {
-        let mut co = Coalescer::new();
-        // Key 7 fires every event: period length 1.
-        assert!(!co.note_event(7)); // anchors
-        let mut x = 1_000_000u64;
-        let mut t = 0u64;
-        let mut jumped_at = None;
-        for step in 0..10 {
-            assert!(co.note_event(7) || step == 0, "stable cuts digest");
-            let snap = digest_pair(&[(x, None), (t, None)], 42);
-            if let Some(plan) = co.observe(snap) {
-                assert_eq!(plan.deltas, vec![-3, 50]);
-                x = x.wrapping_add((-3i64 as u64).wrapping_mul(plan.periods));
-                t += 50 * plan.periods;
-                co.after_jump(&plan);
-                jumped_at = Some((step, plan.periods));
-                break;
+    /// A one-event-per-period toy schedule: a counter that depletes by
+    /// one per period (the jump cap), a clock, and a shape the tests
+    /// perturb to play a transient.
+    struct Toy {
+        co: Coalescer,
+        x: u64,
+        t: u64,
+        shape: u64,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Cut {
+        Skipped,
+        Digested,
+        Jumped(u64),
+    }
+
+    impl Toy {
+        fn new(x: u64) -> Self {
+            let mut co = Coalescer::new();
+            assert!(!co.note_event(1), "the first event only anchors");
+            Toy {
+                co,
+                x,
+                t: 0,
+                shape: 42,
             }
-            x -= 3;
-            t += 50;
         }
-        let (step, periods) = jumped_at.expect("periodic phase must lock");
-        // Snapshots at steps 0..=3 give three equal deltas.
-        assert_eq!(step, 3);
-        assert!(periods > 300_000, "jump should clear most of the phase");
-        // The jump leaves only the reserve: the depleted counter now
-        // blocks further jumps until something refreshes it.
-        assert!(x <= 3 * (RESERVE_PERIODS + 1), "landed inside the reserve");
-        // The reserve cuts provably have no room, so they are skipped
-        // without digesting at all.
-        for _ in 0..RESERVE_PERIODS {
-            assert!(!co.note_event(7), "reserve cut must not digest");
-            t += 50;
+
+        /// One stable period, driven the way `run_coalesced` drives it.
+        fn period(&mut self) -> Cut {
+            let mut cut = Cut::Skipped;
+            if self.co.note_event(1) {
+                cut = Cut::Digested;
+                let snap = digest_pair(&[(self.x, None), (self.t, None)], self.shape);
+                if let Some(plan) = self.co.observe(snap) {
+                    assert_eq!(plan.deltas, vec![-1, 50]);
+                    self.x -= plan.periods;
+                    self.t += 50 * plan.periods;
+                    self.co.after_jump(&plan);
+                    cut = Cut::Jumped(plan.periods);
+                }
+            }
+            self.x = self.x.saturating_sub(1);
+            self.t += 50;
+            cut
         }
-        // A wrap refreshes the counter. The delta across the skipped
-        // span mismatches once (anomalous, tolerated), then one
-        // matching delta re-jumps warm — no 3-match re-confirm.
-        assert!(co.note_event(7));
-        assert!(co
-            .observe(digest_pair(&[(500_000, None), (t + 50, None)], 42))
-            .is_none());
-        assert!(co.note_event(7));
-        let snap = digest_pair(&[(500_000 - 3, None), (t + 100, None)], 42);
-        assert!(co.observe(snap).is_some(), "warm phase re-jumps on match");
-        assert_eq!(co.stats().jumps, 1, "after_jump not called for the plan");
+
+        /// `n` periods whose shape differs from cut to cut.
+        fn transient(&mut self, n: u64) -> Vec<Cut> {
+            (0..n)
+                .map(|_| {
+                    self.shape += 1;
+                    self.period()
+                })
+                .collect()
+        }
+
+        /// A foreign event fires: one period of length 2, and the
+        /// length-1 period after it is irregular too.
+        fn disturbance(&mut self) {
+            assert!(!self.co.note_event(9));
+            assert!(!self.co.note_event(1), "irregular cuts never digest");
+            assert!(!self.co.note_event(1), "irregular cuts never digest");
+        }
+
+        /// Periods until the next jump; returns how many it took.
+        fn run_to_jump(&mut self) -> u64 {
+            (1..10_000)
+                .find(|_| matches!(self.period(), Cut::Jumped(_)))
+                .expect("a periodic phase must lock")
+        }
     }
 
     #[test]
-    fn warm_phase_tolerates_one_wrap_then_rejumps() {
-        let mut co = Coalescer::new();
-        co.note_event(1);
-        let snap = |x: u64, shape: u64| digest_pair(&[(x, None), (1000, Some(2000))], shape);
-        // Build a confirmed phase: x depletes by 1 per period.
-        let mut x = 500u64;
-        loop {
-            co.note_event(1);
-            if let Some(plan) = co.observe(snap(x, 9)) {
-                assert_eq!(plan.deltas, vec![-1, 0]);
-                co.after_jump(&plan);
-                x -= plan.periods;
-                break;
+    fn detector_confirms_then_jumps() {
+        let mut toy = Toy::new(1_000_000);
+        // Snapshots at four consecutive cuts give three equal deltas.
+        assert_eq!(toy.period(), Cut::Skipped, "first period sets the length");
+        assert_eq!(toy.period(), Cut::Digested);
+        assert_eq!(toy.period(), Cut::Digested);
+        assert_eq!(toy.period(), Cut::Digested);
+        let Cut::Jumped(periods) = toy.period() else {
+            panic!("periodic phase must lock on the fourth digest");
+        };
+        assert!(periods > 900_000, "jump should clear most of the phase");
+        // The jump leaves only the reserve, and the reserve cuts
+        // provably have no room: they are not digested.
+        assert!(toy.x <= RESERVE_PERIODS + 1, "landed inside the reserve");
+        for _ in 0..RESERVE_PERIODS {
+            assert_eq!(toy.period(), Cut::Skipped, "reserve cut must not digest");
+        }
+        let stats = toy.co.stats();
+        assert_eq!((stats.digests, stats.jumps), (4, 1));
+        assert_eq!(stats.events_skipped, periods);
+    }
+
+    #[test]
+    fn a_miss_closes_the_window_and_backs_off_at_once() {
+        // An incomparable neighbouring pair...
+        let mut toy = Toy::new(1_000_000);
+        toy.period();
+        assert_eq!(toy.period(), Cut::Digested);
+        toy.shape += 1;
+        assert_eq!(toy.period(), Cut::Digested);
+        for _ in 0..FIRST_SKIP {
+            assert_eq!(toy.period(), Cut::Skipped, "a changed shape backs off");
+        }
+        // ...and a changed delta both end the window on the spot, and
+        // each further miss stays away four times as long.
+        assert_eq!(toy.period(), Cut::Digested);
+        assert_eq!(toy.period(), Cut::Digested);
+        toy.t += 7;
+        assert_eq!(toy.period(), Cut::Digested);
+        for _ in 0..4 * FIRST_SKIP {
+            assert_eq!(toy.period(), Cut::Skipped, "a changed delta backs off");
+        }
+        assert_eq!(toy.run_to_jump(), 4, "a fresh window locks in four digests");
+    }
+
+    #[test]
+    fn a_disturbance_wakes_the_detector_after_a_jump() {
+        let mut toy = Toy::new(1_000);
+        toy.period();
+        toy.run_to_jump();
+        // The jump ran into its cap; a 60-period transient follows. The
+        // detector probes it with back-off windows...
+        toy.x = 1_000;
+        let probes = toy.co.stats().digests;
+        let cuts = toy.transient(60);
+        assert_eq!(cuts[..2], [Cut::Skipped, Cut::Skipped], "the reserve");
+        let probes = toy.co.stats().digests - probes;
+        assert!((4..=8).contains(&probes), "{probes} digests: {cuts:?}");
+        // ...and would now stay away for a long while, but the foreign
+        // event that ends the transient wakes it on the spot.
+        toy.disturbance();
+        assert_eq!(toy.run_to_jump(), 4, "woken, the detector locks at once");
+
+        // The next transient takes as long: the detector sleeps through
+        // it without a single digest, and locks right after it again.
+        toy.x = 1_000;
+        let before = toy.co.stats().digests;
+        assert!(toy.transient(60).iter().all(|c| *c == Cut::Skipped));
+        toy.disturbance();
+        assert_eq!(toy.run_to_jump(), 4);
+        assert_eq!(toy.co.stats().digests - before, 4, "one window per jump");
+
+        // A disturbance wakes once per jump: a second one in the same
+        // phase does not cancel a back-off.
+        toy.x = 1_000;
+        toy.transient(60);
+        toy.disturbance();
+        toy.shape += 1;
+        assert_eq!(toy.period(), Cut::Digested);
+        toy.shape += 1;
+        assert_eq!(toy.period(), Cut::Digested, "the woken window misses");
+        toy.disturbance();
+        for _ in 0..FIRST_SKIP {
+            assert_eq!(toy.period(), Cut::Skipped, "no second wake-up");
+        }
+    }
+
+    #[test]
+    fn without_a_disturbance_the_back_off_still_retries_and_locks() {
+        let mut toy = Toy::new(1_000);
+        toy.period();
+        toy.run_to_jump();
+        // A quiet transient: shapes settle after 50 periods, and no
+        // irregular period ever says so.
+        toy.x = 10_000;
+        let before = toy.co.stats().digests;
+        toy.transient(50);
+        let took = toy.run_to_jump();
+        assert!(took <= 4 * 50, "back-off overshoot is bounded: {took}");
+        let digests = toy.co.stats().digests - before;
+        assert!(digests <= 12, "{digests} digests for a quiet transient");
+    }
+
+    #[test]
+    fn a_phase_that_never_locks_is_probed_ever_more_rarely() {
+        let mut toy = Toy::new(u64::MAX);
+        for i in 0..1_000_000 {
+            // Comparable snapshots whose deltas never repeat.
+            toy.t += i;
+            assert!(!matches!(toy.period(), Cut::Jumped(_)));
+        }
+        let digests = toy.co.stats().digests;
+        assert!(digests <= 36, "{digests} digests over 1e6 barren cuts");
+    }
+
+    #[test]
+    fn jumps_that_do_not_repay_their_digests_postpone_the_next_look() {
+        // The cap refills every ten periods, so a jump can never skip
+        // more than a handful of one-event periods: four digests to
+        // find it are a loss every time.
+        let mut toy = Toy::new(10);
+        let mut jumps = 0;
+        for _ in 0..100_000 {
+            if toy.x <= RESERVE_PERIODS {
+                toy.x = 10;
             }
-            x -= 1;
+            if let Cut::Jumped(periods) = toy.period() {
+                assert!(periods < 10);
+                jumps += 1;
+            }
         }
-        let _ = x;
-        // The post-jump reserve cuts are skipped without digesting.
-        for _ in 0..RESERVE_PERIODS {
-            assert!(!co.note_event(1), "reserve cut must not digest");
-        }
-        // A wrap refreshes the counter with a different shape: one
-        // anomalous period is tolerated...
-        co.note_event(1);
-        assert!(co.observe(snap(600, 8)).is_none());
-        // ...and a matching delta right after re-jumps immediately.
-        co.note_event(1);
-        let plan = co.observe(snap(599, 8)).expect("warm re-lock after wrap");
-        co.after_jump(&plan);
-        let x = 599 - plan.periods;
-        for _ in 0..RESERVE_PERIODS {
-            assert!(!co.note_event(1), "reserve cut must not digest");
-        }
-        // Two anomalous periods in a row demote the phase to cold.
-        co.note_event(1);
-        assert!(co.observe(snap(x, 7)).is_none(), "first miss tolerated");
-        co.note_event(1);
-        assert!(co.observe(snap(x - 1, 6)).is_none(), "second miss demotes");
-        co.note_event(1);
-        assert!(co.observe(snap(x - 2, 6)).is_none(), "cold: first delta");
-        assert_eq!(co.stats().jumps, 2);
+        let digests = toy.co.stats().digests;
+        assert!(jumps >= 2, "the phases do lock");
+        assert!(digests <= 200, "{digests} digests, {jumps} jumps");
     }
 
     #[test]

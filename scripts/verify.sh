@@ -26,7 +26,9 @@ echo "==> perfstat (byte-identity across execution tiers + columnar gate)"
 # time, RNG draws, absorbed batches) diverges across tiers, or if a
 # batch pass drops below its speedup floor (take-sum < 1.3,
 # filter-heavy < 1.9, relay < 1.3), or if the everything-on
-# observability pass regresses the jittered grid by 2% or more.
+# observability pass regresses the jittered grid by more than 2% — or
+# by more than three times the gates-off legs' own spread, where the
+# host is noisier than that (medians of 7 interleaved repetitions).
 ./target/release/perfstat --out /tmp/perfstat-verify.json
 rm -f /tmp/perfstat-verify.json
 

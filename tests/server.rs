@@ -237,6 +237,7 @@ fn metrics_and_profile_frames_carry_observability_payloads() {
     assert!(metrics.contains("\"bytes\""), "{metrics}");
     let profile = &frames[2].payload;
     assert!(profile.contains("stage"), "{profile}");
+    assert!(profile.contains("coalescer: "), "{profile}");
     assert!(frames[3].payload.starts_with("-- 1 value in "));
 
     // Observability off again: plain frames, identical result bytes.

@@ -24,6 +24,9 @@ mod fuse_equiv;
 #[path = "../crates/scsq-engine/tests/coalesce_equiv.rs"]
 mod coalesce_equiv;
 
+#[path = "../crates/scsq-engine/tests/coalesce_counts.rs"]
+mod coalesce_counts;
+
 #[path = "../crates/scsq-bench/tests/coalesce_csv.rs"]
 mod coalesce_csv;
 
