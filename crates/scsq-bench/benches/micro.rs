@@ -5,18 +5,21 @@
 //! cross-SP relay hand-off against the marshal round trip at the same
 //! sizes, the Figure 6 inner loop in both execution modes (per-event vs
 //! train-coalesced), the fused stage programs against the interpreted
-//! fallback, and route-table lookups against fresh dimension-ordered
-//! route computation.
+//! fallback, route-table lookups against fresh dimension-ordered
+//! route computation, and the per-element service-charging loop
+//! (`Environment::{generate_each, compute_each, compute_bulk}`) with the
+//! `SimDur × f64` rounding under it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scsq_bench::{fig6, ExecMode, Scale};
+use scsq_cluster::{Environment, NodeId};
 use scsq_core::HardwareSpec;
 use scsq_engine::columnar;
 use scsq_net::{TorusDims, TorusNet, TorusParams};
 use scsq_ql::batch::Batch;
 use scsq_ql::column::{Column, ColumnData, ColumnarBatch};
 use scsq_ql::value::Value;
-use scsq_sim::{EventQueue, SimTime};
+use scsq_sim::{EventQueue, SimDur, SimTime};
 use std::hint::black_box;
 
 /// Push/pop N timestamped events through the queue, interleaved the way
@@ -271,6 +274,43 @@ fn bench_route_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// The bulk service-charging entry points over a run of 9-byte
+/// elements, jittered (one RNG draw, one rounded multiply and one serve
+/// per element) and exact (the multiply never runs). A columnar leg of
+/// `element_pipeline` is mostly this loop, so ns/iter divided by the run
+/// length is the per-element floor under the column kernels.
+fn bench_charge(c: &mut Criterion) {
+    let node = NodeId::bg(1);
+    let mut group = c.benchmark_group("charge");
+    for jitter in [0.05, 0.0] {
+        for n in [64u64, 4_096, 250_000] {
+            let mut env = Environment::lofar();
+            env.set_service_jitter(jitter);
+            let mut out = Vec::with_capacity(n as usize);
+            let id = |name: &str| BenchmarkId::new(name, format!("{n}/jitter{jitter}"));
+            group.bench_with_input(id("generate_each"), &n, |b, &n| {
+                b.iter(|| env.generate_each(node, 9, black_box(n), SimTime::ZERO, &mut out));
+            });
+            group.bench_with_input(id("compute_each"), &n, |b, &n| {
+                b.iter(|| env.compute_each(node, 9, black_box(n), SimTime::ZERO, &mut out));
+            });
+            group.bench_with_input(id("compute_bulk"), &n, |b, &n| {
+                b.iter(|| env.compute_bulk(node, 9, black_box(n), SimTime::ZERO));
+            });
+        }
+    }
+    group.finish();
+
+    c.bench_function("simdur/mul_f64", |b| {
+        let base = SimDur::from_nanos(12_345);
+        b.iter(|| {
+            (0..4_096u32).fold(SimDur::ZERO, |acc, i| {
+                acc + black_box(base) * (0.95 + f64::from(i) * 2e-5)
+            })
+        });
+    });
+}
+
 criterion_group!(
     micro,
     bench_event_queue,
@@ -279,6 +319,7 @@ criterion_group!(
     bench_relay_handoff,
     bench_fig6_inner,
     bench_fused_vs_interpreted,
-    bench_route_cache
+    bench_route_cache,
+    bench_charge
 );
 criterion_main!(micro);

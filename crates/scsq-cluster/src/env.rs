@@ -115,6 +115,16 @@ impl SvcMemo {
     }
 }
 
+/// `service × factor`; the jitter-off factor 1.0 skips the multiply.
+#[inline]
+fn scaled(service: SimDur, factor: f64) -> SimDur {
+    if factor == 1.0 {
+        service
+    } else {
+        service * factor
+    }
+}
+
 /// Seed of the service-jitter factor stream. Fixed so two runs with the
 /// same options see the same jitter sequence (reproducibility), distinct
 /// from the hardware-jitter seeds used by the bench harness.
@@ -282,27 +292,8 @@ impl Environment {
     /// output ready at `ready`; returns when generation completes.
     pub fn generate(&mut self, node: NodeId, bytes: u64, ready: SimTime) -> SimTime {
         let factor = self.jitter_factor();
-        self.generate_scaled(node, bytes, ready, factor)
-    }
-
-    /// Like [`Environment::generate`], with the service time multiplied
-    /// by `factor` — the hook for jittered-service-time workloads (a
-    /// factor drawn per element from an RNG makes the production schedule
-    /// aperiodic, which provably defeats train coalescing).
-    pub fn generate_scaled(
-        &mut self,
-        node: NodeId,
-        bytes: u64,
-        ready: SimTime,
-        factor: f64,
-    ) -> SimTime {
         let (server, rate) = self.tx_server(node, true);
-        let service = SimDur::for_bytes(bytes, rate);
-        let service = if factor == 1.0 {
-            service
-        } else {
-            service * factor
-        };
+        let service = scaled(SimDur::for_bytes(bytes, rate), factor);
         server.serve(ready, service).finish
     }
 
@@ -311,9 +302,9 @@ impl Environment {
     /// `ready`), and each element's finish time goes to `out` (cleared
     /// first). Call-for-call identical to the loop
     /// `t = generate(node, bytes, t)` — same serve sequence, same
-    /// jitter-draw positions — with the service-time division hoisted
-    /// out of it: the sibling of [`Environment::compute_each`] for a
-    /// source that emits a whole column of same-sized elements.
+    /// jitter-draw positions: the sibling of
+    /// [`Environment::compute_each`] for a source that emits a whole
+    /// column of same-sized elements.
     pub fn generate_each(
         &mut self,
         node: NodeId,
@@ -323,17 +314,64 @@ impl Environment {
         out: &mut Vec<SimTime>,
     ) {
         out.clear();
-        out.reserve(count as usize);
-        let (_, rate) = self.tx_server(node, true);
+        self.charge_run(node, true, bytes, count, ready, Some(out));
+    }
+
+    /// The one bulk charging loop, behind [`Environment::generate_each`],
+    /// [`Environment::compute_each`] and [`Environment::compute_bulk`]:
+    /// `count` services of `bytes` each on `node`'s tx server, drawn and
+    /// served exactly as `count` scalar calls would. With `out` every
+    /// element is served on its own and its finish time pushed; without,
+    /// the individually rounded services go through one serve of their
+    /// sum. Chaining each arrival on the previous finish is also what
+    /// `count` serves at a shared `ready` do: after the first serve the
+    /// server is busy until that finish, which is not before `ready`.
+    ///
+    /// The jitter stream and the server are copied out, advanced in
+    /// locals and written back once. Nothing can observe the stale
+    /// originals in between: the loop calls nothing outside this
+    /// function but the inlined `jitter`, `serve` and `SimDur` arithmetic.
+    fn charge_run(
+        &mut self,
+        node: NodeId,
+        generating: bool,
+        bytes: u64,
+        count: u64,
+        ready: SimTime,
+        out: Option<&mut Vec<SimTime>>,
+    ) -> SimTime {
+        let amp = self.service_jitter;
+        let mut rng = self.jitter_rng.clone();
+        let (slot, rate) = self.tx_server(node, generating);
+        let mut server = slot.clone();
         let base = SimDur::for_bytes(bytes, rate);
-        let mut t = ready;
-        for _ in 0..count {
-            let factor = self.jitter_factor();
-            let service = if factor == 1.0 { base } else { base * factor };
-            let (server, _) = self.tx_server(node, true);
-            t = server.serve(t, service).finish;
-            out.push(t);
+        let mut service = || {
+            if amp > 0.0 {
+                scaled(base, rng.jitter(amp))
+            } else {
+                base
+            }
+        };
+        let finish = match out {
+            Some(out) => {
+                let mut t = ready;
+                out.extend((0..count).map(|_| {
+                    t = server.serve(t, service()).finish;
+                    t
+                }));
+                t
+            }
+            None => {
+                let total = (0..count).map(|_| service()).sum();
+                server.serve(ready, total).finish
+            }
+        };
+        *slot = server;
+        self.jitter_rng = rng;
+        if amp > 0.0 {
+            self.jitter_draws += count;
         }
+        finish
     }
 
     /// Charges marshaling CPU time (§2.3 step ii) on `node`.
@@ -341,12 +379,7 @@ impl Environment {
         let factor = self.jitter_factor();
         let mut memo = self.marshal_memo;
         let (server, rate) = self.tx_server(node, false);
-        let service = memo.get(bytes, rate);
-        let service = if factor == 1.0 {
-            service
-        } else {
-            service * factor
-        };
+        let service = scaled(memo.get(bytes, rate), factor);
         let finish = server.serve(ready, service).finish;
         self.marshal_memo = memo;
         finish
@@ -360,30 +393,8 @@ impl Environment {
             return ready;
         }
         let factor = self.jitter_factor();
-        self.compute_scaled(node, bytes_equiv, ready, factor)
-    }
-
-    /// Like [`Environment::compute`], with the service time multiplied
-    /// by `factor` — the per-element-processing counterpart of
-    /// [`Environment::generate_scaled`] for jittered-service-time
-    /// workloads.
-    pub fn compute_scaled(
-        &mut self,
-        node: NodeId,
-        bytes_equiv: u64,
-        ready: SimTime,
-        factor: f64,
-    ) -> SimTime {
-        if bytes_equiv == 0 {
-            return ready;
-        }
         let (server, rate) = self.tx_server(node, false);
-        let service = SimDur::for_bytes(bytes_equiv, rate);
-        let service = if factor == 1.0 {
-            service
-        } else {
-            service * factor
-        };
+        let service = scaled(SimDur::for_bytes(bytes_equiv, rate), factor);
         server.serve(ready, service).finish
     }
 
@@ -409,25 +420,7 @@ impl Environment {
         if bytes_equiv == 0 || count == 0 {
             return ready;
         }
-        // The non-generating tx rate, same selection as `tx_server`.
-        let rate = match node.cluster {
-            ClusterName::BlueGene => self.spec.cn_marshal.bytes_per_sec(),
-            _ => self.spec.linux_marshal.bytes_per_sec(),
-        };
-        let base = SimDur::for_bytes(bytes_equiv, rate);
-        let total = if self.service_jitter == 0.0 {
-            // No draws with jitter off, exactly like `count` scalar calls.
-            base * count
-        } else {
-            let mut total = SimDur::ZERO;
-            for _ in 0..count {
-                let factor = self.jitter_factor();
-                total += if factor == 1.0 { base } else { base * factor };
-            }
-            total
-        };
-        let (server, _) = self.tx_server(node, false);
-        server.serve(ready, total).finish
+        self.charge_run(node, false, bytes_equiv, count, ready, None)
     }
 
     /// Per-element form of [`Environment::compute_bulk`] that reports
@@ -452,17 +445,7 @@ impl Environment {
             out.resize(count as usize, ready);
             return;
         }
-        let rate = match node.cluster {
-            ClusterName::BlueGene => self.spec.cn_marshal.bytes_per_sec(),
-            _ => self.spec.linux_marshal.bytes_per_sec(),
-        };
-        let base = SimDur::for_bytes(bytes_equiv, rate);
-        for _ in 0..count {
-            let factor = self.jitter_factor();
-            let service = if factor == 1.0 { base } else { base * factor };
-            let (server, _) = self.tx_server(node, false);
-            out.push(server.serve(ready, service).finish);
-        }
+        self.charge_run(node, false, bytes_equiv, count, ready, Some(out));
     }
 
     /// Charges de-marshaling CPU time (§2.3 step v) on `node` for a
@@ -490,12 +473,7 @@ impl Environment {
                     ),
                 };
                 let factor = self.jitter_factor();
-                let service = self.demarshal_memo.get(bytes, rate);
-                let service = if factor == 1.0 {
-                    service
-                } else {
-                    service * factor
-                };
+                let service = scaled(self.demarshal_memo.get(bytes, rate), factor);
                 self.cn_rx[node.index]
                     .serve_from_with_cost(flow.0, ready, service, switch)
                     .finish
@@ -503,14 +481,8 @@ impl Environment {
             _ => {
                 let factor = self.jitter_factor();
                 let slot = self.linux_slot(node);
-                let service = self
-                    .demarshal_memo
-                    .get(bytes, self.spec.linux_demarshal.bytes_per_sec());
-                let service = if factor == 1.0 {
-                    service
-                } else {
-                    service * factor
-                };
+                let rate = self.spec.linux_demarshal.bytes_per_sec();
+                let service = scaled(self.demarshal_memo.get(bytes, rate), factor);
                 self.linux_rx[slot].serve(ready, service).finish
             }
         }
@@ -887,64 +859,114 @@ mod tests {
         assert_eq!(b, NodeId::bg(1));
     }
 
+    /// Runs `check` over the bulk-charging matrix: run lengths x jitter
+    /// amplitudes x a BlueGene and a Linux node, each on a fresh pair of
+    /// environments (bulk under test, scalar reference).
+    fn charging_matrix(check: impl Fn(&mut Environment, &mut Environment, NodeId, u64)) {
+        for n in [0, 1, 7, 10_000] {
+            for amp in [0.0, 0.05] {
+                for node in [NodeId::bg(2), NodeId::be(1)] {
+                    let mut bulk = Environment::lofar();
+                    let mut scalar = Environment::lofar();
+                    bulk.set_service_jitter(amp);
+                    scalar.set_service_jitter(amp);
+                    check(&mut bulk, &mut scalar, node, n);
+                    let ctx = format!("n {n}, jitter {amp}, {node}");
+                    assert_eq!(bulk.jitter_draws(), scalar.jitter_draws(), "{ctx}");
+                    assert_eq!(bulk.cpu_busy(node), scalar.cpu_busy(node), "{ctx}");
+                    // The next scalar services queue behind the same
+                    // backlog and draw the same stream positions.
+                    assert_eq!(
+                        bulk.compute(node, 9, READY),
+                        scalar.compute(node, 9, READY),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        bulk.generate(node, 9, READY),
+                        scalar.generate(node, 9, READY),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
+
+    const READY: SimTime = SimTime::from_micros(3);
+
+    #[test]
+    fn compute_bulk_matches_successive_computes() {
+        // An absorbed batch is charged with one `compute_bulk`; finish
+        // time, server books and draw count must equal n scalar
+        // `compute` calls at the batch's arrival time.
+        charging_matrix(|bulk, scalar, node, n| {
+            let finish = (0..n).fold(READY, |_, _| scalar.compute(node, 9, READY));
+            assert_eq!(bulk.compute_bulk(node, 9, n, READY), finish);
+            assert_eq!(
+                scalar.jitter_draws(),
+                if scalar.service_jitter > 0.0 { n } else { 0 }
+            );
+        });
+    }
+
     #[test]
     fn compute_each_matches_successive_computes() {
         // The relay charges a batch with one `compute_each` call; it
         // must be call-for-call identical to n scalar `compute` calls —
-        // same serve sequence, same jitter-draw positions — under
-        // jitter and without.
-        for amp in [0.0, 0.05] {
-            let ready = SimTime::from_micros(3);
-            let scalar = {
-                let mut env = Environment::lofar();
-                env.set_service_jitter(amp);
-                (0..7)
-                    .map(|_| env.compute(NodeId::bg(2), 9, ready))
-                    .collect::<Vec<_>>()
-            };
-            let mut env = Environment::lofar();
-            env.set_service_jitter(amp);
-            let mut each = Vec::new();
-            env.compute_each(NodeId::bg(2), 9, 7, ready, &mut each);
-            assert_eq!(each, scalar, "jitter amplitude {amp}");
-        }
+        // same serve sequence, same jitter-draw positions.
+        charging_matrix(|bulk, scalar, node, n| {
+            let want: Vec<SimTime> = (0..n).map(|_| scalar.compute(node, 9, READY)).collect();
+            let mut each = vec![SimTime::ZERO; 3];
+            bulk.compute_each(node, 9, n, READY, &mut each);
+            assert_eq!(each, want);
+        });
     }
 
     #[test]
     fn generate_each_matches_successive_generates() {
         // A prepared column source charges its n generations with one
         // `generate_each` call; it must be call-for-call identical to
-        // the per-element loop's chained `generate` calls — finish
-        // times, server books and jitter-draw count — under jitter and
-        // without, on a BlueGene and on a Linux node.
-        for amp in [0.0, 0.05] {
-            for node in [NodeId::bg(2), NodeId::be(1)] {
-                let ready = SimTime::from_micros(3);
-                let mut scalar_env = Environment::lofar();
-                scalar_env.set_service_jitter(amp);
-                let mut t = ready;
-                let scalar: Vec<SimTime> = (0..7)
-                    .map(|_| {
-                        t = scalar_env.generate(node, 9, t);
-                        t
-                    })
-                    .collect();
-                let mut env = Environment::lofar();
-                env.set_service_jitter(amp);
-                let mut each = vec![SimTime::ZERO; 3];
-                env.generate_each(node, 9, 7, ready, &mut each);
-                assert_eq!(each, scalar, "jitter amplitude {amp} on {node}");
-                assert_eq!(env.jitter_draws(), scalar_env.jitter_draws());
-                assert_eq!(env.jitter_draws(), if amp > 0.0 { 7 } else { 0 });
-                assert_eq!(env.cpu_busy(node), scalar_env.cpu_busy(node));
-                // The next service on the node queues behind the same
-                // backlog either way.
-                assert_eq!(
-                    env.generate(node, 9, ready),
-                    scalar_env.generate(node, 9, ready)
-                );
-            }
-        }
+        // the per-element loop's chained `generate` calls.
+        charging_matrix(|bulk, scalar, node, n| {
+            let mut t = READY;
+            let want: Vec<SimTime> = (0..n)
+                .map(|_| {
+                    t = scalar.generate(node, 9, t);
+                    t
+                })
+                .collect();
+            let mut each = vec![SimTime::ZERO; 3];
+            bulk.generate_each(node, 9, n, READY, &mut each);
+            assert_eq!(each, want);
+        });
+    }
+
+    #[test]
+    fn interleaved_bulk_and_scalar_charges_share_one_state() {
+        // bulk -> scalar -> each -> generate_each -> scalar against the
+        // all-scalar walk: a bulk call that left a stale RNG, draw
+        // counter or server behind would shift every later result.
+        charging_matrix(|bulk, scalar, node, n| {
+            let mut each = Vec::new();
+            let finish = (0..n).fold(READY, |_, _| scalar.compute(node, 9, READY));
+            assert_eq!(bulk.compute_bulk(node, 9, n, READY), finish);
+            assert_eq!(
+                bulk.marshal(node, 500, READY),
+                scalar.marshal(node, 500, READY)
+            );
+            let want: Vec<SimTime> = (0..n).map(|_| scalar.compute(node, 9, finish)).collect();
+            bulk.compute_each(node, 9, n, finish, &mut each);
+            assert_eq!(each, want);
+            let mut t = READY;
+            let want: Vec<SimTime> = (0..n)
+                .map(|_| {
+                    t = scalar.generate(node, 17, t);
+                    t
+                })
+                .collect();
+            bulk.generate_each(node, 17, n, READY, &mut each);
+            assert_eq!(each, want);
+            assert_eq!(bulk.compute(node, 9, READY), scalar.compute(node, 9, READY));
+        });
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! the profiler reports what a run *did*: for every stage of every RP,
 //! how many times it was invoked, how many elements flowed in and out,
 //! and — per RP — the simulated CPU busy time and the real (wall-clock)
-//! time spent inside the stage chain. Counts are maintained by the
+//! time spent inside the stage chain and inside the environment's
+//! generate / compute charging, both as shares of the run's own wall
+//! (what neither covers — channels, the event queue, set-up — is the
+//! report's unattributed remainder). Counts are maintained by the
 //! executors themselves ([`StageTally`] slots inside the stage chain),
 //! so they are exact for all three tiers: the interpreted recursion
 //! counts per element, the fused jump table per scratch pass, and the
@@ -71,6 +74,10 @@ pub struct RpProfile {
     /// Real time spent inside the RP's stage chain (scoped spans around
     /// chain execution; excludes channel and simulator bookkeeping).
     pub wall_ns: u64,
+    /// Real time spent inside the `Environment` generate / compute
+    /// calls that charged this RP's elements (per element on the
+    /// scalar tiers, per batch on the columnar tier).
+    pub charge_ns: u64,
     /// Per-stage rows, in chain order.
     pub stages: Vec<StageProfile>,
 }
@@ -80,6 +87,9 @@ pub struct RpProfile {
 pub struct ProfileReport {
     /// Per-RP sections, in RP creation order.
     pub rps: Vec<RpProfile>,
+    /// Real time the whole run took, set-up to report: the denominator
+    /// of every wall share.
+    pub run_wall_ns: u64,
     /// Simulator events executed, dispatched or skipped analytically.
     pub events: u64,
     /// What the train coalescer did (all zero when it was disabled).
@@ -87,20 +97,21 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Total wall time across all RPs' chains (the denominator of the
-    /// per-RP wall share).
-    pub fn total_wall_ns(&self) -> u64 {
-        self.rps.iter().map(|r| r.wall_ns).sum()
+    /// Wall time no RP's chain or charging accounts for: channel
+    /// cycles, the event queue, the coalescer, set-up and reporting.
+    pub fn unattributed_ns(&self) -> u64 {
+        let attributed: u64 = self.rps.iter().map(|r| r.wall_ns + r.charge_ns).sum();
+        self.run_wall_ns.saturating_sub(attributed)
     }
 
     /// Renders the report as an aligned text table.
     pub fn render(&self) -> String {
-        let total_wall = self.total_wall_ns().max(1);
+        let share = |ns: u64| ns as f64 * 100.0 / self.run_wall_ns.max(1) as f64;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<26} {:>12} {:>12} {:>12} {:>14} {:>8}",
-            "stage", "calls", "elems_in", "elems_out", "sim_busy", "wall%"
+            "{:<26} {:>12} {:>12} {:>12} {:>14} {:>8} {:>8}",
+            "stage", "calls", "elems_in", "elems_out", "sim_busy", "wall%", "charge%"
         );
         for rp in &self.rps {
             let who = if rp.is_client {
@@ -115,13 +126,14 @@ impl ProfileReport {
             );
             let _ = writeln!(
                 out,
-                "{:<26} {:>12} {:>12} {:>12} {:>14.6} {:>7.2}%",
+                "{:<26} {:>12} {:>12} {:>12} {:>14.6} {:>7.2}% {:>7.2}%",
                 "  (chain)",
                 "",
                 "",
                 "",
                 rp.sim_busy.as_secs_f64(),
-                rp.wall_ns as f64 * 100.0 / total_wall as f64,
+                share(rp.wall_ns),
+                share(rp.charge_ns),
             );
             for s in &rp.stages {
                 let _ = writeln!(
@@ -131,6 +143,16 @@ impl ProfileReport {
                 );
             }
         }
+        let _ = writeln!(
+            out,
+            "{:<26} {:>12} {:>12} {:>12} {:>14} {:>7.2}%",
+            "(unattributed)",
+            "",
+            "",
+            "",
+            "",
+            share(self.unattributed_ns()),
+        );
         // Where the simulator's own wall time went: every digest costs
         // about what dispatching some fifty events does, every jump
         // saves the events it skipped.
@@ -148,18 +170,18 @@ impl ProfileReport {
         out
     }
 
-    /// Renders the report as a JSON array (hand-formatted, like every
+    /// Renders the report as a JSON object (hand-formatted, like every
     /// other serialisation in the workspace).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("[\n");
+        let _ = writeln!(out, "{{\"run_wall_ns\": {}, \"rps\": [", self.run_wall_ns);
         for (i, rp) in self.rps.iter().enumerate() {
             let comma = if i + 1 < self.rps.len() { "," } else { "" };
             let _ = write!(
                 out,
                 "  {{\"rp\": {}, \"node\": \"{}\", \"is_client\": {}, \
                  \"input\": \"{}\", \"elements_in\": {}, \"elements_out\": {}, \
-                 \"sim_busy_s\": {}, \"wall_ns\": {}, \"stages\": [",
+                 \"sim_busy_s\": {}, \"wall_ns\": {}, \"charge_ns\": {}, \"stages\": [",
                 rp.rp,
                 rp.node,
                 rp.is_client,
@@ -168,6 +190,7 @@ impl ProfileReport {
                 rp.elements_out,
                 rp.sim_busy.as_secs_f64(),
                 rp.wall_ns,
+                rp.charge_ns,
             );
             for (j, s) in rp.stages.iter().enumerate() {
                 let sc = if j + 1 < rp.stages.len() { "," } else { "" };
@@ -182,7 +205,7 @@ impl ProfileReport {
             }
             let _ = writeln!(out, "]}}{comma}");
         }
-        out.push_str("]\n");
+        out.push_str("]}\n");
         out
     }
 }
@@ -202,6 +225,7 @@ mod tests {
                 elements_out: 1,
                 sim_busy: SimDur::from_millis(2),
                 wall_ns: 5_000,
+                charge_ns: 20_000,
                 stages: vec![StageProfile {
                     stage: "count".to_string(),
                     calls: 10,
@@ -209,6 +233,7 @@ mod tests {
                     elems_out: 0,
                 }],
             }],
+            run_wall_ns: 50_000,
             events: 1_000,
             coalesce: CoalesceStats {
                 digests: 12,
@@ -233,7 +258,11 @@ mod tests {
             ),
             "{text}"
         );
-        assert_eq!(r.total_wall_ns(), 5_000);
+        // Shares are of the run wall, and the remainder is named.
+        assert!(text.contains("  10.00%   40.00%"), "{text}");
+        assert!(text.contains("(unattributed)"), "{text}");
+        assert!(text.contains("  50.00%"), "{text}");
+        assert_eq!(r.unattributed_ns(), 25_000);
     }
 
     #[test]
@@ -242,5 +271,7 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"elements_in\": 10"));
+        assert!(json.contains("\"run_wall_ns\": 50000"));
+        assert!(json.contains("\"charge_ns\": 20000"));
     }
 }

@@ -138,6 +138,9 @@ struct RpState {
     /// stays 0 unless `RunOptions::profile`). Observational — never
     /// probed, never feeds simulated time.
     wall_ns: u64,
+    /// Real time spent inside the `Environment` generate / compute
+    /// charges made for this RP; same discipline as `wall_ns`.
+    charge_ns: u64,
 }
 
 /// What rides a stream channel: an owned scalar value, or a zero-copy
@@ -530,6 +533,7 @@ pub fn run_graph(
     graph: &QueryGraph,
     options: &RunOptions,
 ) -> Result<QueryResult, EngineError> {
+    let run_t0 = std::time::Instant::now();
     // SpHandle → rp index. The client is the last rp.
     let mut rp_of: HashMap<SpHandle, usize> = HashMap::new();
     for (i, sp) in graph.sps.iter().enumerate() {
@@ -639,6 +643,7 @@ pub fn run_graph(
             elements_in: 0,
             elements_out: 0,
             wall_ns: 0,
+            charge_ns: 0,
         })
     };
 
@@ -837,12 +842,14 @@ pub fn run_graph(
                     elements_out: rp.elements_out,
                     sim_busy: world.env.cpu_busy(rp.node),
                     wall_ns: rp.wall_ns,
+                    charge_ns: rp.charge_ns,
                     stages,
                 }
             })
             .collect();
         Box::new(crate::profile::ProfileReport {
             rps: rp_profiles,
+            run_wall_ns: run_t0.elapsed().as_nanos() as u64,
             events,
             coalesce,
         })
@@ -865,6 +872,20 @@ pub fn run_graph(
             profile,
         },
     ))
+}
+
+/// Makes an `Environment` generate / compute charge for RP `idx`; a
+/// profiled run books its wall time to the RP's `charge_ns`. For the
+/// per-element and per-batch charges only: `produce`'s one `generate`
+/// per array stays off the clock (and out of the per-event handlers).
+#[inline]
+fn charge<T>(world: &mut World, idx: usize, f: impl FnOnce(&mut Environment) -> T) -> T {
+    let t0 = world.profile.then(std::time::Instant::now);
+    let out = f(&mut world.env);
+    if let Some(t0) = t0 {
+        world.rps[idx].charge_ns += t0.elapsed().as_nanos() as u64;
+    }
+    out
 }
 
 fn start_rp(world: &mut World, sim: &mut Sim, idx: usize) {
@@ -930,9 +951,9 @@ fn drain_source(world: &mut World, sim: &mut Sim, idx: usize) {
     if let Some(src) = world.rps[idx].prepared.take() {
         let n = items.len() as u64;
         let mut readies = Vec::new();
-        world
-            .env
-            .generate_each(node, src.row_bytes, n, now, &mut readies);
+        charge(world, idx, |env| {
+            env.generate_each(node, src.row_bytes, n, now, &mut readies)
+        });
         let done = *readies.last().expect("a prepared source has rows");
         let rp = &mut world.rps[idx];
         rp.elements_in += n;
@@ -944,7 +965,9 @@ fn drain_source(world: &mut World, sim: &mut Sim, idx: usize) {
     }
     let mut t = now;
     for item in items.iter() {
-        t = world.env.generate(node, item.marshaled_size(), t);
+        t = charge(world, idx, |env| {
+            env.generate(node, item.marshaled_size(), t)
+        });
         process_and_emit(world, sim, idx, item.clone(), None, t);
         if world.error.is_some() {
             return;
@@ -975,7 +998,7 @@ fn process_and_emit(
     // absorbs.
     let cost = world.rps[idx].cost.cost(elem_bytes);
     let node = world.rps[idx].node;
-    let ready = world.env.compute(node, cost, at);
+    let ready = charge(world, idx, |env| env.compute(node, cost, at));
     // Process into the world's reusable scratch buffer: no per-element
     // `Vec` on the hot path.
     let mut out = std::mem::take(&mut world.scratch);
@@ -1338,7 +1361,7 @@ fn absorb_columns(world: &mut World, dst: usize, cols: &ColumnarBatch, now: SimT
     let cost = world.rps[dst].cost.cost(admit.elem_bytes);
     let node = world.rps[dst].node;
     let span_busy0 = scsq_sim::obs::enabled().then(|| world.env.cpu_busy(node));
-    world.env.compute_bulk(node, cost, n, now);
+    charge(world, dst, |env| env.compute_bulk(node, cost, n, now));
     // An absorbed batch emits nothing before end of stream; only the
     // monitoring counters need per-element accounting.
     world.rps[dst].elements_in += n;
@@ -1393,9 +1416,9 @@ fn relay_columns(
     let cost = world.rps[dst].cost.cost(admit.elem_bytes);
     let node = world.rps[dst].node;
     let mut readies = std::mem::take(&mut world.ready_scratch);
-    world
-        .env
-        .compute_each(node, cost, n as u64, now, &mut readies);
+    charge(world, dst, |env| {
+        env.compute_each(node, cost, n as u64, now, &mut readies)
+    });
     world.rps[dst].elements_in += n as u64;
     world.columnar_batches += 1;
     let t0 = world.profile.then(std::time::Instant::now);

@@ -31,6 +31,7 @@ impl SplitMix64 {
     }
 
     /// The next 64 uniformly distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -40,6 +41,7 @@ impl SplitMix64 {
     }
 
     /// A uniform float in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 mantissa bits of a double.
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
@@ -65,6 +67,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `amp` is not in `[0, 1)`.
+    #[inline]
     pub fn jitter(&mut self, amp: f64) -> f64 {
         assert!((0.0..1.0).contains(&amp), "amplitude must be in [0,1)");
         1.0 + amp * (2.0 * self.next_f64() - 1.0)

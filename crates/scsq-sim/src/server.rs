@@ -59,6 +59,7 @@ impl FifoServer {
 
     /// Admits a job arriving at `arrival` needing `service` time.
     /// Returns when the job started and finished.
+    #[inline]
     pub fn serve(&mut self, arrival: SimTime, service: SimDur) -> Grant {
         let start = arrival.max(self.busy_until);
         let finish = start + service;

@@ -118,7 +118,12 @@ impl SimDur {
     /// Panics if `s` is negative or not finite.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDur((s * 1e9).round() as u64)
+        let v = s * 1e9;
+        SimDur(if v < INTEGERS_FROM {
+            round_below_2_52(v)
+        } else {
+            v as u64
+        })
     }
 
     /// The length of this duration in nanoseconds.
@@ -206,10 +211,51 @@ impl Mul<u64> for SimDur {
 
 impl Mul<f64> for SimDur {
     type Output = SimDur;
+    /// Scales the duration, rounding half away from zero to whole
+    /// nanoseconds (saturating at `u64::MAX`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rhs` is negative or not finite.
+    #[inline]
     fn mul(self, rhs: f64) -> SimDur {
-        assert!(rhs.is_finite() && rhs >= 0.0, "invalid scale factor: {rhs}");
-        SimDur((self.0 as f64 * rhs).round() as u64)
+        let v = self.0 as f64 * rhs;
+        // NaN fails both compares.
+        if rhs >= 0.0 && v < INTEGERS_FROM {
+            SimDur(round_below_2_52(v))
+        } else {
+            scale_large(v, rhs)
+        }
     }
+}
+
+/// Doubles from 2^52 up are all integers: rounding them is the identity.
+const INTEGERS_FROM: f64 = (1u64 << 52) as f64;
+
+/// `v.round() as u64` for `0 <= v < 2^52`, bit for bit, without
+/// `f64::round` — a libm call on baseline x86-64, and durations are
+/// rounded once per charged element.
+#[inline]
+fn round_below_2_52(v: f64) -> u64 {
+    // Doubles in [2^52, 2^53] are spaced 1 apart, so this add rounds `v`
+    // to the nearest integer, ties to even, and leaves it in the low
+    // mantissa bits: the bit patterns of `shifted` and of 2^52 differ by
+    // exactly that integer.
+    let shifted = v + INTEGERS_FROM;
+    let nearest = shifted.to_bits() - INTEGERS_FROM.to_bits();
+    // Ties-to-even and half-away disagree only on a tie that went down.
+    // Both subtractions are exact (Sterbenz: the operands are within a
+    // factor of two, or one of them is zero).
+    let tie_went_down = v - (shifted - INTEGERS_FROM) >= 0.5;
+    nearest + tie_went_down as u64
+}
+
+/// The rest of `SimDur × f64`: an invalid factor, or a product of 2^52
+/// or more, where only the saturating cast remains.
+#[cold]
+fn scale_large(v: f64, rhs: f64) -> SimDur {
+    assert!(rhs.is_finite() && rhs >= 0.0, "invalid scale factor: {rhs}");
+    SimDur(v as u64)
 }
 
 impl Div<u64> for SimDur {

@@ -100,6 +100,61 @@ proptest! {
         }
     }
 
+    /// `SimDur × f64` rounds exactly like the libm expression it
+    /// replaced, for uniform and log-uniform durations.
+    #[test]
+    fn scaling_matches_the_round_oracle(
+        ns in 0u64..=(1 << 62),
+        bits in 0u32..=62,
+        frac in 0.0f64..1.0,
+        f in 0.0f64..2.0,
+    ) {
+        let log_uniform = ((1u64 << bits) as f64 * (1.0 + frac)) as u64;
+        for ns in [ns, log_uniform] {
+            prop_assert_eq!((SimDur::from_nanos(ns) * f).as_nanos(), round_oracle(ns, f));
+        }
+    }
+
+    /// `from_secs_f64` (under every `for_bytes`) shares the rounding.
+    #[test]
+    fn from_secs_matches_the_round_oracle(
+        ns in 0u64..=(1 << 62),
+        exp in -12i32..=10,
+        frac in 1.0f64..10.0,
+    ) {
+        for secs in [ns as f64 / 1e9, frac * 10f64.powi(exp), (ns | 1) as f64 / 2e9] {
+            prop_assert_eq!(
+                SimDur::from_secs_f64(secs).as_nanos(),
+                (secs * 1e9).round() as u64
+            );
+        }
+    }
+
+    /// Exact halves round away from zero, never to even.
+    #[test]
+    fn scaling_rounds_exact_halves_up(k in 0u64..(1 << 48)) {
+        let odd = 2 * k + 1;
+        for (f, want) in [(0.5, k + 1), (1.5, 3 * k + 2), (2.5, 5 * k + 3)] {
+            let got = (SimDur::from_nanos(odd) * f).as_nanos();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(got, round_oracle(odd, f));
+        }
+    }
+
+    /// Products on either side of 2^52 (where the fast path hands over)
+    /// and 2^53 (where `ns as f64` stops being exact).
+    #[test]
+    fn scaling_is_exact_across_the_integer_thresholds(
+        exp in 52u32..=53,
+        below in any::<bool>(),
+        off in 0u64..4096,
+        f in 0.25f64..2.0,
+    ) {
+        let edge = (1u64 << exp) as f64 / f;
+        let ns = if below { edge as u64 - off } else { edge as u64 + off };
+        prop_assert_eq!((SimDur::from_nanos(ns) * f).as_nanos(), round_oracle(ns, f));
+    }
+
     /// Duration arithmetic: for_bytes is monotone in bytes and inversely
     /// monotone in rate.
     #[test]
@@ -109,5 +164,70 @@ proptest! {
         let d3 = SimDur::for_bytes(bytes, rate * 2.0);
         prop_assert!(d2 >= d1);
         prop_assert!(d3 <= d1);
+    }
+}
+
+/// What `SimDur × f64` computed before it stopped calling `f64::round`.
+fn round_oracle(ns: u64, f: f64) -> u64 {
+    (ns as f64 * f).round() as u64
+}
+
+#[test]
+fn scaling_special_factors_match_the_oracle() {
+    let durations = [
+        0,
+        1,
+        2,
+        3,
+        12_345,
+        (1 << 52) - 1,
+        1 << 52,
+        (1 << 53) + 1,
+        u64::MAX,
+    ];
+    let factors = [
+        0.0,
+        -0.0,
+        1.0,
+        f64::MIN_POSITIVE,
+        0.49999999999999994,
+        f64::MAX,
+    ];
+    for ns in durations {
+        for f in factors {
+            assert_eq!(
+                (SimDur::from_nanos(ns) * f).as_nanos(),
+                round_oracle(ns, f),
+                "{ns} x {f}"
+            );
+        }
+    }
+    assert_eq!((SimDur::from_nanos(2) * f64::MAX).as_nanos(), u64::MAX);
+    // The one product in [2^52 - 0.5, 2^52): rounds up to 2^52.
+    assert_eq!(
+        (SimDur::from_nanos((1 << 53) - 1) * 0.5).as_nanos(),
+        1 << 52
+    );
+}
+
+#[test]
+fn scaling_rejects_invalid_factors_with_the_same_message() {
+    for (f, shown) in [
+        (f64::NAN, "NaN"),
+        (-1.0, "-1"),
+        (-1e-300, "-0.000"),
+        (f64::INFINITY, "inf"),
+        (f64::NEG_INFINITY, "-inf"),
+    ] {
+        // A zero duration must not mask the factor (0 x -1 is -0.0).
+        for ns in [0, 7] {
+            let err = std::panic::catch_unwind(|| SimDur::from_nanos(ns) * f)
+                .expect_err("invalid factor must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.starts_with(&format!("invalid scale factor: {shown}")),
+                "{ns} x {f}: {msg}"
+            );
+        }
     }
 }

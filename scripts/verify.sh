@@ -32,6 +32,19 @@ echo "==> perfstat (byte-identity across execution tiers + columnar gate)"
 ./target/release/perfstat --out /tmp/perfstat-verify.json
 rm -f /tmp/perfstat-verify.json
 
+echo "==> benchmark smoke (closed-form answers, per-pass digests, declined-leg verdict)"
+# The repo benchmark at reduced scale, for its output checks, not its
+# timings: every workload's answers against closed forms, simtime.digest
+# equal on every pass of a run, the declined leg still declined. A
+# service-charging or transport change that drifts fails here first.
+# Builds into .bench_build (its own workspace); the report is kept quiet
+# unless a check fails.
+bash benchmark/run.sh --smoke > /tmp/bench-smoke-verify.txt || {
+    tail -n 40 /tmp/bench-smoke-verify.txt
+    exit 1
+}
+rm -f /tmp/bench-smoke-verify.txt
+
 echo "==> scsqd smoke (served transcript == local shell transcript)"
 # Start the daemon on an OS-assigned port, run a prepare/run/show-catalog
 # script through the scsqc client, and diff the served transcript against
