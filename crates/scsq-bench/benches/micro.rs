@@ -4,9 +4,9 @@
 //! (map / filter+gather / aggregate at 64, 4k, and 64k rows), the
 //! cross-SP relay hand-off against the marshal round trip at the same
 //! sizes, the Figure 6 inner loop in both execution modes (per-event vs
-//! train-coalesced), the fused stage programs against the interpreted
-//! fallback, route-table lookups against fresh dimension-ordered
-//! route computation, and the per-element service-charging loop
+//! train-coalesced), route-table lookups against fresh
+//! dimension-ordered route computation, and the per-element
+//! service-charging loop
 //! (`Environment::{generate_each, compute_each, compute_bulk}`) with the
 //! `SimDur × f64` rounding under it.
 
@@ -76,9 +76,9 @@ fn bench_batch_handoff(c: &mut Criterion) {
 /// The whole-column compute kernels behind the columnar fast path:
 /// elementwise map, filter+gather, and the aggregate folds, at batch
 /// sizes spanning a delivered train (64) to a full receive buffer run
-/// (64k). The same work per element on the interpreted path costs an
-/// enum match and a `Value` move; these loops are the ceiling the fused
-/// columnar dispatch is measured against.
+/// (64k). The same work per element on the scalar path costs an enum
+/// match and a `Value` move; these loops are the ceiling the columnar
+/// dispatch is measured against.
 fn bench_column_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("column_kernels");
     for n in [64usize, 4_096, 65_536] {
@@ -124,7 +124,7 @@ fn bench_column_kernels(c: &mut Criterion) {
             b.iter(|| black_box(columnar::count(col)));
         });
         // The stateful-stage kernels: elementwise arithmetic, a
-        // comparison mask, and the filter-heavy composition the fused
+        // comparison mask, and the filter-heavy composition the stage
         // chain runs per admitted batch (arith → filter → cmp over the
         // surviving selection).
         group.bench_with_input(BenchmarkId::new("arith_mul_i64", n), &ints, |b, col| {
@@ -215,36 +215,6 @@ fn bench_fig6_inner(c: &mut Criterion) {
     group.finish();
 }
 
-/// The per-event path with fused stage programs vs the interpreted
-/// fallback (coalescing disabled in both so every element walks the
-/// stage chain).
-fn bench_fused_vs_interpreted(c: &mut Criterion) {
-    let spec = HardwareSpec::lofar();
-    let scale = Scale {
-        array_bytes: 3_000_000,
-        arrays: 5,
-        ..Scale::quick()
-    };
-
-    let mut group = c.benchmark_group("fused_stage_programs");
-    group.sample_size(10);
-    for (label, fuse) in [("fused", true), ("interpreted", false)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mode = ExecMode {
-                    coalesce: false,
-                    fuse,
-                    columnar: fuse,
-                };
-                let series =
-                    fig6::run_with_jobs(&spec, scale, &[1_000], 1, mode).expect("fig6 runs");
-                black_box(series)
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Route-table hits vs fresh dimension-ordered route computation for
 /// every (src, dst) pair of a paper-scale partition.
 fn bench_route_cache(c: &mut Criterion) {
@@ -318,7 +288,6 @@ criterion_group!(
     bench_column_kernels,
     bench_relay_handoff,
     bench_fig6_inner,
-    bench_fused_vs_interpreted,
     bench_route_cache,
     bench_charge
 );

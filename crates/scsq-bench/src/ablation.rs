@@ -72,7 +72,6 @@ pub fn run_with_jobs(
         let options = RunOptions {
             placement: policy,
             coalesce: mode.coalesce,
-            fuse: mode.fuse,
             columnar: mode.columnar,
             ..RunOptions::default()
         };

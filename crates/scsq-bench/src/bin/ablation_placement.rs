@@ -1,15 +1,15 @@
 //! Ablation: naïve vs topology-aware node selection on an unconstrained
 //! inbound workload (the §5 future-work refinement).
 //!
-//! Usage: `ablation_placement [--quick] [--csv] [--jobs N] [--coalesce on|off] [--fuse on|off] [--columnar on|off] [--metrics PATH] [--profile] [--trace PATH]`
+//! Usage: `ablation_placement [--quick] [--csv] [--jobs N] [--coalesce on|off] [--columnar on|off] [--metrics PATH] [--profile] [--trace PATH]`
 //!
 //! `--profile` prints the explain-analyze per-stage table of one
 //! representative run; `--trace PATH` writes that run's spans in
 //! Chrome trace-event format.
 
 use scsq_bench::{
-    ablation, parse_coalesce, parse_columnar, parse_fuse, parse_jobs, parse_metrics, parse_profile,
-    parse_trace, print_figure, profile_representative, series_to_csv, write_hub_metrics, Scale,
+    ablation, parse_jobs, parse_metrics, parse_profile, parse_switch, parse_trace, print_figure,
+    profile_representative, series_to_csv, write_hub_metrics, Scale,
 };
 use scsq_core::HardwareSpec;
 
@@ -25,9 +25,8 @@ fn main() {
         scsq_core::metrics::hub().enable(true);
     }
     let mode = scsq_bench::ExecMode {
-        coalesce: parse_coalesce(&args),
-        fuse: parse_fuse(&args),
-        columnar: parse_columnar(&args),
+        coalesce: parse_switch(&args, "--coalesce"),
+        columnar: parse_switch(&args, "--columnar"),
     };
     let scale = if quick {
         Scale::quick()

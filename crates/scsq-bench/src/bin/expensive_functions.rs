@@ -2,15 +2,15 @@
 //! Compares a single-node FFT pipeline with the paper's radix2
 //! distribution over the array-size sweep.
 //!
-//! Usage: `expensive_functions [--quick] [--csv] [--coalesce on|off] [--fuse on|off] [--columnar on|off] [--metrics PATH] [--profile] [--trace PATH]`
+//! Usage: `expensive_functions [--quick] [--csv] [--coalesce on|off] [--columnar on|off] [--metrics PATH] [--profile] [--trace PATH]`
 //!
 //! `--profile` prints the explain-analyze per-stage table of one
 //! representative run (the distributed radix2 plan at 1 MB arrays);
 //! `--trace PATH` writes that run's spans in Chrome trace-event format.
 
 use scsq_bench::{
-    expensive, parse_coalesce, parse_columnar, parse_fuse, parse_metrics, parse_profile,
-    parse_trace, print_figure, profile_representative, series_to_csv, write_hub_metrics, Scale,
+    expensive, parse_metrics, parse_profile, parse_switch, parse_trace, print_figure,
+    profile_representative, series_to_csv, write_hub_metrics, Scale,
 };
 use scsq_core::HardwareSpec;
 
@@ -25,9 +25,8 @@ fn main() {
         scsq_core::metrics::hub().enable(true);
     }
     let mode = scsq_bench::ExecMode {
-        coalesce: parse_coalesce(&args),
-        fuse: parse_fuse(&args),
-        columnar: parse_columnar(&args),
+        coalesce: parse_switch(&args, "--coalesce"),
+        columnar: parse_switch(&args, "--columnar"),
     };
     let scale = if quick {
         Scale {

@@ -3,16 +3,15 @@
 //! plus the sender-host sweep that quantifies "co-locate back-end RPs
 //! until saturation".
 //!
-//! Usage: `futurework_scaling [--quick] [--csv] [--jobs N] [--coalesce on|off] [--fuse on|off] [--columnar on|off] [--metrics PATH] [--profile] [--trace PATH]`
+//! Usage: `futurework_scaling [--quick] [--csv] [--jobs N] [--coalesce on|off] [--columnar on|off] [--metrics PATH] [--profile] [--trace PATH]`
 //!
 //! `--profile` prints the explain-analyze per-stage table of one
 //! representative run (the co-located strategy on the paper partition);
 //! `--trace PATH` writes that run's spans in Chrome trace-event format.
 
 use scsq_bench::{
-    parse_coalesce, parse_columnar, parse_fuse, parse_jobs, parse_metrics, parse_profile,
-    parse_trace, print_figure, profile_representative, scaling, series_to_csv, write_hub_metrics,
-    Scale,
+    parse_jobs, parse_metrics, parse_profile, parse_switch, parse_trace, print_figure,
+    profile_representative, scaling, series_to_csv, write_hub_metrics, Scale,
 };
 
 fn main() {
@@ -27,9 +26,8 @@ fn main() {
         scsq_core::metrics::hub().enable(true);
     }
     let mode = scsq_bench::ExecMode {
-        coalesce: parse_coalesce(&args),
-        fuse: parse_fuse(&args),
-        columnar: parse_columnar(&args),
+        coalesce: parse_switch(&args, "--coalesce"),
+        columnar: parse_switch(&args, "--columnar"),
     };
     let scale = if quick {
         Scale::quick()

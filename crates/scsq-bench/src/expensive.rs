@@ -71,7 +71,6 @@ pub fn run_with_mode(
     let options = RunOptions {
         mpi_buffer: 100_000,
         coalesce: mode.coalesce,
-        fuse: mode.fuse,
         columnar: mode.columnar,
         ..RunOptions::default()
     };

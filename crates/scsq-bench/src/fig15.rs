@@ -92,7 +92,6 @@ pub fn run_with_jobs(
     let mut scsq = Scsq::with_spec(spec.clone());
     let options = RunOptions {
         coalesce: mode.coalesce,
-        fuse: mode.fuse,
         columnar: mode.columnar,
         ..RunOptions::default()
     };

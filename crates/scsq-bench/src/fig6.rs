@@ -42,7 +42,7 @@ pub fn run(spec: &HardwareSpec, scale: Scale, buffers: &[u64]) -> Result<Vec<Ser
 
 /// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
 /// the result is bit-identical for every `jobs` value) and execution
-/// mode (coalesced/fused and plain per-event runs are bit-identical too
+/// mode (coalesced/columnar and plain per-event runs are bit-identical too
 /// — the mode only changes the wall-clock).
 ///
 /// The query text does not depend on the swept knobs, so the whole
@@ -73,7 +73,6 @@ pub fn run_with_jobs(
                     mpi_buffer: buffer,
                     mpi_double: double,
                     coalesce: mode.coalesce,
-                    fuse: mode.fuse,
                     columnar: mode.columnar,
                     ..RunOptions::default()
                 },

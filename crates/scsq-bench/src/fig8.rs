@@ -104,7 +104,6 @@ pub fn run_with_jobs(
                         mpi_buffer: buffer,
                         mpi_double: double,
                         coalesce: mode.coalesce,
-                        fuse: mode.fuse,
                         columnar: mode.columnar,
                         ..RunOptions::default()
                     },

@@ -29,8 +29,7 @@ pub mod scaling;
 pub mod serve;
 
 pub use pool::{
-    default_jobs, parse_coalesce, parse_columnar, parse_fuse, parse_jobs, parse_metrics,
-    parse_profile, parse_trace, run_indexed,
+    default_jobs, parse_jobs, parse_metrics, parse_profile, parse_switch, parse_trace, run_indexed,
 };
 pub use report::{print_figure, series_to_csv, write_hub_metrics, write_hub_metrics_tagged};
 
@@ -76,14 +75,12 @@ impl Scale {
 /// Execution-path switches shared by every figure runner: which fast
 /// tiers are on. Results are bit-identical for every combination — the
 /// switches only change the wall-clock (coalescing skips events
-/// analytically; fusion swaps the stage interpreter for jump-table
-/// programs).
+/// analytically; the columnar pass runs admitted batches through
+/// whole-column kernels).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecMode {
     /// Train coalescing ([`RunOptions::coalesce`]).
     pub coalesce: bool,
-    /// Fused stage programs ([`RunOptions::fuse`]).
-    pub fuse: bool,
     /// Columnar batch absorption ([`RunOptions::columnar`]).
     pub columnar: bool,
 }
@@ -92,7 +89,6 @@ impl Default for ExecMode {
     fn default() -> Self {
         ExecMode {
             coalesce: true,
-            fuse: true,
             columnar: true,
         }
     }
@@ -103,7 +99,6 @@ impl ExecMode {
     pub fn apply(self, options: RunOptions) -> RunOptions {
         RunOptions {
             coalesce: self.coalesce,
-            fuse: self.fuse,
             columnar: self.columnar,
             ..options
         }

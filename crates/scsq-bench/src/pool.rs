@@ -25,29 +25,82 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+/// Every flag a bench binary understands, and whether it takes a value
+/// (`--flag V` / `--flag=V`).
+const FLAGS: &[(&str, bool)] = &[
+    ("--quick", false),
+    ("--csv", false),
+    ("--smoke", false),
+    ("--profile", false),
+    ("--jobs", true),
+    ("--coalesce", true),
+    ("--columnar", true),
+    ("--metrics", true),
+    ("--trace", true),
+    ("--out", true),
+];
+
+/// The one argument walk behind every `parse_*`: `None` when `name` is
+/// absent, else its value (`None` for a presence flag, or a value flag
+/// at the end of the line). A `--flag` outside [`FLAGS`] aborts with a
+/// usage message and exit code 2 — a misspelt or retired switch must
+/// not quietly run the default.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Option<Option<&'a str>> {
+    let mut found = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let Some(&(_, takes_value)) = FLAGS.iter().find(|(f, _)| *f == flag) else {
+            if flag.starts_with("--") {
+                eprintln!(
+                    "unknown flag {flag}; flags: --quick --csv --jobs N --coalesce on|off \
+                     --columnar on|off --metrics PATH --profile --trace PATH"
+                );
+                std::process::exit(2);
+            }
+            continue;
+        };
+        let value = match inline {
+            None if takes_value => it.next().map(String::as_str),
+            inline => inline,
+        };
+        if flag == name && found.is_none() {
+            found = Some(value);
+        }
+    }
+    found
+}
+
 /// Parses a `--jobs N` / `--jobs=N` command-line flag, defaulting to
 /// [`default_jobs`] when absent. `N` must be a positive integer;
 /// anything else aborts with a usage message, matching the bench
 /// binaries' handling of bad input.
 pub fn parse_jobs(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--jobs" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value.and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--jobs expects a positive integer (e.g. --jobs 4)");
-                std::process::exit(2);
-            }
-        };
+    let Some(value) = flag_value(args, "--jobs") else {
+        return default_jobs();
+    };
+    match value.and_then(|v| v.parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => {
+            eprintln!("--jobs expects a positive integer (e.g. --jobs 4)");
+            std::process::exit(2);
+        }
     }
-    default_jobs()
+}
+
+/// Parses a `--name PATH` / `--name=PATH` flag; an empty or missing
+/// path aborts with a usage message.
+fn parse_path(args: &[String], name: &str) -> Option<String> {
+    match flag_value(args, name)? {
+        Some(path) if !path.is_empty() => Some(path.to_string()),
+        _ => {
+            eprintln!("{name} expects an output path (e.g. {name} out.json)");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Parses a `--metrics PATH` / `--metrics=PATH` command-line flag:
@@ -56,24 +109,7 @@ pub fn parse_jobs(args: &[String]) -> usize {
 /// costs one atomic load per query). An empty path aborts with a usage
 /// message.
 pub fn parse_metrics(args: &[String]) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--metrics" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--metrics=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value {
-            Some(path) if !path.is_empty() => Some(path.to_string()),
-            _ => {
-                eprintln!("--metrics expects an output path (e.g. --metrics metrics.json)");
-                std::process::exit(2);
-            }
-        };
-    }
-    None
+    parse_path(args, "--metrics")
 }
 
 /// Parses the `--profile` presence flag: when given, the binary runs
@@ -82,7 +118,7 @@ pub fn parse_metrics(args: &[String]) -> Option<String> {
 /// ([`crate::profile_representative`]). Off by default — the sweeps
 /// themselves are never profiled, so the figures stay unperturbed.
 pub fn parse_profile(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--profile")
+    flag_value(args, "--profile").is_some()
 }
 
 /// Parses a `--trace PATH` / `--trace=PATH` command-line flag: where to
@@ -91,100 +127,22 @@ pub fn parse_profile(args: &[String]) -> bool {
 /// off and costs one relaxed atomic load per site). An empty path
 /// aborts with a usage message.
 pub fn parse_trace(args: &[String]) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--trace" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--trace=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value {
-            Some(path) if !path.is_empty() => Some(path.to_string()),
-            _ => {
-                eprintln!("--trace expects an output path (e.g. --trace trace.json)");
-                std::process::exit(2);
-            }
-        };
-    }
-    None
+    parse_path(args, "--trace")
 }
 
-/// Parses a `--coalesce on|off` / `--coalesce=on|off` command-line
-/// flag, defaulting to `true` (coalescing on) when absent. Anything
-/// other than `on` or `off` aborts with a usage message.
-pub fn parse_coalesce(args: &[String]) -> bool {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--coalesce" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--coalesce=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value {
-            Some("on") => true,
-            Some("off") => false,
-            _ => {
-                eprintln!("--coalesce expects 'on' or 'off' (e.g. --coalesce off)");
-                std::process::exit(2);
-            }
-        };
-    }
-    true
-}
-
-/// Parses a `--fuse on|off` / `--fuse=on|off` command-line flag,
-/// defaulting to `true` (fused stage programs on) when absent. Anything
-/// other than `on` or `off` aborts with a usage message.
-pub fn parse_fuse(args: &[String]) -> bool {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--fuse" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--fuse=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value {
-            Some("on") => true,
-            Some("off") => false,
-            _ => {
-                eprintln!("--fuse expects 'on' or 'off' (e.g. --fuse off)");
-                std::process::exit(2);
-            }
-        };
-    }
-    true
-}
-
-/// Parses a `--columnar on|off` / `--columnar=on|off` command-line
-/// flag, defaulting to `true` (columnar batch absorption on) when
+/// Parses an on/off switch (`--coalesce`, `--columnar`), given as
+/// `--name on|off` or `--name=on|off` and defaulting to `true` when
 /// absent. Anything other than `on` or `off` aborts with a usage
 /// message.
-pub fn parse_columnar(args: &[String]) -> bool {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--columnar" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--columnar=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value {
-            Some("on") => true,
-            Some("off") => false,
-            _ => {
-                eprintln!("--columnar expects 'on' or 'off' (e.g. --columnar off)");
-                std::process::exit(2);
-            }
-        };
+pub fn parse_switch(args: &[String], name: &str) -> bool {
+    match flag_value(args, name) {
+        None | Some(Some("on")) => true,
+        Some(Some("off")) => false,
+        Some(_) => {
+            eprintln!("{name} expects 'on' or 'off' (e.g. {name} off)");
+            std::process::exit(2);
+        }
     }
-    true
 }
 
 /// Runs every job and returns their results in job order.
@@ -311,6 +269,21 @@ mod tests {
         assert_eq!(parse_jobs(&to_args(&["--quick", "--jobs", "4"])), 4);
         assert_eq!(parse_jobs(&to_args(&["--jobs=7", "--csv"])), 7);
         assert_eq!(parse_jobs(&to_args(&["--quick"])), default_jobs());
+    }
+
+    #[test]
+    fn parse_switch_reads_both_flag_forms() {
+        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(!parse_switch(
+            &to_args(&["--columnar", "off"]),
+            "--columnar"
+        ));
+        assert!(!parse_switch(&to_args(&["--coalesce=off"]), "--coalesce"));
+        assert!(parse_switch(&to_args(&["--coalesce=off"]), "--columnar"));
+        assert!(parse_switch(
+            &to_args(&["--columnar=on", "--csv"]),
+            "--columnar"
+        ));
     }
 
     #[test]

@@ -97,7 +97,6 @@ pub fn run_with_jobs(
 ) -> Result<Vec<Series>, ScsqError> {
     let options = RunOptions {
         coalesce: mode.coalesce,
-        fuse: mode.fuse,
         columnar: mode.columnar,
         ..RunOptions::default()
     };
@@ -159,7 +158,6 @@ pub fn run_host_sweep_with_jobs(
 ) -> Result<Series, ScsqError> {
     let options = RunOptions {
         coalesce: mode.coalesce,
-        fuse: mode.fuse,
         columnar: mode.columnar,
         ..RunOptions::default()
     };

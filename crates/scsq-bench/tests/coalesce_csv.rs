@@ -7,7 +7,6 @@ use scsq_core::HardwareSpec;
 
 const PER_EVENT: ExecMode = ExecMode {
     coalesce: false,
-    fuse: true,
     columnar: true,
 };
 

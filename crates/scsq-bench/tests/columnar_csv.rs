@@ -6,23 +6,21 @@
 //! The scale is chosen so the columnar pass actually fires: arrays
 //! small enough that one MPI buffer period delivers many of them in a
 //! single batch (the pass declines batches of fewer than two
-//! elements), with coalescing off so every delivery walks the fused
-//! per-event path.
+//! elements), with coalescing off so every delivery walks the per-event
+//! path.
 
 use scsq_bench::{fig15, fig6, series_to_csv, ExecMode, Scale};
 use scsq_core::HardwareSpec;
 
-/// The columnar deliver path (the shipping default for fused runs).
+/// The columnar deliver path (the shipping default).
 const COLUMNAR: ExecMode = ExecMode {
     coalesce: false,
-    fuse: true,
     columnar: true,
 };
 
-/// The same fused chains driven one element at a time (`--columnar off`).
+/// The same chains driven one element at a time (`--columnar off`).
 const SCALAR: ExecMode = ExecMode {
     coalesce: false,
-    fuse: true,
     columnar: false,
 };
 

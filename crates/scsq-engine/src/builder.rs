@@ -37,7 +37,7 @@ pub struct SpSpec {
     pub handle: SpHandle,
     /// The compiled SQEP.
     pub pipeline: Pipeline,
-    /// The pipeline's fused lowering, prepared once at build time and
+    /// The pipeline's prepare-time lowering, built once and
     /// reused by every run of the graph.
     pub program: FusedProgram,
     /// The pipeline's constant source as shared columns, when it
@@ -56,7 +56,7 @@ pub struct QueryGraph {
     pub sps: Vec<SpSpec>,
     /// The client manager's own pipeline (the top select head).
     pub client: Pipeline,
-    /// The client pipeline's fused lowering.
+    /// The client pipeline's prepare-time lowering.
     pub client_program: FusedProgram,
     /// Where the client manager runs.
     pub client_node: NodeId,

@@ -1,18 +1,19 @@
-//! Whole-column compute kernels for the fused executor.
+//! Whole-column compute kernels for the stage chain.
 //!
-//! The per-element executors ([`crate::ops::StageChain`] and the fused
-//! jump table) pay one dynamic dispatch, one `Value` match, and one
-//! move per tuple. For the engine's dominant shapes — long runs of
+//! The per-element driver ([`crate::ops::StageChain::process_into`])
+//! pays one `StageState` match, one `Value` match, and one move per
+//! tuple. For the engine's dominant shapes — long runs of
 //! identically-typed tuples flowing into a terminal aggregate — the
 //! same work is a single tight loop over a flat array. This module
 //! holds those loops: public map/filter/aggregate kernels over
 //! [`Column`]s (the substrate the micro-benches measure), plus the
-//! `pub(crate)` folds the fused chain uses to absorb a whole
+//! `pub(crate)` folds the chain's column drivers (`crate::fused`) use to
+//! absorb a whole
 //! [`ColumnarBatch`](scsq_ql::column::ColumnarBatch) into a
 //! (crate-private) `StageState` accumulator.
 //!
-//! Correctness bar: every fold mutates the interpreter's own
-//! `StageState` fields by replaying the interpreter's per-element
+//! Correctness bar: every fold mutates the same `StageState` fields as
+//! the scalar step (`StageState::step`) by replaying its per-element
 //! updates *in element order* — integer sums use the same wrapping
 //! discipline (plain `+=`), float sums accumulate sequentially so the
 //! rounding is bit-identical, max/min replace only on the same strict
@@ -315,19 +316,19 @@ pub fn sum_f64(c: &Column) -> Option<f64> {
 }
 
 // ---------------------------------------------------------------------
-// pub(crate) folds into the interpreter's own StageState accumulators.
-// Callers (`FusedChain::process_batch_columnar`) guarantee the columns
+// pub(crate) folds into the chain's own StageState accumulators.
+// Callers (`StageChain::process_admitted`) guarantee the columns
 // are all-valid — engine-built batches always are.
 // ---------------------------------------------------------------------
 
 /// Folds a whole `Int64` column into a sum/avg accumulator exactly as
-/// the interpreter would. Integer addition is associative modulo 2^64,
+/// the scalar step would. Integer addition is associative modulo 2^64,
 /// so the fold can run `LANES` independent wrapping accumulators (the
 /// shape LLVM turns into vector adds) and still land on the identical
 /// sum the sequential per-element path produces. Release builds wrap
 /// either way; the lane split only changes *where* a debug build would
 /// trip an overflow check, which is why the lanes wrap explicitly while
-/// the interpreter's `+=` stays the semantic reference.
+/// the scalar step's `+=` stays the semantic reference.
 pub(crate) fn fold_sum_i64(count: &mut i64, sum_int: &mut i64, xs: &[i64]) {
     *count += xs.len() as i64;
     let mut lanes = [0i64; LANES];
@@ -347,9 +348,9 @@ pub(crate) fn fold_sum_i64(count: &mut i64, sum_int: &mut i64, xs: &[i64]) {
 }
 
 /// Folds a whole `Float64` column into a sum/avg accumulator exactly as
-/// the interpreter would: sequential adds, so rounding is
+/// the scalar step would: sequential adds, so rounding is
 /// bit-identical to feeding the elements one at a time. An empty run
-/// leaves `saw_real` untouched — the interpreter only flips it per
+/// leaves `saw_real` untouched — the scalar step only flips it per
 /// real element seen, and the flush type hangs on it.
 pub(crate) fn fold_sum_f64(count: &mut i64, sum_real: &mut f64, saw_real: &mut bool, xs: &[f64]) {
     *count += xs.len() as i64;
@@ -363,7 +364,7 @@ pub(crate) fn fold_sum_f64(count: &mut i64, sum_real: &mut f64, saw_real: &mut b
 /// `f64::max`/`f64::min` accumulators — the branch-free shape LLVM
 /// vectorizes. Callers must rule out NaN keys first: `max`/`min`
 /// silently drop a NaN operand, which would diverge from the
-/// interpreter's strict-comparison walk.
+/// scalar step's strict-comparison walk.
 fn column_extremum(keys: impl Iterator<Item = f64>, maximize: bool) -> f64 {
     let init = if maximize {
         f64::NEG_INFINITY
@@ -380,7 +381,7 @@ fn column_extremum(keys: impl Iterator<Item = f64>, maximize: bool) -> f64 {
         .fold(init, |a, l| if maximize { a.max(l) } else { a.min(l) })
 }
 
-/// Whether `x` beats `b` under the interpreter's strict max/min
+/// Whether `x` beats `b` under the scalar step's strict max/min
 /// comparison over `f64` keys.
 fn beats(x: f64, b: f64, maximize: bool) -> bool {
     if maximize {
@@ -391,13 +392,13 @@ fn beats(x: f64, b: f64, maximize: bool) -> bool {
 }
 
 /// Folds a whole `Int64` column into a max/min accumulator: the same
-/// first-best strict comparison over `f64` keys the interpreter
+/// first-best strict comparison over `f64` keys the scalar step
 /// applies, keeping the original integer value. Runs in two passes —
 /// a chunked [`column_extremum`] over the keys, then a scan for the
 /// first element whose key equals it — which lands on the same winner
 /// as the sequential walk: strict comparison keeps the *first*
 /// occurrence of the best key, and equal `f64` keys from distinct
-/// integers (possible past 2^53) tie exactly the way the interpreter
+/// integers (possible past 2^53) tie exactly the way the scalar step
 /// ties, first one wins.
 pub(crate) fn fold_best_i64(count: &mut i64, best: &mut Option<Value>, xs: &[i64], maximize: bool) {
     *count += xs.len() as i64;
@@ -456,7 +457,7 @@ pub(crate) fn fold_best_f64(count: &mut i64, best: &mut Option<Value>, xs: &[f64
 /// # Errors
 ///
 /// A row whose timestamp or byte count is negative reproduces the
-/// interpreter's "metric sample" type error for the reconstructed bag
+/// scalar step's "metric sample" type error for the reconstructed bag
 /// (state mutated by earlier rows stays mutated, exactly as the
 /// per-element path leaves it).
 pub(crate) fn fold_bandwidth(
@@ -504,13 +505,13 @@ pub(crate) fn fold_bandwidth(
 }
 
 /// Folds a whole `Int64` column into a quantile histogram exactly as
-/// the interpreter would. Bucket counts are order-independent, but the
+/// the scalar step would. Bucket counts are order-independent, but the
 /// fold still walks in element order so an error (a negative value)
 /// leaves exactly the partial state the per-element path would.
 ///
 /// # Errors
 ///
-/// A negative value reproduces the interpreter's "non-negative number"
+/// A negative value reproduces the scalar step's "non-negative number"
 /// type error for that element.
 pub(crate) fn fold_quantile_i64(
     hist: &mut LatencyHistogram,
@@ -530,7 +531,7 @@ pub(crate) fn fold_quantile_i64(
 ///
 /// # Errors
 ///
-/// A negative, NaN or infinite value reproduces the interpreter's
+/// A negative, NaN or infinite value reproduces the scalar step's
 /// "non-negative number" type error for that element.
 pub(crate) fn fold_quantile_f64(
     hist: &mut LatencyHistogram,
@@ -547,7 +548,7 @@ pub(crate) fn fold_quantile_f64(
 
 // ---------------------------------------------------------------------
 // Selection-aware folds: same accumulators, but only the rows a filter
-// stage kept. These replay the interpreter walk index by index — the
+// stage kept. These replay the scalar step walk index by index — the
 // survivors of a filter are rarely the hot path's long dense run, and
 // sequential order is what keeps float rounding byte-identical.
 // ---------------------------------------------------------------------
@@ -770,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn folds_replay_interpreter_state_updates() {
+    fn folds_replay_scalar_state_updates() {
         let (mut count, mut sum_int) = (2i64, 10i64);
         fold_sum_i64(&mut count, &mut sum_int, &[1, 2, 3]);
         assert_eq!((count, sum_int), (5, 16));

@@ -1,36 +1,26 @@
-//! Fused stage programs: the per-event fast path.
+//! Prepare-time lowering and the whole-column drivers of a stage chain.
 //!
-//! The interpreted [`StageChain`] re-matches on every stage enum for
-//! every element and allocates a fresh `Vec<Value>` per stage per call.
-//! That is fine at end-of-stream flush rates but dominates the
-//! per-event execution path whenever train coalescing cannot fire
-//! (jittered service times, data-dependent stages). A [`FusedProgram`]
-//! is the `Scsq::prepare`-time lowering of a pipeline: each stage is
-//! resolved once to a direct jump-table entry (`StageFn`) and the
-//! compute-cost accounting is compiled to a compact op list with a
-//! one-entry memo, so the inner loop is a straight call chain with no
-//! enum dispatch, no re-validation, and — together with the chain's
-//! reusable ping-pong scratch buffers — no allocation per tuple.
+//! [`FusedProgram`] is the `Scsq::prepare`-time lowering of a pipeline:
+//! its compute-cost accounting compiled to a compact op list
+//! ([`CostModel`], with a one-entry memo), and
+//! [`PreparedSource`] is a constant source transposed once.
 //!
-//! Correctness bar: the fused executor mutates the *same*
-//! `StageState` representation as the interpreter, feeds every stage
-//! the same input sequence in the same order (stages are
-//! order-preserving stateful flat-maps, so breadth-first scratch
-//! passes and the interpreter's depth-first recursion produce the same
-//! outputs), and delegates end-of-stream flushing and coalescer probes
-//! to the interpreted chain. Byte-identical figure CSVs with fusion on
-//! or off are enforced by `tests/fuse_csv.rs`.
+//! The rest of the module is the columnar half of
+//! [`StageChain`]: the admission walks that decide, per delivered
+//! batch, whether the chain's stages all have a whole-column kernel for
+//! the types flowing through them, and the drivers that then run the
+//! batch through [`crate::columnar`] with one dispatch per stage instead
+//! of one per element. They mutate the same `StageState`s as the
+//! per-element driver (`StageChain::process_into`, the reference
+//! semantics and the fallback for every declined batch), so aggregate
+//! flushes and coalescer probes cannot tell which ran.
 
 use crate::columnar;
 use crate::error::EngineError;
 use crate::funcs;
-use crate::ops::{
-    arith_apply, cmp_apply, AggKind, CmpOp, InputKind, MapFunc, Pipeline, Stage, StageChain,
-    StageState,
-};
+use crate::ops::{AggKind, CmpOp, InputKind, MapFunc, Pipeline, Stage, StageChain, StageState};
 use scsq_ql::column::{Column, SelectionVector, METRIC_COLUMNS};
-use scsq_ql::{Batch, ColumnarBatch, SpHandle, Value};
-use scsq_sim::StateProbe;
+use scsq_ql::{Batch, ColumnarBatch, Value};
 
 /// One compiled compute-cost operation. Only stages that charge CPU
 /// time appear; everything else is dropped at compile time.
@@ -54,35 +44,33 @@ pub enum CostOp {
     Filter,
 }
 
-/// A pipeline lowered at prepare time: the validated stage list plus
-/// the compiled cost ops. Pure data (no function pointers), so it can
-/// live inside the shared [`crate::builder::QueryGraph`] and be
-/// compared/cloned like the rest of the plan.
+/// The cost operation a stage compiles to; `None` for stages that charge
+/// no CPU time.
+pub(crate) fn cost_op(stage: &Stage) -> Option<CostOp> {
+    match stage {
+        Stage::Map(f) => Some(CostOp::Map(*f)),
+        Stage::RadixCombine { .. } => Some(CostOp::Radix),
+        Stage::Arith { .. } => Some(CostOp::Arith),
+        Stage::Cmp { .. } => Some(CostOp::Cmp),
+        Stage::Filter { .. } => Some(CostOp::Filter),
+        _ => None,
+    }
+}
+
+/// A pipeline lowered at prepare time: its compiled cost ops. Pure
+/// data, so it can live inside the shared
+/// [`crate::builder::QueryGraph`] and be compared/cloned like the rest
+/// of the plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
-    /// The stage list this program was lowered from.
-    pub stages: Vec<Stage>,
     cost_ops: Vec<CostOp>,
 }
 
 impl FusedProgram {
-    /// Lowers a pipeline's stage chain into a fused program.
+    /// Lowers a pipeline's stage chain.
     pub fn compile(pipeline: &Pipeline) -> FusedProgram {
-        let cost_ops = pipeline
-            .stages
-            .iter()
-            .filter_map(|s| match s {
-                Stage::Map(f) => Some(CostOp::Map(*f)),
-                Stage::RadixCombine { .. } => Some(CostOp::Radix),
-                Stage::Arith { .. } => Some(CostOp::Arith),
-                Stage::Cmp { .. } => Some(CostOp::Cmp),
-                Stage::Filter { .. } => Some(CostOp::Filter),
-                _ => None,
-            })
-            .collect();
         FusedProgram {
-            stages: pipeline.stages.clone(),
-            cost_ops,
+            cost_ops: pipeline.stages.iter().filter_map(cost_op).collect(),
         }
     }
 
@@ -197,43 +185,8 @@ impl CostModel {
     }
 }
 
-/// One fused stage step: consume `value`, mutate the stage's state,
-/// append any outputs. Resolved once per stage at chain build time.
-type StageFn =
-    fn(&mut StageState, Value, Option<SpHandle>, &mut Vec<Value>) -> Result<(), EngineError>;
-
-/// The fused executor: the interpreter's stage states driven by a
-/// pre-resolved jump table over reusable scratch buffers.
-#[derive(Debug)]
-pub struct FusedChain {
-    chain: StageChain,
-    ops: Vec<StageFn>,
-    cur: Vec<Value>,
-    nxt: Vec<Value>,
-    /// Whether columnar admission may apply at all: every stage has a
-    /// whole-column kernel (aggregate / `streamof` / `take` /
-    /// `bandwidth` / `map` / `arith` / `cmp` / `filter`) and the chain
-    /// ends in an absorbing aggregate, so a columnar pass never has to
-    /// reconstruct leftover tuples. Per-batch typing is checked by
-    /// [`FusedChain::columnar_admit`].
-    columnar_ok: bool,
-    /// Whether relay admission may apply: no absorber, every stage is a
-    /// re-emitting vectorizable stage (`streamof` / `take` / `arith` /
-    /// `cmp` / `filter`), and at least one actually transforms or
-    /// filters — the chain then rewrites a column and re-emits it
-    /// downstream as shared column rows instead of reconstructing
-    /// tuples. Per-batch typing is checked by
-    /// [`FusedChain::relay_admit_cols`].
-    relay_ok: bool,
-    /// Whether any stage charges modeled compute cost. Costly chains
-    /// only admit batches whose elements share one marshaled size, so
-    /// the runtime can charge the whole batch in bulk (same total, same
-    /// jitter draws as charging element by element).
-    costly: bool,
-}
-
 /// A batch cleared for whole-column execution by
-/// [`FusedChain::columnar_admit`]: the transposed columns plus the two
+/// [`StageChain::columnar_admit`]: the transposed columns plus the two
 /// facts the runtime needs to charge the chain's modeled compute cost
 /// in bulk *before* running the kernels, mirroring the per-element
 /// path's charge-then-process order.
@@ -249,7 +202,7 @@ pub struct ColumnarAdmit {
 }
 
 /// A batch cleared for relay execution by
-/// [`FusedChain::relay_admit_cols`]: a typed single-column view the
+/// [`StageChain::relay_admit_cols`]: a typed single-column view the
 /// chain will rewrite and re-emit downstream, plus the bulk
 /// cost-accounting facts (relay chains always contain a cost op, so
 /// the uniform-stride requirement always applies).
@@ -345,95 +298,13 @@ fn transform_type(state: &StageState, ty: ColType) -> Option<ColType> {
     }
 }
 
-impl FusedChain {
-    /// Instantiates runtime state for a fused program.
-    pub fn new(program: &FusedProgram) -> FusedChain {
-        let ops = program.stages.iter().map(resolve).collect();
-        let vectorizable = |s: &Stage| {
-            matches!(
-                s,
-                Stage::Agg(_)
-                    | Stage::StreamOf
-                    | Stage::Take { .. }
-                    | Stage::Bandwidth
-                    | Stage::Quantile { .. }
-                    | Stage::Map(_)
-                    | Stage::Arith { .. }
-                    | Stage::Cmp { .. }
-                    | Stage::Filter { .. }
-            )
-        };
-        let absorber =
-            |s: &Stage| matches!(s, Stage::Agg(_) | Stage::Bandwidth | Stage::Quantile { .. });
-        let columnar_ok =
-            program.stages.iter().all(vectorizable) && program.stages.iter().any(absorber);
-        let relayable = |s: &Stage| {
-            matches!(
-                s,
-                Stage::StreamOf
-                    | Stage::Take { .. }
-                    | Stage::Arith { .. }
-                    | Stage::Cmp { .. }
-                    | Stage::Filter { .. }
-            )
-        };
-        let transform = |s: &Stage| {
-            matches!(
-                s,
-                Stage::Arith { .. } | Stage::Cmp { .. } | Stage::Filter { .. }
-            )
-        };
-        let relay_ok = program.stages.iter().all(relayable) && program.stages.iter().any(transform);
-        FusedChain {
-            chain: StageChain::from_stages(&program.stages),
-            ops,
-            cur: Vec::new(),
-            nxt: Vec::new(),
-            columnar_ok,
-            relay_ok,
-            costly: !program.cost_ops.is_empty(),
-        }
-    }
-
-    /// Feeds one element through the chain, appending whatever falls
-    /// out the end to `out`. Equivalent to [`StageChain::process`] but
-    /// allocation-free after warm-up: elements move between the two
-    /// scratch buffers, one stage at a time.
-    ///
-    /// # Errors
-    ///
-    /// Type errors when an elementwise function meets an incompatible
-    /// value.
-    pub fn process_into(
-        &mut self,
-        value: Value,
-        from: Option<SpHandle>,
-        out: &mut Vec<Value>,
-    ) -> Result<(), EngineError> {
-        if self.ops.is_empty() {
-            out.push(value);
-            return Ok(());
-        }
-        self.cur.clear();
-        self.cur.push(value);
-        for (i, op) in self.ops.iter().enumerate() {
-            if self.cur.is_empty() {
-                return Ok(());
-            }
-            self.nxt.clear();
-            let n_in = self.cur.len() as u64;
-            for v in self.cur.drain(..) {
-                op(&mut self.chain.stages[i], v, from, &mut self.nxt)?;
-            }
-            if let Some(t) = self.chain.tally.get_mut(i) {
-                t.calls += n_in;
-                t.elems_in += n_in;
-                t.elems_out += self.nxt.len() as u64;
-            }
-            std::mem::swap(&mut self.cur, &mut self.nxt);
-        }
-        out.append(&mut self.cur);
-        Ok(())
+impl StageChain {
+    /// Whether the chain could use *any* columnar pass (absorbing or
+    /// relay) on some batch shape. The runtime consults this before
+    /// transposing a delivered run, so chains that can never admit skip
+    /// the decomposition work entirely.
+    pub(crate) fn wants_columnar(&self) -> bool {
+        self.columnar_ok || self.relay_ok
     }
 
     /// Feeds a whole delivered batch through the chain as columns,
@@ -494,7 +365,7 @@ impl FusedChain {
         self.columnar_admit_cols(&ColumnarBatch::from_batch(batch))
     }
 
-    /// [`FusedChain::columnar_admit`] over an already-transposed batch
+    /// [`StageChain::columnar_admit`] over an already-transposed batch
     /// — the entry the runtime uses for relayed columns, where the
     /// columns arrive shared from the upstream chain and transposing
     /// again would waste the hand-off.
@@ -505,7 +376,7 @@ impl FusedChain {
         let initial = batch_col_type(cols);
         let mut ty = initial;
         let mut admitted = false;
-        for state in &self.chain.stages {
+        for state in &self.stages {
             match state {
                 StageState::Agg { kind, .. } => {
                     if *kind != AggKind::Count && !matches!(ty, ColType::Int | ColType::Float) {
@@ -548,11 +419,11 @@ impl FusedChain {
 
     /// Decides, without mutating anything, whether an already-transposed
     /// batch qualifies for relay execution: the chain re-emits (no
-    /// absorber, [`relay_ok`](FusedChain) shape), the batch is one
+    /// absorber, [`relay_ok`](StageChain) shape), the batch is one
     /// all-valid typed column, the type flow clears every stage, and the
     /// elements share one marshaled stride (relay chains always charge
     /// compute cost, so bulk accounting needs it). The admitted batch
-    /// runs through [`FusedChain::process_relayed`].
+    /// runs through [`StageChain::process_relayed`].
     pub fn relay_admit_cols(&self, cols: &ColumnarBatch) -> Option<RelayAdmit> {
         if !self.relay_ok || cols.is_empty() {
             return None;
@@ -565,7 +436,7 @@ impl FusedChain {
             return None;
         }
         let mut ty = initial;
-        for state in &self.chain.stages {
+        for state in &self.stages {
             ty = transform_type(state, ty)?;
         }
         let elem_bytes = uniform_elem_bytes(cols, initial)?;
@@ -595,7 +466,7 @@ impl FusedChain {
     ) -> (ColumnarBatch, Option<SelectionVector>) {
         let mut cur: Column = admit.cols.single().expect("relay admits single column");
         let mut sel: Option<SelectionVector> = None;
-        let StageChain { stages, tally, .. } = &mut self.chain;
+        let StageChain { stages, tally, .. } = self;
         for (si, state) in stages.iter_mut().enumerate() {
             let live_in = sel.as_ref().map_or(cur.len(), SelectionVector::len) as u64;
             match state {
@@ -681,7 +552,7 @@ impl FusedChain {
         }
         let mut cur: Column = cols.single().expect("width checked above");
         let mut sel: Option<SelectionVector> = None;
-        let StageChain { stages, tally, .. } = &mut self.chain;
+        let StageChain { stages, tally, .. } = self;
         for (si, state) in stages.iter_mut().enumerate() {
             // Semantic element counts for explain-analyze: what the
             // per-element path would have fed this stage (survivors of
@@ -818,7 +689,7 @@ impl FusedChain {
     /// `bandwidth` or `count`.
     fn process_multi_columns(&mut self, cols: ColumnarBatch) -> Result<(), EngineError> {
         let mut view = cols;
-        let StageChain { stages, tally, .. } = &mut self.chain;
+        let StageChain { stages, tally, .. } = self;
         for (si, state) in stages.iter_mut().enumerate() {
             let live_in = view.rows() as u64;
             match state {
@@ -865,29 +736,6 @@ impl FusedChain {
             }
         }
         unreachable!("admission implies an absorber terminates the walk")
-    }
-
-    /// Signals end of stream; aggregates flush. Delegates to the
-    /// interpreted chain (it runs once per RP, off the hot path, and
-    /// sharing the code makes flush semantics identical by
-    /// construction).
-    ///
-    /// # Errors
-    ///
-    /// Propagates type errors from downstream stages processing flushed
-    /// values.
-    pub fn finish(&mut self) -> Result<Vec<Value>, EngineError> {
-        self.chain.finish()
-    }
-
-    /// Walks the chain's mutable state through a coalescing probe —
-    /// the same walk as the interpreted chain, over the same states.
-    pub(crate) fn probe(
-        &mut self,
-        p: &mut StateProbe<'_>,
-        probe_value: &mut dyn FnMut(&Value, &mut StateProbe<'_>),
-    ) {
-        self.chain.probe(p, probe_value);
     }
 }
 
@@ -955,6 +803,47 @@ fn uniform_elem_bytes(cols: &ColumnarBatch, ty: ColType) -> Option<u64> {
     }
 }
 
+/// Whether a stage has a whole-column kernel.
+fn vectorizable(s: &Stage) -> bool {
+    matches!(
+        s,
+        Stage::Agg(_)
+            | Stage::StreamOf
+            | Stage::Take { .. }
+            | Stage::Bandwidth
+            | Stage::Quantile { .. }
+            | Stage::Map(_)
+            | Stage::Arith { .. }
+            | Stage::Cmp { .. }
+            | Stage::Filter { .. }
+    )
+}
+
+/// Whether a stage absorbs its input until end of stream.
+fn absorber(s: &Stage) -> bool {
+    matches!(s, Stage::Agg(_) | Stage::Bandwidth | Stage::Quantile { .. })
+}
+
+/// Whether a stage transforms or filters the column it is handed.
+fn transform(s: &Stage) -> bool {
+    matches!(
+        s,
+        Stage::Arith { .. } | Stage::Cmp { .. } | Stage::Filter { .. }
+    )
+}
+
+/// The shape-level admission flags of a chain, `(columnar_ok,
+/// relay_ok)`: whether the absorbing columnar pass, respectively the
+/// relay pass, may apply to some batch at all (see the fields of
+/// [`StageChain`]).
+pub(crate) fn admission_shape(stages: &[Stage]) -> (bool, bool) {
+    let relayable = |s: &Stage| matches!(s, Stage::StreamOf | Stage::Take { .. }) || transform(s);
+    (
+        stages.iter().all(vectorizable) && stages.iter().any(absorber),
+        stages.iter().all(relayable) && stages.iter().any(transform),
+    )
+}
+
 /// The static columnar-admission verdict for each stage of a chain —
 /// what `explain` prints so rejected shapes are diagnosable without
 /// reading `columnar_admit`. `"columnar"` marks stages the absorbing
@@ -964,30 +853,8 @@ fn uniform_elem_bytes(cols: &ColumnarBatch, ty: ColType) -> Option<u64> {
 /// per-batch typing (a string column into `sum`, mixed runs) can still
 /// demote an admitted shape at delivery time.
 pub fn admission_verdicts(stages: &[Stage]) -> Vec<String> {
-    let vectorizable = |s: &Stage| {
-        matches!(
-            s,
-            Stage::Agg(_)
-                | Stage::StreamOf
-                | Stage::Take { .. }
-                | Stage::Bandwidth
-                | Stage::Quantile { .. }
-                | Stage::Map(_)
-                | Stage::Arith { .. }
-                | Stage::Cmp { .. }
-                | Stage::Filter { .. }
-        )
-    };
-    let absorber =
-        |s: &Stage| matches!(s, Stage::Agg(_) | Stage::Bandwidth | Stage::Quantile { .. });
-    let transform = |s: &Stage| {
-        matches!(
-            s,
-            Stage::Arith { .. } | Stage::Cmp { .. } | Stage::Filter { .. }
-        )
-    };
-    let all_vectorizable = stages.iter().all(vectorizable);
-    if all_vectorizable && stages.iter().any(absorber) {
+    let (columnar_ok, relay_ok) = admission_shape(stages);
+    if columnar_ok {
         let mut absorbed = false;
         return stages
             .iter()
@@ -1001,22 +868,13 @@ pub fn admission_verdicts(stages: &[Stage]) -> Vec<String> {
             })
             .collect();
     }
-    let relayable = |s: &Stage| {
-        matches!(
-            s,
-            Stage::StreamOf
-                | Stage::Take { .. }
-                | Stage::Arith { .. }
-                | Stage::Cmp { .. }
-                | Stage::Filter { .. }
-        )
-    };
-    if stages.iter().all(relayable) && stages.iter().any(transform) {
+    if relay_ok {
         return stages
             .iter()
             .map(|_| "columnar (relay)".to_string())
             .collect();
     }
+    let all_vectorizable = stages.iter().all(vectorizable);
     stages
         .iter()
         .map(|s| {
@@ -1031,408 +889,11 @@ pub fn admission_verdicts(stages: &[Stage]) -> Vec<String> {
         .collect()
 }
 
-/// Resolves one stage to its jump-table entry. Aggregates resolve per
-/// kind and maps per function, so no per-element `match` survives into
-/// the inner loop.
-fn resolve(stage: &Stage) -> StageFn {
-    match stage {
-        Stage::Map(MapFunc::Odd) => step_map_odd,
-        Stage::Map(MapFunc::Even) => step_map_even,
-        Stage::Map(MapFunc::Fft) => step_map_fft,
-        Stage::Map(MapFunc::Power) => step_map_power,
-        Stage::Agg(AggKind::Count) => step_count,
-        Stage::Agg(AggKind::Sum) | Stage::Agg(AggKind::Avg) => step_sum,
-        Stage::Agg(AggKind::Max) => step_max,
-        Stage::Agg(AggKind::Min) => step_min,
-        Stage::StreamOf => step_identity,
-        Stage::RadixCombine { .. } => step_radix,
-        Stage::Window(_) => step_window,
-        Stage::Take { .. } => step_take,
-        Stage::Bandwidth => step_bandwidth,
-        Stage::Quantile { .. } => step_quantile,
-        Stage::Arith { .. } => step_arith,
-        Stage::Cmp { .. } => step_cmp,
-        Stage::Filter { .. } => step_filter,
-    }
-}
-
-fn step_identity(
-    _s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    out.push(value);
-    Ok(())
-}
-
-macro_rules! step_map {
-    ($name:ident, $f:expr) => {
-        fn $name(
-            _s: &mut StageState,
-            value: Value,
-            _from: Option<SpHandle>,
-            out: &mut Vec<Value>,
-        ) -> Result<(), EngineError> {
-            out.push(funcs::apply_map($f, value)?);
-            Ok(())
-        }
-    };
-}
-
-step_map!(step_map_odd, MapFunc::Odd);
-step_map!(step_map_even, MapFunc::Even);
-step_map!(step_map_fft, MapFunc::Fft);
-step_map!(step_map_power, MapFunc::Power);
-
-fn step_count(
-    s: &mut StageState,
-    _value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Agg { count, .. } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    *count += 1;
-    Ok(())
-}
-
-fn step_sum(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Agg {
-        count,
-        sum_int,
-        sum_real,
-        saw_real,
-        ..
-    } = s
-    else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    *count += 1;
-    let Some(x) = value.as_real() else {
-        return Err(EngineError::type_error("number", &value, "aggregate"));
-    };
-    match &value {
-        Value::Integer(i) => *sum_int += i,
-        _ => {
-            *saw_real = true;
-            *sum_real += x;
-        }
-    }
-    Ok(())
-}
-
-fn step_max(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Agg { count, best, .. } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    *count += 1;
-    let Some(x) = value.as_real() else {
-        return Err(EngineError::type_error("number", &value, "aggregate"));
-    };
-    if best.as_ref().and_then(Value::as_real).is_none_or(|b| x > b) {
-        *best = Some(value);
-    }
-    Ok(())
-}
-
-fn step_min(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Agg { count, best, .. } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    *count += 1;
-    let Some(x) = value.as_real() else {
-        return Err(EngineError::type_error("number", &value, "aggregate"));
-    };
-    if best.as_ref().and_then(Value::as_real).is_none_or(|b| x < b) {
-        *best = Some(value);
-    }
-    Ok(())
-}
-
-fn step_radix(
-    s: &mut StageState,
-    value: Value,
-    from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::RadixCombine {
-        first,
-        second,
-        q_first,
-        q_second,
-    } = s
-    else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    match from {
-        Some(h) if h == *first => q_first.push_back(value),
-        Some(h) if h == *second => q_second.push_back(value),
-        _ => {
-            return Err(EngineError::Runtime(format!(
-                "radixcombine received an element from an unexpected producer {from:?}"
-            )))
-        }
-    }
-    while !q_first.is_empty() && !q_second.is_empty() {
-        let odd = q_first.pop_front().expect("non-empty");
-        let even = q_second.pop_front().expect("non-empty");
-        out.push(funcs::radix_combine(even, odd)?);
-    }
-    Ok(())
-}
-
-fn step_window(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Window(w) = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    out.extend(w.push(value)?);
-    Ok(())
-}
-
-fn step_take(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Take { remaining } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    if *remaining > 0 {
-        *remaining -= 1;
-        out.push(value);
-    }
-    Ok(())
-}
-
-fn step_bandwidth(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Bandwidth { bytes, last_nanos } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    crate::ops::bandwidth_accumulate(bytes, last_nanos, &value)
-}
-
-fn step_quantile(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Quantile { hist, .. } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    crate::ops::quantile_accumulate(hist, &value)
-}
-
-fn step_arith(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Arith { op, rhs } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    out.push(arith_apply(*op, value, rhs)?);
-    Ok(())
-}
-
-fn step_cmp(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Cmp { op, rhs } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    out.push(Value::Bool(cmp_apply(*op, &value, rhs)?));
-    Ok(())
-}
-
-fn step_filter(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Filter { op, rhs } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    if cmp_apply(*op, &value, rhs)? {
-        out.push(value);
-    }
-    Ok(())
-}
-
-/// The runtime's per-RP executor: the fused fast path by default, the
-/// interpreted chain as the `--fuse off` fallback.
-#[derive(Debug)]
-pub(crate) enum ExecChain {
-    /// Tier 3: the recursive interpreter.
-    Interpreted(StageChain),
-    /// Tier 2: the fused jump-table chain.
-    Fused(FusedChain),
-}
-
-impl ExecChain {
-    /// Builds the executor selected by `fuse` for a prepared program.
-    pub(crate) fn new(program: &FusedProgram, fuse: bool) -> ExecChain {
-        if fuse {
-            ExecChain::Fused(FusedChain::new(program))
-        } else {
-            ExecChain::Interpreted(StageChain::from_stages(&program.stages))
-        }
-    }
-
-    /// Feeds one element through, appending outputs to `out`.
-    pub(crate) fn process_into(
-        &mut self,
-        value: Value,
-        from: Option<SpHandle>,
-        out: &mut Vec<Value>,
-    ) -> Result<(), EngineError> {
-        match self {
-            ExecChain::Interpreted(c) => {
-                out.extend(c.process(value, from)?);
-                Ok(())
-            }
-            ExecChain::Fused(f) => f.process_into(value, from, out),
-        }
-    }
-
-    /// Whether the executor could use *any* columnar pass (absorbing or
-    /// relay) on some batch shape. The runtime consults this before
-    /// transposing a delivered run, so chains that can never admit —
-    /// and the interpreted reference, always — skip the decomposition
-    /// work entirely.
-    pub(crate) fn wants_columnar(&self) -> bool {
-        match self {
-            ExecChain::Interpreted(_) => false,
-            ExecChain::Fused(f) => f.columnar_ok || f.relay_ok,
-        }
-    }
-
-    /// Absorber admission over an already-transposed batch.
-    pub(crate) fn columnar_admit_cols(&self, cols: &ColumnarBatch) -> Option<ColumnarAdmit> {
-        match self {
-            ExecChain::Interpreted(_) => None,
-            ExecChain::Fused(f) => f.columnar_admit_cols(cols),
-        }
-    }
-
-    /// Relay admission over an already-transposed batch.
-    pub(crate) fn relay_admit_cols(&self, cols: &ColumnarBatch) -> Option<RelayAdmit> {
-        match self {
-            ExecChain::Interpreted(_) => None,
-            ExecChain::Fused(f) => f.relay_admit_cols(cols),
-        }
-    }
-
-    /// Absorbs an admitted batch as whole columns.
-    pub(crate) fn process_admitted(&mut self, admit: ColumnarAdmit) -> Result<(), EngineError> {
-        match self {
-            ExecChain::Interpreted(_) => unreachable!("interpreted chains never admit batches"),
-            ExecChain::Fused(f) => f.process_admitted(admit),
-        }
-    }
-
-    /// Runs a relay-admitted batch, returning the surviving column and
-    /// the output-row → input-row mapping.
-    pub(crate) fn process_relayed(
-        &mut self,
-        admit: RelayAdmit,
-    ) -> (ColumnarBatch, Option<SelectionVector>) {
-        match self {
-            ExecChain::Interpreted(_) => unreachable!("interpreted chains never admit batches"),
-            ExecChain::Fused(f) => f.process_relayed(admit),
-        }
-    }
-
-    /// Signals end of stream; aggregates flush.
-    pub(crate) fn finish(&mut self) -> Result<Vec<Value>, EngineError> {
-        match self {
-            ExecChain::Interpreted(c) => c.finish(),
-            ExecChain::Fused(f) => f.finish(),
-        }
-    }
-
-    /// Walks the executor's mutable state through a coalescing probe.
-    pub(crate) fn probe(
-        &mut self,
-        p: &mut StateProbe<'_>,
-        probe_value: &mut dyn FnMut(&Value, &mut StateProbe<'_>),
-    ) {
-        match self {
-            ExecChain::Interpreted(c) => c.probe(p, probe_value),
-            ExecChain::Fused(f) => f.probe(p, probe_value),
-        }
-    }
-
-    /// Allocates explain-analyze tally slots (one per stage). Before
-    /// this call the tally slice is empty and every update is a no-op
-    /// bounds check.
-    pub(crate) fn enable_profiling(&mut self) {
-        match self {
-            ExecChain::Interpreted(c) => c.enable_profiling(),
-            ExecChain::Fused(f) => f.chain.enable_profiling(),
-        }
-    }
-
-    /// Books `rows` elements through every stage of a pass-through
-    /// chain as one batch invocation (a prepared source's drain).
-    pub(crate) fn tally_passthrough(&mut self, rows: u64) {
-        let tally = match self {
-            ExecChain::Interpreted(c) => &mut c.tally,
-            ExecChain::Fused(f) => &mut f.chain.tally,
-        };
-        for t in tally {
-            t.calls += 1;
-            t.elems_in += rows;
-            t.elems_out += rows;
-        }
-    }
-
-    /// The per-stage tallies (empty unless profiling is enabled).
-    pub(crate) fn tally(&self) -> &[crate::profile::StageTally] {
-        match self {
-            ExecChain::Interpreted(c) => &c.tally,
-            ExecChain::Fused(f) => &f.chain.tally,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::InputKind;
+    use scsq_ql::SpHandle;
 
     fn pipeline(stages: Vec<Stage>) -> Pipeline {
         Pipeline {
@@ -1441,67 +902,6 @@ mod tests {
             },
             stages,
         }
-    }
-
-    fn run_both(
-        stages: Vec<Stage>,
-        feed: &[(Value, Option<SpHandle>)],
-    ) -> (Vec<Value>, Vec<Value>) {
-        let p = pipeline(stages);
-        let program = FusedProgram::compile(&p);
-        let mut fused = FusedChain::new(&program);
-        let mut interp = StageChain::new(&p);
-        let mut fused_out = Vec::new();
-        for (v, from) in feed {
-            fused
-                .process_into(v.clone(), *from, &mut fused_out)
-                .unwrap();
-        }
-        fused_out.extend(fused.finish().unwrap());
-        let mut interp_out = Vec::new();
-        for (v, from) in feed {
-            interp_out.extend(interp.process(v.clone(), *from).unwrap());
-        }
-        interp_out.extend(interp.finish().unwrap());
-        (fused_out, interp_out)
-    }
-
-    #[test]
-    fn empty_program_is_identity() {
-        let (f, i) = run_both(vec![], &[(Value::Integer(5), None)]);
-        assert_eq!(f, i);
-        assert_eq!(f, vec![Value::Integer(5)]);
-    }
-
-    #[test]
-    fn fused_matches_interpreted_on_map_agg_take() {
-        let feed: Vec<(Value, Option<SpHandle>)> = (0..10)
-            .map(|i| (Value::synthetic_array(256 + i), None))
-            .collect();
-        let (f, i) = run_both(
-            vec![
-                Stage::Map(MapFunc::Odd),
-                Stage::Take { limit: 6 },
-                Stage::Agg(AggKind::Count),
-            ],
-            &feed,
-        );
-        assert_eq!(f, i);
-        assert_eq!(f, vec![Value::Integer(6)]);
-    }
-
-    #[test]
-    fn fused_type_errors_match_interpreted() {
-        let p = pipeline(vec![Stage::Agg(AggKind::Sum)]);
-        let program = FusedProgram::compile(&p);
-        let mut fused = FusedChain::new(&program);
-        let mut interp = StageChain::new(&p);
-        let mut out = Vec::new();
-        let fe = fused
-            .process_into(Value::from("x"), None, &mut out)
-            .unwrap_err();
-        let ie = interp.process(Value::from("x"), None).unwrap_err();
-        assert_eq!(fe.to_string(), ie.to_string());
     }
 
     #[test]
@@ -1535,16 +935,6 @@ mod tests {
             // The memo must not change the answer.
             assert_eq!(model.cost(elem_bytes), want);
         }
-    }
-
-    #[test]
-    fn fused_matches_interpreted_on_bandwidth() {
-        let feed: Vec<(Value, Option<SpHandle>)> = (1..=5u64)
-            .map(|i| (crate::ops::metric_sample(0, i * 1_000_000, 1000), None))
-            .collect();
-        let (f, i) = run_both(vec![Stage::Bandwidth], &feed);
-        assert_eq!(f, i);
-        assert_eq!(f, vec![Value::Real(5000.0 / 0.005)]);
     }
 
     #[test]

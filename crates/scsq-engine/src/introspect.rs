@@ -82,8 +82,6 @@ pub struct MetricsSnapshot {
     pub events_pending_hwm: u64,
     /// Running processes (including the client's).
     pub rps: usize,
-    /// Whether stage chains ran fused.
-    pub fused: bool,
     /// Coalescer digests recognised.
     pub coalesce_digests: u64,
     /// Coalescer jumps taken.
@@ -135,7 +133,6 @@ impl MetricsSnapshot {
             events: stats.events,
             events_pending_hwm: stats.events_pending_hwm,
             rps: stats.rps,
-            fused: stats.fused,
             coalesce_digests: stats.coalesce.digests,
             coalesce_jumps: stats.coalesce.jumps,
             coalesce_events_skipped: stats.coalesce.events_skipped,
@@ -162,7 +159,6 @@ impl MetricsSnapshot {
             self.events_pending_hwm
         );
         let _ = writeln!(out, "  \"rps\": {},", self.rps);
-        let _ = writeln!(out, "  \"fused\": {},", self.fused);
         let _ = writeln!(out, "  \"coalesce_digests\": {},", self.coalesce_digests);
         let _ = writeln!(out, "  \"coalesce_jumps\": {},", self.coalesce_jumps);
         let _ = writeln!(

@@ -81,8 +81,6 @@ pub struct QueryStats {
     pub rps: usize,
     /// What the train coalescer did (all zero when it was disabled).
     pub coalesce: scsq_sim::CoalesceStats,
-    /// Whether stage chains ran as fused programs (`RunOptions::fuse`).
-    pub fused: bool,
     /// Delivered batches absorbed or relayed by the columnar fast path
     /// (0 when `RunOptions::columnar` was off or nothing qualified).
     pub columnar_batches: u64,
@@ -92,7 +90,7 @@ pub struct QueryStats {
     pub columnar_transposes: u64,
     /// Service-jitter factors drawn from the environment's RNG stream
     /// over the run. Part of the determinism contract: any execution
-    /// strategy (interpreted, fused, columnar, coalesced) must consume
+    /// strategy (per-element, columnar, coalesced) must consume
     /// exactly as many draws, in the same order, or jittered replays
     /// diverge.
     pub jitter_draws: u64,
@@ -248,7 +246,6 @@ mod tests {
                 events_pending_hwm: 4,
                 rps: 4,
                 coalesce: scsq_sim::CoalesceStats::default(),
-                fused: true,
                 columnar_batches: 0,
                 columnar_transposes: 0,
                 jitter_draws: 0,

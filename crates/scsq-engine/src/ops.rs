@@ -6,6 +6,11 @@
 //! [`Pipeline`] is that plan: one input ([`InputKind`]), a chain of
 //! [`Stage`]s, each either per-element (map, radix combine, window) or a
 //! terminal aggregate that emits when the finite stream ends.
+//!
+//! [`StageChain`] is its runtime state and the one executor: the scalar
+//! semantics of every stage live here, once (`StageState::step`, driven
+//! per element by [`StageChain::process_into`]); `crate::fused` adds the
+//! whole-column drivers for the batches they admit.
 
 use crate::error::EngineError;
 use crate::funcs;
@@ -109,13 +114,6 @@ pub enum AggKind {
     Avg,
 }
 
-impl AggKind {
-    /// Whether elements must be numbers.
-    pub fn numeric(self) -> bool {
-        !matches!(self, AggKind::Count)
-    }
-}
-
 /// Elementwise arithmetic against a constant (`arith(s, op, k)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
@@ -205,9 +203,8 @@ impl CmpOp {
 }
 
 /// Applies `value op rhs`. Integer ⊕ integer stays integer (wrapping,
-/// like the column kernels); any real operand widens to real. The single
-/// source of truth shared by the interpreted chain, the fused step
-/// functions, and mirrored exactly by the columnar kernels.
+/// like the column kernels); any real operand widens to real. The scalar
+/// `arith` stage's semantics, mirrored exactly by the columnar kernels.
 pub(crate) fn arith_apply(op: ArithOp, value: Value, rhs: &Value) -> Result<Value, EngineError> {
     match (&value, rhs) {
         (Value::Integer(a), Value::Integer(b)) => Ok(Value::Integer(match op {
@@ -230,8 +227,7 @@ pub(crate) fn arith_apply(op: ArithOp, value: Value, rhs: &Value) -> Result<Valu
 
 /// Evaluates `value op rhs` as a boolean. Integer/integer compares
 /// exactly; string/string compares lexicographically; any other numeric
-/// mix compares as f64. Shared by `cmp` and `filter` on every executor
-/// tier.
+/// mix compares as f64. Shared by the scalar `cmp` and `filter` stages.
 pub(crate) fn cmp_apply(op: CmpOp, value: &Value, rhs: &Value) -> Result<bool, EngineError> {
     match (value, rhs) {
         (Value::Integer(a), Value::Integer(b)) => Ok(op.holds(a.cmp(b))),
@@ -351,10 +347,10 @@ impl Pipeline {
     }
 }
 
-/// Runtime state of one stage. Shared between the interpreted chain
-/// below and the fused jump-table chain (`crate::fused`): both mutate
-/// the same representation, so probes and aggregate flushes are
-/// identical by construction regardless of which executor ran.
+/// Runtime state of one stage. [`StageState::step`] mutates it one
+/// element at a time and the column drivers (`crate::fused`) a batch at
+/// a time — the same representation, so probes and aggregate flushes
+/// are identical by construction whichever ran.
 #[derive(Debug)]
 pub(crate) enum StageState {
     Map(MapFunc),
@@ -428,7 +424,6 @@ pub(crate) fn metric_sample_parts(value: &Value) -> Option<(u64, u64)> {
 }
 
 /// Folds one sample into a [`StageState::Bandwidth`] accumulator.
-/// Shared by the interpreted and fused executors.
 pub(crate) fn bandwidth_accumulate(
     bytes: &mut u64,
     last_nanos: &mut u64,
@@ -461,7 +456,6 @@ pub(crate) fn quantile_value(value: &Value) -> Result<u64, EngineError> {
 }
 
 /// Folds one element into a [`StageState::Quantile`] histogram.
-/// Shared by the interpreted and fused executors.
 pub(crate) fn quantile_accumulate(
     hist: &mut LatencyHistogram,
     value: &Value,
@@ -470,7 +464,105 @@ pub(crate) fn quantile_accumulate(
     Ok(())
 }
 
-/// Runtime interpreter for a [`Pipeline`]'s stage chain.
+impl StageState {
+    /// Consumes one element (from producer `from`, if any), mutates the
+    /// stage's state and appends whatever the stage emits to `out`: the
+    /// scalar semantics of every stage, and the reference the column
+    /// kernels are tested against.
+    fn step(
+        &mut self,
+        value: Value,
+        from: Option<SpHandle>,
+        out: &mut Vec<Value>,
+    ) -> Result<(), EngineError> {
+        match self {
+            StageState::Map(f) => out.push(funcs::apply_map(*f, value)?),
+            StageState::StreamOf => out.push(value),
+            StageState::Agg {
+                kind,
+                count,
+                sum_int,
+                sum_real,
+                saw_real,
+                best,
+            } => {
+                *count += 1;
+                let number = |v: &Value| {
+                    v.as_real()
+                        .ok_or_else(|| EngineError::type_error("number", v, "aggregate"))
+                };
+                match kind {
+                    AggKind::Count => {}
+                    AggKind::Sum | AggKind::Avg => {
+                        let x = number(&value)?;
+                        match &value {
+                            Value::Integer(i) => *sum_int += i,
+                            _ => {
+                                *saw_real = true;
+                                *sum_real += x;
+                            }
+                        }
+                    }
+                    AggKind::Max => {
+                        let x = number(&value)?;
+                        if best.as_ref().and_then(Value::as_real).is_none_or(|b| x > b) {
+                            *best = Some(value);
+                        }
+                    }
+                    AggKind::Min => {
+                        let x = number(&value)?;
+                        if best.as_ref().and_then(Value::as_real).is_none_or(|b| x < b) {
+                            *best = Some(value);
+                        }
+                    }
+                }
+            }
+            StageState::RadixCombine {
+                first,
+                second,
+                q_first,
+                q_second,
+            } => {
+                match from {
+                    Some(h) if h == *first => q_first.push_back(value),
+                    Some(h) if h == *second => q_second.push_back(value),
+                    _ => {
+                        return Err(EngineError::Runtime(format!(
+                            "radixcombine received an element from an unexpected producer {from:?}"
+                        )))
+                    }
+                }
+                let pairs = q_first.len().min(q_second.len());
+                for (odd, even) in q_first.drain(..pairs).zip(q_second.drain(..pairs)) {
+                    out.push(funcs::radix_combine(even, odd)?);
+                }
+            }
+            StageState::Window(w) => out.extend(w.push(value)?),
+            StageState::Take { remaining } => {
+                if *remaining > 0 {
+                    *remaining -= 1;
+                    out.push(value);
+                }
+            }
+            StageState::Bandwidth { bytes, last_nanos } => {
+                bandwidth_accumulate(bytes, last_nanos, &value)?;
+            }
+            StageState::Arith { op, rhs } => out.push(arith_apply(*op, value, rhs)?),
+            StageState::Cmp { op, rhs } => out.push(Value::Bool(cmp_apply(*op, &value, rhs)?)),
+            StageState::Filter { op, rhs } => {
+                if cmp_apply(*op, &value, rhs)? {
+                    out.push(value);
+                }
+            }
+            StageState::Quantile { hist, .. } => quantile_accumulate(hist, &value)?,
+        }
+        Ok(())
+    }
+}
+
+/// Runtime state of a [`Pipeline`]'s stage chain — the one executor:
+/// the per-element driver here, and the whole-column drivers of
+/// `crate::fused` over the same states for the batches they admit.
 #[derive(Debug)]
 pub struct StageChain {
     pub(crate) stages: Vec<StageState>,
@@ -478,16 +570,37 @@ pub struct StageChain {
     /// is enabled (`StageChain::enable_profiling`), so the per-element
     /// cost of the disabled path is a single bounds check.
     pub(crate) tally: Vec<crate::profile::StageTally>,
+    /// Reusable ping-pong scratch: elements move between the two, one
+    /// stage at a time, so the per-element path allocates nothing after
+    /// warm-up.
+    cur: Vec<Value>,
+    nxt: Vec<Value>,
+    /// Whether columnar admission may apply at all: every stage has a
+    /// whole-column kernel (aggregate / `streamof` / `take` /
+    /// `bandwidth` / `map` / `arith` / `cmp` / `filter`) and the chain
+    /// ends in an absorbing aggregate, so a columnar pass never has to
+    /// reconstruct leftover tuples. Per-batch typing is checked by
+    /// [`StageChain::columnar_admit`].
+    pub(crate) columnar_ok: bool,
+    /// Whether relay admission may apply: no absorber, every stage is a
+    /// re-emitting vectorizable stage (`streamof` / `take` / `arith` /
+    /// `cmp` / `filter`), and at least one actually transforms or
+    /// filters — the chain then rewrites a column and re-emits it
+    /// downstream as shared column rows instead of reconstructing
+    /// tuples. Per-batch typing is checked by
+    /// [`StageChain::relay_admit_cols`].
+    pub(crate) relay_ok: bool,
+    /// Whether any stage charges modeled compute cost. Costly chains
+    /// only admit batches whose elements share one marshaled size, so
+    /// the runtime can charge the whole batch in bulk (same total, same
+    /// jitter draws as charging element by element).
+    pub(crate) costly: bool,
 }
 
 impl StageChain {
     /// Instantiates runtime state for a pipeline's stages.
     pub fn new(pipeline: &Pipeline) -> StageChain {
-        Self::from_stages(&pipeline.stages)
-    }
-
-    /// Instantiates runtime state for a bare stage list.
-    pub(crate) fn from_stages(stage_list: &[Stage]) -> StageChain {
+        let stage_list = &pipeline.stages;
         let stages = stage_list
             .iter()
             .map(|s| match s {
@@ -531,9 +644,17 @@ impl StageChain {
                 },
             })
             .collect();
+        let (columnar_ok, relay_ok) = crate::fused::admission_shape(stage_list);
         StageChain {
             stages,
             tally: Vec::new(),
+            cur: Vec::new(),
+            nxt: Vec::new(),
+            columnar_ok,
+            relay_ok,
+            costly: stage_list
+                .iter()
+                .any(|s| crate::fused::cost_op(s).is_some()),
         }
     }
 
@@ -543,136 +664,67 @@ impl StageChain {
         self.tally = vec![crate::profile::StageTally::default(); self.stages.len()];
     }
 
+    /// Books `rows` elements through every stage of a pass-through
+    /// chain as one batch invocation (a prepared source's drain).
+    pub(crate) fn tally_passthrough(&mut self, rows: u64) {
+        for t in &mut self.tally {
+            t.calls += 1;
+            t.elems_in += rows;
+            t.elems_out += rows;
+        }
+    }
+
     /// Feeds one element (from producer `from`, if any) through the
-    /// chain; returns the elements that fall out the end.
+    /// chain, appending whatever falls out the end to `out`.
     ///
     /// # Errors
     ///
     /// Type errors when an elementwise function meets an incompatible
     /// value.
-    pub fn process(
+    pub fn process_into(
         &mut self,
         value: Value,
         from: Option<SpHandle>,
-    ) -> Result<Vec<Value>, EngineError> {
-        Self::feed(&mut self.stages, &mut self.tally, 0, value, from)
+        out: &mut Vec<Value>,
+    ) -> Result<(), EngineError> {
+        self.run_from(0, value, from, out)
     }
 
-    fn feed(
-        stages: &mut [StageState],
-        tally: &mut [crate::profile::StageTally],
-        idx: usize,
+    /// Drives `value` through stages `start..`, breadth-first: stages
+    /// are order-preserving stateful flat-maps, so passing every output
+    /// of one stage to the next in order feeds each stage the same
+    /// sequence a depth-first walk would.
+    fn run_from(
+        &mut self,
+        start: usize,
         value: Value,
         from: Option<SpHandle>,
-    ) -> Result<Vec<Value>, EngineError> {
-        let Some((stage, rest)) = stages[idx..].split_first_mut() else {
-            return Ok(vec![value]);
-        };
-        let outputs: Vec<Value> = match stage {
-            StageState::Map(f) => vec![funcs::apply_map(*f, value)?],
-            StageState::StreamOf => vec![value],
-            StageState::Agg {
-                kind,
-                count,
-                sum_int,
-                sum_real,
-                saw_real,
-                best,
-            } => {
-                *count += 1;
-                if kind.numeric() {
-                    let Some(x) = value.as_real() else {
-                        return Err(EngineError::type_error("number", &value, "aggregate"));
-                    };
-                    match kind {
-                        AggKind::Count => unreachable!("count is not numeric"),
-                        AggKind::Sum | AggKind::Avg => match &value {
-                            Value::Integer(i) => *sum_int += i,
-                            _ => {
-                                *saw_real = true;
-                                *sum_real += x;
-                            }
-                        },
-                        AggKind::Max => {
-                            let better =
-                                best.as_ref().and_then(Value::as_real).is_none_or(|b| x > b);
-                            if better {
-                                *best = Some(value);
-                            }
-                        }
-                        AggKind::Min => {
-                            let better =
-                                best.as_ref().and_then(Value::as_real).is_none_or(|b| x < b);
-                            if better {
-                                *best = Some(value);
-                            }
-                        }
-                    }
-                }
-                Vec::new()
-            }
-            StageState::RadixCombine {
-                first,
-                second,
-                q_first,
-                q_second,
-            } => {
-                match from {
-                    Some(h) if h == *first => q_first.push_back(value),
-                    Some(h) if h == *second => q_second.push_back(value),
-                    _ => {
-                        return Err(EngineError::Runtime(format!(
-                            "radixcombine received an element from an unexpected producer {from:?}"
-                        )))
-                    }
-                }
-                let mut out = Vec::new();
-                while !q_first.is_empty() && !q_second.is_empty() {
-                    let odd = q_first.pop_front().expect("non-empty");
-                    let even = q_second.pop_front().expect("non-empty");
-                    out.push(funcs::radix_combine(even, odd)?);
-                }
-                out
-            }
-            StageState::Window(w) => w.push(value)?,
-            StageState::Take { remaining } => {
-                if *remaining > 0 {
-                    *remaining -= 1;
-                    vec![value]
-                } else {
-                    Vec::new()
-                }
-            }
-            StageState::Bandwidth { bytes, last_nanos } => {
-                bandwidth_accumulate(bytes, last_nanos, &value)?;
-                Vec::new()
-            }
-            StageState::Arith { op, rhs } => vec![arith_apply(*op, value, rhs)?],
-            StageState::Cmp { op, rhs } => vec![Value::Bool(cmp_apply(*op, &value, rhs)?)],
-            StageState::Filter { op, rhs } => {
-                if cmp_apply(*op, &value, rhs)? {
-                    vec![value]
-                } else {
-                    Vec::new()
-                }
-            }
-            StageState::Quantile { hist, .. } => {
-                quantile_accumulate(hist, &value)?;
-                Vec::new()
-            }
-        };
-        if let Some(t) = tally.get_mut(idx) {
-            t.calls += 1;
-            t.elems_in += 1;
-            t.elems_out += outputs.len() as u64;
+        out: &mut Vec<Value>,
+    ) -> Result<(), EngineError> {
+        if start >= self.stages.len() {
+            out.push(value);
+            return Ok(());
         }
-        let next = idx + 1;
-        let _ = rest;
-        let mut result = Vec::new();
-        for v in outputs {
-            result.extend(Self::feed(stages, tally, next, v, from)?);
+        self.cur.clear();
+        self.cur.push(value);
+        for (i, stage) in self.stages.iter_mut().enumerate().skip(start) {
+            if self.cur.is_empty() {
+                return Ok(());
+            }
+            self.nxt.clear();
+            let n_in = self.cur.len() as u64;
+            for v in self.cur.drain(..) {
+                stage.step(v, from, &mut self.nxt)?;
+            }
+            if let Some(t) = self.tally.get_mut(i) {
+                t.calls += n_in;
+                t.elems_in += n_in;
+                t.elems_out += self.nxt.len() as u64;
+            }
+            std::mem::swap(&mut self.cur, &mut self.nxt);
         }
-        Ok(result)
+        out.append(&mut self.cur);
+        Ok(())
     }
 
     /// Walks the chain's mutable state through a coalescing probe.
@@ -838,13 +890,7 @@ impl StageChain {
                 _ => Vec::new(),
             };
             for v in flushed {
-                result.extend(Self::feed(
-                    &mut self.stages,
-                    &mut self.tally,
-                    idx + 1,
-                    v,
-                    None,
-                )?);
+                self.run_from(idx + 1, v, None, &mut result)?;
             }
         }
         Ok(result)
@@ -865,10 +911,21 @@ mod tests {
         })
     }
 
+    /// Feeds one element and returns what fell out the end.
+    fn push(
+        c: &mut StageChain,
+        value: Value,
+        from: Option<SpHandle>,
+    ) -> Result<Vec<Value>, EngineError> {
+        let mut out = Vec::new();
+        c.process_into(value, from, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn empty_chain_is_identity() {
         let mut c = chain(vec![]);
-        let out = c.process(Value::Integer(5), None).unwrap();
+        let out = push(&mut c, Value::Integer(5), None).unwrap();
         assert_eq!(out, vec![Value::Integer(5)]);
         assert!(c.finish().unwrap().is_empty());
     }
@@ -877,8 +934,7 @@ mod tests {
     fn count_emits_once_at_eos() {
         let mut c = chain(vec![Stage::Agg(AggKind::Count)]);
         for i in 0..7 {
-            assert!(c
-                .process(Value::synthetic_array(100 + i), None)
+            assert!(push(&mut c, Value::synthetic_array(100 + i), None)
                 .unwrap()
                 .is_empty());
         }
@@ -889,7 +945,7 @@ mod tests {
     fn sum_of_integers_stays_integer() {
         let mut c = chain(vec![Stage::Agg(AggKind::Sum)]);
         for i in 1..=4i64 {
-            c.process(Value::Integer(i), None).unwrap();
+            push(&mut c, Value::Integer(i), None).unwrap();
         }
         assert_eq!(c.finish().unwrap(), vec![Value::Integer(10)]);
     }
@@ -897,24 +953,119 @@ mod tests {
     #[test]
     fn sum_widens_to_real_when_needed() {
         let mut c = chain(vec![Stage::Agg(AggKind::Sum)]);
-        c.process(Value::Integer(1), None).unwrap();
-        c.process(Value::Real(0.5), None).unwrap();
+        push(&mut c, Value::Integer(1), None).unwrap();
+        push(&mut c, Value::Real(0.5), None).unwrap();
         assert_eq!(c.finish().unwrap(), vec![Value::Real(1.5)]);
     }
 
     #[test]
-    fn sum_rejects_non_numbers() {
-        let mut c = chain(vec![Stage::Agg(AggKind::Sum)]);
-        let err = c.process(Value::from("x"), None).unwrap_err();
-        assert!(err.to_string().contains("expected number"));
+    fn ill_typed_elements_are_type_errors() {
+        let (arith, cmp, filter) = (
+            Stage::Arith {
+                op: ArithOp::Add,
+                rhs: Value::Integer(1),
+            },
+            Stage::Cmp {
+                op: CmpOp::Lt,
+                rhs: Value::Integer(1),
+            },
+            Stage::Filter {
+                op: CmpOp::Lt,
+                rhs: Value::Real(1.0),
+            },
+        );
+        // The runtime surfaces these messages to the client verbatim.
+        for (stage, value, message) in [
+            (
+                Stage::Agg(AggKind::Sum),
+                Value::from("x"),
+                "aggregate: expected number, found string",
+            ),
+            (
+                Stage::Agg(AggKind::Avg),
+                Value::Bool(true),
+                "aggregate: expected number, found boolean",
+            ),
+            (
+                Stage::Agg(AggKind::Max),
+                Value::from("x"),
+                "aggregate: expected number, found string",
+            ),
+            (
+                Stage::Agg(AggKind::Min),
+                Value::synthetic_array(8),
+                "aggregate: expected number, found array",
+            ),
+            (
+                arith,
+                Value::from("x"),
+                "arith: expected number, found string",
+            ),
+            (cmp, Value::from("x"), "cmp: expected number, found string"),
+            (
+                filter,
+                Value::Bool(true),
+                "cmp: expected number, found boolean",
+            ),
+            (
+                Stage::Map(MapFunc::Fft),
+                Value::Integer(1),
+                "expected array",
+            ),
+        ] {
+            let mut c = chain(vec![stage.clone()]);
+            let err = push(&mut c, value, None).unwrap_err().to_string();
+            assert!(err.contains(message), "{stage:?}: {err}");
+        }
+        // `count` takes anything.
+        let mut c = chain(vec![Stage::Agg(AggKind::Count)]);
+        push(&mut c, Value::from("x"), None).unwrap();
+    }
+
+    #[test]
+    fn a_stage_that_emits_nothing_ends_the_walk() {
+        // Nothing reaches the stage that would reject it.
+        let mut c = chain(vec![Stage::Take { limit: 0 }, Stage::Agg(AggKind::Sum)]);
+        assert!(push(&mut c, Value::from("x"), None).unwrap().is_empty());
+        let mut c = chain(vec![
+            Stage::Filter {
+                op: CmpOp::Gt,
+                rhs: Value::Integer(5),
+            },
+            Stage::Map(MapFunc::Fft),
+        ]);
+        c.enable_profiling();
+        assert!(push(&mut c, Value::Integer(1), None).unwrap().is_empty());
+        assert_eq!(c.tally[1], crate::profile::StageTally::default());
+        // A survivor does reach it.
+        assert!(push(&mut c, Value::Integer(9), None).is_err());
+    }
+
+    #[test]
+    fn winagg_feeds_a_downstream_aggregate_and_the_tallies_follow() {
+        let window = WindowSpec::new(2, 2, AggKind::Sum).unwrap();
+        let mut c = chain(vec![Stage::Window(window), Stage::Agg(AggKind::Sum)]);
+        c.enable_profiling();
+        for i in 1..=3 {
+            assert!(push(&mut c, Value::Integer(i), None).unwrap().is_empty());
+        }
+        // The full window {1, 2} went downstream mid-stream; the flush
+        // sends the partial window {3} after it, then the sum of both.
+        assert_eq!(c.finish().unwrap(), vec![Value::Integer(6)]);
+        let tally = |calls, elems_in, elems_out| crate::profile::StageTally {
+            calls,
+            elems_in,
+            elems_out,
+        };
+        assert_eq!(c.tally, vec![tally(3, 3, 1), tally(2, 2, 0)]);
     }
 
     #[test]
     fn streamof_then_count_composes() {
         // streamof(count(...)): identity after the aggregate.
         let mut c = chain(vec![Stage::Agg(AggKind::Count), Stage::StreamOf]);
-        c.process(Value::Integer(0), None).unwrap();
-        c.process(Value::Integer(0), None).unwrap();
+        push(&mut c, Value::Integer(0), None).unwrap();
+        push(&mut c, Value::Integer(0), None).unwrap();
         assert_eq!(c.finish().unwrap(), vec![Value::Integer(2)]);
     }
 
@@ -922,8 +1073,7 @@ mod tests {
     fn map_feeds_aggregate() {
         // count(odd(x)) — count arrays after decimation.
         let mut c = chain(vec![Stage::Map(MapFunc::Odd), Stage::Agg(AggKind::Count)]);
-        c.process(Value::from(vec![1.0, 2.0, 3.0, 4.0]), None)
-            .unwrap();
+        push(&mut c, Value::from(vec![1.0, 2.0, 3.0, 4.0]), None).unwrap();
         assert_eq!(c.finish().unwrap(), vec![Value::Integer(1)]);
     }
 
@@ -951,8 +1101,8 @@ mod tests {
         };
 
         // Odd-half arrives first; nothing emitted until its partner.
-        assert!(c.process(fft_of(&odd), Some(a)).unwrap().is_empty());
-        let out = c.process(fft_of(&even), Some(b)).unwrap();
+        assert!(push(&mut c, fft_of(&odd), Some(a)).unwrap().is_empty());
+        let out = push(&mut c, fft_of(&even), Some(b)).unwrap();
         assert_eq!(out.len(), 1);
         let Value::Array(ArrayData::Complex(spectrum)) = &out[0] else {
             panic!("expected complex array")
@@ -969,8 +1119,10 @@ mod tests {
             first: SpHandle(1),
             second: SpHandle(2),
         }]);
-        let err = c.process(Value::Integer(1), Some(SpHandle(9))).unwrap_err();
-        assert!(err.to_string().contains("unexpected producer"));
+        for from in [Some(SpHandle(9)), None] {
+            let err = push(&mut c, Value::Integer(1), from).unwrap_err();
+            assert!(err.to_string().contains("unexpected producer"), "{err}");
+        }
     }
 
     #[test]
@@ -995,11 +1147,10 @@ mod tests {
     fn bandwidth_divides_bytes_by_last_sample_time() {
         let mut c = chain(vec![Stage::Bandwidth]);
         // Two buffers of 500 bytes, the second visible at t = 2 ms.
-        assert!(c
-            .process(metric_sample(0, 1_000_000, 500), None)
+        assert!(push(&mut c, metric_sample(0, 1_000_000, 500), None)
             .unwrap()
             .is_empty());
-        c.process(metric_sample(0, 2_000_000, 500), None).unwrap();
+        push(&mut c, metric_sample(0, 2_000_000, 500), None).unwrap();
         let out = c.finish().unwrap();
         assert_eq!(out, vec![Value::Real(1000.0 / 0.002)]);
     }
@@ -1013,7 +1164,7 @@ mod tests {
     #[test]
     fn bandwidth_rejects_non_samples() {
         let mut c = chain(vec![Stage::Bandwidth]);
-        let err = c.process(Value::Integer(5), None).unwrap_err();
+        let err = push(&mut c, Value::Integer(5), None).unwrap_err();
         assert!(err.to_string().contains("metric sample"));
     }
 
@@ -1021,7 +1172,7 @@ mod tests {
     fn quantile_emits_histogram_quantile_at_eos() {
         let mut c = chain(vec![Stage::Quantile { q: 0.5 }]);
         for v in 1..=1000i64 {
-            assert!(c.process(Value::Integer(v), None).unwrap().is_empty());
+            assert!(push(&mut c, Value::Integer(v), None).unwrap().is_empty());
         }
         // p50 of 1..=1000 lands in the [256, 512) bucket: upper bound 511.
         assert_eq!(c.finish().unwrap(), vec![Value::Integer(511)]);
@@ -1030,8 +1181,8 @@ mod tests {
     #[test]
     fn quantile_truncates_reals_and_clamps_to_max() {
         let mut c = chain(vec![Stage::Quantile { q: 1.0 }]);
-        c.process(Value::Real(5.9), None).unwrap();
-        c.process(Value::Real(6.2), None).unwrap();
+        push(&mut c, Value::Real(5.9), None).unwrap();
+        push(&mut c, Value::Real(6.2), None).unwrap();
         assert_eq!(c.finish().unwrap(), vec![Value::Integer(6)]);
     }
 
@@ -1044,7 +1195,7 @@ mod tests {
     #[test]
     fn quantile_rejects_negative_and_non_numeric() {
         let mut c = chain(vec![Stage::Quantile { q: 0.5 }]);
-        assert!(c.process(Value::Integer(-1), None).is_err());
-        assert!(c.process(Value::from("x"), None).is_err());
+        assert!(push(&mut c, Value::Integer(-1), None).is_err());
+        assert!(push(&mut c, Value::from("x"), None).is_err());
     }
 }

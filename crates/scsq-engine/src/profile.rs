@@ -9,8 +9,8 @@
 //! (what neither covers — channels, the event queue, set-up — is the
 //! report's unattributed remainder). Counts are maintained by the
 //! executors themselves ([`StageTally`] slots inside the stage chain),
-//! so they are exact for all three tiers: the interpreted recursion
-//! counts per element, the fused jump table per scratch pass, and the
+//! so they are exact on both tiers: the per-element driver counts per
+//! scratch pass (one call per element a stage consumed), and the
 //! columnar folds per admitted batch (with semantic element counts —
 //! a filter's output is its selection length, a `take`'s the rows it
 //! kept).
@@ -31,7 +31,7 @@ use std::fmt::Write;
 /// executor tier drives the stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTally {
-    /// Executor invocations: one per element on the per-element tiers,
+    /// Executor invocations: one per element on the per-element tier,
     /// one per admitted batch on the columnar tier.
     pub calls: u64,
     /// Elements that entered the stage.
@@ -76,7 +76,7 @@ pub struct RpProfile {
     pub wall_ns: u64,
     /// Real time spent inside the `Environment` generate / compute
     /// calls that charged this RP's elements (per element on the
-    /// scalar tiers, per batch on the columnar tier).
+    /// scalar tier, per batch on the columnar tier).
     pub charge_ns: u64,
     /// Per-stage rows, in chain order.
     pub stages: Vec<StageProfile>,

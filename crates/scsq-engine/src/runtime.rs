@@ -15,9 +15,9 @@ use crate::builder::QueryGraph;
 use crate::coordinator::Coordinator;
 use crate::error::EngineError;
 use crate::funcs;
-use crate::fused::{CostModel, ExecChain, FusedProgram, PreparedSource};
+use crate::fused::{CostModel, FusedProgram, PreparedSource};
 use crate::measure::{ChannelReport, QueryResult, QueryStats};
-use crate::ops::{InputKind, Pipeline};
+use crate::ops::{InputKind, Pipeline, StageChain};
 use scsq_cluster::{ClusterName, Environment, NodeId};
 use scsq_net::FlowId;
 use scsq_ql::{ColumnarBatch, SpHandle, Value};
@@ -53,15 +53,11 @@ pub struct RunOptions {
     /// events). Disable to force per-event execution, e.g. when
     /// measuring the uncoalesced baseline.
     pub coalesce: bool,
-    /// Execute stage chains as fused jump-table programs instead of the
-    /// recursive interpreter. Identical outputs either way; disable to
-    /// measure the interpreted baseline (`--fuse off`).
-    pub fuse: bool,
-    /// Absorb whole delivered batches with one dispatch per typed
-    /// column when the destination's fused chain qualifies (aggregate
-    /// sinks over cost-free stages). Identical outputs either way —
-    /// the per-element interpreter is the byte-identity reference
-    /// (`--columnar off`). Requires `fuse`; ignored when fusion is off.
+    /// Absorb or relay whole delivered batches with one dispatch per
+    /// typed column when the destination's stage chain admits them.
+    /// Identical outputs either way — the per-element path is the
+    /// byte-identity reference (`--columnar off`) and the fallback for
+    /// every batch the admission walk declines.
     pub columnar: bool,
     /// Relative amplitude of multiplicative service-time jitter applied
     /// to every CPU-side service (element generation, marshal, compute,
@@ -94,7 +90,6 @@ impl Default for RunOptions {
             placement: crate::placement::PlacementPolicy::Naive,
             udp_inter_cluster: false,
             coalesce: true,
-            fuse: true,
             columnar: true,
             service_jitter: 0.0,
             observe_latency: false,
@@ -110,7 +105,7 @@ struct GenRt {
 
 struct RpState {
     node: NodeId,
-    chain: ExecChain,
+    chain: StageChain,
     /// Compiled compute-cost accounting for the stage chain.
     cost: CostModel,
     /// Output channel indices.
@@ -621,7 +616,7 @@ pub fn run_graph(
                 Arc::new([])
             }
         };
-        let mut chain = ExecChain::new(program, options.fuse);
+        let mut chain = StageChain::new(pipeline);
         if options.profile {
             chain.enable_profiling();
         }
@@ -635,9 +630,7 @@ pub fn run_graph(
             source,
             // Views exist on the columnar tier only; every other
             // configuration walks `source` and never looks at this.
-            prepared: prepared
-                .filter(|_| options.columnar && options.fuse)
-                .cloned(),
+            prepared: prepared.filter(|_| options.columnar).cloned(),
             is_client,
             finished: false,
             elements_in: 0,
@@ -733,7 +726,7 @@ pub fn run_graph(
         observers,
         lat_observers,
         profile: options.profile,
-        columnar: options.columnar && options.fuse,
+        columnar: options.columnar,
         columnar_batches: 0,
         columnar_transposes: 0,
         val_scratch: Vec::new(),
@@ -823,7 +816,7 @@ pub fn run_graph(
                 };
                 let stages = rp
                     .chain
-                    .tally()
+                    .tally
                     .iter()
                     .zip(&pipeline.stages)
                     .map(|(t, s)| crate::profile::StageProfile {
@@ -865,7 +858,6 @@ pub fn run_graph(
             events_pending_hwm,
             rps: world.rps.len(),
             coalesce,
-            fused: options.fuse,
             columnar_batches: world.columnar_batches,
             columnar_transposes: world.columnar_transposes,
             jitter_draws: world.env.jitter_draws(),
@@ -1286,9 +1278,9 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
 
 /// Processes one run of scalar values delivered back-to-back, leaving
 /// `run` empty: transpose and try the columnar ladder when the
-/// destination chain can use columns at all (`--columnar off`, an
-/// interpreted chain, or a non-qualifying chain skips the decomposition
-/// entirely), else walk the run per element.
+/// destination chain can use columns at all (`--columnar off` or a
+/// non-qualifying chain skips the decomposition entirely), else walk
+/// the run per element.
 fn deliver_value_run(
     world: &mut World,
     sim: &mut Sim,
@@ -2052,16 +2044,6 @@ mod tests {
         .unwrap();
         assert_eq!(on.values(), off.values());
         assert_eq!(on.finished(), off.finished());
-        let interp = run_opts(
-            q,
-            &RunOptions {
-                fuse: false,
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(on.values(), interp.values());
-        assert_eq!(on.finished(), interp.finished());
     }
 
     #[test]

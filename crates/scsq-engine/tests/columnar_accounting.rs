@@ -7,7 +7,7 @@
 //! same total service time as the per-element path — otherwise every
 //! event after the first absorbed batch lands at a different simulated
 //! instant and jittered replays diverge. These tests run the same
-//! filter-heavy pipeline through all three execution tiers and compare
+//! filter-heavy pipeline through both execution tiers and compare
 //! the books, plus a proptest over jitter amplitudes and stage
 //! constants.
 //!
@@ -46,40 +46,28 @@ fn filter_query(n: u64, mul: i64, threshold: i64) -> String {
     )
 }
 
-fn options(jitter: f64, fuse: bool, columnar: bool) -> RunOptions {
+fn options(jitter: f64, columnar: bool) -> RunOptions {
     RunOptions {
         service_jitter: jitter,
         coalesce: false,
         mpi_buffer: 2_000,
-        fuse,
         columnar,
         ..RunOptions::default()
     }
 }
 
-/// Asserts the three tiers agree on the answer, the completion time
-/// and the RNG draw count, and returns the columnar run's batch count.
+/// Asserts the scalar and columnar tiers agree on the answer, the
+/// completion time and the RNG draw count, and returns the columnar
+/// run's batch count.
 fn assert_books_match(src: &str, jitter: f64) -> u64 {
-    let interpreted = run(src, &options(jitter, false, false));
-    let scalar = run(src, &options(jitter, true, false));
-    let columnar = run(src, &options(jitter, true, true));
+    let scalar = run(src, &options(jitter, false));
+    let columnar = run(src, &options(jitter, true));
 
-    assert_eq!(interpreted.values(), scalar.values(), "scalar answer");
     assert_eq!(scalar.values(), columnar.values(), "columnar answer");
-    assert_eq!(
-        interpreted.finished(),
-        scalar.finished(),
-        "scalar completion time"
-    );
     assert_eq!(
         scalar.finished(),
         columnar.finished(),
         "columnar completion time"
-    );
-    assert_eq!(
-        interpreted.stats().jitter_draws,
-        scalar.stats().jitter_draws,
-        "scalar RNG stream position"
     );
     assert_eq!(
         scalar.stats().jitter_draws,
@@ -87,11 +75,9 @@ fn assert_books_match(src: &str, jitter: f64) -> u64 {
         "columnar RNG stream position"
     );
 
-    assert_eq!(interpreted.stats().columnar_batches, 0);
     assert_eq!(scalar.stats().columnar_batches, 0);
     // `--columnar off` must not even transpose: the decomposition is
     // guarded, not merely the admission.
-    assert_eq!(interpreted.stats().columnar_transposes, 0);
     assert_eq!(scalar.stats().columnar_transposes, 0);
     columnar.stats().columnar_batches
 }
@@ -111,7 +97,7 @@ fn relay_query(n: u64, mul: i64, threshold: i64) -> String {
 
 /// The headline check: a jittered filter-heavy pipeline takes the
 /// columnar path (batches are actually absorbed) with byte-identical
-/// values, completion time and RNG stream position across all tiers.
+/// values, completion time and RNG stream position across both tiers.
 #[test]
 fn filter_pipeline_books_balance_across_tiers() {
     let src = filter_query(4_000, 3, 6_000);
@@ -129,7 +115,7 @@ fn books_balance_without_jitter() {
     let src = filter_query(4_000, 3, 6_000);
     let absorbed = assert_books_match(&src, 0.0);
     assert!(absorbed > 0);
-    let r = run(&src, &options(0.0, true, true));
+    let r = run(&src, &options(0.0, true));
     assert_eq!(r.stats().jitter_draws, 0, "no draws when jitter is off");
 }
 
@@ -148,7 +134,7 @@ fn costless_chains_draw_nothing_at_the_receiver() {
 /// The relay headline: a jittered two-SP relay pipeline rides the
 /// columnar path end to end (relayed upstream, absorbed downstream)
 /// with byte-identical values, completion time and RNG stream position
-/// across all three tiers — the strongest form of the zero-copy
+/// across both tiers — the strongest form of the zero-copy
 /// hand-off being accounting-neutral.
 #[test]
 fn relayed_pipeline_books_balance_across_tiers() {
@@ -167,7 +153,7 @@ fn relayed_books_balance_without_jitter() {
     let src = relay_query(4_000, 3, 6_000);
     let absorbed = assert_books_match(&src, 0.0);
     assert!(absorbed > 1);
-    let r = run(&src, &options(0.0, true, true));
+    let r = run(&src, &options(0.0, true));
     assert_eq!(r.stats().jitter_draws, 0, "no draws when jitter is off");
 }
 
@@ -208,7 +194,7 @@ proptest! {
 
     /// Constant sources of every kind — prepared or not — at buffer
     /// sizes that divide the rows, cut them, or are smaller than one:
-    /// all three tiers keep the same books, with one or two
+    /// both tiers keep the same books, with one or two
     /// subscribers, single or double buffering.
     #[test]
     fn constant_source_books_balance_over_random_workloads(
@@ -298,7 +284,7 @@ fn books(r: &QueryResult) -> Books {
     )
 }
 
-/// Runs `src` over `values` on all three tiers, jitter off and on, and
+/// Runs `src` over `values` on both tiers, jitter off and on, and
 /// asserts identical books; returns the jittered columnar run (and the
 /// plan) for tier-specific checks.
 fn assert_source_books_match(
@@ -309,32 +295,23 @@ fn assert_source_books_match(
 ) -> (QueryGraph, QueryResult) {
     let mut last = None;
     for jitter in [0.0, 0.05] {
-        let tier = |fuse: bool, columnar: bool| {
+        let tier = |columnar: bool| {
             let options = RunOptions {
                 service_jitter: jitter,
-                fuse,
                 columnar,
                 ..base.clone()
             };
             run_over(src, values, spec, &options)
         };
-        let (_, interpreted) = tier(false, false);
-        let (_, scalar) = tier(true, false);
-        let (graph, columnar) = tier(true, true);
-        assert_eq!(
-            books(&interpreted),
-            books(&scalar),
-            "scalar, jitter {jitter}"
-        );
+        let (_, scalar) = tier(false);
+        let (graph, columnar) = tier(true);
         assert_eq!(
             books(&scalar),
             books(&columnar),
             "columnar, jitter {jitter}"
         );
-        for off in [&interpreted, &scalar] {
-            assert_eq!(off.stats().columnar_batches, 0);
-            assert_eq!(off.stats().columnar_transposes, 0);
-        }
+        assert_eq!(scalar.stats().columnar_batches, 0);
+        assert_eq!(scalar.stats().columnar_transposes, 0);
         last = Some((graph, columnar));
     }
     last.expect("two jitter settings ran")
@@ -360,7 +337,7 @@ fn source_channel(r: &QueryResult) -> &ChannelReport {
 
 /// Integer, float and boolean sources are prepared: the plan holds the
 /// column, the columnar run sends it as one queue node and the
-/// absorber never transposes — with the per-element tiers' exact books.
+/// absorber never transposes — with the per-element tier's exact books.
 #[test]
 fn fixed_width_sources_are_prepared_and_books_balance() {
     let sources: [Vec<Value>; 4] = [
@@ -480,7 +457,7 @@ fn a_source_with_two_subscribers_balances() {
 /// A prepared source watched by `metrics(p)` and by `latency(p)`: the
 /// observers' sample streams (one per delivered buffer, one per
 /// delivered element) and every channel's latency histogram come out
-/// the same as on the per-element tiers.
+/// the same as on the per-element tier.
 #[test]
 fn observed_sources_balance() {
     let src = "select extract(c) from sp a, sp b, sp m, sp l, sp c \
@@ -509,7 +486,7 @@ fn observed_sources_balance() {
 
 /// A prepared source whose run rides UDP datagrams into an overrun I/O
 /// node: dropped datagrams poison the rows they cut through, and the
-/// loss — which rows, how many, when — matches the per-element tiers.
+/// loss — which rows, how many, when — matches the per-element tier.
 #[test]
 fn a_lossy_udp_channel_loses_the_same_rows() {
     let src = "select extract(b) from sp a, sp b \

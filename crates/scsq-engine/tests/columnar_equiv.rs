@@ -1,6 +1,6 @@
 //! Property-based equivalence of the columnar batch fast path.
 //!
-//! [`FusedChain::process_batch_columnar`] absorbs a whole delivered
+//! [`StageChain::process_batch_columnar`] absorbs a whole delivered
 //! batch with one dispatch per column; its contract is that the result
 //! is byte-identical to feeding the same elements one at a time — the
 //! accumulators land in the same state (same wrapping integer sums,
@@ -9,12 +9,15 @@
 //! match, because the runtime surfaces them to the client verbatim.
 //!
 //! The driver below mirrors `World::deliver`: try the columnar pass,
-//! and fall back to the per-element fused path when it declines
-//! (`Ok(false)`), exactly as the engine does.
+//! and fall back to the per-element path when it declines
+//! (`Ok(false)`), exactly as the engine does. The reference is a second
+//! chain fed one element at a time (`StageChain::process_into`, the
+//! scalar semantics).
 
 use proptest::prelude::*;
 use scsq_engine::ops::{AggKind, MapFunc, Pipeline, Stage, StageChain};
-use scsq_engine::{ArithOp, CmpOp, FusedChain, FusedProgram, PreparedSource};
+use scsq_engine::window::WindowSpec;
+use scsq_engine::{ArithOp, CmpOp, PreparedSource};
 use scsq_ql::{Batch, ColumnarBatch, Value};
 
 fn agg() -> impl Strategy<Value = AggKind> {
@@ -55,15 +58,25 @@ fn rhs() -> impl Strategy<Value = Value> {
 }
 
 /// Strategy over stages, dominated by the vectorizable set so most
-/// generated chains qualify for the columnar pass, with one map stage
-/// variant to force the per-element fallback branch.
+/// generated chains qualify for the columnar pass, with the map and
+/// `winagg` stages to force the per-element fallback branch (and, over
+/// mixed-type runs, its type-error paths).
 fn stage() -> impl Strategy<Value = Stage> {
     prop_oneof![
         agg().prop_map(Stage::Agg),
         Just(Stage::StreamOf),
         (0u64..8).prop_map(|limit| Stage::Take { limit }),
         Just(Stage::Bandwidth),
-        Just(Stage::Map(MapFunc::Power)),
+        prop_oneof![
+            Just(MapFunc::Odd),
+            Just(MapFunc::Even),
+            Just(MapFunc::Fft),
+            Just(MapFunc::Power),
+        ]
+        .prop_map(Stage::Map),
+        (1usize..5, 1usize..3, agg()).prop_map(|(size, slide, agg)| {
+            Stage::Window(WindowSpec::new(size, slide, agg).expect("valid window"))
+        }),
         (arith_op(), rhs()).prop_map(|(op, rhs)| Stage::Arith { op, rhs }),
         (cmp_op(), rhs()).prop_map(|(op, rhs)| Stage::Cmp { op, rhs }),
         (cmp_op(), rhs()).prop_map(|(op, rhs)| Stage::Filter { op, rhs }),
@@ -90,6 +103,8 @@ fn mixed_value() -> impl Strategy<Value = Value> {
         (-100.0f64..100.0).prop_map(Value::Real),
         any::<bool>().prop_map(Value::Bool),
         (8u64..256).prop_map(Value::synthetic_array),
+        proptest::collection::vec(-10.0f64..10.0, 1..9)
+            .prop_map(|v| Value::Array(scsq_ql::ArrayData::Real(v))),
         Just(Value::Str("x".to_string())),
         metric(),
     ]
@@ -126,10 +141,10 @@ fn batch_values() -> impl Strategy<Value = Vec<Value>> {
     ]
 }
 
-/// Feeds the same batches through the interpreted chain (per element)
-/// and the fused chain driven the way `World::deliver` drives it
-/// (columnar pass first, per-element fallback on decline), comparing
-/// outputs, errors, and the end-of-stream flush.
+/// Feeds the same batches through one chain per element (the scalar
+/// reference) and through another driven the way `World::deliver`
+/// drives it (columnar pass first, per-element fallback on decline),
+/// comparing outputs, errors, and the end-of-stream flush.
 fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(), TestCaseError> {
     let pipeline = Pipeline {
         input: scsq_engine::InputKind::Const {
@@ -137,39 +152,36 @@ fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(),
         },
         stages,
     };
-    let mut interpreted = StageChain::new(&pipeline);
-    let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
+    let mut scalar = StageChain::new(&pipeline);
+    let mut columnar = StageChain::new(&pipeline);
 
     for values in batches {
         let batch = Batch::new(values.clone());
 
-        // Reference: the interpreter, one element at a time.
+        // Reference: one element at a time.
         let mut ref_out = Vec::new();
         let mut ref_err = None;
         for v in &values {
-            match interpreted.process(v.clone(), None) {
-                Ok(mut o) => ref_out.append(&mut o),
-                Err(e) => {
-                    ref_err = Some(e);
-                    break;
-                }
+            if let Err(e) = scalar.process_into(v.clone(), None, &mut ref_out) {
+                ref_err = Some(e);
+                break;
             }
         }
 
         // Candidate: the deliver-path driver.
-        match fused.process_batch_columnar(&batch) {
+        match columnar.process_batch_columnar(&batch) {
             Ok(true) => {
                 // The columnar pass only fires for absorber-terminated
                 // chains, which emit nothing per element and never fail
                 // on the shapes the pre-check admits.
-                prop_assert!(ref_err.is_none(), "interpreter failed, columnar did not");
+                prop_assert!(ref_err.is_none(), "scalar path failed, columnar did not");
                 prop_assert!(ref_out.is_empty(), "absorbed batch must emit nothing");
             }
             Ok(false) => {
                 let mut out = Vec::new();
                 let mut err = None;
                 for v in &values {
-                    if let Err(e) = fused.process_into(v.clone(), None, &mut out) {
+                    if let Err(e) = columnar.process_into(v.clone(), None, &mut out) {
                         err = Some(e);
                         break;
                     }
@@ -190,7 +202,7 @@ fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(),
             Err(e) => {
                 let Some(a) = ref_err else {
                     return Err(TestCaseError::fail(format!(
-                        "columnar pass failed, interpreter did not: {e}"
+                        "columnar pass failed, scalar path did not: {e}"
                     )));
                 };
                 prop_assert_eq!(a.to_string(), e.to_string(), "error messages");
@@ -199,7 +211,7 @@ fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(),
         }
     }
 
-    match (interpreted.finish(), fused.finish()) {
+    match (scalar.finish(), columnar.finish()) {
         (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "end-of-stream flush"),
         (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "flush errors"),
         (a, b) => {
@@ -250,8 +262,8 @@ fn relay_batch() -> impl Strategy<Value = Vec<Value>> {
 
 /// Drives the relay admission path the way `World::deliver` drives it:
 /// relay when admitted (materializing the forwarded column rows for
-/// comparison), per-element fused fallback when declined; the
-/// interpreter is the byte-identity reference throughout.
+/// comparison), per-element fallback when declined; a chain fed one
+/// element at a time is the byte-identity reference throughout.
 fn assert_relay_equivalent(
     stages: Vec<Stage>,
     batches: Vec<Vec<Value>>,
@@ -262,28 +274,25 @@ fn assert_relay_equivalent(
         },
         stages,
     };
-    let mut interpreted = StageChain::new(&pipeline);
-    let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
+    let mut scalar = StageChain::new(&pipeline);
+    let mut columnar = StageChain::new(&pipeline);
 
     for values in batches {
         let mut ref_out = Vec::new();
         let mut ref_err = None;
         for v in &values {
-            match interpreted.process(v.clone(), None) {
-                Ok(mut o) => ref_out.append(&mut o),
-                Err(e) => {
-                    ref_err = Some(e);
-                    break;
-                }
+            if let Err(e) = scalar.process_into(v.clone(), None, &mut ref_out) {
+                ref_err = Some(e);
+                break;
             }
         }
 
         let cols = scsq_ql::ColumnarBatch::from_values(&values);
-        if let Some(admit) = fused.relay_admit_cols(&cols) {
-            let (out, sel) = fused.process_relayed(admit);
+        if let Some(admit) = columnar.relay_admit_cols(&cols) {
+            let (out, sel) = columnar.process_relayed(admit);
             prop_assert!(
                 ref_err.is_none(),
-                "interpreter failed, the relay pass did not"
+                "scalar path failed, the relay pass did not"
             );
             if let Some(s) = &sel {
                 prop_assert_eq!(s.rows().len(), out.rows(), "selection covers the output");
@@ -296,7 +305,7 @@ fn assert_relay_equivalent(
             let mut out = Vec::new();
             let mut err = None;
             for v in &values {
-                if let Err(e) = fused.process_into(v.clone(), None, &mut out) {
+                if let Err(e) = columnar.process_into(v.clone(), None, &mut out) {
                     err = Some(e);
                     break;
                 }
@@ -316,7 +325,7 @@ fn assert_relay_equivalent(
         }
     }
 
-    match (interpreted.finish(), fused.finish()) {
+    match (scalar.finish(), columnar.finish()) {
         (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "end-of-stream flush"),
         (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "flush errors"),
         (a, b) => {
@@ -377,7 +386,7 @@ fn drive_source(
         },
         stages: stages.to_vec(),
     };
-    let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
+    let mut columnar = StageChain::new(&pipeline);
     let mut out = Vec::new();
     let mut start = 0;
     let mut bounds: Vec<usize> = cuts.iter().map(|c| c % values.len()).collect();
@@ -390,17 +399,19 @@ fn drive_source(
         let run = &values[start..end];
         let absorbed = if views {
             let view = prepared.cols.slice(start, end);
-            match fused.columnar_admit_cols(&view) {
+            match columnar.columnar_admit_cols(&view) {
                 // A one-row view is a batch; a one-value run is not.
                 // Either way the row is folded exactly once.
                 Some(admit) => {
-                    fused.process_admitted(admit).map_err(|e| e.to_string())?;
+                    columnar
+                        .process_admitted(admit)
+                        .map_err(|e| e.to_string())?;
                     true
                 }
                 None => false,
             }
         } else {
-            fused
+            columnar
                 .process_batch_columnar(&Batch::new(run.to_vec()))
                 .map_err(|e| e.to_string())?
         };
@@ -411,14 +422,14 @@ fn drive_source(
                 } else {
                     v.clone()
                 };
-                fused
+                columnar
                     .process_into(v, None, &mut out)
                     .map_err(|e| e.to_string())?;
             }
         }
         start = end;
     }
-    out.extend(fused.finish().map_err(|e| e.to_string())?);
+    out.extend(columnar.finish().map_err(|e| e.to_string())?);
     Ok(out)
 }
 
@@ -471,7 +482,7 @@ proptest! {
     }
 
     /// The columnar batch pass (with its per-element fallback) agrees
-    /// with the interpreted reference on outputs, accumulator state (via
+    /// with the per-element reference on outputs, accumulator state (via
     /// the flush), and errors, over randomized chains and batch streams.
     #[test]
     fn columnar_equals_interpreted(
@@ -483,7 +494,7 @@ proptest! {
 
     /// Relay chains (transforms + take, no absorber) produce — via
     /// column kernels, selection vectors, and one survivor gather —
-    /// exactly the interpreter's per-element outputs, including batch
+    /// exactly the per-element outputs, including batch
     /// lengths straddling the 64-row validity word and filters that
     /// leave an empty selection.
     #[test]
@@ -519,16 +530,16 @@ fn columnar_pass_absorbs_metric_batches() {
     };
     let values = vec![sample(100, 10), sample(250, 20), sample(900, 30)];
 
-    let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
-    assert!(fused
+    let mut columnar = StageChain::new(&pipeline);
+    assert!(columnar
         .process_batch_columnar(&Batch::new(values.clone()))
         .unwrap());
 
-    let mut interpreted = StageChain::new(&pipeline);
+    let mut scalar = StageChain::new(&pipeline);
     for v in values {
-        interpreted.process(v, None).unwrap();
+        scalar.process_into(v, None, &mut Vec::new()).unwrap();
     }
-    assert_eq!(fused.finish().unwrap(), interpreted.finish().unwrap());
+    assert_eq!(columnar.finish().unwrap(), scalar.finish().unwrap());
 }
 
 /// A chain with no absorbing aggregate declines the columnar pass: a
@@ -547,8 +558,8 @@ fn relay_chains_decline_the_columnar_pass() {
             },
             stages,
         };
-        let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
+        let mut columnar = StageChain::new(&pipeline);
         let batch = Batch::new((0..6).map(Value::Integer).collect());
-        assert!(!fused.process_batch_columnar(&batch).unwrap());
+        assert!(!columnar.process_batch_columnar(&batch).unwrap());
     }
 }

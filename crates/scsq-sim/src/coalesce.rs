@@ -304,8 +304,8 @@ pub struct JumpPlan {
 /// snapshots, and plans affine jumps across them.
 ///
 /// *Whether* a jump is allowed is decided by the snapshots alone:
-/// [`CONFIRM_MATCHES`] equal delta vectors over consecutive cuts (a
-/// *confirm window*), then [`Coalescer::plan_periods`]. *When* to open
+/// `CONFIRM_MATCHES` equal delta vectors over consecutive cuts (a
+/// *confirm window*), then `Coalescer::plan_periods`. *When* to open
 /// a window is the schedule's call, because a digest costs what
 /// dispatching some fifty events does:
 ///
@@ -317,7 +317,7 @@ pub struct JumpPlan {
 ///   schedule (an irregular period — a foreign event fired, which is
 ///   how a transient that slides an event through the queue ends), or
 ///   for as long as that disturbance took to come last time, never
-///   longer than probing the stretch would have cost ([`SLEEP_EVENTS`]);
+///   longer than probing the stretch would have cost (`SLEEP_EVENTS`);
 /// * a jump that did not repay the digests spent finding it postpones
 ///   the next look, four times as long after each further one.
 #[derive(Debug, Default)]

@@ -19,16 +19,15 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> perfstat (byte-identity across execution tiers + columnar gate)"
-# perfstat exits non-zero if any execution tier (coalesced, parallel,
-# jittered, fused-scalar, columnar) deviates from the interpreted
-# reference series, if the batch passes' accounting (answer, finished
-# time, RNG draws, absorbed batches) diverges across tiers, or if a
-# batch pass drops below its speedup floor (take-sum < 1.3,
-# filter-heavy < 1.9, relay < 1.3), or if the everything-on
-# observability pass regresses the jittered grid by more than 2% — or
-# by more than three times the gates-off legs' own spread, where the
-# host is noisier than that (medians of 7 interleaved repetitions).
+echo "==> perfstat (series identity across execution modes + observability ceiling)"
+# perfstat exits non-zero if the coalesced, parallel, jittered-control
+# or observed series deviate from their per-event references, or if the
+# everything-on observability pass regresses the jittered grid by more
+# than 2% — or by more than three times the gates-off legs' own spread,
+# where the host is noisier than that (medians of 7 interleaved
+# repetitions). The column kernels' identity is the test suite's
+# (columnar_equiv / columnar_accounting / columnar_csv) and their timing
+# the benchmark's (element_pipeline).
 ./target/release/perfstat --out /tmp/perfstat-verify.json
 rm -f /tmp/perfstat-verify.json
 

@@ -290,14 +290,13 @@ fn latency_quantiles_match_the_tracked_histogram_across_all_tiers() {
     // The paper's self-measurement claim, extended to latency: a
     // `quantile(latency(a), q)` observer must report exactly the value
     // computed externally from the watched channel's ingress→delivery
-    // histogram — and all three executor tiers (interpreted, fused,
-    // columnar) must agree byte for byte.
+    // histogram — and both executor tiers (scalar, columnar) must agree
+    // byte for byte.
     for q in [0.5, 0.99] {
         let query = latency_quantile_query(q);
         let mut measured_by_tier = Vec::new();
-        for (fuse, columnar) in [(false, false), (true, false), (true, true)] {
+        for columnar in [false, true] {
             let mut scsq = Scsq::lofar();
-            scsq.options_mut().fuse = fuse;
             scsq.options_mut().columnar = columnar;
             let r = scsq.run(&query).unwrap();
             let measured = match r.values() {
@@ -318,7 +317,7 @@ fn latency_quantiles_match_the_tracked_histogram_across_all_tiers() {
             let external = tracked[0].latency.quantile(q) as i64;
             assert_eq!(
                 measured, external,
-                "fuse={fuse} columnar={columnar} q={q}: self-measured vs external"
+                "columnar={columnar} q={q}: self-measured vs external"
             );
             measured_by_tier.push(measured);
         }

@@ -4,8 +4,8 @@
 //! They live under `crates/*/tests`, which the tier-1 command (`cargo
 //! test -q` at the repository root) never reaches: it builds the root
 //! package only. Mounting the same source files here puts every
-//! equivalence proptest and figure-CSV byte-identity test inside that
-//! gate. (`scripts/verify.sh` and CI run `cargo test -q --workspace`,
+//! equivalence proptest, figure-CSV byte-identity test and the bench
+//! binaries' flag check inside that gate. (`scripts/verify.sh` and CI run `cargo test -q --workspace`,
 //! which runs them in their home crates too — with other proptest
 //! cases, since the vendored runner seeds from the module path.)
 
@@ -18,9 +18,6 @@ mod columnar_equiv;
 #[path = "../crates/scsq-engine/tests/columnar_accounting.rs"]
 mod columnar_accounting;
 
-#[path = "../crates/scsq-engine/tests/fuse_equiv.rs"]
-mod fuse_equiv;
-
 #[path = "../crates/scsq-engine/tests/coalesce_equiv.rs"]
 mod coalesce_equiv;
 
@@ -30,8 +27,8 @@ mod coalesce_counts;
 #[path = "../crates/scsq-bench/tests/coalesce_csv.rs"]
 mod coalesce_csv;
 
-#[path = "../crates/scsq-bench/tests/fuse_csv.rs"]
-mod fuse_csv;
-
 #[path = "../crates/scsq-bench/tests/columnar_csv.rs"]
 mod columnar_csv;
+
+#[path = "../crates/scsq-bench/tests/cli_flags.rs"]
+mod cli_flags;
