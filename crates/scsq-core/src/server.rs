@@ -18,7 +18,7 @@
 //! `docs/server.md`.
 
 use crate::metrics;
-use crate::wire::{read_frame, write_frame, Frame, FrameKind};
+use crate::wire::{encode_frame, read_frame, Frame, FrameKind};
 use scsq_cluster::HardwareSpec;
 use scsq_engine::session::{Session, SessionHub, SessionReply};
 use scsq_engine::{MetricsSnapshot, PlacementPolicy, RunOptions};
@@ -143,6 +143,9 @@ impl ScsqdServer {
             let conn: (Box<dyn Read + Send>, Box<dyn Write + Send>) = match &self.listener {
                 Listener::Tcp(l) => {
                     let (stream, _) = l.accept()?;
+                    // A reply is one write; without this Nagle holds it
+                    // for the client's delayed ACK (docs/server.md).
+                    stream.set_nodelay(true)?;
                     let read = stream.try_clone()?;
                     (Box::new(read), Box::new(stream))
                 }
@@ -166,6 +169,7 @@ impl ScsqdServer {
                 let mut conn = Connection {
                     reader: BufReader::new(conn.0),
                     writer: conn.1,
+                    out: Vec::new(),
                     session,
                     metrics_on: false,
                     shutdown,
@@ -185,15 +189,33 @@ impl ScsqdServer {
 struct Connection {
     reader: BufReader<Box<dyn Read + Send>>,
     writer: Box<dyn Write + Send>,
+    /// The frames of the reply in progress, written once at its
+    /// terminator.
+    out: Vec<u8>,
     session: Session,
     metrics_on: bool,
     shutdown: Arc<AtomicBool>,
     endpoint: Endpoint,
 }
 
+/// Past this many buffered bytes a reply is written out before its
+/// terminator, so a large result is not held in memory twice (64 KiB is
+/// one loopback segment; no statement of the served mix comes near it).
+const EARLY_FLUSH_LEN: usize = 64 * 1024;
+
 impl Connection {
+    /// Appends one frame to the reply in progress; the reply goes out
+    /// as a single write when `kind` ends it (`OK`/`ERR`, or the
+    /// one-frame `HELLO` greeting).
     fn send(&mut self, kind: FrameKind, payload: &str) -> io::Result<()> {
-        write_frame(&mut self.writer, kind, payload)
+        encode_frame(&mut self.out, kind, payload);
+        if kind.ends_statement() || kind == FrameKind::Hello || self.out.len() > EARLY_FLUSH_LEN {
+            let written = self.writer.write_all(&self.out);
+            self.out.clear();
+            written?;
+            self.writer.flush()?;
+        }
+        Ok(())
     }
 
     fn run(&mut self) -> io::Result<()> {
@@ -330,13 +352,16 @@ impl Connection {
                 let json = format!(
                     "{{\n  \"sessions_open\": {},\n  \"sessions_opened\": {},\n  \
                      \"statements\": {},\n  \"compilations\": {},\n  \
-                     \"plan_cache_hits\": {},\n  \"plan_cache_len\": {}\n}}\n",
+                     \"plan_cache_hits\": {},\n  \"plan_cache_len\": {},\n  \
+                     \"plan_cache_cap\": {},\n  \"plan_cache_evictions\": {}\n}}\n",
                     hub.sessions_open(),
                     hub.sessions_opened(),
                     hub.statements(),
                     hub.compilations(),
                     hub.plan_cache_hits(),
                     hub.plan_cache_len(),
+                    hub.plan_cache_cap(),
+                    hub.plan_cache_evictions(),
                 );
                 self.send(FrameKind::Info, &json)?;
                 self.send(FrameKind::Ok, "-- server")?;
@@ -359,7 +384,7 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Client;
+    use crate::wire::{write_frame, Client, CountingWriter};
 
     fn start() -> (String, thread::JoinHandle<io::Result<()>>) {
         let server = ScsqdServer::bind_tcp("127.0.0.1:0").expect("bind");
@@ -413,6 +438,67 @@ mod tests {
         assert_eq!(ok[0].payload, "4");
         b.statement(".shutdown").unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    /// A connection that reads the frames in `input` and writes into
+    /// `writer`, with no socket under it.
+    fn connection(input: Vec<u8>, writer: &CountingWriter) -> Connection {
+        let hub = Arc::new(SessionHub::new());
+        Connection {
+            reader: BufReader::new(Box::new(io::Cursor::new(input))),
+            writer: Box::new(writer.clone()),
+            out: Vec::new(),
+            session: hub.session(HardwareSpec::lofar(), RunOptions::default()),
+            metrics_on: false,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            endpoint: Endpoint::Tcp(([127, 0, 0, 1], 0).into()),
+        }
+    }
+
+    #[test]
+    fn a_reply_is_one_write_however_many_frames_it_has() {
+        // Eight prepares, then `show catalog;` (8 ROW frames + OK).
+        let mut input = Vec::new();
+        for i in 0..8 {
+            write_frame(&mut input, FrameKind::Stmt, &format!("prepare q{i} as {Q}")).unwrap();
+        }
+        write_frame(&mut input, FrameKind::Stmt, "show catalog;").unwrap();
+        write_frame(&mut input, FrameKind::Bye, "").unwrap();
+        let writer = CountingWriter::default();
+        let mut conn = connection(input, &writer);
+        conn.run().unwrap();
+        let writes = writer.writes.lock().unwrap();
+        assert_eq!(writes.len(), 10, "HELLO, 8 x prepared, the catalog");
+        let mut catalog = io::Cursor::new(&writes[9]);
+        let mut kinds = Vec::new();
+        while let Some(frame) = read_frame(&mut catalog).unwrap() {
+            kinds.push(frame.kind);
+        }
+        assert_eq!(kinds.len(), 9);
+        assert!(kinds[..8].iter().all(|k| *k == FrameKind::Row));
+        assert_eq!(kinds[8], FrameKind::Ok);
+    }
+
+    #[test]
+    fn a_large_reply_is_flushed_before_its_terminator() {
+        let writer = CountingWriter::default();
+        let mut conn = connection(Vec::new(), &writer);
+        let row = "r".repeat(1000);
+        for _ in 0..200 {
+            conn.send(FrameKind::Row, &row).unwrap();
+        }
+        conn.send(FrameKind::Ok, "-- done").unwrap();
+        let writes = writer.writes.lock().unwrap();
+        assert_eq!(writes.len(), 4, "three early flushes and the terminator");
+        assert!(writes.iter().all(|w| w.len() <= EARLY_FLUSH_LEN + 1100));
+        let bytes: Vec<u8> = writes.concat();
+        let mut stream = io::Cursor::new(&bytes);
+        let mut frames = 0;
+        while let Some(frame) = read_frame(&mut stream).unwrap() {
+            frames += 1;
+            assert_eq!(frame.kind.ends_statement(), frames == 201);
+        }
+        assert_eq!(frames, 201, "flush boundaries fall between frames");
     }
 
     #[cfg(unix)]

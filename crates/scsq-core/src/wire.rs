@@ -39,6 +39,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 #[cfg(unix)]
 use std::path::Path;
+use std::time::Duration;
 
 /// Upper bound on a single frame payload (16 MiB): a malformed header
 /// cannot make a reader allocate unbounded memory.
@@ -118,15 +119,73 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Writes one frame and flushes.
+/// Longest possible frame header: the longest tag, a space, a `usize`
+/// in decimal and the newline (`METRICS 18446744073709551615\n`).
+const MAX_HEADER_LEN: usize = 7 + 1 + 20 + 1;
+
+/// Frames up to this size are assembled on the stack by
+/// [`write_frame`]; it covers every `STMT`, `ROW` and `OK` of the
+/// served statement mix, so the per-frame path never allocates.
+const STACK_FRAME_LEN: usize = 256;
+
+/// `TYPE LEN\n` for a payload of `len` bytes, as (bytes, used).
+fn encode_header(kind: FrameKind, len: usize) -> ([u8; MAX_HEADER_LEN], usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = len;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let digits = &digits[at..];
+    let tag = kind.tag().as_bytes();
+    let mut header = [0u8; MAX_HEADER_LEN];
+    header[..tag.len()].copy_from_slice(tag);
+    header[tag.len()] = b' ';
+    let used = tag.len() + 1 + digits.len();
+    header[tag.len() + 1..used].copy_from_slice(digits);
+    header[used] = b'\n';
+    (header, used + 1)
+}
+
+/// Appends one encoded frame to `out` — the daemon collects a whole
+/// reply this way and writes it once.
+pub fn encode_frame(out: &mut Vec<u8>, kind: FrameKind, payload: &str) {
+    let (header, used) = encode_header(kind, payload.len());
+    out.reserve(used + payload.len() + 1);
+    out.extend_from_slice(&header[..used]);
+    out.extend_from_slice(payload.as_bytes());
+    out.push(b'\n');
+}
+
+/// Writes one frame with a single `write_all` and flushes.
+///
+/// One write per frame is part of the contract, not a nicety: on a TCP
+/// socket every write may leave as its own segment, and a frame split
+/// into header / payload / newline stalls on Nagle's algorithm meeting
+/// the peer's delayed ACK (see `docs/server.md`, "Latency and framing").
 ///
 /// # Errors
 ///
 /// I/O errors from the underlying writer.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &str) -> io::Result<()> {
-    writeln!(w, "{} {}", kind.tag(), payload.len())?;
-    w.write_all(payload.as_bytes())?;
-    w.write_all(b"\n")?;
+    let (header, used) = encode_header(kind, payload.len());
+    let total = used + payload.len() + 1;
+    if total <= STACK_FRAME_LEN {
+        let mut frame = [0u8; STACK_FRAME_LEN];
+        frame[..used].copy_from_slice(&header[..used]);
+        frame[used..total - 1].copy_from_slice(payload.as_bytes());
+        frame[total - 1] = b'\n';
+        w.write_all(&frame[..total])?;
+    } else {
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, kind, payload);
+        w.write_all(&frame)?;
+    }
     w.flush()
 }
 
@@ -165,25 +224,57 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
     Ok(Some(Frame { kind, payload }))
 }
 
+/// The concrete socket under a [`Client`], kept so the client can set
+/// socket options (timeouts) after connecting.
+#[derive(Debug)]
+enum Socket {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Unix(UnixStream),
+}
+
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Socket::Tcp(s) => s.read(buf),
+            #[cfg(unix)]
+            Socket::Unix(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Socket::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Socket::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Socket::Tcp(s) => s.flush(),
+            #[cfg(unix)]
+            Socket::Unix(s) => s.flush(),
+        }
+    }
+}
+
 /// A client connection to a running `scsqd`, over TCP or (on Unix) a
 /// Unix-domain socket.
+#[derive(Debug)]
 pub struct Client {
-    reader: BufReader<Box<dyn Read + Send>>,
-    writer: Box<dyn Write + Send>,
+    /// Reads are buffered; writes go to the socket underneath
+    /// (`get_mut`), one per frame.
+    stream: BufReader<Socket>,
     /// The server's `HELLO` banner.
     banner: String,
 }
 
-impl std::fmt::Debug for Client {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Client")
-            .field("banner", &self.banner)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Client {
-    /// Connects over TCP (`host:port`) and consumes the `HELLO` frame.
+    /// Connects over TCP (`host:port`) with `TCP_NODELAY` set and
+    /// consumes the `HELLO` frame.
     ///
     /// # Errors
     ///
@@ -191,8 +282,8 @@ impl Client {
     /// `HELLO` is rejected).
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        let read = stream.try_clone()?;
-        Client::handshake(Box::new(read), Box::new(stream))
+        stream.set_nodelay(true)?;
+        Client::handshake(Socket::Tcp(stream))
     }
 
     /// Connects over a Unix-domain socket and consumes the `HELLO`
@@ -203,18 +294,15 @@ impl Client {
     /// See [`Client::connect_tcp`].
     #[cfg(unix)]
     pub fn connect_unix(path: impl AsRef<Path>) -> io::Result<Client> {
-        let stream = UnixStream::connect(path)?;
-        let read = stream.try_clone()?;
-        Client::handshake(Box::new(read), Box::new(stream))
+        Client::handshake(Socket::Unix(UnixStream::connect(path)?))
     }
 
-    fn handshake(read: Box<dyn Read + Send>, write: Box<dyn Write + Send>) -> io::Result<Client> {
+    fn handshake(socket: Socket) -> io::Result<Client> {
         let mut client = Client {
-            reader: BufReader::new(read),
-            writer: write,
+            stream: BufReader::new(socket),
             banner: String::new(),
         };
-        match read_frame(&mut client.reader)? {
+        match client.recv()? {
             Some(Frame {
                 kind: FrameKind::Hello,
                 payload,
@@ -222,6 +310,31 @@ impl Client {
             other => return Err(bad(format!("expected HELLO, got {other:?}"))),
         }
         Ok(client)
+    }
+
+    /// Bounds how long any single read or write on this connection may
+    /// block (`None` = forever, the default). A timed-out call returns
+    /// an error of kind `WouldBlock` or `TimedOut`.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors; a zero `Duration` is rejected by the OS layer.
+    pub fn set_timeouts(
+        &mut self,
+        read: Option<Duration>,
+        write: Option<Duration>,
+    ) -> io::Result<()> {
+        match self.stream.get_ref() {
+            Socket::Tcp(s) => {
+                s.set_read_timeout(read)?;
+                s.set_write_timeout(write)
+            }
+            #[cfg(unix)]
+            Socket::Unix(s) => {
+                s.set_read_timeout(read)?;
+                s.set_write_timeout(write)
+            }
+        }
     }
 
     /// The server's greeting (e.g. `scsqd 0.7.0`).
@@ -235,7 +348,7 @@ impl Client {
     ///
     /// I/O errors.
     pub fn send(&mut self, kind: FrameKind, payload: &str) -> io::Result<()> {
-        write_frame(&mut self.writer, kind, payload)
+        write_frame(self.stream.get_mut(), kind, payload)
     }
 
     /// Receives one frame; `Ok(None)` when the server closed the
@@ -245,7 +358,7 @@ impl Client {
     ///
     /// I/O or framing errors.
     pub fn recv(&mut self) -> io::Result<Option<Frame>> {
-        read_frame(&mut self.reader)
+        read_frame(&mut self.stream)
     }
 
     /// Sends one statement and collects its reply frames, up to and
@@ -283,10 +396,72 @@ impl Client {
     }
 }
 
+/// A writer that records every `write` call it receives — how the
+/// tests pin "one frame, one write" and "one reply, one write".
+#[cfg(test)]
+#[derive(Debug, Default, Clone)]
+pub(crate) struct CountingWriter {
+    /// The bytes of each `write` call, in order.
+    pub(crate) writes: std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>,
+}
+
+#[cfg(test)]
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes.lock().unwrap().push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    #[test]
+    fn a_frame_is_one_write_of_the_documented_bytes() {
+        let big = "x".repeat(1 << 20);
+        for (kind, payload, header) in [
+            (FrameKind::Bye, "", "BYE 0\n"),
+            (FrameKind::Row, "0123456789", "ROW 10\n"),
+            (FrameKind::Metrics, big.as_str(), "METRICS 1048576\n"),
+        ] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, kind, payload).unwrap();
+            let writes = w.writes.lock().unwrap();
+            assert_eq!(writes.len(), 1, "{header:?}: one write per frame");
+            let golden = format!("{header}{payload}\n");
+            assert!(
+                writes[0] == golden.as_bytes(),
+                "{header:?}: TYPE LEN\\n<payload>\\n"
+            );
+            // The daemon's reply buffer is filled by the same encoder.
+            let mut encoded = Vec::new();
+            encode_frame(&mut encoded, kind, payload);
+            assert!(
+                encoded == writes[0],
+                "{header:?}: encode_frame == write_frame"
+            );
+        }
+    }
+
+    #[test]
+    fn frames_at_the_stack_buffer_boundary_stay_intact() {
+        // Header `ROW 2xx\n` is 8 bytes; the closing newline is one.
+        for len in STACK_FRAME_LEN - 12..STACK_FRAME_LEN + 4 {
+            let payload = "y".repeat(len);
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, FrameKind::Row, &payload).unwrap();
+            let writes = w.writes.lock().unwrap();
+            assert_eq!(writes.len(), 1, "len {len}");
+            let frame = read_frame(&mut Cursor::new(&writes[0])).unwrap().unwrap();
+            assert_eq!(frame.payload, payload, "len {len}");
+        }
+    }
 
     #[test]
     fn frames_round_trip() {

@@ -32,7 +32,59 @@ use scsq_cluster::HardwareSpec;
 use scsq_ql::{parse_program, statement_to_scsql, Statement};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Plans the hub keeps interned. A constant, not an option: it only has
+/// to hold a server's hot set (the benchmark's served mix re-uses 72
+/// texts), and it is what keeps a long-lived daemon's memory flat.
+const PLAN_CACHE_CAP: usize = 128;
+
+/// The interned plans with their last-use stamps: a fixed-capacity LRU.
+/// Named plans keep their own `Arc` in the session catalog, so evicting
+/// a text here never invalidates a `run <name>`.
+#[derive(Debug, Default)]
+struct PlanCache {
+    plans: HashMap<String, (Arc<PreparedQuery>, u64)>,
+    /// Stamp of the latest hit or insert.
+    clock: u64,
+    evictions: u64,
+}
+
+impl PlanCache {
+    fn get(&mut self, key: &str) -> Option<Arc<PreparedQuery>> {
+        let (plan, used) = self.plans.get_mut(key)?;
+        self.clock += 1;
+        *used = self.clock;
+        Some(Arc::clone(plan))
+    }
+
+    /// Interns `plan`, first dropping the least recently used entry if
+    /// the cache is full — an O(cap) scan, paid on a miss only (next to
+    /// a compilation).
+    fn insert(&mut self, key: String, plan: Arc<PreparedQuery>) {
+        if self.plans.len() >= PLAN_CACHE_CAP {
+            let oldest = self
+                .plans
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(key, _)| key.clone());
+            if let Some(oldest) = oldest {
+                self.plans.remove(&oldest);
+                self.evictions += 1;
+            }
+        }
+        self.clock += 1;
+        self.plans.insert(key, (plan, self.clock));
+    }
+}
+
+/// Locks one of the hub's mutexes, recovering it if a session thread
+/// panicked while holding it: the plan cache is only mutated after a
+/// compilation has returned and the rest is counters, so the data is
+/// valid at every step and one session's panic must not wedge the others.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The state every session of one server shares: the client manager
 /// (function catalog, compilation counter) and the interned plan cache.
@@ -42,7 +94,7 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Default)]
 pub struct SessionHub {
     manager: Mutex<ClientManager>,
-    plans: Mutex<HashMap<String, Arc<PreparedQuery>>>,
+    plans: Mutex<PlanCache>,
     plan_hits: AtomicU64,
     sessions_opened: AtomicU64,
     sessions_open: AtomicU64,
@@ -59,21 +111,29 @@ impl SessionHub {
     /// this hub — the PR-1 `compilations` counter, shared by every
     /// session. Cache hits and plan reruns leave it untouched.
     pub fn compilations(&self) -> u64 {
-        self.manager
-            .lock()
-            .expect("session hub poisoned")
-            .compilations()
+        lock(&self.manager).compilations()
     }
 
     /// Distinct compiled plans currently interned.
     pub fn plan_cache_len(&self) -> usize {
-        self.plans.lock().expect("session hub poisoned").len()
+        lock(&self.plans).plans.len()
+    }
+
+    /// The most plans the cache holds; past it, interning a new text
+    /// evicts the least recently used one.
+    pub fn plan_cache_cap(&self) -> usize {
+        PLAN_CACHE_CAP
     }
 
     /// How many prepare/query requests were answered from the interned
     /// cache instead of compiling.
     pub fn plan_cache_hits(&self) -> u64 {
         self.plan_hits.load(Ordering::Relaxed)
+    }
+
+    /// How many interned plans were dropped to make room for new ones.
+    pub fn plan_cache_evictions(&self) -> u64 {
+        lock(&self.plans).evictions
     }
 
     /// Sessions opened over the hub's lifetime.
@@ -98,17 +158,12 @@ impl SessionHub {
     /// Catalog errors on name collisions (functions are hub-global, so
     /// two sessions cannot define the same name twice).
     pub fn define(&self, def: scsq_ql::FunctionDef) -> Result<(), EngineError> {
-        self.manager
-            .lock()
-            .expect("session hub poisoned")
-            .define(def)
+        lock(&self.manager).define(def)
     }
 
     /// The user-defined functions currently registered, sorted by name.
     pub fn functions(&self) -> Vec<scsq_ql::FunctionDef> {
-        self.manager
-            .lock()
-            .expect("session hub poisoned")
+        lock(&self.manager)
             .catalog()
             .definitions()
             .into_iter()
@@ -128,10 +183,7 @@ impl SessionHub {
         src: &str,
         options: &RunOptions,
     ) -> Result<String, EngineError> {
-        self.manager
-            .lock()
-            .expect("session hub poisoned")
-            .explain(spec, src, options)
+        lock(&self.manager).explain(spec, src, options)
     }
 
     /// Returns the interned plan for `stmt`, compiling it at most once
@@ -159,18 +211,12 @@ impl SessionHub {
         );
         // Compile under the cache lock: concurrent sessions preparing
         // the same text must observe exactly one compilation.
-        let mut plans = self.plans.lock().expect("session hub poisoned");
+        let mut plans = lock(&self.plans);
         if let Some(plan) = plans.get(&key) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(plan), true));
+            return Ok((plan, true));
         }
-        let plan = self.manager.lock().expect("session hub poisoned").prepare(
-            spec,
-            &canonical,
-            options,
-            &[],
-        )?;
-        let plan = Arc::new(plan);
+        let plan = Arc::new(lock(&self.manager).prepare(spec, &canonical, options, &[])?);
         plans.insert(key, Arc::clone(&plan));
         Ok((plan, false))
     }
@@ -533,6 +579,89 @@ mod tests {
         assert_eq!(values(&r1), values(&r2));
         assert_eq!(hub.compilations(), 1, "identical ad-hoc texts compile once");
         assert_eq!(hub.plan_cache_hits(), 1);
+    }
+
+    /// A p2p query whose text (and array count) is unique per `i`.
+    fn numbered(i: usize) -> String {
+        format!(
+            "select extract(b) from sp a, sp b
+             where b=sp(streamof(count(extract(a))), 'bg', 0)
+             and a=sp(gen_array({},2),'bg',1);",
+            1_000 + i
+        )
+    }
+
+    /// What a statement prints: rows, then the summary line.
+    fn printed(reply: &SessionReply) -> (Vec<String>, String) {
+        (reply.rows(), reply.summary())
+    }
+
+    #[test]
+    fn the_plan_cache_is_a_bounded_lru() {
+        let hub = hub();
+        let mut s = session(&hub);
+        let cap = hub.plan_cache_cap();
+        // A named plan from before the flood: its text will be evicted
+        // from the hub, its name must keep working.
+        s.execute(&format!("prepare early as {Q}")).unwrap();
+        let early = printed(&s.execute("run early;").unwrap());
+        // 1 000 never-seen texts, with one hot text re-issued every
+        // 10th statement: recency keeps it, insertion order would not.
+        let hot = numbered(5_000);
+        for i in 0..1_000 {
+            if i % 10 == 0 {
+                s.execute(&hot).unwrap();
+            }
+            let served = printed(&s.execute(&numbered(i)).unwrap());
+            let fresh = printed(&Session::lofar().execute(&numbered(i)).unwrap());
+            assert_eq!(served, fresh, "text {i}: cached == uncached");
+            assert!(hub.plan_cache_len() <= cap);
+        }
+        assert_eq!(hub.plan_cache_len(), cap);
+        assert_eq!(
+            hub.compilations(),
+            1 + 1 + 1_000,
+            "early, hot (once), each flood text"
+        );
+        assert_eq!(
+            hub.plan_cache_hits(),
+            99,
+            "every re-issue of hot but the first"
+        );
+        assert_eq!(hub.plan_cache_evictions(), 1_002 - cap as u64);
+        assert_eq!(printed(&s.execute("run early;").unwrap()), early);
+        assert_eq!(hub.compilations(), 1_002, "run <name> does not re-intern");
+        // An evicted text compiles again and answers the same.
+        let again = printed(&s.execute(&numbered(0)).unwrap());
+        let fresh = printed(&Session::lofar().execute(&numbered(0)).unwrap());
+        assert_eq!(again, fresh);
+        assert_eq!(hub.compilations(), 1_003);
+    }
+
+    #[test]
+    fn a_poisoned_hub_still_serves() {
+        let hub = hub();
+        let mut s = session(&hub);
+        s.execute(Q).unwrap();
+        // A session thread dies holding both of the hub's locks.
+        let poisoner = Arc::clone(&hub);
+        let died = std::thread::spawn(move || {
+            let _plans = poisoner.plans.lock().unwrap();
+            let _manager = poisoner.manager.lock().unwrap();
+            panic!("session thread dies mid-statement");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(hub.plans.is_poisoned() && hub.manager.is_poisoned());
+        // Every other session carries on: hits, misses, runs, counters.
+        let reply = s.execute(Q).unwrap();
+        assert_eq!(values(&reply), &[Value::Integer(4)]);
+        let reply = s.execute(&numbered(1)).unwrap();
+        assert_eq!(values(&reply), &[Value::Integer(2)]);
+        assert_eq!(hub.plan_cache_len(), 2);
+        assert_eq!(hub.compilations(), 2);
+        assert_eq!(hub.plan_cache_hits(), 1);
+        assert_eq!(hub.functions().len(), 0);
     }
 
     #[test]

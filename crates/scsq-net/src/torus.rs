@@ -23,6 +23,7 @@
 use crate::{Bandwidth, FlowId};
 use scsq_sim::{FifoServer, SimDur, SimTime, SwitchingServer};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One hop of a precomputed route: the directed link it crosses and the
 /// node it arrives at.
@@ -39,7 +40,9 @@ struct RouteStep {
 /// per-message hot path never recomputes a path or hashes a link key.
 ///
 /// The table is exactly [`TorusDims::route`] memoized: the route-cache
-/// determinism test walks every `(src, dst)` pair and compares.
+/// determinism test walks every `(src, dst)` pair and compares. It is
+/// immutable and a pure function of the dimensions, so every net of
+/// one topology shares one table ([`RouteTable::shared`]).
 #[derive(Debug)]
 struct RouteTable {
     /// `offsets[src * n + dst] .. offsets[src * n + dst + 1]` indexes
@@ -77,6 +80,25 @@ impl RouteTable {
             offsets,
             steps,
             link_count: link_ids.len(),
+        }
+    }
+
+    /// The table for `dims`, from a process-wide one-entry memo: a
+    /// server or a sweep builds an environment per run on the same
+    /// partition, and the table was most of that cost. The memo holds
+    /// nothing a run can change, so it carries nothing between runs.
+    fn shared(dims: TorusDims) -> Arc<RouteTable> {
+        static LAST: Mutex<Option<(TorusDims, Arc<RouteTable>)>> = Mutex::new(None);
+        // The entry is replaced whole, so a poisoned lock still guards
+        // a valid one.
+        let mut last = LAST.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*last {
+            Some((cached, table)) if *cached == dims => Arc::clone(table),
+            _ => {
+                let table = Arc::new(RouteTable::build(dims));
+                *last = Some((dims, Arc::clone(&table)));
+                table
+            }
         }
     }
 
@@ -303,7 +325,7 @@ pub struct TorusNet {
     /// of a hash map, so the per-hop contention accounting is one index
     /// away from the precomputed route step.
     links: Vec<FifoServer>,
-    routes: RouteTable,
+    routes: Arc<RouteTable>,
     messages: u64,
     bytes: u64,
     /// Memoized per-stage service times for the last message size seen:
@@ -320,7 +342,7 @@ impl TorusNet {
         let coprocs = (0..dims.node_count())
             .map(|_| SwitchingServer::new(params.switch_cost))
             .collect();
-        let routes = RouteTable::build(dims);
+        let routes = RouteTable::shared(dims);
         let links = vec![FifoServer::new(); routes.link_count];
         TorusNet {
             dims,
@@ -461,6 +483,12 @@ impl TorusNet {
         path.push(src);
         path.extend(steps.iter().map(|s| s.node as usize));
         path
+    }
+
+    /// Whether `self` and `other` walk the same route-table allocation
+    /// (nets of equal dimensions built back to back do).
+    pub fn shares_routes_with(&self, other: &TorusNet) -> bool {
+        Arc::ptr_eq(&self.routes, &other.routes)
     }
 
     /// Walks the torus's contended state through a coalescing probe.

@@ -44,12 +44,14 @@ bash benchmark/run.sh --smoke > /tmp/bench-smoke-verify.txt || {
 }
 rm -f /tmp/bench-smoke-verify.txt
 
-echo "==> scsqd smoke (served transcript == local shell transcript)"
+echo "==> scsqd smoke (served transcript == local shell transcript, TCP == Unix socket)"
 # Start the daemon on an OS-assigned port, run a prepare/run/show-catalog
 # script through the scsqc client, and diff the served transcript against
 # the scsql shell running the same script locally: the deterministic
 # simulation backend makes the two byte-identical. Then ask the daemon to
-# shut itself down and check it exits cleanly.
+# shut itself down and check it exits cleanly. A second daemon on a Unix
+# socket must serve the same transcript: the two transports share every
+# byte of the framing and differ only in the socket (and TCP_NODELAY).
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 cat > "$smoke_dir/smoke.scsql" <<'EOF'
@@ -78,6 +80,16 @@ fi
 diff "$smoke_dir/served.out" "$smoke_dir/local.out"
 printf '.shutdown\n' | ./target/release/scsqc "$addr" > /dev/null
 wait "$scsqd_pid"
-echo "    served == local, daemon exited cleanly"
+./target/release/scsqd --unix "$smoke_dir/scsqd.sock" > /dev/null &
+scsqd_pid=$!
+for _ in $(seq 1 100); do
+    [ -S "$smoke_dir/scsqd.sock" ] && break
+    sleep 0.1
+done
+./target/release/scsqc "unix:$smoke_dir/scsqd.sock" "$smoke_dir/smoke.scsql" > "$smoke_dir/unix.out"
+diff "$smoke_dir/unix.out" "$smoke_dir/served.out"
+printf '.shutdown\n' | ./target/release/scsqc "unix:$smoke_dir/scsqd.sock" > /dev/null
+wait "$scsqd_pid"
+echo "    served == local over TCP and the Unix socket, daemons exited cleanly"
 
 echo "verify: OK"

@@ -174,6 +174,77 @@ fn concurrent_sessions_share_one_compilation() {
     );
     assert_eq!(json_field(&stats, "plan_cache_hits"), 1, "{stats}");
     assert_eq!(json_field(&stats, "plan_cache_len"), 1, "{stats}");
+    assert_eq!(json_field(&stats, "plan_cache_cap"), 128, "{stats}");
+    assert_eq!(json_field(&stats, "plan_cache_evictions"), 0, "{stats}");
+    daemon.stop();
+}
+
+#[test]
+fn server_stats_doc_lists_exactly_the_emitted_keys() {
+    // Doc-drift guard: the `.server` row of docs/server.md names every
+    // key of the stats JSON, and nothing else.
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/server.md"))
+        .expect("docs/server.md exists");
+    let row = doc
+        .lines()
+        .find(|l| l.starts_with("| `.server` |"))
+        .expect("docs/server.md has a `.server` row");
+    let cell = row.split('|').nth(2).expect("the effect column");
+    let documented: Vec<&str> = cell.split('`').skip(1).step_by(2).collect();
+    let daemon = Daemon::start();
+    let stats = daemon.server_stats();
+    let emitted: Vec<&str> = stats.split('"').skip(1).step_by(2).collect();
+    assert_eq!(documented, emitted, "{row}\n{stats}");
+    daemon.stop();
+}
+
+#[test]
+fn loopback_tcp_statements_do_not_stall() {
+    // Nagle's algorithm meeting the peer's delayed ACK cost ~88 ms per
+    // statement (~18 s here) while frames left in three writes and no
+    // end set TCP_NODELAY; one write per reply takes ~10 ms in all. The
+    // 2 s limit sits 100x from either, so it gates the stall, not the
+    // host.
+    let daemon = Daemon::start();
+    let mut c = daemon.connect();
+    c.set_timeouts(Some(Duration::from_secs(5)), Some(Duration::from_secs(5)))
+        .expect("set timeouts");
+    for i in 0..8 {
+        c.statement(&format!("prepare q{i} as {PREPARED}"))
+            .expect("prepare");
+    }
+    let t0 = Instant::now();
+    for _ in 0..200 {
+        let frames = c.statement("show catalog;").expect("show catalog");
+        assert_eq!(frames.len(), 9, "8 rows and the OK");
+    }
+    let wall = t0.elapsed();
+    assert!(
+        wall < Duration::from_secs(2),
+        "200 statements took {wall:?}"
+    );
+    daemon.stop();
+}
+
+#[test]
+fn client_timeouts_bound_a_read_that_never_comes() {
+    let daemon = Daemon::start();
+    let mut c = daemon.connect();
+    c.set_timeouts(Some(Duration::from_millis(50)), None)
+        .expect("set timeouts");
+    // Nothing was sent, so the daemon has nothing to say.
+    let err = c.recv().expect_err("the read must time out");
+    assert!(
+        matches!(
+            err.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "{err}"
+    );
+    // The connection is still good without the bound.
+    c.set_timeouts(None, None).expect("clear timeouts");
+    let frames = c.statement("show catalog;").expect("show catalog");
+    assert_eq!(frames.last().unwrap().kind, FrameKind::Ok);
     daemon.stop();
 }
 
