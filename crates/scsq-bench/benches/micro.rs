@@ -11,9 +11,9 @@
 //! `SimDur × f64` rounding under it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scsq_bench::{fig6, ExecMode, Scale};
+use scsq_bench::{fig6, Scale};
 use scsq_cluster::{Environment, NodeId};
-use scsq_core::HardwareSpec;
+use scsq_core::{HardwareSpec, RunOptions};
 use scsq_engine::columnar;
 use scsq_net::{TorusDims, TorusNet, TorusParams};
 use scsq_ql::batch::Batch;
@@ -202,12 +202,12 @@ fn bench_fig6_inner(c: &mut Criterion) {
     for (label, coalesce) in [("coalesced", true), ("per_event", false)] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                let mode = ExecMode {
+                let options = RunOptions {
                     coalesce,
-                    ..ExecMode::default()
+                    ..RunOptions::default()
                 };
                 let series =
-                    fig6::run_with_jobs(&spec, scale, &[1_000], 1, mode).expect("fig6 runs");
+                    fig6::run_with_jobs(&spec, scale, &[1_000], 1, &options).expect("fig6 runs");
                 black_box(series)
             });
         });

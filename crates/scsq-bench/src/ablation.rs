@@ -10,7 +10,7 @@
 //! (observation 1) while keeping the back-end senders co-located
 //! (observations 3/4).
 
-use crate::{sweep, ExecMode, Scale, SweepPoint};
+use crate::{sweep, Scale, SweepPoint};
 use scsq_core::{ClusterName, HardwareSpec, PlacementPolicy, RunOptions, Scsq, ScsqError, Value};
 use scsq_sim::Series;
 
@@ -43,13 +43,20 @@ pub fn query(scale: Scale) -> String {
 ///
 /// Propagates query errors.
 pub fn run(spec: &HardwareSpec, scale: Scale, ns: &[u32]) -> Result<Vec<Series>, ScsqError> {
-    run_with_jobs(spec, scale, ns, crate::default_jobs(), ExecMode::default())
+    run_with_jobs(
+        spec,
+        scale,
+        ns,
+        crate::default_jobs(),
+        &RunOptions::default(),
+    )
 }
 
 /// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
-/// the result is bit-identical for every `jobs` value) and execution
-/// mode. Placement is a *compile-time* decision, so each (policy, n)
-/// pair gets its own prepared plan.
+/// the result is bit-identical for every `jobs` value) and base run
+/// options, under the swept placement policy. Placement is a
+/// *compile-time* decision, so each (policy, n) pair gets its own
+/// prepared plan.
 ///
 /// # Errors
 ///
@@ -59,7 +66,7 @@ pub fn run_with_jobs(
     scale: Scale,
     ns: &[u32],
     jobs: usize,
-    mode: ExecMode,
+    base: &RunOptions,
 ) -> Result<Vec<Series>, ScsqError> {
     let text = query(scale);
     let labels = ["naive next-available", "topology-aware"];
@@ -71,9 +78,7 @@ pub fn run_with_jobs(
     ] {
         let options = RunOptions {
             placement: policy,
-            coalesce: mode.coalesce,
-            columnar: mode.columnar,
-            ..RunOptions::default()
+            ..base.clone()
         };
         *scsq.options_mut() = options.clone();
         for &n in ns {

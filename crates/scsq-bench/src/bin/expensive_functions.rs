@@ -2,15 +2,15 @@
 //! Compares a single-node FFT pipeline with the paper's radix2
 //! distribution over the array-size sweep.
 //!
-//! Usage: `expensive_functions [--quick] [--csv] [--coalesce on|off] [--columnar on|off] [--metrics PATH] [--profile] [--trace PATH]`
+//! Usage: `expensive_functions [--quick] [--csv] [--metrics PATH] [--profile] [--trace PATH]`
 //!
 //! `--profile` prints the explain-analyze per-stage table of one
 //! representative run (the distributed radix2 plan at 1 MB arrays);
 //! `--trace PATH` writes that run's spans in Chrome trace-event format.
 
 use scsq_bench::{
-    expensive, parse_metrics, parse_profile, parse_switch, parse_trace, print_figure,
-    profile_representative, series_to_csv, write_hub_metrics, Scale,
+    expensive, parse_metrics, parse_profile, parse_trace, print_figure, profile_representative,
+    series_to_csv, write_hub_metrics, Scale,
 };
 use scsq_core::HardwareSpec;
 
@@ -24,10 +24,6 @@ fn main() {
     if metrics.is_some() {
         scsq_core::metrics::hub().enable(true);
     }
-    let mode = scsq_bench::ExecMode {
-        coalesce: parse_switch(&args, "--coalesce"),
-        columnar: parse_switch(&args, "--columnar"),
-    };
     let scale = if quick {
         Scale {
             arrays: 20,
@@ -38,7 +34,7 @@ fn main() {
     };
     let sizes = [10_000u64, 50_000, 200_000, 500_000, 1_000_000, 3_000_000];
     let spec = HardwareSpec::lofar();
-    let series = expensive::run_with_mode(&spec, scale, &sizes, mode).unwrap_or_else(|e| {
+    let series = expensive::run(&spec, scale, &sizes).unwrap_or_else(|e| {
         eprintln!("expensive-function study failed: {e}");
         std::process::exit(1);
     });
@@ -53,7 +49,6 @@ fn main() {
             &spec,
             &expensive::radix2_query(1_000_000, scale.arrays),
             &[],
-            mode,
             profile,
             trace.as_deref(),
         );

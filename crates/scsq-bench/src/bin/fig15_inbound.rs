@@ -1,17 +1,17 @@
 //! Regenerates paper Figure 15: BlueGene inbound streaming bandwidth of
 //! Queries 1–6 vs the number of back-end generator RPs.
 //!
-//! Usage: `fig15_inbound [--quick] [--csv] [--jobs N] [--coalesce on|off] [--columnar on|off] [--metrics PATH] [--profile] [--trace PATH]`
+//! Usage: `fig15_inbound [--quick] [--csv] [--jobs N] [--metrics PATH] [--profile] [--trace PATH]`
 //!
 //! `--profile` prints the explain-analyze per-stage table of one
 //! representative run (Query 5 at n=4, the paper's peak); `--trace
 //! PATH` writes that run's spans in Chrome trace-event format.
 
 use scsq_bench::{
-    fig15, parse_jobs, parse_metrics, parse_profile, parse_switch, parse_trace, print_figure,
+    fig15, parse_jobs, parse_metrics, parse_profile, parse_trace, print_figure,
     profile_representative, series_to_csv, write_hub_metrics, Scale,
 };
-use scsq_core::{HardwareSpec, Value};
+use scsq_core::{HardwareSpec, RunOptions, Value};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -24,10 +24,6 @@ fn main() {
     if metrics.is_some() {
         scsq_core::metrics::hub().enable(true);
     }
-    let mode = scsq_bench::ExecMode {
-        coalesce: parse_switch(&args, "--coalesce"),
-        columnar: parse_switch(&args, "--columnar"),
-    };
     let scale = if quick {
         Scale::quick()
     } else {
@@ -35,10 +31,11 @@ fn main() {
     };
     let ns: Vec<u32> = (1..=8).collect();
     let spec = HardwareSpec::lofar();
-    let series = fig15::run_with_jobs(&spec, scale, &ns, jobs, mode).unwrap_or_else(|e| {
-        eprintln!("fig15 failed: {e}");
-        std::process::exit(1);
-    });
+    let series = fig15::run_with_jobs(&spec, scale, &ns, jobs, &RunOptions::default())
+        .unwrap_or_else(|e| {
+            eprintln!("fig15 failed: {e}");
+            std::process::exit(1);
+        });
     if let Some(path) = &metrics {
         write_hub_metrics(path).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
@@ -50,7 +47,6 @@ fn main() {
             &spec,
             &fig15::query(5, scale),
             &[("n", Value::Integer(4))],
-            mode,
             profile,
             trace.as_deref(),
         );

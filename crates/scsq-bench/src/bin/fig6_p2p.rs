@@ -1,17 +1,17 @@
 //! Regenerates paper Figure 6: intra-BlueGene point-to-point streaming
 //! bandwidth vs stream buffer size, single vs double buffering.
 //!
-//! Usage: `fig6_p2p [--quick] [--csv] [--jobs N] [--coalesce on|off] [--columnar on|off] [--metrics PATH] [--profile] [--trace PATH]`
+//! Usage: `fig6_p2p [--quick] [--csv] [--jobs N] [--metrics PATH] [--profile] [--trace PATH]`
 //!
 //! `--profile` prints the explain-analyze per-stage table of one
 //! representative run; `--trace PATH` writes that run's simulated-
 //! timeline spans in Chrome trace-event format.
 
 use scsq_bench::{
-    buffer_sweep, fig6, parse_jobs, parse_metrics, parse_profile, parse_switch, parse_trace,
-    print_figure, profile_representative, series_to_csv, write_hub_metrics, Scale,
+    buffer_sweep, fig6, parse_jobs, parse_metrics, parse_profile, parse_trace, print_figure,
+    profile_representative, series_to_csv, write_hub_metrics, Scale,
 };
-use scsq_core::HardwareSpec;
+use scsq_core::{HardwareSpec, RunOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -24,18 +24,14 @@ fn main() {
     if metrics.is_some() {
         scsq_core::metrics::hub().enable(true);
     }
-    let mode = scsq_bench::ExecMode {
-        coalesce: parse_switch(&args, "--coalesce"),
-        columnar: parse_switch(&args, "--columnar"),
-    };
     let scale = if quick {
         Scale::quick()
     } else {
         Scale::paper()
     };
     let spec = HardwareSpec::lofar();
-    let series =
-        fig6::run_with_jobs(&spec, scale, &buffer_sweep(), jobs, mode).unwrap_or_else(|e| {
+    let series = fig6::run_with_jobs(&spec, scale, &buffer_sweep(), jobs, &RunOptions::default())
+        .unwrap_or_else(|e| {
             eprintln!("fig6 failed: {e}");
             std::process::exit(1);
         });
@@ -46,14 +42,7 @@ fn main() {
         });
     }
     if profile || trace.is_some() {
-        profile_representative(
-            &spec,
-            &fig6::query(scale),
-            &[],
-            mode,
-            profile,
-            trace.as_deref(),
-        );
+        profile_representative(&spec, &fig6::query(scale), &[], profile, trace.as_deref());
     }
     if csv {
         print!("{}", series_to_csv(&series));

@@ -3,16 +3,17 @@
 //! plus the sender-host sweep that quantifies "co-locate back-end RPs
 //! until saturation".
 //!
-//! Usage: `futurework_scaling [--quick] [--csv] [--jobs N] [--coalesce on|off] [--columnar on|off] [--metrics PATH] [--profile] [--trace PATH]`
+//! Usage: `futurework_scaling [--quick] [--csv] [--jobs N] [--metrics PATH] [--profile] [--trace PATH]`
 //!
 //! `--profile` prints the explain-analyze per-stage table of one
 //! representative run (the co-located strategy on the paper partition);
 //! `--trace PATH` writes that run's spans in Chrome trace-event format.
 
 use scsq_bench::{
-    parse_jobs, parse_metrics, parse_profile, parse_switch, parse_trace, print_figure,
-    profile_representative, scaling, series_to_csv, write_hub_metrics, Scale,
+    parse_jobs, parse_metrics, parse_profile, parse_trace, print_figure, profile_representative,
+    scaling, series_to_csv, write_hub_metrics, Scale,
 };
+use scsq_core::RunOptions;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -25,10 +26,6 @@ fn main() {
     if metrics.is_some() {
         scsq_core::metrics::hub().enable(true);
     }
-    let mode = scsq_bench::ExecMode {
-        coalesce: parse_switch(&args, "--coalesce"),
-        columnar: parse_switch(&args, "--columnar"),
-    };
     let scale = if quick {
         Scale::quick()
     } else {
@@ -36,15 +33,17 @@ fn main() {
     };
 
     let ns: Vec<u32> = vec![1, 2, 4, 8, 16];
-    let series = scaling::run_with_jobs(scale, &ns, jobs, mode).unwrap_or_else(|e| {
-        eprintln!("scaling study failed: {e}");
-        std::process::exit(1);
-    });
-    let hosts = scaling::run_host_sweep_with_jobs(scale, &[1, 2, 4, 8, 16], jobs, mode)
-        .unwrap_or_else(|e| {
-            eprintln!("host sweep failed: {e}");
+    let series =
+        scaling::run_with_jobs(scale, &ns, jobs, &RunOptions::default()).unwrap_or_else(|e| {
+            eprintln!("scaling study failed: {e}");
             std::process::exit(1);
         });
+    let hosts =
+        scaling::run_host_sweep_with_jobs(scale, &[1, 2, 4, 8, 16], jobs, &RunOptions::default())
+            .unwrap_or_else(|e| {
+                eprintln!("host sweep failed: {e}");
+                std::process::exit(1);
+            });
     if let Some(path) = &metrics {
         write_hub_metrics(path).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
@@ -57,7 +56,6 @@ fn main() {
             spec,
             &scaling::inbound_query(scale, "1"),
             &[],
-            mode,
             profile,
             trace.as_deref(),
         );

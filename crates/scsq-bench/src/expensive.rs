@@ -16,7 +16,7 @@
 //! distribution only profits once the O(n log n) FFT compute outgrows
 //! that doubled communication.
 
-use crate::{mean_metric, ExecMode, Scale};
+use crate::{mean_metric, Scale};
 use scsq_core::{HardwareSpec, RunOptions, ScsqError};
 use scsq_sim::Series;
 
@@ -53,26 +53,25 @@ pub fn radix2_query(bytes: u64, count: u64) -> String {
 ///
 /// Propagates query errors.
 pub fn run(spec: &HardwareSpec, scale: Scale, sizes: &[u64]) -> Result<Vec<Series>, ScsqError> {
-    run_with_mode(spec, scale, sizes, ExecMode::default())
+    run_with_options(spec, scale, sizes, &RunOptions::default())
 }
 
-/// [`run`] with an execution mode (all modes are bit-identical; the
-/// switches only change the wall-clock).
+/// [`run`] with base run options, under a 100 kB MPI buffer (a base
+/// with `coalesce` or `columnar` off is bit-identical; it only changes
+/// the wall-clock).
 ///
 /// # Errors
 ///
 /// Propagates query errors.
-pub fn run_with_mode(
+pub fn run_with_options(
     spec: &HardwareSpec,
     scale: Scale,
     sizes: &[u64],
-    mode: ExecMode,
+    base: &RunOptions,
 ) -> Result<Vec<Series>, ScsqError> {
     let options = RunOptions {
         mpi_buffer: 100_000,
-        coalesce: mode.coalesce,
-        columnar: mode.columnar,
-        ..RunOptions::default()
+        ..base.clone()
     };
     let mut single = Series::new("single-node fft");
     let mut distributed = Series::new("distributed radix2");

@@ -14,7 +14,7 @@
 //! 4. Q1 beats Q2 for the same reason;
 //! 5. Q5 dips at n=5 (only four I/O nodes; psets start sharing).
 
-use crate::{sweep, ExecMode, Scale, SweepPoint};
+use crate::{sweep, Scale, SweepPoint};
 use scsq_core::{ClusterName, HardwareSpec, RunOptions, Scsq, ScsqError, Value};
 use scsq_sim::Series;
 
@@ -71,12 +71,18 @@ pub fn query(number: u8, scale: Scale) -> String {
 ///
 /// Propagates query errors.
 pub fn run(spec: &HardwareSpec, scale: Scale, ns: &[u32]) -> Result<Vec<Series>, ScsqError> {
-    run_with_jobs(spec, scale, ns, crate::default_jobs(), ExecMode::default())
+    run_with_jobs(
+        spec,
+        scale,
+        ns,
+        crate::default_jobs(),
+        &RunOptions::default(),
+    )
 }
 
 /// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
-/// the result is bit-identical for every `jobs` value) and execution
-/// mode. The sweep variable `n` participates in binding, so each
+/// the result is bit-identical for every `jobs` value) and run options.
+/// The sweep variable `n` participates in binding, so each
 /// (query, n) pair compiles once and its repetitions replay the plan.
 ///
 /// # Errors
@@ -87,14 +93,9 @@ pub fn run_with_jobs(
     scale: Scale,
     ns: &[u32],
     jobs: usize,
-    mode: ExecMode,
+    base: &RunOptions,
 ) -> Result<Vec<Series>, ScsqError> {
     let mut scsq = Scsq::with_spec(spec.clone());
-    let options = RunOptions {
-        coalesce: mode.coalesce,
-        columnar: mode.columnar,
-        ..RunOptions::default()
-    };
     let mut labels = Vec::new();
     let mut points = Vec::with_capacity(6 * ns.len());
     for q in 1..=6u8 {
@@ -107,7 +108,7 @@ pub fn run_with_jobs(
                 series: si,
                 x: f64::from(n),
                 plan,
-                options: options.clone(),
+                options: base.clone(),
                 spec: spec.clone(),
             });
         }

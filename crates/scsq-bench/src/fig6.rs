@@ -7,7 +7,7 @@
 //! degradation below (1 KB minimum torus message) and above (cache
 //! misses), and double buffering paying off for large buffers.
 
-use crate::{sweep, ExecMode, Scale, SweepPoint};
+use crate::{sweep, Scale, SweepPoint};
 use scsq_core::{HardwareSpec, NodeId, RunOptions, Scsq, ScsqError};
 use scsq_sim::Series;
 
@@ -36,14 +36,15 @@ pub fn run(spec: &HardwareSpec, scale: Scale, buffers: &[u64]) -> Result<Vec<Ser
         scale,
         buffers,
         crate::default_jobs(),
-        ExecMode::default(),
+        &RunOptions::default(),
     )
 }
 
 /// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
-/// the result is bit-identical for every `jobs` value) and execution
-/// mode (coalesced/columnar and plain per-event runs are bit-identical too
-/// — the mode only changes the wall-clock).
+/// the result is bit-identical for every `jobs` value) and base run
+/// options, under the swept buffer size and buffering mode (a base with
+/// `coalesce` or `columnar` off selects a reference path, bit-identical
+/// too — it only changes the wall-clock).
 ///
 /// The query text does not depend on the swept knobs, so the whole
 /// figure — both buffering modes, every buffer size, every repetition —
@@ -57,7 +58,7 @@ pub fn run_with_jobs(
     scale: Scale,
     buffers: &[u64],
     jobs: usize,
-    mode: ExecMode,
+    base: &RunOptions,
 ) -> Result<Vec<Series>, ScsqError> {
     let mut scsq = Scsq::with_spec(spec.clone());
     let plan = scsq.prepare(&query(scale))?;
@@ -72,9 +73,7 @@ pub fn run_with_jobs(
                 options: RunOptions {
                     mpi_buffer: buffer,
                     mpi_double: double,
-                    coalesce: mode.coalesce,
-                    columnar: mode.columnar,
-                    ..RunOptions::default()
+                    ..base.clone()
                 },
                 spec: spec.clone(),
             });

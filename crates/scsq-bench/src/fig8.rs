@@ -10,7 +10,7 @@
 //! balanced, §5), double buffering matters less than for point-to-point,
 //! and merging needs much larger buffers (co-processor switch penalty).
 
-use crate::{sweep, ExecMode, Scale, SweepPoint};
+use crate::{sweep, Scale, SweepPoint};
 use scsq_core::{HardwareSpec, NodeId, RunOptions, Scsq, ScsqError};
 use scsq_sim::Series;
 
@@ -68,14 +68,15 @@ pub fn run(spec: &HardwareSpec, scale: Scale, buffers: &[u64]) -> Result<Vec<Ser
         scale,
         buffers,
         crate::default_jobs(),
-        ExecMode::default(),
+        &RunOptions::default(),
     )
 }
 
 /// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
-/// the result is bit-identical for every `jobs` value) and execution
-/// mode. One prepared plan per node selection serves both buffering
-/// modes and every buffer size.
+/// the result is bit-identical for every `jobs` value) and base run
+/// options, under the swept buffer size and buffering mode. One prepared
+/// plan per node selection serves both buffering modes and every buffer
+/// size.
 ///
 /// # Errors
 ///
@@ -85,7 +86,7 @@ pub fn run_with_jobs(
     scale: Scale,
     buffers: &[u64],
     jobs: usize,
-    mode: ExecMode,
+    base: &RunOptions,
 ) -> Result<Vec<Series>, ScsqError> {
     let mut scsq = Scsq::with_spec(spec.clone());
     let mut labels = Vec::new();
@@ -103,9 +104,7 @@ pub fn run_with_jobs(
                     options: RunOptions {
                         mpi_buffer: buffer,
                         mpi_double: double,
-                        coalesce: mode.coalesce,
-                        columnar: mode.columnar,
-                        ..RunOptions::default()
+                        ..base.clone()
                     },
                     spec: spec.clone(),
                 });

@@ -28,10 +28,8 @@ pub mod report;
 pub mod scaling;
 pub mod serve;
 
-pub use pool::{
-    default_jobs, parse_jobs, parse_metrics, parse_profile, parse_switch, parse_trace, run_indexed,
-};
-pub use report::{print_figure, series_to_csv, write_hub_metrics, write_hub_metrics_tagged};
+pub use pool::{default_jobs, parse_jobs, parse_metrics, parse_profile, parse_trace, run_indexed};
+pub use report::{print_figure, series_to_csv, write_hub_metrics};
 
 use scsq_core::{HardwareSpec, PreparedQuery, QueryResult, RunOptions, Scsq, ScsqError, Value};
 use scsq_sim::{RunningStats, Series};
@@ -68,39 +66,6 @@ impl Scale {
             arrays: 10,
             reps: 1,
             jitter: 0.0,
-        }
-    }
-}
-
-/// Execution-path switches shared by every figure runner: which fast
-/// tiers are on. Results are bit-identical for every combination — the
-/// switches only change the wall-clock (coalescing skips events
-/// analytically; the columnar pass runs admitted batches through
-/// whole-column kernels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecMode {
-    /// Train coalescing ([`RunOptions::coalesce`]).
-    pub coalesce: bool,
-    /// Columnar batch absorption ([`RunOptions::columnar`]).
-    pub columnar: bool,
-}
-
-impl Default for ExecMode {
-    fn default() -> Self {
-        ExecMode {
-            coalesce: true,
-            columnar: true,
-        }
-    }
-}
-
-impl ExecMode {
-    /// Copies the switches into a set of run options.
-    pub fn apply(self, options: RunOptions) -> RunOptions {
-        RunOptions {
-            coalesce: self.coalesce,
-            columnar: self.columnar,
-            ..options
         }
     }
 }
@@ -247,7 +212,6 @@ pub fn profile_representative(
     spec: &HardwareSpec,
     query: &str,
     bindings: &[(&str, Value)],
-    mode: ExecMode,
     show_profile: bool,
     trace: Option<&str>,
 ) {
@@ -255,12 +219,9 @@ pub fn profile_representative(
         eprintln!("representative profiled run failed: {e}");
         std::process::exit(1);
     };
-    let mut scsq = Scsq::with_spec(spec.clone());
-    *scsq.options_mut() = mode.apply(RunOptions::default());
-    let plan = scsq
+    let plan = Scsq::with_spec(spec.clone())
         .prepare_with(query, bindings)
         .unwrap_or_else(|e| fail(e));
-    let options = mode.apply(RunOptions::default());
     if trace.is_some() {
         // Flip the hub *and* the span gate together, and discard any
         // spans a prior pass of this binary left in the ring.
@@ -268,7 +229,7 @@ pub fn profile_representative(
         let _ = scsq_sim::obs::take_spans();
     }
     let (_, profile) = plan
-        .explain_analyze(spec, &options)
+        .explain_analyze(spec, &RunOptions::default())
         .unwrap_or_else(|e| fail(e));
     if show_profile {
         print!("{}", profile.render());

@@ -30,14 +30,10 @@ pub fn default_jobs() -> usize {
 const FLAGS: &[(&str, bool)] = &[
     ("--quick", false),
     ("--csv", false),
-    ("--smoke", false),
     ("--profile", false),
     ("--jobs", true),
-    ("--coalesce", true),
-    ("--columnar", true),
     ("--metrics", true),
     ("--trace", true),
-    ("--out", true),
 ];
 
 /// The one argument walk behind every `parse_*`: `None` when `name` is
@@ -56,8 +52,8 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<Option<&'a str>> {
         let Some(&(_, takes_value)) = FLAGS.iter().find(|(f, _)| *f == flag) else {
             if flag.starts_with("--") {
                 eprintln!(
-                    "unknown flag {flag}; flags: --quick --csv --jobs N --coalesce on|off \
-                     --columnar on|off --metrics PATH --profile --trace PATH"
+                    "unknown flag {flag}; flags: --quick --csv --jobs N --metrics PATH \
+                     --profile --trace PATH"
                 );
                 std::process::exit(2);
             }
@@ -128,21 +124,6 @@ pub fn parse_profile(args: &[String]) -> bool {
 /// aborts with a usage message.
 pub fn parse_trace(args: &[String]) -> Option<String> {
     parse_path(args, "--trace")
-}
-
-/// Parses an on/off switch (`--coalesce`, `--columnar`), given as
-/// `--name on|off` or `--name=on|off` and defaulting to `true` when
-/// absent. Anything other than `on` or `off` aborts with a usage
-/// message.
-pub fn parse_switch(args: &[String], name: &str) -> bool {
-    match flag_value(args, name) {
-        None | Some(Some("on")) => true,
-        Some(Some("off")) => false,
-        Some(_) => {
-            eprintln!("{name} expects 'on' or 'off' (e.g. {name} off)");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// Runs every job and returns their results in job order.
@@ -269,21 +250,6 @@ mod tests {
         assert_eq!(parse_jobs(&to_args(&["--quick", "--jobs", "4"])), 4);
         assert_eq!(parse_jobs(&to_args(&["--jobs=7", "--csv"])), 7);
         assert_eq!(parse_jobs(&to_args(&["--quick"])), default_jobs());
-    }
-
-    #[test]
-    fn parse_switch_reads_both_flag_forms() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(!parse_switch(
-            &to_args(&["--columnar", "off"]),
-            "--columnar"
-        ));
-        assert!(!parse_switch(&to_args(&["--coalesce=off"]), "--coalesce"));
-        assert!(parse_switch(&to_args(&["--coalesce=off"]), "--columnar"));
-        assert!(parse_switch(
-            &to_args(&["--columnar=on", "--csv"]),
-            "--columnar"
-        ));
     }
 
     #[test]

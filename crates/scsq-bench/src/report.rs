@@ -20,28 +20,6 @@ pub fn write_hub_metrics(path: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// [`write_hub_metrics`] with a `"pass"` field spliced into the JSON
-/// object, recording *which* pass of a multi-pass binary the counters
-/// cover. `perfstat --metrics` writes `"pass": "warmup"`: its hub is
-/// enabled for the warm-up pass only, so the timed passes are never
-/// perturbed.
-///
-/// # Errors
-///
-/// Propagates the file write error.
-pub fn write_hub_metrics_tagged(path: &str, pass: &str) -> std::io::Result<()> {
-    let snap = scsq_core::metrics::hub().snapshot();
-    let json = snap
-        .to_json()
-        .replacen("{\n", &format!("{{\n  \"pass\": \"{pass}\",\n"), 1);
-    std::fs::write(path, json)?;
-    eprintln!(
-        "metrics ({pass} pass): {} queries, {} events, {} bytes delivered -> {path}",
-        snap.queries, snap.events, snap.bytes_delivered
-    );
-    Ok(())
-}
-
 /// Renders a figure as an aligned text table: one row per x value, one
 /// column per series.
 pub fn print_figure(title: &str, x_label: &str, y_label: &str, series: &[Series]) -> String {
@@ -107,17 +85,6 @@ mod tests {
         assert!(t.contains("beta"));
         assert!(t.lines().count() >= 5);
         assert!(t.contains("21.00"));
-    }
-
-    #[test]
-    fn tagged_metrics_json_carries_the_pass_field() {
-        let path = std::env::temp_dir().join("scsq_bench_tagged_metrics_test.json");
-        write_hub_metrics_tagged(path.to_str().unwrap(), "warmup").unwrap();
-        let json = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert!(json.starts_with("{\n  \"pass\": \"warmup\",\n"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"queries\":"));
     }
 
     #[test]

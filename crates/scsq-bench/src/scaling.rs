@@ -20,7 +20,7 @@
 //! the I/O side, and no more — the quantitative version of the paper's
 //! "co-locate back-end RPs to the same compute node until saturation".
 
-use crate::{sweep, ExecMode, Scale, SweepPoint};
+use crate::{sweep, Scale, SweepPoint};
 use scsq_core::{ClusterName, HardwareSpec, RunOptions, Scsq, ScsqError, Value};
 use scsq_sim::Series;
 
@@ -78,12 +78,12 @@ pub fn inbound_query(scale: Scale, be_alloc: &str) -> String {
 ///
 /// Propagates query errors.
 pub fn run(scale: Scale, ns: &[u32]) -> Result<Vec<Series>, ScsqError> {
-    run_with_jobs(scale, ns, crate::default_jobs(), ExecMode::default())
+    run_with_jobs(scale, ns, crate::default_jobs(), &RunOptions::default())
 }
 
 /// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
-/// the result is bit-identical for every `jobs` value) and execution
-/// mode. Each (partition, strategy, n) cell compiles once — the
+/// the result is bit-identical for every `jobs` value) and run options.
+/// Each (partition, strategy, n) cell compiles once — the
 /// partition changes the hardware the plan is placed against.
 ///
 /// # Errors
@@ -93,13 +93,8 @@ pub fn run_with_jobs(
     scale: Scale,
     ns: &[u32],
     jobs: usize,
-    mode: ExecMode,
+    base: &RunOptions,
 ) -> Result<Vec<Series>, ScsqError> {
-    let options = RunOptions {
-        coalesce: mode.coalesce,
-        columnar: mode.columnar,
-        ..RunOptions::default()
-    };
     let mut labels = Vec::new();
     let mut points = Vec::new();
     for (name, spec) in partitions() {
@@ -117,7 +112,7 @@ pub fn run_with_jobs(
                     series: si,
                     x: f64::from(n),
                     plan,
-                    options: options.clone(),
+                    options: base.clone(),
                     spec: spec.clone(),
                 });
             }
@@ -141,11 +136,10 @@ pub fn run_with_jobs(
 ///
 /// Propagates query errors.
 pub fn run_host_sweep(scale: Scale, hosts: &[u32]) -> Result<Series, ScsqError> {
-    run_host_sweep_with_jobs(scale, hosts, crate::default_jobs(), ExecMode::default())
+    run_host_sweep_with_jobs(scale, hosts, crate::default_jobs(), &RunOptions::default())
 }
 
-/// [`run_host_sweep`] with an explicit worker count and execution
-/// mode.
+/// [`run_host_sweep`] with an explicit worker count and run options.
 ///
 /// # Errors
 ///
@@ -154,13 +148,8 @@ pub fn run_host_sweep_with_jobs(
     scale: Scale,
     hosts: &[u32],
     jobs: usize,
-    mode: ExecMode,
+    base: &RunOptions,
 ) -> Result<Series, ScsqError> {
-    let options = RunOptions {
-        coalesce: mode.coalesce,
-        columnar: mode.columnar,
-        ..RunOptions::default()
-    };
     let streams = 16u32;
     let text = inbound_query(scale, "urr('be')");
     let mut points = Vec::with_capacity(hosts.len());
@@ -172,7 +161,7 @@ pub fn run_host_sweep_with_jobs(
             series: 0,
             x: f64::from(k),
             plan,
-            options: options.clone(),
+            options: base.clone(),
             spec,
         });
     }

@@ -1,6 +1,9 @@
-//! The bench binaries reject a `--flag` they do not know (exit code 2,
-//! one usage line) instead of quietly running the default: a retired
-//! switch such as `--fuse off` must not print a normal-looking CSV.
+//! The bench binaries' command-line contract: six flags, and a `--flag`
+//! they do not know exits 2 with one usage line and no output instead
+//! of quietly running the default. The retired switches — `--fuse`,
+//! `--coalesce`, `--columnar` — must not print a normal-looking CSV;
+//! the reference execution paths they selected are test-only
+//! (`RunOptions { coalesce: false, .. }`, `RunOptions { columnar: false, .. }`).
 
 use std::process::{Command, Output};
 
@@ -20,16 +23,60 @@ fn fig6_p2p(args: &[&str]) -> Output {
     cmd.args(args).output().expect("fig6_p2p spawns")
 }
 
+/// Asserts a usage error and returns its one stderr line.
+fn usage_error(args: &[&str]) -> String {
+    let out = fig6_p2p(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?}: no figure on a usage error"
+    );
+    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(usage.lines().count(), 1, "{usage}");
+    usage
+}
+
 #[test]
 fn unknown_flags_exit_2_and_known_switches_run() {
-    let retired = fig6_p2p(&["--quick", "--csv", "--fuse", "off"]);
-    assert_eq!(retired.status.code(), Some(2), "{retired:?}");
-    assert!(retired.stdout.is_empty(), "no figure on a usage error");
-    let usage = String::from_utf8_lossy(&retired.stderr);
-    assert!(usage.contains("unknown flag --fuse"), "{usage}");
-    assert_eq!(usage.lines().count(), 1, "{usage}");
+    for retired in [
+        &["--fuse", "off"][..],
+        &["--coalesce", "off"],
+        &["--columnar", "off"],
+        &["--smoke"],
+        &["--out", "x"],
+    ] {
+        let usage = usage_error(&[&["--quick", "--csv"][..], retired].concat());
+        let flag = retired[0];
+        assert!(usage.contains(&format!("unknown flag {flag}")), "{usage}");
+    }
 
-    let scalar = fig6_p2p(&["--quick", "--csv", "--columnar", "off"]);
-    assert_eq!(scalar.status.code(), Some(0), "{scalar:?}");
-    assert!(String::from_utf8_lossy(&scalar.stdout).starts_with("series,"));
+    let metrics = std::env::temp_dir().join(format!("cli_flags_{}.json", std::process::id()));
+    let path = metrics.to_str().expect("utf-8 temp path");
+    let run = fig6_p2p(&["--quick", "--jobs", "2", "--metrics", path, "--profile"]);
+    assert_eq!(run.status.code(), Some(0), "{run:?}");
+    let json = std::fs::read_to_string(&metrics).expect("--metrics writes its file");
+    let _ = std::fs::remove_file(&metrics);
+    assert!(json.contains("\"queries\":"), "{json}");
+}
+
+#[test]
+fn usage_lists_exactly_the_surviving_flags() {
+    let usage = usage_error(&["--bogus"]);
+    let mut listed: Vec<&str> = usage
+        .split_whitespace()
+        .filter(|w| w.starts_with("--") && *w != "--bogus;")
+        .collect();
+    listed.sort_unstable();
+    assert_eq!(
+        listed,
+        [
+            "--csv",
+            "--jobs",
+            "--metrics",
+            "--profile",
+            "--quick",
+            "--trace"
+        ],
+        "{usage}"
+    );
 }

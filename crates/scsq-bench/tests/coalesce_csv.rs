@@ -2,13 +2,21 @@
 //! train-coalescing fast path is on or off: the coalescer may only
 //! change wall-clock time, never a figure.
 
-use scsq_bench::{ablation, expensive, fig15, fig6, fig8, scaling, series_to_csv, ExecMode, Scale};
-use scsq_core::HardwareSpec;
+use scsq_bench::{ablation, expensive, fig15, fig6, fig8, scaling, series_to_csv, Scale};
+use scsq_core::{HardwareSpec, RunOptions};
 
-const PER_EVENT: ExecMode = ExecMode {
-    coalesce: false,
-    columnar: true,
-};
+/// The shipping default: coalescing and the column kernels on.
+fn coalesced() -> RunOptions {
+    RunOptions::default()
+}
+
+/// The per-event reference path.
+fn per_event() -> RunOptions {
+    RunOptions {
+        coalesce: false,
+        ..RunOptions::default()
+    }
+}
 
 fn scale() -> Scale {
     Scale {
@@ -21,8 +29,8 @@ fn scale() -> Scale {
 fn fig6_csv_is_identical() {
     let spec = HardwareSpec::lofar();
     let buffers = [100u64, 1_000, 100_000];
-    let on = fig6::run_with_jobs(&spec, scale(), &buffers, 1, ExecMode::default()).unwrap();
-    let off = fig6::run_with_jobs(&spec, scale(), &buffers, 1, PER_EVENT).unwrap();
+    let on = fig6::run_with_jobs(&spec, scale(), &buffers, 1, &coalesced()).unwrap();
+    let off = fig6::run_with_jobs(&spec, scale(), &buffers, 1, &per_event()).unwrap();
     assert_eq!(
         series_to_csv(&on).into_bytes(),
         series_to_csv(&off).into_bytes()
@@ -33,8 +41,8 @@ fn fig6_csv_is_identical() {
 fn fig8_csv_is_identical() {
     let spec = HardwareSpec::lofar();
     let buffers = [1_000u64, 10_000];
-    let on = fig8::run_with_jobs(&spec, scale(), &buffers, 1, ExecMode::default()).unwrap();
-    let off = fig8::run_with_jobs(&spec, scale(), &buffers, 1, PER_EVENT).unwrap();
+    let on = fig8::run_with_jobs(&spec, scale(), &buffers, 1, &coalesced()).unwrap();
+    let off = fig8::run_with_jobs(&spec, scale(), &buffers, 1, &per_event()).unwrap();
     assert_eq!(
         series_to_csv(&on).into_bytes(),
         series_to_csv(&off).into_bytes()
@@ -44,8 +52,8 @@ fn fig8_csv_is_identical() {
 #[test]
 fn fig15_csv_is_identical() {
     let spec = HardwareSpec::lofar();
-    let on = fig15::run_with_jobs(&spec, scale(), &[1, 4], 1, ExecMode::default()).unwrap();
-    let off = fig15::run_with_jobs(&spec, scale(), &[1, 4], 1, PER_EVENT).unwrap();
+    let on = fig15::run_with_jobs(&spec, scale(), &[1, 4], 1, &coalesced()).unwrap();
+    let off = fig15::run_with_jobs(&spec, scale(), &[1, 4], 1, &per_event()).unwrap();
     assert_eq!(
         series_to_csv(&on).into_bytes(),
         series_to_csv(&off).into_bytes()
@@ -55,8 +63,8 @@ fn fig15_csv_is_identical() {
 #[test]
 fn ablation_csv_is_identical() {
     let spec = HardwareSpec::lofar();
-    let on = ablation::run_with_jobs(&spec, scale(), &[4], 1, ExecMode::default()).unwrap();
-    let off = ablation::run_with_jobs(&spec, scale(), &[4], 1, PER_EVENT).unwrap();
+    let on = ablation::run_with_jobs(&spec, scale(), &[4], 1, &coalesced()).unwrap();
+    let off = ablation::run_with_jobs(&spec, scale(), &[4], 1, &per_event()).unwrap();
     assert_eq!(
         series_to_csv(&on).into_bytes(),
         series_to_csv(&off).into_bytes()
@@ -65,8 +73,8 @@ fn ablation_csv_is_identical() {
 
 #[test]
 fn scaling_csv_is_identical() {
-    let on = scaling::run_with_jobs(scale(), &[4], 1, ExecMode::default()).unwrap();
-    let off = scaling::run_with_jobs(scale(), &[4], 1, PER_EVENT).unwrap();
+    let on = scaling::run_with_jobs(scale(), &[4], 1, &coalesced()).unwrap();
+    let off = scaling::run_with_jobs(scale(), &[4], 1, &per_event()).unwrap();
     assert_eq!(
         series_to_csv(&on).into_bytes(),
         series_to_csv(&off).into_bytes()
@@ -77,8 +85,8 @@ fn scaling_csv_is_identical() {
 fn expensive_csv_is_identical() {
     let spec = HardwareSpec::lofar();
     let sizes = [100_000u64, 1_000_000];
-    let on = expensive::run_with_mode(&spec, scale(), &sizes, ExecMode::default()).unwrap();
-    let off = expensive::run_with_mode(&spec, scale(), &sizes, PER_EVENT).unwrap();
+    let on = expensive::run_with_options(&spec, scale(), &sizes, &coalesced()).unwrap();
+    let off = expensive::run_with_options(&spec, scale(), &sizes, &per_event()).unwrap();
     assert_eq!(
         series_to_csv(&on).into_bytes(),
         series_to_csv(&off).into_bytes()

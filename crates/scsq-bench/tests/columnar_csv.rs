@@ -9,20 +9,24 @@
 //! elements), with coalescing off so every delivery walks the per-event
 //! path.
 
-use scsq_bench::{fig15, fig6, series_to_csv, ExecMode, Scale};
-use scsq_core::HardwareSpec;
+use scsq_bench::{fig15, fig6, series_to_csv, Scale};
+use scsq_core::{HardwareSpec, RunOptions};
 
-/// The columnar deliver path (the shipping default).
-const COLUMNAR: ExecMode = ExecMode {
-    coalesce: false,
-    columnar: true,
-};
+/// The columnar deliver path (the shipping default), per event.
+fn columnar() -> RunOptions {
+    RunOptions {
+        coalesce: false,
+        ..RunOptions::default()
+    }
+}
 
-/// The same chains driven one element at a time (`--columnar off`).
-const SCALAR: ExecMode = ExecMode {
-    coalesce: false,
-    columnar: false,
-};
+/// The same chains driven one element at a time.
+fn scalar() -> RunOptions {
+    RunOptions {
+        columnar: false,
+        ..columnar()
+    }
+}
 
 /// Small arrays, so a 5 kB–50 kB buffer period batches 5–50 of them.
 fn dense_scale() -> Scale {
@@ -37,8 +41,8 @@ fn dense_scale() -> Scale {
 fn fig6_csv_is_identical_under_columnar() {
     let spec = HardwareSpec::lofar();
     let buffers = [5_000u64, 50_000];
-    let on = fig6::run_with_jobs(&spec, dense_scale(), &buffers, 1, COLUMNAR).unwrap();
-    let off = fig6::run_with_jobs(&spec, dense_scale(), &buffers, 1, SCALAR).unwrap();
+    let on = fig6::run_with_jobs(&spec, dense_scale(), &buffers, 1, &columnar()).unwrap();
+    let off = fig6::run_with_jobs(&spec, dense_scale(), &buffers, 1, &scalar()).unwrap();
     assert_eq!(
         series_to_csv(&on).into_bytes(),
         series_to_csv(&off).into_bytes()
@@ -48,8 +52,8 @@ fn fig6_csv_is_identical_under_columnar() {
 #[test]
 fn fig15_csv_is_identical_under_columnar() {
     let spec = HardwareSpec::lofar();
-    let on = fig15::run_with_jobs(&spec, dense_scale(), &[1, 4], 1, COLUMNAR).unwrap();
-    let off = fig15::run_with_jobs(&spec, dense_scale(), &[1, 4], 1, SCALAR).unwrap();
+    let on = fig15::run_with_jobs(&spec, dense_scale(), &[1, 4], 1, &columnar()).unwrap();
+    let off = fig15::run_with_jobs(&spec, dense_scale(), &[1, 4], 1, &scalar()).unwrap();
     assert_eq!(
         series_to_csv(&on).into_bytes(),
         series_to_csv(&off).into_bytes()

@@ -81,8 +81,8 @@ pub struct Environment {
     /// Number of factors drawn from `jitter_rng` since construction or
     /// the last [`Environment::set_service_jitter`]. Part of the
     /// determinism contract: every executor tier must consume the same
-    /// stream positions, and this counter is how tests and perfstat
-    /// verify it. Derived from the RNG state, so never probed.
+    /// stream positions, and this counter is how the tests verify it.
+    /// Derived from the RNG state, so never probed.
     jitter_draws: u64,
     /// One-entry service memo for the marshal path (streams send runs of
     /// equal-sized buffers, so the division in `SimDur::for_bytes`

@@ -56,7 +56,7 @@ pub struct RunOptions {
     /// Absorb or relay whole delivered batches with one dispatch per
     /// typed column when the destination's stage chain admits them.
     /// Identical outputs either way — the per-element path is the
-    /// byte-identity reference (`--columnar off`) and the fallback for
+    /// byte-identity reference (`columnar: false`) and the fallback for
     /// every batch the admission walk declines.
     pub columnar: bool,
     /// Relative amplitude of multiplicative service-time jitter applied
@@ -301,7 +301,7 @@ pub(crate) struct World {
     columnar: bool,
     /// Delivered batches the columnar fast path absorbed or relayed.
     columnar_batches: u64,
-    /// Value→column decompositions performed (`--columnar off` must
+    /// Value→column decompositions performed (`columnar: false` must
     /// keep this at zero: no speculative transposes).
     columnar_transposes: u64,
     /// Reusable gather buffer for a delivered run of scalar values —
@@ -1278,7 +1278,7 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
 
 /// Processes one run of scalar values delivered back-to-back, leaving
 /// `run` empty: transpose and try the columnar ladder when the
-/// destination chain can use columns at all (`--columnar off` or a
+/// destination chain can use columns at all (`columnar: false` or a
 /// non-qualifying chain skips the decomposition entirely), else walk
 /// the run per element.
 fn deliver_value_run(
@@ -1987,7 +1987,7 @@ mod tests {
         // as the plan's own columns, so batches are absorbed and
         // nothing is transposed; a source that cannot be prepared (its
         // chain computes) emits values, which the receiver transposes
-        // per delivered run. `--columnar off` must not even
+        // per delivered run. `columnar: false` must not even
         // speculatively transpose, and must not touch the prepared
         // column either: the source walks its values one by one.
         let prepared = "select extract(b) from sp a, sp b

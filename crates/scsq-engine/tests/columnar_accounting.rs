@@ -76,7 +76,7 @@ fn assert_books_match(src: &str, jitter: f64) -> u64 {
     );
 
     assert_eq!(scalar.stats().columnar_batches, 0);
-    // `--columnar off` must not even transpose: the decomposition is
+    // `columnar: false` must not even transpose: the decomposition is
     // guarded, not merely the admission.
     assert_eq!(scalar.stats().columnar_transposes, 0);
     columnar.stats().columnar_batches

@@ -115,8 +115,8 @@ pub struct ChannelStats {
     pub last_delivery: SimTime,
     /// High-water mark of the send queue, in queue *nodes*: a run of
     /// identical elements counts once (see the train coalescing notes
-    /// on [`StreamChannel::enqueue`]), and so does a whole pack or run
-    /// ([`StreamChannel::enqueue_pack`] / [`StreamChannel::enqueue_run`]).
+    /// on [`StreamChannel::enqueue`]), and so does a whole run
+    /// ([`StreamChannel::enqueue_run`]).
     /// Gauges how far the producer ran ahead of the carrier.
     pub queue_peak_trains: u64,
 }
@@ -175,9 +175,9 @@ impl<T> Train<T> {
 }
 
 /// A pack of *distinct* elements sharing one marshaled size, enqueued
-/// in a single call ([`StreamChannel::enqueue_pack`] /
-/// [`StreamChannel::enqueue_run`]) with an explicit nondecreasing ready
-/// time per element — the complement of [`Train`], which compresses
+/// in a single call ([`StreamChannel::enqueue_run`]) as one view
+/// payload with an explicit nondecreasing ready time per element — the
+/// complement of [`Train`], which compresses
 /// *identical* elements on an arithmetic ready progression. A column
 /// batch (relayed, or a prepared constant source) is the motivating
 /// producer: thousands of same-sized, pairwise-distinct rows become
@@ -187,8 +187,10 @@ impl<T> Train<T> {
 /// as if it had been enqueued individually.
 #[derive(Debug)]
 struct Pack<T> {
-    /// The elements, consumed front to back from `next`.
-    items: PackItems<T>,
+    /// One view payload standing for every element, consumed front to
+    /// back from `next`; sub-runs are cut with [`Payload::slice_rows`]
+    /// as buffers fill.
+    view: T,
     /// Per-element ready times, nondecreasing; one per element.
     readies: Vec<SimTime>,
     /// Index of the head element.
@@ -199,16 +201,6 @@ struct Pack<T> {
     head_bytes_left: u64,
     /// Some of the head element's bytes rode a dropped datagram.
     head_corrupted: bool,
-}
-
-/// The two payload forms of a [`Pack`].
-#[derive(Debug)]
-enum PackItems<T> {
-    /// One payload per element.
-    Each(Vec<T>),
-    /// One view payload standing for every element; sub-runs are cut
-    /// with [`Payload::slice_rows`] as buffers fill.
-    Run(T),
 }
 
 impl<T> Pack<T> {
@@ -400,44 +392,41 @@ impl<T: Payload> StreamChannel<T> {
         ready
     }
 
-    /// Enqueues `items.len()` distinct elements of `bytes_each`
-    /// marshaled bytes as one queue node, element `i` ready at
-    /// `readies[i]`. Byte-for-byte and instant-for-instant equivalent
-    /// to calling [`StreamChannel::enqueue`] once per element in order —
-    /// buffer boundaries, delivery grouping and corruption all fall
-    /// where they would for individual elements — but the send queue
-    /// grows by one node instead of `items.len()` trains (distinct
-    /// elements never coalesce).
+    /// Enqueues `items.len()` elements of `bytes_each` marshaled bytes,
+    /// element `i` ready at `readies[i]`: exactly [`StreamChannel::enqueue`]
+    /// once per element, in order. No engine path calls it; it stays only
+    /// while the repository benchmark times it
+    /// (`transport.enqueue_pack_ns_per_elem`), and goes with that metric.
+    ///
+    /// # Panics
+    ///
+    /// As [`StreamChannel::enqueue`], or with mismatched lengths.
+    pub fn enqueue_pack(&mut self, items: Vec<T>, bytes_each: u64, readies: Vec<SimTime>) {
+        assert_eq!(items.len(), readies.len(), "one ready time per element");
+        for (item, ready) in items.into_iter().zip(readies) {
+            self.enqueue(item, bytes_each, ready);
+        }
+    }
+
+    /// Enqueues a run that is one view payload as one queue node: `view`
+    /// stands for `view.rows()` same-sized elements, element `i` ready at
+    /// `readies[i]`. Byte-for-byte and instant-for-instant equivalent to
+    /// enqueueing `view.slice_rows(i, i + 1)` for every `i` in order —
+    /// buffer boundaries and corruption fall where they would for
+    /// individual elements — except that whole elements packed into a
+    /// buffer together are delivered as one sliced payload instead of one
+    /// payload each, and the send queue grows by one node instead of
+    /// `view.rows()` trains (distinct elements never coalesce).
     ///
     /// # Panics
     ///
     /// Panics if called after [`StreamChannel::finish`], with zero
-    /// `bytes_each`, with empty `items`, or with mismatched lengths.
+    /// `bytes_each`, with an empty view, or with mismatched lengths.
     /// Ready times must be nondecreasing (debug-asserted): the producer
     /// generates them with one FIFO compute server, whose finish times
     /// are monotone.
-    pub fn enqueue_pack(&mut self, items: Vec<T>, bytes_each: u64, readies: Vec<SimTime>) {
-        assert_eq!(items.len(), readies.len(), "one ready time per element");
-        self.push_pack(PackItems::Each(items), bytes_each, readies);
-    }
-
-    /// [`StreamChannel::enqueue_pack`] for a run that is one view
-    /// payload: `view` stands for `view.rows()` same-sized elements,
-    /// element `i` ready at `readies[i]`. Equivalent to enqueueing
-    /// `view.slice_rows(i, i + 1)` for every `i` in order, except that
-    /// whole elements packed into a buffer together are delivered as
-    /// one sliced payload instead of one payload each.
-    ///
-    /// # Panics
-    ///
-    /// As [`StreamChannel::enqueue_pack`], with `view.rows()` in place
-    /// of `items.len()`.
     pub fn enqueue_run(&mut self, view: T, bytes_each: u64, readies: Vec<SimTime>) {
         assert_eq!(view.rows(), readies.len(), "one ready time per element");
-        self.push_pack(PackItems::Run(view), bytes_each, readies);
-    }
-
-    fn push_pack(&mut self, items: PackItems<T>, bytes_each: u64, readies: Vec<SimTime>) {
         assert!(
             !self.eos_queued,
             "enqueue after finish on flow {:?}",
@@ -453,7 +442,7 @@ impl<T: Payload> StreamChannel<T> {
         self.stats.bytes_enqueued += bytes;
         self.pending_bytes += bytes;
         self.queue.push_back(Node::Pack(Pack {
-            items,
+            view,
             readies,
             next: 0,
             bytes_each,
@@ -584,18 +573,8 @@ impl<T: Payload> StreamChannel<T> {
                         (front.next, front.next + 1, corrupted)
                     };
                     self.fill_ready = self.fill_ready.max(front.readies[end - 1]);
-                    match &front.items {
-                        // Cheap clones by construction: pack producers
-                        // hand over small handles.
-                        PackItems::Each(items) => self.fill_items.extend(
-                            items[start..end]
-                                .iter()
-                                .map(|item| (item.clone(), corrupted)),
-                        ),
-                        PackItems::Run(view) => self
-                            .fill_items
-                            .push((view.slice_rows(start, end), corrupted)),
-                    }
+                    self.fill_items
+                        .push((front.view.slice_rows(start, end), corrupted));
                     front.next = end;
                     front.head_bytes_left = front.bytes_each;
                     if front.remaining() == 0 {
@@ -815,21 +794,10 @@ impl<T: Payload> StreamChannel<T> {
                     p.shape(pk.bytes_each);
                     p.num(&mut pk.head_bytes_left);
                     p.shape(pk.head_corrupted as u64);
-                    match &pk.items {
-                        PackItems::Each(items) => {
-                            let left = pk.readies[pk.next..].iter_mut();
-                            for (t, item) in left.zip(&items[pk.next..]) {
-                                p.time(t);
-                                probe_item(item, p);
-                            }
-                        }
-                        PackItems::Run(view) => {
-                            for t in &mut pk.readies[pk.next..] {
-                                p.time(t);
-                            }
-                            probe_item(&view.slice_rows(pk.next, view.rows()), p);
-                        }
+                    for t in &mut pk.readies[pk.next..] {
+                        p.time(t);
                     }
+                    probe_item(&pk.view.slice_rows(pk.next, pk.view.rows()), p);
                 }
             }
         }
@@ -1175,41 +1143,6 @@ mod tests {
         let (t_distinct, eos_distinct) = run(true);
         assert_eq!(t_merged, t_distinct);
         assert_eq!(eos_merged, eos_distinct);
-    }
-
-    #[test]
-    fn pack_matches_per_element_enqueues() {
-        // The relay hand-off's pack node: the same workload — distinct
-        // same-sized elements with nondecreasing per-element ready
-        // times — enqueued one node at a time vs. as a single pack
-        // must produce identical delivery batches, delivery times, and
-        // byte accounting. (Only the queue high-water mark may differ:
-        // a pack is one node.)
-        let n = 500u64;
-        let readies: Vec<SimTime> = (0..n)
-            .map(|i| SimTime::from_nanos(i * i * 17)) // uneven, jitter-like gaps
-            .collect();
-        let run = |packed: bool| {
-            let mut env = Environment::lofar();
-            let mut ch = StreamChannel::new(mpi_cfg(1000, true), &mut env);
-            if packed {
-                ch.enqueue_pack((0..n).collect(), 300, readies.clone());
-            } else {
-                for i in 0..n {
-                    ch.enqueue(i, 300, readies[i as usize]);
-                }
-            }
-            ch.finish(SimTime::from_millis(5));
-            let (deliveries, eos) = drain(&mut ch, &mut env);
-            let mut stats = *ch.stats();
-            stats.queue_peak_trains = 0;
-            (deliveries, eos, stats)
-        };
-        let (d_each, eos_each, s_each) = run(false);
-        let (d_pack, eos_pack, s_pack) = run(true);
-        assert_eq!(d_each, d_pack);
-        assert_eq!(eos_each, eos_pack);
-        assert_eq!(s_each, s_pack);
     }
 
     #[test]

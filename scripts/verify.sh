@@ -19,17 +19,10 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> perfstat (series identity across execution modes + observability ceiling)"
-# perfstat exits non-zero if the coalesced, parallel, jittered-control
-# or observed series deviate from their per-event references, or if the
-# everything-on observability pass regresses the jittered grid by more
-# than 2% — or by more than three times the gates-off legs' own spread,
-# where the host is noisier than that (medians of 7 interleaved
-# repetitions). The column kernels' identity is the test suite's
-# (columnar_equiv / columnar_accounting / columnar_csv) and their timing
-# the benchmark's (element_pipeline).
-./target/release/perfstat --out /tmp/perfstat-verify.json
-rm -f /tmp/perfstat-verify.json
+echo "==> obs_overhead (observability ceiling on the jittered per-event grid)"
+# Fails if everything-on costs at least max(2%, 3 x MAD_off / wall_off)
+# over gates-off (medians of 7 interleaved passes), or changes a series.
+cargo run -q --release -p scsq-bench --example obs_overhead
 
 echo "==> benchmark smoke (closed-form answers, per-pass digests, declined-leg verdict)"
 # The repo benchmark at reduced scale, for its output checks, not its
