@@ -25,12 +25,12 @@
 //! ```
 //!
 //! For multi-client use (SCSQ's client manager serves many users on the
-//! front-end cluster), [`service::ScsqService`] runs a client manager on
-//! a background thread and accepts queries from any number of threads.
+//! front-end cluster), [`SessionHub`] hands each client its own
+//! [`Session`] over one shared plan cache, and [`server::ScsqdServer`]
+//! (the `scsqd` daemon) serves those sessions over TCP or a Unix socket.
 
 pub mod metrics;
 pub mod server;
-pub mod service;
 pub mod wire;
 
 pub use scsq_cluster::{AllocSeq, ClusterName, Environment, HardwareSpec, NodeId};
@@ -42,7 +42,6 @@ pub use scsq_engine::{
 pub use scsq_ql::{ArrayData, Catalog, SpHandle, Value};
 pub use scsq_sim::{LatencyHistogram, SimDur, SimTime, Span};
 pub use server::ScsqdServer;
-pub use service::ScsqService;
 pub use wire::{read_frame, write_frame, Client, Frame, FrameKind};
 
 use scsq_engine::ClientManager;
@@ -51,7 +50,7 @@ use scsq_engine::ClientManager;
 pub mod prelude {
     pub use crate::{
         ClusterName, HardwareSpec, NodeId, PreparedQuery, QueryResult, RunOptions, Scsq, ScsqError,
-        ScsqService, SimDur, SimTime, Value,
+        SimDur, SimTime, Value,
     };
 }
 

@@ -16,7 +16,7 @@
 use crate::coordinator::Coordinator;
 use crate::error::EngineError;
 use crate::funcs;
-use crate::fused::{FusedProgram, PreparedSource};
+use crate::fused::{CostModel, PreparedSource};
 use crate::ops::{AggKind, ArithOp, CmpOp, InputKind, MapFunc, Pipeline, Stage};
 use crate::placement::PlacementPolicy;
 use crate::runtime::RunOptions;
@@ -37,9 +37,9 @@ pub struct SpSpec {
     pub handle: SpHandle,
     /// The compiled SQEP.
     pub pipeline: Pipeline,
-    /// The pipeline's prepare-time lowering, built once and
-    /// reused by every run of the graph.
-    pub program: FusedProgram,
+    /// The pipeline's compute-cost accounting, compiled once and read
+    /// by every run of the graph.
+    pub cost: CostModel,
     /// The pipeline's constant source as shared columns, when it
     /// qualifies ([`PreparedSource::prepare`]) — transposed here, once,
     /// so no run has to.
@@ -56,8 +56,8 @@ pub struct QueryGraph {
     pub sps: Vec<SpSpec>,
     /// The client manager's own pipeline (the top select head).
     pub client: Pipeline,
-    /// The client pipeline's prepare-time lowering.
-    pub client_program: FusedProgram,
+    /// The client pipeline's compute-cost accounting.
+    pub client_cost: CostModel,
     /// Where the client manager runs.
     pub client_node: NodeId,
 }
@@ -156,11 +156,11 @@ impl<'a> QueryBuilder<'a> {
             .get_mut(&ClusterName::FrontEnd)
             .expect("fe coordinator")
             .register(self.env, &AllocSeq::Any)?;
-        let client_program = FusedProgram::compile(&client);
+        let client_cost = CostModel::compile(&client);
         Ok(QueryGraph {
             sps: self.sps,
             client,
-            client_program,
+            client_cost,
             client_node,
         })
     }
@@ -497,12 +497,12 @@ impl<'a> QueryBuilder<'a> {
             .register(self.env, &effective)?;
         let handle = SpHandle(self.next_handle);
         self.next_handle += 1;
-        let program = FusedProgram::compile(&pipeline);
+        let cost = CostModel::compile(&pipeline);
         let source = PreparedSource::prepare(&pipeline).ok();
         self.sps.push(SpSpec {
             handle,
             pipeline,
-            program,
+            cost,
             source,
             node,
         });

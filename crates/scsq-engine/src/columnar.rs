@@ -7,7 +7,7 @@
 //! same work is a single tight loop over a flat array. This module
 //! holds those loops: public map/filter/aggregate kernels over
 //! [`Column`]s (the substrate the micro-benches measure), plus the
-//! `pub(crate)` folds the chain's column drivers (`crate::fused`) use to
+//! `pub(crate)` folds the chain's column driver (`crate::fused`) uses to
 //! absorb a whole
 //! [`ColumnarBatch`](scsq_ql::column::ColumnarBatch) into a
 //! (crate-private) `StageState` accumulator.
@@ -317,7 +317,7 @@ pub fn sum_f64(c: &Column) -> Option<f64> {
 
 // ---------------------------------------------------------------------
 // pub(crate) folds into the chain's own StageState accumulators.
-// Callers (`StageChain::process_admitted`) guarantee the columns
+// Callers (`StageChain::process_cols`) guarantee the columns
 // are all-valid — engine-built batches always are.
 // ---------------------------------------------------------------------
 

@@ -1,26 +1,30 @@
-//! Prepare-time lowering and the whole-column drivers of a stage chain.
+//! Prepare-time lowering and the whole-column driver of a stage chain.
 //!
-//! [`FusedProgram`] is the `Scsq::prepare`-time lowering of a pipeline:
-//! its compute-cost accounting compiled to a compact op list
-//! ([`CostModel`], with a one-entry memo), and
-//! [`PreparedSource`] is a constant source transposed once.
+//! Two things are lowered once, at `Scsq::prepare` time, and shared by
+//! every run of the plan: a pipeline's compute-cost accounting compiled
+//! to a compact op list ([`CostModel`]), and a constant source
+//! transposed to columns ([`PreparedSource`]).
 //!
-//! The rest of the module is the columnar half of
-//! [`StageChain`]: the admission walks that decide, per delivered
-//! batch, whether the chain's stages all have a whole-column kernel for
-//! the types flowing through them, and the drivers that then run the
-//! batch through [`crate::columnar`] with one dispatch per stage instead
-//! of one per element. They mutate the same `StageState`s as the
-//! per-element driver (`StageChain::process_into`, the reference
-//! semantics and the fallback for every declined batch), so aggregate
-//! flushes and coalescer probes cannot tell which ran.
+//! The rest of the module is the columnar half of [`StageChain`]: one
+//! admission walk ([`StageChain::admit_cols`]) that decides, per
+//! delivered batch, whether the chain's stages all have a whole-column
+//! kernel for the types flowing through them, and one driver
+//! ([`StageChain::process_cols`]) that then runs the batch through
+//! [`crate::columnar`] with one dispatch per stage instead of one per
+//! element. The walk has two endings ([`ColumnEnding`]): it stops at an
+//! absorber, which folds the batch into its state, or it runs off the
+//! end of a transforming chain, which emits the rewritten column. Both
+//! mutate the same `StageState`s as the per-element driver
+//! (`StageChain::process_into`, the reference semantics and the
+//! fallback for every declined batch), so aggregate flushes and
+//! coalescer probes cannot tell which ran.
 
 use crate::columnar;
 use crate::error::EngineError;
 use crate::funcs;
 use crate::ops::{AggKind, CmpOp, InputKind, MapFunc, Pipeline, Stage, StageChain, StageState};
 use scsq_ql::column::{Column, SelectionVector, METRIC_COLUMNS};
-use scsq_ql::{Batch, ColumnarBatch, Value};
+use scsq_ql::{ColumnarBatch, Value};
 
 /// One compiled compute-cost operation. Only stages that charge CPU
 /// time appear; everything else is dropped at compile time.
@@ -54,32 +58,6 @@ pub(crate) fn cost_op(stage: &Stage) -> Option<CostOp> {
         Stage::Cmp { .. } => Some(CostOp::Cmp),
         Stage::Filter { .. } => Some(CostOp::Filter),
         _ => None,
-    }
-}
-
-/// A pipeline lowered at prepare time: its compiled cost ops. Pure
-/// data, so it can live inside the shared
-/// [`crate::builder::QueryGraph`] and be compared/cloned like the rest
-/// of the plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedProgram {
-    cost_ops: Vec<CostOp>,
-}
-
-impl FusedProgram {
-    /// Lowers a pipeline's stage chain.
-    pub fn compile(pipeline: &Pipeline) -> FusedProgram {
-        FusedProgram {
-            cost_ops: pipeline.stages.iter().filter_map(cost_op).collect(),
-        }
-    }
-
-    /// Instantiates the per-run cost accounting for this program.
-    pub fn cost_model(&self) -> CostModel {
-        CostModel {
-            ops: self.cost_ops.clone(),
-            memo: None,
-        }
     }
 }
 
@@ -137,30 +115,27 @@ impl PreparedSource {
     }
 }
 
-/// Per-run compute-cost accounting: the compiled op list plus a
-/// single-entry memo. Streaming workloads feed long runs of
-/// identically-sized elements, so the memo turns the per-element cost
-/// walk into one comparison.
-#[derive(Debug)]
+/// A pipeline's compute-cost accounting, compiled once at prepare time
+/// to the stages that charge CPU time. Immutable: the plan holds it and
+/// every run of the plan reads the same one.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     ops: Vec<CostOp>,
-    memo: Option<(u64, u64)>,
 }
 
 impl CostModel {
+    /// Lowers a pipeline's stage chain.
+    pub fn compile(pipeline: &Pipeline) -> CostModel {
+        CostModel {
+            ops: pipeline.stages.iter().filter_map(cost_op).collect(),
+        }
+    }
+
     /// CPU cost (in byte-equivalents) of pushing one element of
     /// `elem_bytes` marshaled bytes through the chain. Identical to
     /// walking the stage list per element: decimation halves the size
     /// seen by later stages.
-    pub fn cost(&mut self, elem_bytes: u64) -> u64 {
-        if self.ops.is_empty() {
-            return 0;
-        }
-        if let Some((b, c)) = self.memo {
-            if b == elem_bytes {
-                return c;
-            }
-        }
+    pub fn cost(&self, elem_bytes: u64) -> u64 {
         let mut bytes = elem_bytes;
         let mut cost = 0u64;
         for op in &self.ops {
@@ -180,19 +155,33 @@ impl CostModel {
                 }
             }
         }
-        self.memo = Some((elem_bytes, cost));
         cost
     }
 }
 
+/// Where the admission walk ends, and so what an admitted batch leaves
+/// behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColumnEnding {
+    /// The walk stops at an absorber (an aggregate, `bandwidth`,
+    /// `quantile`): the batch folds into its state and nothing is
+    /// emitted before end of stream.
+    Fold,
+    /// The walk runs off the end of a chain that transforms or filters:
+    /// the rewritten column is emitted downstream as shared rows.
+    Emit,
+}
+
 /// A batch cleared for whole-column execution by
-/// [`StageChain::columnar_admit`]: the transposed columns plus the two
-/// facts the runtime needs to charge the chain's modeled compute cost
-/// in bulk *before* running the kernels, mirroring the per-element
-/// path's charge-then-process order.
+/// [`StageChain::admit_cols`]: the columns, which ending the walk
+/// reached, and the two facts the runtime needs to charge the chain's
+/// modeled compute cost *before* running the kernels, mirroring the
+/// per-element path's charge-then-process order.
 #[derive(Debug)]
-pub struct ColumnarAdmit {
+pub struct ColumnAdmit {
     cols: ColumnarBatch,
+    /// Whether the batch folds or emits.
+    pub ending: ColumnEnding,
     /// Number of elements in the admitted batch.
     pub rows: usize,
     /// Marshaled size shared by every element, or 0 when the chain
@@ -201,19 +190,10 @@ pub struct ColumnarAdmit {
     pub elem_bytes: u64,
 }
 
-/// A batch cleared for relay execution by
-/// [`StageChain::relay_admit_cols`]: a typed single-column view the
-/// chain will rewrite and re-emit downstream, plus the bulk
-/// cost-accounting facts (relay chains always contain a cost op, so
-/// the uniform-stride requirement always applies).
-#[derive(Debug)]
-pub struct RelayAdmit {
-    cols: ColumnarBatch,
-    /// Number of elements in the admitted batch.
-    pub rows: usize,
-    /// Marshaled size shared by every input element.
-    pub elem_bytes: u64,
-}
+/// What an emitting batch leaves the chain as: the surviving rows as a
+/// single-column batch, and the map from output rows to input rows
+/// (`None` when the output is a prefix of the input).
+pub type Emitted = (ColumnarBatch, Option<SelectionVector>);
 
 /// Column type flowing between stages during the admission walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,8 +246,7 @@ fn batch_col_type(cols: &ColumnarBatch) -> ColType {
 /// One step of the admission type flow for a non-absorbing stage:
 /// the column type a stage emits given the type flowing into it, or
 /// `None` when the stage has no kernel for that type (the batch then
-/// falls back to the per-element path). Shared by the absorber and
-/// relay admission walks so the two lattices cannot drift apart.
+/// falls back to the per-element path).
 fn transform_type(state: &StageState, ty: ColType) -> Option<ColType> {
     match state {
         StageState::StreamOf | StageState::Take { .. } => Some(ty),
@@ -299,256 +278,113 @@ fn transform_type(state: &StageState, ty: ColType) -> Option<ColType> {
 }
 
 impl StageChain {
-    /// Whether the chain could use *any* columnar pass (absorbing or
-    /// relay) on some batch shape. The runtime consults this before
-    /// transposing a delivered run, so chains that can never admit skip
-    /// the decomposition work entirely.
+    /// Whether the chain could admit *some* batch. The runtime consults
+    /// this before transposing a delivered run, so chains that can never
+    /// admit skip the decomposition work entirely.
     pub(crate) fn wants_columnar(&self) -> bool {
-        self.columnar_ok || self.relay_ok
-    }
-
-    /// Feeds a whole delivered batch through the chain as columns,
-    /// dispatching once per column instead of once per element.
-    ///
-    /// Returns `Ok(true)` when the batch was absorbed columnar-ly —
-    /// the chain's stage states then hold exactly what feeding the
-    /// elements one at a time would have left (see the fold contracts
-    /// in [`crate::columnar`]) and, because the chain ends in an
-    /// absorbing aggregate, nothing is emitted before end of stream.
-    /// Returns `Ok(false)` without touching any state when the chain
-    /// or the batch's column shape is not vectorizable; the caller
-    /// falls back to the per-element path, which also reproduces
-    /// type-error semantics for ill-typed runs.
-    ///
-    /// # Errors
-    ///
-    /// The same error the per-element path would raise on the first
-    /// failing element (only `bandwidth` over malformed samples can
-    /// fail on a vectorizable shape).
-    pub fn process_batch_columnar(&mut self, batch: &Batch) -> Result<bool, EngineError> {
-        match self.columnar_admit(batch) {
-            Some(admit) => {
-                self.process_admitted(admit)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        self.ending.is_some()
     }
 
     /// Decides, without mutating anything, whether a delivered batch
-    /// qualifies for whole-column execution, and if so returns the
-    /// transposed columns plus the bulk cost-accounting facts.
+    /// qualifies for whole-column execution, and if so returns it with
+    /// the ending the walk reached and the cost-accounting facts.
     ///
-    /// Admission runs the same type flow the kernels implement: the
-    /// batch transposes to a typed column (`Int`/`Float`/`Bool`/
-    /// `Str`/`Synthetic`, the three-column metric shape, or an opaque
-    /// fallback), and each stage must have a kernel for the type
-    /// flowing into it — `arith` needs a numeric column (an integer
+    /// The walk runs the type flow the kernels implement: the batch
+    /// transposes to a typed column (`Int`/`Float`/`Bool`/`Str`/
+    /// `Synthetic`, the three-column metric shape, a multi-column record,
+    /// or an opaque fallback), and each stage must have a kernel for the
+    /// type flowing into it — `arith` needs a numeric column (an integer
     /// column with a real constant widens to float, as the scalar stage
     /// does), `cmp`/`filter` need a numeric column with a numeric
     /// constant or a string column with a string constant, `map` needs
     /// a synthetic column, aggregates other than `count` need a numeric
-    /// column, `bandwidth` needs the metric shape. `count` absorbs any
-    /// type. The walk stops at the first absorber; stages after it
-    /// never see elements mid-stream, only the end-of-stream flush.
+    /// column, `bandwidth` needs the all-valid metric shape, and `count`
+    /// takes any type. The walk stops at the first absorber (stages after
+    /// it never see elements mid-stream, only the end-of-stream flush);
+    /// without one it runs off the end and the chain emits. Which of the
+    /// two a chain can reach is fixed by its stage list
+    /// (`column_ending`).
     ///
     /// When any stage charges modeled compute cost the elements must
     /// additionally share one marshaled size, so the runtime can charge
-    /// `rows × cost(elem_bytes)` in one bulk call — the same total the
+    /// the batch from one `cost(elem_bytes)` — the same total the
     /// per-element walk accrues. `None` means the caller must fall back
     /// to the per-element path (which also reproduces type-error
     /// semantics for ill-typed runs).
-    pub fn columnar_admit(&self, batch: &Batch) -> Option<ColumnarAdmit> {
-        if !self.columnar_ok || batch.len() < 2 {
-            return None;
-        }
-        self.columnar_admit_cols(&ColumnarBatch::from_batch(batch))
-    }
-
-    /// [`StageChain::columnar_admit`] over an already-transposed batch
-    /// — the entry the runtime uses for relayed columns, where the
-    /// columns arrive shared from the upstream chain and transposing
-    /// again would waste the hand-off.
-    pub fn columnar_admit_cols(&self, cols: &ColumnarBatch) -> Option<ColumnarAdmit> {
-        if !self.columnar_ok || cols.is_empty() {
+    pub fn admit_cols(&self, cols: &ColumnarBatch) -> Option<ColumnAdmit> {
+        let ending = self.ending?;
+        if cols.is_empty() {
             return None;
         }
         let initial = batch_col_type(cols);
         let mut ty = initial;
-        let mut admitted = false;
         for state in &self.stages {
+            let numeric = matches!(ty, ColType::Int | ColType::Float);
             match state {
                 StageState::Agg { kind, .. } => {
-                    if *kind != AggKind::Count && !matches!(ty, ColType::Int | ColType::Float) {
+                    if *kind != AggKind::Count && !numeric {
                         return None;
                     }
-                    admitted = true;
                     break;
                 }
                 StageState::Bandwidth { .. } => {
                     if ty != ColType::Metric || !cols.columns().iter().all(|(_, c)| c.all_valid()) {
                         return None;
                     }
-                    admitted = true;
                     break;
                 }
                 StageState::Quantile { .. } => {
-                    if !matches!(ty, ColType::Int | ColType::Float) {
+                    if !numeric {
                         return None;
                     }
-                    admitted = true;
                     break;
                 }
                 other => ty = transform_type(other, ty)?,
             }
-        }
-        if !admitted {
-            return None;
         }
         let elem_bytes = if self.costly {
             uniform_elem_bytes(cols, initial)?
         } else {
             0
         };
-        Some(ColumnarAdmit {
-            rows: cols.rows(),
+        Some(ColumnAdmit {
             cols: cols.clone(),
+            ending,
+            rows: cols.rows(),
             elem_bytes,
         })
     }
 
-    /// Decides, without mutating anything, whether an already-transposed
-    /// batch qualifies for relay execution: the chain re-emits (no
-    /// absorber, [`relay_ok`](StageChain) shape), the batch is one
-    /// all-valid typed column, the type flow clears every stage, and the
-    /// elements share one marshaled stride (relay chains always charge
-    /// compute cost, so bulk accounting needs it). The admitted batch
-    /// runs through [`StageChain::process_relayed`].
-    pub fn relay_admit_cols(&self, cols: &ColumnarBatch) -> Option<RelayAdmit> {
-        if !self.relay_ok || cols.is_empty() {
-            return None;
-        }
-        let initial = batch_col_type(cols);
-        if !matches!(
-            initial,
-            ColType::Int | ColType::Float | ColType::Bool | ColType::Str | ColType::Synthetic
-        ) {
-            return None;
-        }
-        let mut ty = initial;
-        for state in &self.stages {
-            ty = transform_type(state, ty)?;
-        }
-        let elem_bytes = uniform_elem_bytes(cols, initial)?;
-        Some(RelayAdmit {
-            rows: cols.rows(),
-            cols: cols.clone(),
-            elem_bytes,
-        })
-    }
-
-    /// Runs a relay-admitted batch through the chain as whole columns
-    /// and returns the surviving rows as a fresh single-column batch
-    /// (named `"v"`), ready to travel downstream as shared column rows.
+    /// Runs an admitted batch through the chain as whole columns: one
+    /// kernel dispatch per stage. Returns `None` when the batch folded
+    /// into an absorber, or the emitted rows when it ran off the end of
+    /// the chain. The emitted rows come with the map back to the input
+    /// rows that produced them ([`Emitted`]): the caller forwards each
+    /// survivor at the finish time of its *input* element, exactly as
+    /// the per-element path does.
     ///
-    /// The second return value maps output rows to input rows: `None`
-    /// means the output is a prefix of the input (only dense stages and
-    /// `take` ran), `Some(sel)` means output row `j` came from input
-    /// row `sel.rows()[j]` (a filter ran). The caller needs the mapping
-    /// to emit each survivor at the finish time of the *input* element
-    /// that produced it, exactly as the per-element path does.
-    ///
-    /// The caller must have charged the per-element compute cost
-    /// already (charge-then-process, as everywhere else).
-    pub fn process_relayed(
-        &mut self,
-        admit: RelayAdmit,
-    ) -> (ColumnarBatch, Option<SelectionVector>) {
-        let mut cur: Column = admit.cols.single().expect("relay admits single column");
-        let mut sel: Option<SelectionVector> = None;
-        let StageChain { stages, tally, .. } = self;
-        for (si, state) in stages.iter_mut().enumerate() {
-            let live_in = sel.as_ref().map_or(cur.len(), SelectionVector::len) as u64;
-            match state {
-                StageState::StreamOf => {}
-                StageState::Map(f) => {
-                    cur = columnar::map_synthetic(&cur, *f).expect("admitted: synthetic column");
-                }
-                StageState::Arith { op, rhs } => {
-                    cur = match rhs {
-                        Value::Integer(k) if cur.as_i64().is_some() => {
-                            columnar::arith_i64(&cur, *op, *k).expect("admitted: integer column")
-                        }
-                        _ => {
-                            let k = rhs.as_real().expect("admitted: numeric constant");
-                            columnar::arith_f64(&cur, *op, k).expect("admitted: numeric column")
-                        }
-                    };
-                }
-                StageState::Cmp { op, rhs } => {
-                    cur = cmp_mask(&cur, *op, rhs);
-                }
-                StageState::Filter { op, rhs } => {
-                    let mask = cmp_mask(&cur, *op, rhs);
-                    sel = Some(match sel.take() {
-                        Some(s) => columnar::intersect_selection(&mask, &s)
-                            .expect("cmp kernels produce Bool masks"),
-                        None => columnar::filter_to_selection(&mask)
-                            .expect("cmp kernels produce Bool masks"),
-                    });
-                }
-                StageState::Take { remaining } => match &mut sel {
-                    Some(s) => {
-                        let k = (s.len() as u64).min(*remaining);
-                        *remaining -= k;
-                        s.truncate(k as usize);
-                    }
-                    None => {
-                        let k = (cur.len() as u64).min(*remaining);
-                        *remaining -= k;
-                        cur = cur.slice(0, k as usize);
-                    }
-                },
-                _ => unreachable!("relay admission excludes absorbing and stateful stages"),
-            }
-            if let Some(t) = tally.get_mut(si) {
-                let live_out = sel.as_ref().map_or(cur.len(), SelectionVector::len) as u64;
-                t.calls += 1;
-                t.elems_in += live_in;
-                t.elems_out += live_out;
-            }
-        }
-        let out = match &sel {
-            // Compact survivors once at the end: dense stages upstream
-            // computed dead rows but never materialized them.
-            Some(s) => columnar::take(&cur, s),
-            None => cur,
-        };
-        (ColumnarBatch::new(vec![("v".to_string(), out)]), sel)
-    }
-
-    /// Runs an admitted batch through the chain as whole columns. The
-    /// caller must have charged the bulk compute cost already (the
+    /// The caller must have charged the compute cost already (the
     /// per-element path charges each element before it enters the
     /// chain, so charge-then-process keeps the orders aligned).
     ///
     /// Transform stages rewrite the column; `filter` narrows a
     /// selection vector over the *original* row space instead of
-    /// gathering survivors, so a chain of filters is mask intersection
-    /// and the terminal fold visits survivors by index. Dense stages
-    /// after a filter keep operating on all rows — dead rows are
-    /// computed and never read, which is cheaper than gathering and
-    /// cannot fail on an admitted type.
+    /// gathering survivors, so a chain of filters is mask intersection,
+    /// a fold visits survivors by index, and an emitting chain gathers
+    /// them once at the end. Dense stages after a filter keep operating
+    /// on all rows — dead rows are computed and never read, which is
+    /// cheaper than gathering and cannot fail on an admitted type.
     ///
     /// # Errors
     ///
     /// The same error the per-element path would raise on the first
     /// failing element (`bandwidth` over malformed samples or
     /// `quantile` over negative values on an admitted shape).
-    pub fn process_admitted(&mut self, admit: ColumnarAdmit) -> Result<(), EngineError> {
+    pub fn process_cols(&mut self, admit: ColumnAdmit) -> Result<Option<Emitted>, EngineError> {
         let cols = admit.cols;
         if cols.width() != 1 {
-            return self.process_multi_columns(cols);
+            self.process_multi_columns(cols)?;
+            return Ok(None);
         }
         let mut cur: Column = cols.single().expect("width checked above");
         let mut sel: Option<SelectionVector> = None;
@@ -650,7 +486,7 @@ impl StageChain {
                         t.calls += 1;
                         t.elems_in += live_in;
                     }
-                    return Ok(());
+                    return Ok(None);
                 }
                 StageState::Quantile { hist, .. } => {
                     if let Some(xs) = cur.as_i64() {
@@ -669,7 +505,7 @@ impl StageChain {
                         t.calls += 1;
                         t.elems_in += live_in;
                     }
-                    return Ok(());
+                    return Ok(None);
                 }
                 _ => unreachable!("admission excludes non-vectorizable stages"),
             }
@@ -680,7 +516,17 @@ impl StageChain {
                 t.elems_out += live_out;
             }
         }
-        unreachable!("admission implies an absorber terminates the walk")
+        // No absorber: the chain emits. Compact survivors once, here —
+        // dense stages upstream computed dead rows but never
+        // materialized them.
+        let out = match &sel {
+            Some(s) => columnar::take(&cur, s),
+            None => cur,
+        };
+        Ok(Some((
+            ColumnarBatch::new(vec![("v".to_string(), out)]),
+            sel,
+        )))
     }
 
     /// The multi-column walk: parallel columns — the metric triple or a
@@ -832,58 +678,64 @@ fn transform(s: &Stage) -> bool {
     )
 }
 
-/// The shape-level admission flags of a chain, `(columnar_ok,
-/// relay_ok)`: whether the absorbing columnar pass, respectively the
-/// relay pass, may apply to some batch at all (see the fields of
-/// [`StageChain`]).
-pub(crate) fn admission_shape(stages: &[Stage]) -> (bool, bool) {
-    let relayable = |s: &Stage| matches!(s, Stage::StreamOf | Stage::Take { .. }) || transform(s);
-    (
-        stages.iter().all(vectorizable) && stages.iter().any(absorber),
-        stages.iter().all(relayable) && stages.iter().any(transform),
-    )
+/// The ending a chain's admission walk can reach, fixed by its stage
+/// list. `Fold` when every stage has a kernel and one absorbs; `Emit`
+/// when every stage has a kernel, none absorbs, none maps (a `map`'s
+/// arrays are left to the per-element path unless a fold consumes
+/// them), and one transforms or filters. `None` otherwise — a stage
+/// without a kernel, or a chain that only passes rows through (re-emitting
+/// them untransformed would rebuild the very tuples the per-element path
+/// forwards) — and then no batch is ever admitted.
+pub(crate) fn column_ending(stages: &[Stage]) -> Option<ColumnEnding> {
+    if !stages.iter().all(vectorizable) {
+        None
+    } else if stages.iter().any(absorber) {
+        Some(ColumnEnding::Fold)
+    } else if stages.iter().any(transform) && !stages.iter().any(|s| matches!(s, Stage::Map(_))) {
+        Some(ColumnEnding::Emit)
+    } else {
+        None
+    }
 }
 
 /// The static columnar-admission verdict for each stage of a chain —
 /// what `explain` prints so rejected shapes are diagnosable without
-/// reading `columnar_admit`. `"columnar"` marks stages the absorbing
-/// columnar pass can drive, `"columnar (relay)"` marks stages of a
-/// re-emitting relay chain, and `"scalar: <reason>"` explains why a
-/// stage forces the per-element path. Verdicts are shape-level:
-/// per-batch typing (a string column into `sum`, mixed runs) can still
-/// demote an admitted shape at delivery time.
+/// reading [`StageChain::admit_cols`]. `"columnar"` marks the stages a
+/// folding walk drives (those after the absorber see only the flush),
+/// `"columnar (relay)"` the stages of an emitting one, and
+/// `"scalar: <reason>"` explains why a stage forces the per-element
+/// path. Verdicts are shape-level: per-batch typing (a string column
+/// into `sum`, mixed runs) can still demote an admitted shape at
+/// delivery time.
 pub fn admission_verdicts(stages: &[Stage]) -> Vec<String> {
-    let (columnar_ok, relay_ok) = admission_shape(stages);
-    if columnar_ok {
-        let mut absorbed = false;
+    let Some(ending) = column_ending(stages) else {
+        let all_vectorizable = stages.iter().all(vectorizable);
         return stages
             .iter()
             .map(|s| {
-                if absorbed {
-                    "scalar: after the absorber (sees only the flush)".to_string()
+                if !vectorizable(s) {
+                    "scalar: no whole-column kernel".to_string()
+                } else if all_vectorizable {
+                    "scalar: chain neither absorbs nor transforms".to_string()
                 } else {
-                    absorbed = absorber(s);
-                    "columnar".to_string()
+                    "scalar: chain blocked by a non-vectorizable stage".to_string()
                 }
             })
             .collect();
-    }
-    if relay_ok {
-        return stages
-            .iter()
-            .map(|_| "columnar (relay)".to_string())
-            .collect();
-    }
-    let all_vectorizable = stages.iter().all(vectorizable);
+    };
+    let walked = match ending {
+        ColumnEnding::Fold => "columnar",
+        ColumnEnding::Emit => "columnar (relay)",
+    };
+    let mut absorbed = false;
     stages
         .iter()
         .map(|s| {
-            if !vectorizable(s) {
-                "scalar: no whole-column kernel".to_string()
-            } else if all_vectorizable {
-                "scalar: chain neither absorbs nor transforms".to_string()
+            if absorbed {
+                "scalar: after the absorber (sees only the flush)".to_string()
             } else {
-                "scalar: chain blocked by a non-vectorizable stage".to_string()
+                absorbed = absorber(s);
+                walked.to_string()
             }
         })
         .collect()
@@ -915,7 +767,7 @@ mod tests {
             },
             Stage::Agg(AggKind::Count),
         ]);
-        let mut model = FusedProgram::compile(&p).cost_model();
+        let model = CostModel::compile(&p);
         for elem_bytes in [0u64, 8, 1000, 1001, 1_000_000] {
             let mut bytes = elem_bytes;
             let mut want = 0u64;
@@ -932,15 +784,12 @@ mod tests {
                 }
             }
             assert_eq!(model.cost(elem_bytes), want);
-            // The memo must not change the answer.
-            assert_eq!(model.cost(elem_bytes), want);
         }
     }
 
     #[test]
     fn cost_model_is_free_without_costly_stages() {
         let p = pipeline(vec![Stage::Agg(AggKind::Count), Stage::StreamOf]);
-        let mut model = FusedProgram::compile(&p).cost_model();
-        assert_eq!(model.cost(123_456), 0);
+        assert_eq!(CostModel::compile(&p).cost(123_456), 0);
     }
 }

@@ -55,7 +55,7 @@ pub use coordinator::{ClientManager, Coordinator, PreparedQuery};
 pub use error::EngineError;
 pub use explain::{describe_pipeline, explain_graph};
 pub use fused::{
-    admission_verdicts, ColumnarAdmit, CostModel, FusedProgram, PreparedSource, RelayAdmit,
+    admission_verdicts, ColumnAdmit, ColumnEnding, CostModel, Emitted, PreparedSource,
 };
 pub use introspect::{ChannelMetrics, MetricsSnapshot};
 pub use measure::{ChannelReport, QueryResult, QueryStats, RpReport};

@@ -10,7 +10,7 @@
 //! [`StageChain`] is its runtime state and the one executor: the scalar
 //! semantics of every stage live here, once (`StageState::step`, driven
 //! per element by [`StageChain::process_into`]); `crate::fused` adds the
-//! whole-column drivers for the batches they admit.
+//! whole-column driver for the batches it admits.
 
 use crate::error::EngineError;
 use crate::funcs;
@@ -348,7 +348,7 @@ impl Pipeline {
 }
 
 /// Runtime state of one stage. [`StageState::step`] mutates it one
-/// element at a time and the column drivers (`crate::fused`) a batch at
+/// element at a time and the column driver (`crate::fused`) a batch at
 /// a time — the same representation, so probes and aggregate flushes
 /// are identical by construction whichever ran.
 #[derive(Debug)]
@@ -561,8 +561,8 @@ impl StageState {
 }
 
 /// Runtime state of a [`Pipeline`]'s stage chain — the one executor:
-/// the per-element driver here, and the whole-column drivers of
-/// `crate::fused` over the same states for the batches they admit.
+/// the per-element driver here, and the whole-column driver of
+/// `crate::fused` over the same states for the batches it admits.
 #[derive(Debug)]
 pub struct StageChain {
     pub(crate) stages: Vec<StageState>,
@@ -575,21 +575,11 @@ pub struct StageChain {
     /// warm-up.
     cur: Vec<Value>,
     nxt: Vec<Value>,
-    /// Whether columnar admission may apply at all: every stage has a
-    /// whole-column kernel (aggregate / `streamof` / `take` /
-    /// `bandwidth` / `map` / `arith` / `cmp` / `filter`) and the chain
-    /// ends in an absorbing aggregate, so a columnar pass never has to
-    /// reconstruct leftover tuples. Per-batch typing is checked by
-    /// [`StageChain::columnar_admit`].
-    pub(crate) columnar_ok: bool,
-    /// Whether relay admission may apply: no absorber, every stage is a
-    /// re-emitting vectorizable stage (`streamof` / `take` / `arith` /
-    /// `cmp` / `filter`), and at least one actually transforms or
-    /// filters — the chain then rewrites a column and re-emits it
-    /// downstream as shared column rows instead of reconstructing
-    /// tuples. Per-batch typing is checked by
-    /// [`StageChain::relay_admit_cols`].
-    pub(crate) relay_ok: bool,
+    /// Where the column tier's admission walk can end for this chain —
+    /// fold into an absorber or emit the transformed column — or `None`
+    /// when no batch is ever admitted (`crate::fused::column_ending`).
+    /// Per-batch typing is checked by [`StageChain::admit_cols`].
+    pub(crate) ending: Option<crate::fused::ColumnEnding>,
     /// Whether any stage charges modeled compute cost. Costly chains
     /// only admit batches whose elements share one marshaled size, so
     /// the runtime can charge the whole batch in bulk (same total, same
@@ -644,14 +634,12 @@ impl StageChain {
                 },
             })
             .collect();
-        let (columnar_ok, relay_ok) = crate::fused::admission_shape(stage_list);
         StageChain {
             stages,
             tally: Vec::new(),
             cur: Vec::new(),
             nxt: Vec::new(),
-            columnar_ok,
-            relay_ok,
+            ending: crate::fused::column_ending(stage_list),
             costly: stage_list
                 .iter()
                 .any(|s| crate::fused::cost_op(s).is_some()),

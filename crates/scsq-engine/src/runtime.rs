@@ -15,12 +15,12 @@ use crate::builder::QueryGraph;
 use crate::coordinator::Coordinator;
 use crate::error::EngineError;
 use crate::funcs;
-use crate::fused::{CostModel, FusedProgram, PreparedSource};
+use crate::fused::{ColumnEnding, CostModel, PreparedSource};
 use crate::measure::{ChannelReport, QueryResult, QueryStats};
 use crate::ops::{InputKind, Pipeline, StageChain};
 use scsq_cluster::{ClusterName, Environment, NodeId};
 use scsq_net::FlowId;
-use scsq_ql::{ColumnarBatch, SpHandle, Value};
+use scsq_ql::{ColumnarBatch, SelectionVector, SpHandle, Value};
 use scsq_sim::{typed::Event, SimTime, StateProbe, TypedSimulator};
 use scsq_transport::{Carrier, ChannelConfig, Payload, StreamChannel};
 use std::collections::HashMap;
@@ -53,8 +53,9 @@ pub struct RunOptions {
     /// events). Disable to force per-event execution, e.g. when
     /// measuring the uncoalesced baseline.
     pub coalesce: bool,
-    /// Absorb or relay whole delivered batches with one dispatch per
-    /// typed column when the destination's stage chain admits them.
+    /// Run whole delivered batches with one dispatch per stage when the
+    /// destination's stage chain admits them (folding them into an
+    /// absorber or emitting the transformed column).
     /// Identical outputs either way — the per-element path is the
     /// byte-identity reference (`columnar: false`) and the fallback for
     /// every batch the admission walk declines.
@@ -103,11 +104,11 @@ struct GenRt {
     remaining: u64,
 }
 
-struct RpState {
+struct RpState<'g> {
     node: NodeId,
     chain: StageChain,
-    /// Compiled compute-cost accounting for the stage chain.
-    cost: CostModel,
+    /// The plan's compute-cost accounting for the stage chain.
+    cost: &'g CostModel,
     /// Output channel indices.
     outputs: Vec<usize>,
     /// Input channels still streaming.
@@ -272,9 +273,9 @@ struct ChannelRt {
     lat: Option<LatTrack>,
 }
 
-pub(crate) struct World {
+pub(crate) struct World<'g> {
     env: Environment,
-    rps: Vec<RpState>,
+    rps: Vec<RpState<'g>>,
     channels: Vec<ChannelRt>,
     results: Vec<Value>,
     first_result_at: Option<SimTime>,
@@ -299,7 +300,7 @@ pub(crate) struct World {
     /// Whether `deliver` may hand whole batches to the columnar fast
     /// path (`RunOptions::columnar`, gated on fusion being on).
     columnar: bool,
-    /// Delivered batches the columnar fast path absorbed or relayed.
+    /// Delivered batches the column tier folded or emitted.
     columnar_batches: u64,
     /// Value→column decompositions performed (`columnar: false` must
     /// keep this at zero: no speculative transposes).
@@ -308,11 +309,11 @@ pub(crate) struct World {
     /// one move per element, the same cost the consuming per-element
     /// iteration already paid.
     val_scratch: Vec<Value>,
-    /// Reusable per-element compute-finish times for the relay path.
+    /// Reusable per-element compute-finish times for emitting batches.
     ready_scratch: Vec<SimTime>,
 }
 
-pub(crate) type Sim = TypedSimulator<World, Ev>;
+pub(crate) type Sim<'g> = TypedSimulator<World<'g>, Ev>;
 
 /// The runtime's event vocabulary. The engine hot loop executes tens of
 /// millions of these per query; keeping them a plain enum (instead of
@@ -364,8 +365,8 @@ impl Ev {
     }
 }
 
-impl Event<World> for Ev {
-    fn fire(self, world: &mut World, sim: &mut Sim) {
+impl<'g> Event<World<'g>> for Ev {
+    fn fire(self, world: &mut World<'g>, sim: &mut Sim<'g>) {
         match self {
             Ev::StartRp(idx) => start_rp(world, sim, idx),
             Ev::Produce(idx) => produce(world, sim, idx),
@@ -435,7 +436,7 @@ pub(crate) fn value_shape(v: &Value, p: &mut StateProbe<'_>) {
     }
 }
 
-impl RpState {
+impl RpState<'_> {
     fn probe(&mut self, p: &mut StateProbe<'_>) {
         self.chain.probe(p, &mut value_shape);
         p.num_usize(&mut self.eos_remaining);
@@ -454,7 +455,7 @@ impl RpState {
     }
 }
 
-impl World {
+impl World<'_> {
     /// Walks the entire mutable simulation state through a coalescing
     /// probe, in a fixed deterministic order.
     pub(crate) fn probe(&mut self, p: &mut StateProbe<'_>, now: SimTime) {
@@ -523,9 +524,9 @@ impl World {
 /// # Errors
 ///
 /// Runtime type errors inside operators, or an exceeded event budget.
-pub fn run_graph(
+pub fn run_graph<'g>(
     mut env: Environment,
-    graph: &QueryGraph,
+    graph: &'g QueryGraph,
     options: &RunOptions,
 ) -> Result<QueryResult, EngineError> {
     let run_t0 = std::time::Instant::now();
@@ -546,7 +547,7 @@ pub fn run_graph(
     let mut flow_counter = 0u64;
 
     let mut make_rp = |pipeline: &Pipeline,
-                       program: &FusedProgram,
+                       cost: &'g CostModel,
                        prepared: Option<&PreparedSource>,
                        node: NodeId,
                        dst_rp: usize,
@@ -554,7 +555,7 @@ pub fn run_graph(
                        env: &mut Environment,
                        channels: &mut Vec<ChannelRt>,
                        rp_of: &HashMap<SpHandle, usize>|
-     -> Result<RpState, EngineError> {
+     -> Result<RpState<'g>, EngineError> {
         let producers = pipeline.producers();
         // One channel per producer.
         for &p in producers {
@@ -623,7 +624,7 @@ pub fn run_graph(
         Ok(RpState {
             node,
             chain,
-            cost: program.cost_model(),
+            cost,
             outputs: Vec::new(),
             eos_remaining: producers.len(),
             gen,
@@ -643,7 +644,7 @@ pub fn run_graph(
     for (i, sp) in graph.sps.iter().enumerate() {
         let rp = make_rp(
             &sp.pipeline,
-            &sp.program,
+            &sp.cost,
             sp.source.as_ref(),
             sp.node,
             i,
@@ -656,7 +657,7 @@ pub fn run_graph(
     }
     let client = make_rp(
         &graph.client,
-        &graph.client_program,
+        &graph.client_cost,
         // Client-side constants feed the result sink, not a channel.
         None,
         graph.client_node,
@@ -1168,7 +1169,7 @@ fn cycle(world: &mut World, sim: &mut Sim, ci: usize) {
 /// `Elem::Col` slices that continue one another in one backing batch
 /// reassemble the upstream columnar view **zero-copy** — no
 /// re-marshaling, no per-row materialization — before the same
-/// absorb/relay/fallback ladder. The channel cuts a run where buffers
+/// admit-or-fallback step. The channel cuts a run where buffers
 /// cut it (the element straddling a buffer boundary travels apart from
 /// the whole elements behind it), so reassembly restores exactly the
 /// per-buffer batches the per-element path delivers. Processing order
@@ -1277,7 +1278,7 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
 }
 
 /// Processes one run of scalar values delivered back-to-back, leaving
-/// `run` empty: transpose and try the columnar ladder when the
+/// `run` empty: transpose and try the column tier when the
 /// destination chain can use columns at all (`columnar: false` or a
 /// non-qualifying chain skips the decomposition entirely), else walk
 /// the run per element.
@@ -1296,7 +1297,7 @@ fn deliver_value_run(
     if world.columnar && run.len() > 1 && world.rps[dst].chain.wants_columnar() {
         let cols = ColumnarBatch::from_values(run);
         world.columnar_transposes += 1;
-        if absorb_columns(world, dst, &cols, now) || relay_columns(world, sim, dst, &cols, now) {
+        if run_columns(world, sim, dst, &cols, now) {
             run.clear();
             return;
         }
@@ -1320,10 +1321,7 @@ fn deliver_columns(
     view: &ColumnarBatch,
     now: SimTime,
 ) {
-    if world.error.is_some()
-        || absorb_columns(world, dst, view, now)
-        || relay_columns(world, sim, dst, view, now)
-    {
+    if world.error.is_some() || run_columns(world, sim, dst, view, now) {
         return;
     }
     for row in 0..view.rows() {
@@ -1337,38 +1335,67 @@ fn deliver_columns(
     }
 }
 
-/// Columnar absorption: the whole batch feeds an absorbing chain with
-/// one dispatch per typed column instead of one per element. Admission
-/// (`FusedChain::columnar_admit_cols`) guarantees the batch's elements
-/// share one marshaled size whenever the chain charges compute cost, so
-/// the per-element charge loop collapses to one bulk call that serves
-/// the same total and draws the jitter stream exactly as many times —
-/// simulated time and RNG positions stay byte-identical to the
-/// per-element walk (`Environment::compute_bulk`).
-fn absorb_columns(world: &mut World, dst: usize, cols: &ColumnarBatch, now: SimTime) -> bool {
-    let Some(admit) = world.rps[dst].chain.columnar_admit_cols(cols) else {
+/// The column tier's one entry: runs an admitted batch through the
+/// destination chain with one kernel dispatch per stage
+/// ([`StageChain::admit_cols`], [`StageChain::process_cols`]), charging
+/// first, as the per-element path does. Admission guarantees one
+/// marshaled size whenever the chain charges compute, so one `cost`
+/// serves every element. A batch that **folds** emits nothing before end
+/// of stream: one `Environment::compute_bulk` serves the total, with the
+/// draws of `n` scalar `compute`s. A batch that **emits** needs each
+/// element's finish time: `Environment::compute_each` is draw-for-draw
+/// `n` scalar `compute`s at one `ready`, and since the compute server and
+/// the channels are disjoint state (`pending_buffers` reads only
+/// configuration-derived bounds), charging every element first and then
+/// enqueueing the survivors — each at its own input's finish time, in
+/// element then channel order — reproduces the interleaved schedule
+/// exactly. Returns `false`, touching nothing, on a declined batch, and
+/// on an emitting batch bound for the client: its result sink records
+/// owned values.
+fn run_columns(
+    world: &mut World,
+    sim: &mut Sim,
+    dst: usize,
+    cols: &ColumnarBatch,
+    now: SimTime,
+) -> bool {
+    let rp = &world.rps[dst];
+    let Some(admit) = rp.chain.admit_cols(cols) else {
         return false;
     };
+    let folds = admit.ending == ColumnEnding::Fold;
+    if !folds && rp.is_client {
+        return false;
+    }
     let n = admit.rows as u64;
-    let cost = world.rps[dst].cost.cost(admit.elem_bytes);
-    let node = world.rps[dst].node;
+    let cost = rp.cost.cost(admit.elem_bytes);
+    let node = rp.node;
     let span_busy0 = scsq_sim::obs::enabled().then(|| world.env.cpu_busy(node));
-    charge(world, dst, |env| env.compute_bulk(node, cost, n, now));
-    // An absorbed batch emits nothing before end of stream; only the
-    // monitoring counters need per-element accounting.
+    let mut readies = std::mem::take(&mut world.ready_scratch);
+    charge(world, dst, |env| {
+        if folds {
+            env.compute_bulk(node, cost, n, now);
+        } else {
+            env.compute_each(node, cost, n, now, &mut readies);
+        }
+    });
     world.rps[dst].elements_in += n;
     world.columnar_batches += 1;
     let t0 = world.profile.then(std::time::Instant::now);
-    if let Err(e) = world.rps[dst].chain.process_admitted(admit) {
-        world.error = Some(e);
-    }
+    let processed = world.rps[dst].chain.process_cols(admit);
     if let Some(t0) = t0 {
         world.rps[dst].wall_ns += t0.elapsed().as_nanos() as u64;
     }
+    match processed {
+        Ok(None) => {}
+        Ok(Some((out, sel))) => emit_columns(world, sim, dst, &out, sel, &readies, now),
+        Err(e) => world.error = Some(e),
+    }
+    world.ready_scratch = readies;
     if let Some(busy0) = span_busy0 {
         let busy1 = world.env.cpu_busy(node);
         scsq_sim::obs::record_span(scsq_sim::Span {
-            name: "absorb",
+            name: if folds { "fold" } else { "emit" },
             cat: "columnar",
             tid: 3000 + dst as u64,
             ts_ns: now.as_nanos(),
@@ -1378,77 +1405,43 @@ fn absorb_columns(world: &mut World, dst: usize, cols: &ColumnarBatch, now: SimT
     true
 }
 
-/// Columnar relay: a re-emitting chain (transforms + take, no absorber)
-/// processes the whole batch with column kernels and forwards the
-/// surviving rows as `Elem::Col` handles to the shared output batch —
-/// the cross-SP column relay. Byte-identity with the scalar walk:
-/// the environment's compute server and the channels are disjoint
-/// state, and `pending_buffers` reads only configuration-derived
-/// bounds, so charging all elements first
-/// (`Environment::compute_each`, draw-for-draw identical to n scalar
-/// `compute` calls at one `ready`) and then enqueueing all survivors —
-/// each at its source element's own finish time, in element order, in
-/// channel order — reproduces the interleaved schedule exactly.
-fn relay_columns(
+/// Forwards an emitting batch's surviving rows, input row `sel[j]` (or
+/// `j`, for a prefix) ready at `readies[..]`: as one run per output
+/// channel when the rows share a marshaled size, else row by row — each
+/// at its source element's compute-finish time, exactly like the scalar
+/// emit.
+fn emit_columns(
     world: &mut World,
     sim: &mut Sim,
     dst: usize,
-    cols: &ColumnarBatch,
+    out: &ColumnarBatch,
+    sel: Option<SelectionVector>,
+    readies: &[SimTime],
     now: SimTime,
-) -> bool {
-    if world.rps[dst].is_client {
-        // The client sink records owned values; relaying column handles
-        // into the result set would only defer the materialization.
-        return false;
-    }
-    let Some(admit) = world.rps[dst].chain.relay_admit_cols(cols) else {
-        return false;
-    };
-    let n = admit.rows;
-    let cost = world.rps[dst].cost.cost(admit.elem_bytes);
-    let node = world.rps[dst].node;
-    let mut readies = std::mem::take(&mut world.ready_scratch);
-    charge(world, dst, |env| {
-        env.compute_each(node, cost, n as u64, now, &mut readies)
-    });
-    world.rps[dst].elements_in += n as u64;
-    world.columnar_batches += 1;
-    let t0 = world.profile.then(std::time::Instant::now);
-    let (out, sel) = world.rps[dst].chain.process_relayed(admit);
-    if let Some(t0) = t0 {
-        world.rps[dst].wall_ns += t0.elapsed().as_nanos() as u64;
-    }
+) {
     let m = out.rows();
     world.rps[dst].elements_out += m as u64;
     let n_out = world.rps[dst].outputs.len();
-    if m > 0 && n_out > 0 {
-        if let Some(size) = out.uniform_row_size() {
-            // Survivor ready times in output-row order: nondecreasing,
-            // because selections ascend and the compute server finishes
-            // in FIFO order.
-            let survivors = match &sel {
-                Some(s) => s.rows().iter().map(|&r| readies[r as usize]).collect(),
-                None => readies[..m].to_vec(),
-            };
-            send_run(world, sim, dst, &out, survivors, size, now);
-            world.ready_scratch = readies;
-            return true;
-        }
+    if m == 0 || n_out == 0 {
+        return;
+    }
+    let src_row = |j: usize| sel.as_ref().map_or(j, |s| s.rows()[j] as usize);
+    if let Some(size) = out.uniform_row_size() {
+        // Survivor ready times in output-row order: nondecreasing,
+        // because selections ascend and the compute server finishes in
+        // FIFO order.
+        let survivors = (0..m).map(|j| readies[src_row(j)]).collect();
+        send_run(world, sim, dst, out, survivors, size, now);
+        return;
     }
     for j in 0..m {
-        // Output row j came from input row sel[j] (or j itself when the
-        // output is a prefix): forward at that element's compute-finish
-        // time, exactly like the scalar emit.
-        let src_row = sel.as_ref().map_or(j, |s| s.rows()[j] as usize);
-        let at = readies[src_row];
+        let at = readies[src_row(j)];
         let size = out.row_marshaled_size(j);
         for oi in 0..n_out {
             let ci = world.rps[dst].outputs[oi];
             enqueue_elem(world, sim, ci, Elem::Col(out.slice(j, j + 1)), size, at);
         }
     }
-    world.ready_scratch = readies;
-    true
 }
 
 /// Sends `view` — same-sized rows, row `j` ready at `readies[j]` — to

@@ -1,0 +1,283 @@
+//! Which delivered batches the column tier takes, pinned by counts.
+//!
+//! `columnar_equiv.rs` proves the column drivers exact and
+//! `columnar_accounting.rs` proves their books balance; this suite pins
+//! the admission *decisions* themselves on one query per chain shape:
+//! how many batches the column tier took, how many value runs it
+//! transposed to get them, what every RP counted in and out, and the
+//! static verdict `explain` prints for every stage. Every number is
+//! deterministic, so a change to the admission walk that admits or
+//! declines one batch more or less fails here by name.
+
+use scsq_cluster::Environment;
+use scsq_engine::{admission_verdicts, run_graph, CmpOp, MapFunc, QueryBuilder, RunOptions, Stage};
+use scsq_ql::{parse_statement, Catalog, Value};
+
+/// Runs `src` (with `v` pre-bound to `v`, when given) and renders the
+/// pinned facts: batches and transposes, then one line per RP — SPs in
+/// creation order, the client last — with its element counts and its
+/// stages' verdicts.
+fn counts(src: &str, v: Option<Vec<Value>>, options: &RunOptions) -> String {
+    let mut env = Environment::lofar();
+    let catalog = Catalog::new();
+    let stmt = parse_statement(src).expect("parses");
+    let prebound: Vec<(String, Value)> = v
+        .into_iter()
+        .map(|vals| ("v".to_string(), Value::Bag(vals)))
+        .collect();
+    let graph = QueryBuilder::new(&mut env, &catalog, options.placement, options)
+        .build(&stmt, &prebound)
+        .expect("builds");
+    let r = run_graph(env, &graph, options).expect("runs");
+    let s = r.stats();
+    let mut out = format!(
+        "batches {} transposes {}\n",
+        s.columnar_batches, s.columnar_transposes
+    );
+    let pipelines = graph
+        .sps
+        .iter()
+        .map(|sp| &sp.pipeline)
+        .chain(std::iter::once(&graph.client));
+    for (rp, pipeline) in s.rp_reports.iter().zip(pipelines) {
+        out.push_str(&format!(
+            "{}/{}: {}\n",
+            rp.elements_in,
+            rp.elements_out,
+            admission_verdicts(&pipeline.stages).join(" | ")
+        ));
+    }
+    out
+}
+
+fn small_buffers() -> RunOptions {
+    RunOptions {
+        mpi_buffer: 2_000,
+        ..RunOptions::default()
+    }
+}
+
+#[track_caller]
+fn assert_counts(src: &str, v: Option<Vec<Value>>, options: &RunOptions, want: &str) {
+    assert_eq!(counts(src, v, options), want, "{src}");
+}
+
+/// A prepared source into `take` → `sum`, forwarded to a final `sum`:
+/// both folds take every delivered view, nothing is transposed.
+#[test]
+fn take_into_sum_folds_every_view() {
+    assert_counts(
+        "select extract(c) from sp a, sp b, sp c \
+         where c=sp(streamof(sum(merge({b}))), 'bg', 0) \
+         and b=sp(streamof(sum(take(extract(a), 900))), 'bg', 2) \
+         and a=sp(streamof(iota(1,1000)),'bg',1);",
+        None,
+        &small_buffers(),
+        concat!(
+            "batches 5 transposes 0\n",
+            "1000/1000: scalar: chain neither absorbs nor transforms\n",
+            "1000/1: columnar | columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+}
+
+/// Three `arith`s, a `filter`, an `arith` and a `cmp` into `count`: the
+/// whole chain folds.
+#[test]
+fn filter_heavy_chain_folds() {
+    assert_counts(
+        "select extract(c) from sp a, sp b, sp c \
+         where c=sp(streamof(sum(merge({b}))), 'bg', 0) \
+         and b=sp(streamof(count(cmp(arith(filter(arith(arith(arith(extract(a), \
+         '*', 3), '+', 1), '-', 1), '>', 1500), '*', 2), '<', 7000))), 'bg', 2) \
+         and a=sp(streamof(iota(1,1000)),'bg',1);",
+        None,
+        &small_buffers(),
+        concat!(
+            "batches 5 transposes 0\n",
+            "1000/1000: scalar: chain neither absorbs nor transforms\n",
+            "1000/1: columnar | columnar | columnar | columnar | columnar | columnar | columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+}
+
+/// `arith` → `filter` on one SP emits its survivors as column rows,
+/// and the `sum` on the next folds them without a transpose.
+#[test]
+fn two_sp_relay_emits_then_folds() {
+    assert_counts(
+        "select extract(c) from sp a, sp b, sp c \
+         where c=sp(streamof(sum(extract(b))), 'bg', 0) \
+         and b=sp(filter(arith(extract(a), '*', 3), '>', 1500), 'bg', 2) \
+         and a=sp(streamof(iota(1,1000)),'bg',1);",
+        None,
+        &small_buffers(),
+        concat!(
+            "batches 10 transposes 0\n",
+            "1000/1000: scalar: chain neither absorbs nor transforms\n",
+            "1000/500: columnar (relay) | columnar (relay)\n",
+            "500/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+}
+
+/// The same relay chain on the client: the result sink takes owned
+/// values, so the chain walks per element.
+#[test]
+fn a_relay_into_the_client_walks_per_element() {
+    assert_counts(
+        "select filter(arith(extract(a), '*', 3), '>', 1500) from sp a \
+         where a=sp(streamof(iota(1,1000)),'bg',1);",
+        None,
+        &small_buffers(),
+        concat!(
+            "batches 0 transposes 0\n",
+            "1000/1000: scalar: chain neither absorbs nor transforms\n",
+            "1000/500: columnar (relay) | columnar (relay)\n",
+        ),
+    );
+}
+
+/// `odd` with nothing folding after it: no ending applies, so the chain
+/// walks per element and its runs are never transposed; the `count`
+/// downstream folds what it forwards. A comparison after the map does
+/// not make the chain an emitting one either.
+#[test]
+fn map_without_an_absorber_stays_scalar() {
+    let map_then_cmp = [
+        Stage::Map(MapFunc::Odd),
+        Stage::Cmp {
+            op: CmpOp::Gt,
+            rhs: Value::Integer(0),
+        },
+    ];
+    assert_eq!(
+        admission_verdicts(&map_then_cmp),
+        ["scalar: chain neither absorbs nor transforms"; 2]
+    );
+    assert_counts(
+        "select extract(c) from sp a, sp b, sp c \
+         where c=sp(streamof(count(extract(b))), 'bg', 0) \
+         and b=sp(odd(extract(a)), 'bg', 2) \
+         and a=sp(gen_array(100,60),'bg',1);",
+        None,
+        &small_buffers(),
+        concat!(
+            "batches 2 transposes 2\n",
+            "60/60: \n",
+            "60/60: scalar: chain neither absorbs nor transforms\n",
+            "60/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+}
+
+/// Metric samples forwarded from `metrics(a)` reach `bandwidth` as the
+/// three-column metric shape and fold.
+#[test]
+fn forwarded_metric_samples_fold_into_bandwidth() {
+    assert_counts(
+        "select extract(w) from sp a, sp b, sp m, sp w \
+         where w=sp(streamof(bandwidth(extract(m))), 'bg', 4) \
+         and m=sp(metrics(a), 'bg', 3) \
+         and b=sp(streamof(count(extract(a))), 'bg', 0) \
+         and a=sp(gen_array(100,300),'bg',1);",
+        None,
+        &small_buffers(),
+        concat!(
+            "batches 18 transposes 18\n",
+            "300/300: \n",
+            "17/17: \n",
+            "300/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "17/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+}
+
+/// A bag of two-field records reaches `take` → `count` as parallel
+/// columns and folds.
+#[test]
+fn record_batches_fold_into_count() {
+    let records = (0..400)
+        .map(|i| Value::Bag(vec![Value::Integer(i), Value::Real(i as f64 / 4.0)]))
+        .collect();
+    assert_counts(
+        "select extract(b) from sp a, sp b \
+         where b=sp(streamof(count(take(extract(a), 300))), 'bg', 0) \
+         and a=sp(streamof(v),'bg',1);",
+        Some(records),
+        &small_buffers(),
+        concat!(
+            "batches 5 transposes 0\n",
+            "400/400: scalar: chain neither absorbs nor transforms\n",
+            "400/1: columnar | columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+}
+
+/// `winagg` has no kernel: its chain declines every batch, and only the
+/// `sum` it forwards to folds.
+#[test]
+fn winagg_declines() {
+    assert_counts(
+        "select extract(c) from sp a, sp b, sp c \
+         where c=sp(streamof(sum(merge({b}))), 'bg', 0) \
+         and b=sp(streamof(sum(winagg(extract(a), 4, 4, 'sum'))), 'bg', 2) \
+         and a=sp(streamof(iota(1,1000)),'bg',1);",
+        None,
+        &small_buffers(),
+        concat!(
+            "batches 0 transposes 0\n",
+            "1000/1000: scalar: chain neither absorbs nor transforms\n",
+            "1000/1: scalar: no whole-column kernel | scalar: chain blocked by a non-vectorizable stage | scalar: chain blocked by a non-vectorizable stage\n",
+            "1/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+}
+
+/// A 13-byte buffer cuts a prepared source of 9-byte integers into 28
+/// deliveries of one or two rows: a one-row view is still a batch, for
+/// the fold and for the relay alike (a one-value run never is).
+#[test]
+fn one_row_views_are_batches() {
+    let options = RunOptions {
+        mpi_buffer: 13,
+        ..RunOptions::default()
+    };
+    assert_counts(
+        "select extract(b) from sp a, sp b \
+         where b=sp(streamof(sum(extract(a))), 'bg', 0) \
+         and a=sp(streamof(iota(1,40)),'bg',1);",
+        None,
+        &options,
+        concat!(
+            "batches 28 transposes 0\n",
+            "40/40: scalar: chain neither absorbs nor transforms\n",
+            "40/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+    assert_counts(
+        "select extract(c) from sp a, sp b, sp c \
+         where c=sp(streamof(sum(extract(b))), 'bg', 0) \
+         and b=sp(arith(extract(a), '+', 1), 'bg', 2) \
+         and a=sp(streamof(iota(1,40)),'bg',1);",
+        None,
+        &options,
+        concat!(
+            "batches 56 transposes 0\n",
+            "40/40: scalar: chain neither absorbs nor transforms\n",
+            "40/40: columnar (relay)\n",
+            "40/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+}

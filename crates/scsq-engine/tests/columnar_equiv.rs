@@ -1,24 +1,26 @@
-//! Property-based equivalence of the columnar batch fast path.
+//! Property-based equivalence of the column tier.
 //!
-//! [`StageChain::process_batch_columnar`] absorbs a whole delivered
-//! batch with one dispatch per column; its contract is that the result
-//! is byte-identical to feeding the same elements one at a time — the
-//! accumulators land in the same state (same wrapping integer sums,
-//! same sequential float rounding, same strict first-best winners), the
-//! end-of-stream flush emits the same values, and error *messages*
-//! match, because the runtime surfaces them to the client verbatim.
+//! [`StageChain::admit_cols`] admits a whole delivered batch and
+//! [`StageChain::process_cols`] runs it with one dispatch per stage; its
+//! contract is that the result is byte-identical to feeding the same
+//! elements one at a time — a batch that folds leaves the accumulators
+//! in the same state (same wrapping integer sums, same sequential float
+//! rounding, same strict first-best winners) and emits nothing, a batch
+//! that emits produces the same rows, the end-of-stream flush is the
+//! same, and error *messages* match, because the runtime surfaces them
+//! to the client verbatim.
 //!
-//! The driver below mirrors `World::deliver`: try the columnar pass,
-//! and fall back to the per-element path when it declines
-//! (`Ok(false)`), exactly as the engine does. The reference is a second
+//! One driver below mirrors `World::deliver`: admit the batch, run it as
+//! columns, and fall back to the per-element path when admission
+//! declines, exactly as the engine does. The reference is a second
 //! chain fed one element at a time (`StageChain::process_into`, the
 //! scalar semantics).
 
 use proptest::prelude::*;
 use scsq_engine::ops::{AggKind, MapFunc, Pipeline, Stage, StageChain};
 use scsq_engine::window::WindowSpec;
-use scsq_engine::{ArithOp, CmpOp, PreparedSource};
-use scsq_ql::{Batch, ColumnarBatch, Value};
+use scsq_engine::{ArithOp, CmpOp, ColumnEnding, EngineError, PreparedSource};
+use scsq_ql::{ColumnarBatch, Value};
 
 fn agg() -> impl Strategy<Value = AggKind> {
     prop_oneof![
@@ -141,76 +143,89 @@ fn batch_values() -> impl Strategy<Value = Vec<Value>> {
     ]
 }
 
-/// Feeds the same batches through one chain per element (the scalar
-/// reference) and through another driven the way `World::deliver`
-/// drives it (columnar pass first, per-element fallback on decline),
-/// comparing outputs, errors, and the end-of-stream flush.
-fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(), TestCaseError> {
-    let pipeline = Pipeline {
+fn chain(stages: &[Stage]) -> StageChain {
+    StageChain::new(&Pipeline {
         input: scsq_engine::InputKind::Const {
             values: Vec::new().into(),
         },
-        stages,
+        stages: stages.to_vec(),
+    })
+}
+
+/// How a batch reaches a chain: a run of owned values (a batch only
+/// when it has two or more, because `deliver` never transposes a lone
+/// value) or a view of shared columns (always a batch, even of one row).
+#[derive(Clone, Copy)]
+enum Delivered<'a> {
+    Values(&'a [Value]),
+    View(&'a ColumnarBatch),
+}
+
+/// The scalar reference: every element through `process_into`.
+fn per_element(chain: &mut StageChain, values: &[Value]) -> Result<Vec<Value>, EngineError> {
+    let mut out = Vec::new();
+    for v in values {
+        chain.process_into(v.clone(), None, &mut out)?;
+    }
+    Ok(out)
+}
+
+/// Mirrors `World::deliver`: admit the batch and run it as columns,
+/// returning the rows it emitted (none when it folded); when admission
+/// declines, walk its elements one at a time.
+fn deliver(chain: &mut StageChain, batch: Delivered<'_>) -> Result<Vec<Value>, EngineError> {
+    let cols = match batch {
+        Delivered::Values(vs) if vs.len() > 1 => Some(ColumnarBatch::from_values(vs)),
+        Delivered::Values(_) => None,
+        Delivered::View(view) => Some(view.clone()),
     };
-    let mut scalar = StageChain::new(&pipeline);
-    let mut columnar = StageChain::new(&pipeline);
+    let Some(admit) = cols.and_then(|c| chain.admit_cols(&c)) else {
+        return match batch {
+            Delivered::Values(vs) => per_element(chain, vs),
+            Delivered::View(view) => {
+                let mut rows = Vec::new();
+                view.to_values_into(&mut rows);
+                per_element(chain, &rows)
+            }
+        };
+    };
+    let ending = admit.ending;
+    let emitted = chain.process_cols(admit)?;
+    assert_eq!(emitted.is_some(), ending == ColumnEnding::Emit, "ending");
+    let Some((out, sel)) = emitted else {
+        return Ok(Vec::new());
+    };
+    if let Some(s) = &sel {
+        assert_eq!(s.rows().len(), out.rows(), "selection covers the output");
+    }
+    Ok((0..out.rows())
+        .map(|j| out.value_at(j).expect("emitted rows are valid"))
+        .collect())
+}
 
+/// Feeds the same batches through one chain per element (the scalar
+/// reference) and through another driven by [`deliver`], comparing what
+/// each batch emits, the errors, and the end-of-stream flush.
+fn assert_equivalent(stages: &[Stage], batches: &[Vec<Value>]) -> Result<(), TestCaseError> {
+    let mut scalar = chain(stages);
+    let mut columnar = chain(stages);
     for values in batches {
-        let batch = Batch::new(values.clone());
-
-        // Reference: one element at a time.
-        let mut ref_out = Vec::new();
-        let mut ref_err = None;
-        for v in &values {
-            if let Err(e) = scalar.process_into(v.clone(), None, &mut ref_out) {
-                ref_err = Some(e);
-                break;
+        match (
+            per_element(&mut scalar, values),
+            deliver(&mut columnar, Delivered::Values(values)),
+        ) {
+            (Ok(want), Ok(got)) => prop_assert_eq!(want, got, "emitted rows"),
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(a.to_string(), b.to_string(), "error messages");
+                return Ok(()); // the runtime stops at the first error
             }
-        }
-
-        // Candidate: the deliver-path driver.
-        match columnar.process_batch_columnar(&batch) {
-            Ok(true) => {
-                // The columnar pass only fires for absorber-terminated
-                // chains, which emit nothing per element and never fail
-                // on the shapes the pre-check admits.
-                prop_assert!(ref_err.is_none(), "scalar path failed, columnar did not");
-                prop_assert!(ref_out.is_empty(), "absorbed batch must emit nothing");
-            }
-            Ok(false) => {
-                let mut out = Vec::new();
-                let mut err = None;
-                for v in &values {
-                    if let Err(e) = columnar.process_into(v.clone(), None, &mut out) {
-                        err = Some(e);
-                        break;
-                    }
-                }
-                match (ref_err, err) {
-                    (None, None) => prop_assert_eq!(&ref_out, &out, "per-element outputs"),
-                    (Some(a), Some(b)) => {
-                        prop_assert_eq!(a.to_string(), b.to_string(), "error messages");
-                        return Ok(()); // the runtime stops at the first error
-                    }
-                    (a, b) => {
-                        return Err(TestCaseError::fail(format!(
-                            "one path failed, the other did not: {a:?} vs {b:?}"
-                        )))
-                    }
-                }
-            }
-            Err(e) => {
-                let Some(a) = ref_err else {
-                    return Err(TestCaseError::fail(format!(
-                        "columnar pass failed, scalar path did not: {e}"
-                    )));
-                };
-                prop_assert_eq!(a.to_string(), e.to_string(), "error messages");
-                return Ok(());
+            (a, b) => {
+                return Err(TestCaseError::fail(format!(
+                    "one path failed, the other did not: {a:?} vs {b:?}"
+                )))
             }
         }
     }
-
     match (scalar.finish(), columnar.finish()) {
         (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "end-of-stream flush"),
         (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "flush errors"),
@@ -260,83 +275,6 @@ fn relay_batch() -> impl Strategy<Value = Vec<Value>> {
     ]
 }
 
-/// Drives the relay admission path the way `World::deliver` drives it:
-/// relay when admitted (materializing the forwarded column rows for
-/// comparison), per-element fallback when declined; a chain fed one
-/// element at a time is the byte-identity reference throughout.
-fn assert_relay_equivalent(
-    stages: Vec<Stage>,
-    batches: Vec<Vec<Value>>,
-) -> Result<(), TestCaseError> {
-    let pipeline = Pipeline {
-        input: scsq_engine::InputKind::Const {
-            values: Vec::new().into(),
-        },
-        stages,
-    };
-    let mut scalar = StageChain::new(&pipeline);
-    let mut columnar = StageChain::new(&pipeline);
-
-    for values in batches {
-        let mut ref_out = Vec::new();
-        let mut ref_err = None;
-        for v in &values {
-            if let Err(e) = scalar.process_into(v.clone(), None, &mut ref_out) {
-                ref_err = Some(e);
-                break;
-            }
-        }
-
-        let cols = scsq_ql::ColumnarBatch::from_values(&values);
-        if let Some(admit) = columnar.relay_admit_cols(&cols) {
-            let (out, sel) = columnar.process_relayed(admit);
-            prop_assert!(
-                ref_err.is_none(),
-                "scalar path failed, the relay pass did not"
-            );
-            if let Some(s) = &sel {
-                prop_assert_eq!(s.rows().len(), out.rows(), "selection covers the output");
-            }
-            let got: Vec<Value> = (0..out.rows())
-                .map(|j| out.value_at(j).expect("relay outputs are valid"))
-                .collect();
-            prop_assert_eq!(&ref_out, &got, "relayed rows");
-        } else {
-            let mut out = Vec::new();
-            let mut err = None;
-            for v in &values {
-                if let Err(e) = columnar.process_into(v.clone(), None, &mut out) {
-                    err = Some(e);
-                    break;
-                }
-            }
-            match (ref_err, err) {
-                (None, None) => prop_assert_eq!(&ref_out, &out, "per-element outputs"),
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(a.to_string(), b.to_string(), "error messages");
-                    return Ok(());
-                }
-                (a, b) => {
-                    return Err(TestCaseError::fail(format!(
-                        "one path failed, the other did not: {a:?} vs {b:?}"
-                    )))
-                }
-            }
-        }
-    }
-
-    match (scalar.finish(), columnar.finish()) {
-        (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "end-of-stream flush"),
-        (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "flush errors"),
-        (a, b) => {
-            return Err(TestCaseError::fail(format!(
-                "flush disagreement: {a:?} vs {b:?}"
-            )))
-        }
-    }
-    Ok(())
-}
-
 /// One constant source and whether the plan must prepare it: runs of
 /// one fixed-width kind (integers, floats, booleans, fixed-width
 /// records) of at least two rows are prepared; strings, mixed bags and
@@ -367,12 +305,10 @@ fn source_values() -> impl Strategy<Value = (Vec<Value>, bool)> {
     ]
 }
 
-/// Drives a chain over a prepared source the way `World::deliver` does
-/// on the two kinds of tier: `views` hands it slices of the plan's
-/// column (admit, else walk the rows with `value_at`), the other hands
-/// it the delivered values (transpose-and-admit when the run is a
-/// batch, else walk them). Returns everything emitted plus the flush,
-/// or the first error's message.
+/// Drives a chain over a prepared source cut at `cuts` the way
+/// `World::deliver` does on the two kinds of tier: `views` hands it
+/// slices of the plan's column, the other the delivered values. Returns
+/// everything emitted plus the flush, or the first error's message.
 fn drive_source(
     stages: &[Stage],
     values: &[Value],
@@ -380,13 +316,7 @@ fn drive_source(
     cuts: &[usize],
     views: bool,
 ) -> Result<Vec<Value>, String> {
-    let pipeline = Pipeline {
-        input: scsq_engine::InputKind::Const {
-            values: Vec::new().into(),
-        },
-        stages: stages.to_vec(),
-    };
-    let mut columnar = StageChain::new(&pipeline);
+    let mut columnar = chain(stages);
     let mut out = Vec::new();
     let mut start = 0;
     let mut bounds: Vec<usize> = cuts.iter().map(|c| c % values.len()).collect();
@@ -396,37 +326,13 @@ fn drive_source(
         if end == start {
             continue;
         }
-        let run = &values[start..end];
-        let absorbed = if views {
-            let view = prepared.cols.slice(start, end);
-            match columnar.columnar_admit_cols(&view) {
-                // A one-row view is a batch; a one-value run is not.
-                // Either way the row is folded exactly once.
-                Some(admit) => {
-                    columnar
-                        .process_admitted(admit)
-                        .map_err(|e| e.to_string())?;
-                    true
-                }
-                None => false,
-            }
+        let view = prepared.cols.slice(start, end);
+        let batch = if views {
+            Delivered::View(&view)
         } else {
-            columnar
-                .process_batch_columnar(&Batch::new(run.to_vec()))
-                .map_err(|e| e.to_string())?
+            Delivered::Values(&values[start..end])
         };
-        if !absorbed {
-            for (row, v) in run.iter().enumerate() {
-                let v = if views {
-                    prepared.cols.value_at(start + row).expect("all rows valid")
-                } else {
-                    v.clone()
-                };
-                columnar
-                    .process_into(v, None, &mut out)
-                    .map_err(|e| e.to_string())?;
-            }
-        }
+        out.extend(deliver(&mut columnar, batch).map_err(|e| e.to_string())?);
         start = end;
     }
     out.extend(columnar.finish().map_err(|e| e.to_string())?);
@@ -481,15 +387,16 @@ proptest! {
         );
     }
 
-    /// The columnar batch pass (with its per-element fallback) agrees
-    /// with the per-element reference on outputs, accumulator state (via
-    /// the flush), and errors, over randomized chains and batch streams.
+    /// The column tier (with its per-element fallback) agrees with the
+    /// per-element reference on what every batch emits, accumulator state
+    /// (via the flush), and errors, over randomized chains — folding,
+    /// emitting and declined — and batch streams.
     #[test]
     fn columnar_equals_interpreted(
         stages in proptest::collection::vec(stage(), 1..4),
         batches in proptest::collection::vec(batch_values(), 0..5),
     ) {
-        assert_equivalent(stages, batches)?;
+        assert_equivalent(&stages, &batches)?;
     }
 
     /// Relay chains (transforms + take, no absorber) produce — via
@@ -507,20 +414,15 @@ proptest! {
         let mut stages = before;
         stages.push(transform);
         stages.extend(after);
-        assert_relay_equivalent(stages, batches)?;
+        assert_equivalent(&stages, &batches)?;
     }
 }
 
-/// The columnar pass fires for an absorber-terminated chain and leaves
-/// the same accumulator state as per-element execution.
+/// A `bandwidth` chain folds a metric batch and leaves the same
+/// accumulator state as per-element execution.
 #[test]
 fn columnar_pass_absorbs_metric_batches() {
-    let pipeline = Pipeline {
-        input: scsq_engine::InputKind::Const {
-            values: Vec::new().into(),
-        },
-        stages: vec![Stage::StreamOf, Stage::Bandwidth],
-    };
+    let stages = [Stage::StreamOf, Stage::Bandwidth];
     let sample = |t: i64, b: i64| {
         Value::Bag(vec![
             Value::Integer(0),
@@ -530,21 +432,21 @@ fn columnar_pass_absorbs_metric_batches() {
     };
     let values = vec![sample(100, 10), sample(250, 20), sample(900, 30)];
 
-    let mut columnar = StageChain::new(&pipeline);
-    assert!(columnar
-        .process_batch_columnar(&Batch::new(values.clone()))
-        .unwrap());
+    let mut columnar = chain(&stages);
+    let admit = columnar
+        .admit_cols(&ColumnarBatch::from_values(&values))
+        .expect("a metric batch folds into bandwidth");
+    assert_eq!(admit.ending, ColumnEnding::Fold);
+    assert!(columnar.process_cols(admit).unwrap().is_none());
 
-    let mut scalar = StageChain::new(&pipeline);
-    for v in values {
-        scalar.process_into(v, None, &mut Vec::new()).unwrap();
-    }
+    let mut scalar = chain(&stages);
+    per_element(&mut scalar, &values).unwrap();
     assert_eq!(columnar.finish().unwrap(), scalar.finish().unwrap());
 }
 
-/// A chain with no absorbing aggregate declines the columnar pass: a
-/// relay would have to reconstruct every leftover tuple, which costs
-/// more than the per-element path it replaces.
+/// A chain that neither folds nor transforms is never admitted: emitting
+/// its rows untransformed would rebuild every tuple the per-element path
+/// forwards anyway.
 #[test]
 fn relay_chains_decline_the_columnar_pass() {
     for stages in [
@@ -552,14 +454,8 @@ fn relay_chains_decline_the_columnar_pass() {
         vec![Stage::Take { limit: 4 }],
         vec![Stage::StreamOf, Stage::Take { limit: 4 }],
     ] {
-        let pipeline = Pipeline {
-            input: scsq_engine::InputKind::Const {
-                values: Vec::new().into(),
-            },
-            stages,
-        };
-        let mut columnar = StageChain::new(&pipeline);
-        let batch = Batch::new((0..6).map(Value::Integer).collect());
-        assert!(!columnar.process_batch_columnar(&batch).unwrap());
+        let values: Vec<Value> = (0..6).map(Value::Integer).collect();
+        let cols = ColumnarBatch::from_values(&values);
+        assert!(chain(&stages).admit_cols(&cols).is_none(), "{stages:?}");
     }
 }

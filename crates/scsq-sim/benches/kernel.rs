@@ -3,20 +3,36 @@
 //! millions of events through this code, so its constants matter.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use scsq_sim::{FifoServer, SimDur, SimTime, Simulator, SwitchingServer};
+use scsq_sim::{Event, FifoServer, SimDur, SimTime, SwitchingServer, TypedSimulator};
 use std::hint::black_box;
+
+/// A self-rescheduling event chain: each firing counts and re-arms
+/// until the world reaches 10 000.
+struct Chain;
+
+impl Event<u64> for Chain {
+    fn fire(self, count: &mut u64, sim: &mut TypedSimulator<u64, Chain>) {
+        if *count < 10_000 {
+            *count += 1;
+            sim.schedule_after(SimDur::from_nanos(10), Chain);
+        }
+    }
+}
+
+/// An event that only counts itself.
+struct Tick;
+
+impl Event<u64> for Tick {
+    fn fire(self, count: &mut u64, _: &mut TypedSimulator<u64, Tick>) {
+        *count += 1;
+    }
+}
 
 fn bench_event_dispatch(c: &mut Criterion) {
     c.bench_function("kernel/dispatch_10k_events", |b| {
         b.iter(|| {
-            fn chain(count: &mut u64, sim: &mut Simulator<u64>) {
-                if *count < 10_000 {
-                    *count += 1;
-                    sim.schedule_after(SimDur::from_nanos(10), chain);
-                }
-            }
-            let mut sim = Simulator::new(0u64);
-            sim.schedule_after(SimDur::from_nanos(10), chain);
+            let mut sim = TypedSimulator::new(0u64);
+            sim.schedule_after(SimDur::from_nanos(10), Chain);
             sim.run_to_completion();
             black_box(sim.events_executed())
         });
@@ -24,11 +40,11 @@ fn bench_event_dispatch(c: &mut Criterion) {
 
     c.bench_function("kernel/queue_mixed_order_10k", |b| {
         b.iter(|| {
-            let mut sim = Simulator::new(0u64);
+            let mut sim = TypedSimulator::new(0u64);
             for i in 0..10_000u64 {
                 // Pseudo-shuffled times exercise heap rebalancing.
                 let t = (i.wrapping_mul(2_654_435_761)) % 1_000_000;
-                sim.schedule_at(SimTime::from_nanos(t), |w, _| *w += 1);
+                sim.schedule_at(SimTime::from_nanos(t), Tick);
             }
             sim.run_to_completion();
             black_box(*sim.world())

@@ -15,17 +15,29 @@
 //!
 //! ## Example
 //!
+//! Events are a caller-defined type; [`TypedSimulator`] stores them
+//! inline in its queue and dispatches each through [`Event::fire`].
+//!
 //! ```
-//! use scsq_sim::{Simulator, SimDur};
+//! use scsq_sim::{Event, SimDur, TypedSimulator};
 //!
 //! // The "world" can be any state the events mutate.
-//! let mut sim = Simulator::new(0u64);
-//! sim.schedule_after(SimDur::from_micros(5), |world, sim| {
-//!     *world += 1;
-//!     sim.schedule_after(SimDur::from_micros(5), move |world, _| {
-//!         *world += 10;
-//!     });
-//! });
+//! enum Ev {
+//!     Add(u64),
+//! }
+//!
+//! impl Event<u64> for Ev {
+//!     fn fire(self, world: &mut u64, sim: &mut TypedSimulator<u64, Ev>) {
+//!         let Ev::Add(n) = self;
+//!         *world += n;
+//!         if n == 1 {
+//!             sim.schedule_after(SimDur::from_micros(5), Ev::Add(10));
+//!         }
+//!     }
+//! }
+//!
+//! let mut sim = TypedSimulator::new(0u64);
+//! sim.schedule_after(SimDur::from_micros(5), Ev::Add(1));
 //! sim.run_to_completion();
 //! assert_eq!(*sim.world(), 11);
 //! ```
@@ -49,261 +61,3 @@ pub use server::{FifoServer, SwitchingServer};
 pub use stats::{RunningStats, Series};
 pub use time::{SimDur, SimTime};
 pub use typed::{Event, TypedSimulator};
-
-use std::fmt;
-
-/// A scheduled event: a one-shot closure over the world and the simulator.
-type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Simulator<W>)>;
-
-/// The discrete-event simulator.
-///
-/// `Simulator` owns the world state `W`, the virtual clock, and the event
-/// queue. Events are closures `FnOnce(&mut W, &mut Simulator<W>)`; they may
-/// schedule further events. Time never moves backwards; scheduling an
-/// event in the past is a logic error and panics.
-///
-/// During event dispatch the world is moved out of the simulator so the
-/// closure can receive disjoint `&mut` borrows of both; accessing
-/// [`Simulator::world`] *from inside an event* therefore panics — events
-/// should use the `&mut W` argument they are given.
-pub struct Simulator<W> {
-    now: SimTime,
-    queue: EventQueue<EventFn<W>>,
-    world: Option<W>,
-    executed: u64,
-    limit: Option<u64>,
-    limit_exceeded: bool,
-}
-
-impl<W: fmt::Debug> fmt::Debug for Simulator<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Simulator")
-            .field("now", &self.now)
-            .field("pending", &self.queue.len())
-            .field("executed", &self.executed)
-            .field("world", &self.world)
-            .finish()
-    }
-}
-
-impl<W> Simulator<W> {
-    /// Creates a simulator at time zero owning `world`.
-    pub fn new(world: W) -> Self {
-        Simulator {
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            world: Some(world),
-            executed: 0,
-            limit: None,
-            limit_exceeded: false,
-        }
-    }
-
-    /// Sets a safety limit on the number of executed events.
-    ///
-    /// When the limit is reached, [`Simulator::step`] stops dispatching
-    /// (pending events stay queued) and [`Simulator::limit_exceeded`]
-    /// reports it — this catches accidental event storms without
-    /// panicking through arbitrary model code.
-    pub fn with_event_limit(mut self, limit: u64) -> Self {
-        self.limit = Some(limit);
-        self
-    }
-
-    /// Whether the event budget was exhausted before the queue drained.
-    pub fn limit_exceeded(&self) -> bool {
-        self.limit_exceeded
-    }
-
-    /// The current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Shared access to the world.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called from inside an event closure (use the closure's
-    /// `&mut W` argument instead).
-    pub fn world(&self) -> &W {
-        self.world
-            .as_ref()
-            .expect("world is moved out during event dispatch; use the event's &mut W argument")
-    }
-
-    /// Exclusive access to the world.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called from inside an event closure (use the closure's
-    /// `&mut W` argument instead).
-    pub fn world_mut(&mut self) -> &mut W {
-        self.world
-            .as_mut()
-            .expect("world is moved out during event dispatch; use the event's &mut W argument")
-    }
-
-    /// Consumes the simulator, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-            .expect("world is moved out during event dispatch")
-    }
-
-    /// Number of events executed so far.
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of events currently pending.
-    pub fn events_pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Schedules `event` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        event: impl FnOnce(&mut W, &mut Simulator<W>) + 'static,
-    ) {
-        assert!(
-            at >= self.now,
-            "cannot schedule event in the past: now={:?} at={:?}",
-            self.now,
-            at
-        );
-        self.queue.push(at, Box::new(event));
-    }
-
-    /// Schedules `event` to fire `after` from now.
-    pub fn schedule_after(
-        &mut self,
-        after: SimDur,
-        event: impl FnOnce(&mut W, &mut Simulator<W>) + 'static,
-    ) {
-        self.schedule_at(self.now + after, event);
-    }
-
-    /// Runs a single event if one is pending. Returns `false` when the
-    /// queue is empty.
-    pub fn step(&mut self) -> bool {
-        if self.limit_exceeded {
-            return false;
-        }
-        if let Some(limit) = self.limit {
-            if self.executed >= limit {
-                self.limit_exceeded = true;
-                return false;
-            }
-        }
-        let Some((at, event)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(at >= self.now, "event queue returned an event in the past");
-        self.now = at;
-        self.executed += 1;
-        let mut world = self
-            .world
-            .take()
-            .expect("step re-entered during event dispatch");
-        event(&mut world, self);
-        self.world = Some(world);
-        true
-    }
-
-    /// Runs events until the queue is empty and returns the final time.
-    pub fn run_to_completion(&mut self) -> SimTime {
-        while self.step() {}
-        self.now
-    }
-
-    /// Runs events until the queue is empty or the clock passes
-    /// `deadline`; events scheduled after the deadline remain queued.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            self.step();
-        }
-        self.now
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_fire_in_time_order() {
-        let mut sim = Simulator::new(Vec::new());
-        sim.schedule_after(SimDur::from_nanos(30), |w: &mut Vec<u32>, _| w.push(3));
-        sim.schedule_after(SimDur::from_nanos(10), |w: &mut Vec<u32>, _| w.push(1));
-        sim.schedule_after(SimDur::from_nanos(20), |w: &mut Vec<u32>, _| w.push(2));
-        sim.run_to_completion();
-        assert_eq!(sim.world(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn simultaneous_events_fire_in_insertion_order() {
-        let mut sim = Simulator::new(Vec::new());
-        for i in 0..10u32 {
-            sim.schedule_after(SimDur::from_nanos(5), move |w: &mut Vec<u32>, _| w.push(i));
-        }
-        sim.run_to_completion();
-        assert_eq!(sim.world(), &(0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn nested_scheduling_advances_clock() {
-        let mut sim = Simulator::new(0u64);
-        sim.schedule_after(SimDur::from_micros(1), |_, sim| {
-            assert_eq!(sim.now(), SimTime::from_nanos(1_000));
-            sim.schedule_after(SimDur::from_micros(2), |w, sim| {
-                *w = sim.now().as_nanos();
-            });
-        });
-        let end = sim.run_to_completion();
-        assert_eq!(end, SimTime::from_nanos(3_000));
-        assert_eq!(*sim.world(), 3_000);
-    }
-
-    #[test]
-    fn run_until_leaves_future_events_pending() {
-        let mut sim = Simulator::new(0u32);
-        sim.schedule_after(SimDur::from_nanos(10), |w: &mut u32, _| *w += 1);
-        sim.schedule_after(SimDur::from_nanos(100), |w: &mut u32, _| *w += 1);
-        sim.run_until(SimTime::from_nanos(50));
-        assert_eq!(*sim.world(), 1);
-        assert_eq!(sim.events_pending(), 1);
-        sim.run_to_completion();
-        assert_eq!(*sim.world(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule event in the past")]
-    fn scheduling_in_the_past_panics() {
-        let mut sim = Simulator::new(());
-        sim.schedule_after(SimDur::from_nanos(10), |_, sim| {
-            sim.schedule_at(SimTime::from_nanos(5), |_, _| {});
-        });
-        sim.run_to_completion();
-    }
-
-    #[test]
-    fn event_limit_catches_storms() {
-        fn rearm(_: &mut (), sim: &mut Simulator<()>) {
-            sim.schedule_after(SimDur::from_nanos(1), rearm);
-        }
-        let mut sim = Simulator::new(()).with_event_limit(100);
-        sim.schedule_after(SimDur::from_nanos(1), rearm);
-        sim.run_to_completion();
-        assert!(sim.limit_exceeded());
-        assert_eq!(sim.events_executed(), 100);
-        assert_eq!(sim.events_pending(), 1, "the re-armed event stays queued");
-    }
-}

@@ -1,12 +1,10 @@
-//! A monomorphized simulator for hot simulation loops.
+//! The simulator: a virtual clock, an event queue and the world the
+//! events mutate.
 //!
-//! [`crate::Simulator`] stores events as boxed `FnOnce` closures — one
-//! heap allocation and one indirect call per event. That is flexible
-//! (any closure is an event) but costs real time when a model executes
-//! hundreds of millions of events. [`TypedSimulator`] instead stores a
-//! caller-defined event *enum* inline in the queue: zero per-event
-//! boxes, branch-predictable dispatch, and the same deterministic
-//! (time, insertion-order) semantics as the boxed simulator.
+//! [`TypedSimulator`] stores a caller-defined event *enum* inline in the
+//! queue — no per-event box, no indirect call, branch-predictable
+//! dispatch — because a model executes hundreds of millions of events.
+//! Events fire in deterministic (time, insertion-order) order.
 //!
 //! ## Example
 //!
@@ -48,10 +46,11 @@ pub trait Event<W>: Sized {
 }
 
 /// A discrete-event simulator whose events are a concrete type rather
-/// than boxed closures. Semantics mirror [`crate::Simulator`]: events
-/// fire in (time, insertion-order); the world is moved out during
-/// dispatch; an optional event budget stops dispatch without draining
-/// the queue.
+/// than boxed closures: events fire in (time, insertion-order); the
+/// world is moved out during dispatch (events use the `&mut W` they are
+/// handed); an optional event budget stops dispatch without draining
+/// the queue. Time never moves backwards: scheduling an event in the
+/// past panics.
 pub struct TypedSimulator<W, E> {
     now: SimTime,
     queue: EventQueue<E>,

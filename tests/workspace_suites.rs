@@ -18,6 +18,9 @@ mod columnar_equiv;
 #[path = "../crates/scsq-engine/tests/columnar_accounting.rs"]
 mod columnar_accounting;
 
+#[path = "../crates/scsq-engine/tests/columnar_counts.rs"]
+mod columnar_counts;
+
 #[path = "../crates/scsq-engine/tests/coalesce_equiv.rs"]
 mod coalesce_equiv;
 
