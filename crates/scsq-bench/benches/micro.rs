@@ -1,7 +1,7 @@
 //! Microbenchmarks for the event-kernel hot path: raw event-queue
-//! throughput, batch hand-off cost (Arc-backed [`Batch`] slicing vs
-//! cloning the underlying tuples), the whole-column compute kernels
-//! (map / filter+gather / aggregate at 64, 4k, and 64k rows), the
+//! throughput, the whole-column kernels the stage chain runs
+//! (arithmetic, comparison masks, filter+gather at 64, 4k, and 64k
+//! rows), the
 //! cross-SP relay hand-off against the marshal round trip at the same
 //! sizes, the Figure 6 inner loop in both execution modes (per-event vs
 //! train-coalesced), route-table lookups against fresh
@@ -16,7 +16,6 @@ use scsq_cluster::{Environment, NodeId};
 use scsq_core::{HardwareSpec, RunOptions};
 use scsq_engine::columnar;
 use scsq_net::{TorusDims, TorusNet, TorusParams};
-use scsq_ql::batch::Batch;
 use scsq_ql::column::{Column, ColumnData, ColumnarBatch};
 use scsq_ql::value::Value;
 use scsq_sim::{EventQueue, SimDur, SimTime};
@@ -47,39 +46,14 @@ fn bench_event_queue(c: &mut Criterion) {
     group.finish();
 }
 
-/// Handing one emitted batch to `k` subscriber channels: the Arc-backed
-/// batch clones a pointer per subscriber where the old representation
-/// cloned every tuple.
-fn bench_batch_handoff(c: &mut Criterion) {
-    let values: Vec<Value> = (0..512).map(Value::Integer).collect();
-    let subscribers = 8;
-
-    let mut group = c.benchmark_group("batch_handoff");
-    group.bench_function("arc_slice", |b| {
-        let batch = Batch::new(values.clone());
-        b.iter(|| {
-            for _ in 0..subscribers {
-                black_box(batch.slice(0, batch.len()));
-            }
-        });
-    });
-    group.bench_function("clone_tuples", |b| {
-        b.iter(|| {
-            for _ in 0..subscribers {
-                black_box(values.clone());
-            }
-        });
-    });
-    group.finish();
-}
-
-/// The whole-column compute kernels behind the columnar fast path:
-/// elementwise map, filter+gather, and the aggregate folds, at batch
-/// sizes spanning a delivered train (64) to a full receive buffer run
-/// (64k). The same work per element on the scalar path costs an enum
-/// match and a `Value` move; these loops are the ceiling the columnar
-/// dispatch is measured against.
+/// The whole-column kernels the stage chain runs per admitted batch
+/// (`StageChain::process_cols`): elementwise arithmetic, comparison
+/// masks, and filter+gather, at batch sizes spanning a delivered train
+/// (64) to a full receive buffer run (64k). The same work per element
+/// on the scalar path costs an enum match and a `Value` move; these
+/// loops are the ceiling the columnar dispatch is measured against.
 fn bench_column_kernels(c: &mut Criterion) {
+    use scsq_engine::{ArithOp, CmpOp};
     let mut group = c.benchmark_group("column_kernels");
     for n in [64usize, 4_096, 65_536] {
         let ints = Column::new(ColumnData::Int64((0..n as i64).collect()));
@@ -87,61 +61,34 @@ fn bench_column_kernels(c: &mut Criterion) {
             (0..n).map(|i| i as f64 * 0.5).collect(),
         ));
         let mid = (n / 2) as i64;
-        group.bench_with_input(BenchmarkId::new("map_add_i64", n), &ints, |b, col| {
-            b.iter(|| black_box(columnar::add_i64(col, 7)));
+        group.bench_with_input(BenchmarkId::new("arith_mul_i64", n), &ints, |b, col| {
+            b.iter(|| black_box(columnar::arith_i64(col, ArithOp::Mul, 3)));
         });
-        group.bench_with_input(BenchmarkId::new("map_mul_f64", n), &floats, |b, col| {
-            b.iter(|| black_box(columnar::mul_f64(col, 1.0625)));
+        group.bench_with_input(BenchmarkId::new("arith_mul_f64", n), &floats, |b, col| {
+            b.iter(|| black_box(columnar::arith_f64(col, ArithOp::Mul, 1.0625)));
+        });
+        group.bench_with_input(BenchmarkId::new("cmp_mask_ge_i64", n), &ints, |b, col| {
+            b.iter(|| black_box(columnar::cmp_mask_i64(col, CmpOp::Ge, mid)));
+        });
+        group.bench_with_input(BenchmarkId::new("cmp_mask_lt_f64", n), &floats, |b, col| {
+            b.iter(|| black_box(columnar::cmp_mask_f64(col, CmpOp::Lt, mid as f64)));
         });
         group.bench_with_input(BenchmarkId::new("filter_take_i64", n), &ints, |b, col| {
             b.iter(|| {
-                let mask = columnar::cmp_lt_i64(col, mid).expect("int column");
+                let mask = columnar::cmp_mask_i64(col, CmpOp::Lt, mid).expect("int column");
                 let sel = columnar::filter_to_selection(&mask).expect("bool mask");
                 black_box(columnar::take(col, &sel))
             });
         });
-        group.bench_with_input(BenchmarkId::new("sum_i64", n), &ints, |b, col| {
-            b.iter(|| black_box(columnar::sum_i64(col)));
-        });
-        // The pre-vectorization shape of the integer fold: one serial
-        // wrapping accumulator, a loop-carried dependence the compiler
-        // cannot break. `sum_i64` above runs the chunked multi-lane
-        // shape; the gap between the two is the fold rework's win.
-        group.bench_with_input(BenchmarkId::new("sum_i64_serial", n), &ints, |b, col| {
-            b.iter(|| {
-                let xs = col.as_i64().expect("int column");
-                let mut acc = 0i64;
-                for &x in xs {
-                    acc = acc.wrapping_add(black_box(x));
-                }
-                black_box(acc)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("sum_f64", n), &floats, |b, col| {
-            b.iter(|| black_box(columnar::sum_f64(col)));
-        });
-        group.bench_with_input(BenchmarkId::new("count", n), &ints, |b, col| {
-            b.iter(|| black_box(columnar::count(col)));
-        });
-        // The stateful-stage kernels: elementwise arithmetic, a
-        // comparison mask, and the filter-heavy composition the stage
-        // chain runs per admitted batch (arith → filter → cmp over the
-        // surviving selection).
-        group.bench_with_input(BenchmarkId::new("arith_mul_i64", n), &ints, |b, col| {
-            b.iter(|| black_box(columnar::arith_i64(col, scsq_engine::ArithOp::Mul, 3)));
-        });
-        group.bench_with_input(BenchmarkId::new("cmp_mask_ge_i64", n), &ints, |b, col| {
-            b.iter(|| black_box(columnar::cmp_mask_i64(col, scsq_engine::CmpOp::Ge, mid)));
-        });
+        // The filter-heavy composition: arith → filter → a second
+        // filter narrowing the surviving selection.
         group.bench_with_input(BenchmarkId::new("arith_filter_cmp", n), &ints, |b, col| {
             b.iter(|| {
-                let scaled =
-                    columnar::arith_i64(col, scsq_engine::ArithOp::Mul, 3).expect("int column");
-                let keep = columnar::cmp_mask_i64(&scaled, scsq_engine::CmpOp::Gt, mid)
-                    .expect("int column");
+                let scaled = columnar::arith_i64(col, ArithOp::Mul, 3).expect("int column");
+                let keep = columnar::cmp_mask_i64(&scaled, CmpOp::Gt, mid).expect("int column");
                 let sel = columnar::filter_to_selection(&keep).expect("bool mask");
-                let second = columnar::cmp_mask_i64(&scaled, scsq_engine::CmpOp::Lt, 3 * mid)
-                    .expect("int column");
+                let second =
+                    columnar::cmp_mask_i64(&scaled, CmpOp::Lt, 3 * mid).expect("int column");
                 black_box(columnar::intersect_selection(&second, &sel).expect("bool mask"))
             });
         });
@@ -284,7 +231,6 @@ fn bench_charge(c: &mut Criterion) {
 criterion_group!(
     micro,
     bench_event_queue,
-    bench_batch_handoff,
     bench_column_kernels,
     bench_relay_handoff,
     bench_fig6_inner,

@@ -89,12 +89,6 @@ impl Scsq {
         &self.spec
     }
 
-    /// Mutable access to the hardware specification (takes effect on the
-    /// next query).
-    pub fn spec_mut(&mut self) -> &mut HardwareSpec {
-        &mut self.spec
-    }
-
     /// The execution options in effect.
     pub fn options(&self) -> &RunOptions {
         &self.options

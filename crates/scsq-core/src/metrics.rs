@@ -5,9 +5,8 @@
 //! stream queries*; this module is the host-process counterpart: every
 //! benchmark harness (and any embedding application) can funnel finished
 //! [`QueryResult`]s into the global [`hub`], which maintains cheap
-//! atomic counters and notifies registered [`MetricsSubscriber`]s — a
-//! home-grown structured-tracing seam (the workspace deliberately
-//! carries no `tracing`/`serde` dependency).
+//! atomic counters (the workspace deliberately carries no
+//! `tracing`/`serde` dependency).
 //!
 //! Cost discipline: the hub is **disabled by default**. While disabled,
 //! [`MetricsHub::record`] is a single relaxed atomic load and an early
@@ -41,17 +40,7 @@
 
 use crate::QueryResult;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// An observer of recorded query executions (the structured-tracing
-/// seam).
-///
-/// Subscribers run synchronously inside [`MetricsHub::record`], so keep
-/// them cheap; they see the same [`QueryResult`] the caller holds.
-pub trait MetricsSubscriber: Send {
-    /// Called once per recorded query execution.
-    fn on_query(&mut self, result: &QueryResult);
-}
+use std::sync::OnceLock;
 
 /// A point-in-time copy of the hub's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,8 +110,8 @@ impl HubSnapshot {
     }
 }
 
-/// The process-wide metrics registry: a gate, a set of relaxed atomic
-/// counters, and a subscriber list.
+/// The process-wide metrics registry: a gate and a set of relaxed
+/// atomic counters.
 #[derive(Debug, Default)]
 pub struct MetricsHub {
     enabled: AtomicBool,
@@ -138,13 +127,6 @@ pub struct MetricsHub {
     sessions: AtomicU64,
     statements: AtomicU64,
     plan_cache_hits: AtomicU64,
-    subscribers: Mutex<Vec<Box<dyn MetricsSubscriber>>>,
-}
-
-impl std::fmt::Debug for Box<dyn MetricsSubscriber> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("MetricsSubscriber")
-    }
 }
 
 impl MetricsHub {
@@ -165,8 +147,8 @@ impl MetricsHub {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Folds one finished query into the counters and notifies
-    /// subscribers. A no-op while the hub is disabled.
+    /// Folds one finished query into the counters. A no-op while the
+    /// hub is disabled.
     pub fn record(&self, result: &QueryResult) {
         if !self.is_enabled() {
             return;
@@ -193,10 +175,6 @@ impl MetricsHub {
             .fetch_add(result.total_time().as_nanos(), Ordering::Relaxed);
         self.coalesce_events_skipped
             .fetch_add(stats.coalesce.events_skipped, Ordering::Relaxed);
-        let mut subs = self.subscribers.lock().expect("metrics hub poisoned");
-        for s in subs.iter_mut() {
-            s.on_query(result);
-        }
     }
 
     /// Counts a served session opening (one `scsqd` connection). A
@@ -223,15 +201,6 @@ impl MetricsHub {
         }
     }
 
-    /// Registers a subscriber; it stays registered until
-    /// [`MetricsHub::reset`].
-    pub fn subscribe(&self, sub: Box<dyn MetricsSubscriber>) {
-        self.subscribers
-            .lock()
-            .expect("metrics hub poisoned")
-            .push(sub);
-    }
-
     /// Copies the current counter values.
     pub fn snapshot(&self) -> HubSnapshot {
         HubSnapshot {
@@ -250,8 +219,7 @@ impl MetricsHub {
         }
     }
 
-    /// Zeroes every counter, drops all subscribers, and leaves the
-    /// enable gate untouched.
+    /// Zeroes every counter and leaves the enable gate untouched.
     pub fn reset(&self) {
         self.queries.store(0, Ordering::Relaxed);
         self.events.store(0, Ordering::Relaxed);
@@ -265,10 +233,6 @@ impl MetricsHub {
         self.sessions.store(0, Ordering::Relaxed);
         self.statements.store(0, Ordering::Relaxed);
         self.plan_cache_hits.store(0, Ordering::Relaxed);
-        self.subscribers
-            .lock()
-            .expect("metrics hub poisoned")
-            .clear();
     }
 }
 
@@ -318,17 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn enabled_hub_accumulates_and_notifies() {
-        struct Counter(std::sync::Arc<AtomicU64>);
-        impl MetricsSubscriber for Counter {
-            fn on_query(&mut self, _: &QueryResult) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    fn enabled_hub_accumulates() {
         let hub = MetricsHub::new();
         hub.enable(true);
-        let seen = std::sync::Arc::new(AtomicU64::new(0));
-        hub.subscribe(Box::new(Counter(seen.clone())));
         let r = run_once();
         hub.record(&r);
         hub.record(&r);
@@ -338,7 +294,6 @@ mod tests {
         assert_eq!(snap.events_pending_hwm, r.stats().events_pending_hwm);
         assert!(snap.bytes_delivered >= 2 * 10 * 100_009);
         assert!(snap.mean_bandwidth() > 0.0);
-        assert_eq!(seen.load(Ordering::Relaxed), 2);
         hub.reset();
         assert_eq!(hub.snapshot(), HubSnapshot::default());
         assert!(hub.is_enabled(), "reset keeps the gate");

@@ -125,11 +125,6 @@ impl ScsqdServer {
         &self.hub
     }
 
-    /// Replaces the hardware all sessions run on (default: LOFAR).
-    pub fn set_spec(&mut self, spec: HardwareSpec) {
-        self.spec = spec;
-    }
-
     /// Accepts and serves connections until a session issues
     /// `.shutdown`. Each connection gets a thread; in-flight sessions
     /// finish their current statement, the accept loop stops taking new
@@ -274,14 +269,14 @@ impl Connection {
                     for row in reply.rows() {
                         self.send(FrameKind::Row, &row)?;
                     }
-                    if let SessionReply::Result { result, profile } = &reply {
+                    if let SessionReply::Result { result } = &reply {
                         if self.metrics_on {
                             self.send(
                                 FrameKind::Metrics,
                                 &MetricsSnapshot::from_result(result).to_json(),
                             )?;
                         }
-                        if let Some(profile) = profile {
+                        if let Some(profile) = &result.stats().profile {
                             self.send(FrameKind::Profile, &profile.render())?;
                         }
                     }
@@ -332,7 +327,7 @@ impl Connection {
             },
             "profile" => match parts.next() {
                 Some(on @ ("on" | "off")) => {
-                    self.session.set_profile(on == "on");
+                    self.session.options_mut().profile = on == "on";
                     self.send(FrameKind::Ok, &format!("-- profile {on}"))?;
                 }
                 _ => self.send(FrameKind::Err, "usage: .profile on|off")?,

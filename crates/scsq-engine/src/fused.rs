@@ -213,9 +213,7 @@ enum ColType {
 
 /// The type a batch presents to the first stage: the three-column
 /// metric shape, a multi-column record, a typed single column, or the
-/// opaque fallback (which only `count` absorbs). Columns with invalid
-/// rows are opaque — scalar semantics have no notion of a masked row
-/// entering a chain.
+/// opaque fallback (which only `count` absorbs).
 fn batch_col_type(cols: &ColumnarBatch) -> ColType {
     if cols.width() == 3
         && METRIC_COLUMNS
@@ -226,14 +224,9 @@ fn batch_col_type(cols: &ColumnarBatch) -> ColType {
         return ColType::Metric;
     }
     if cols.width() > 1 {
-        return if cols.columns().iter().all(|(_, c)| c.all_valid()) {
-            ColType::Record
-        } else {
-            ColType::Other
-        };
+        return ColType::Record;
     }
     match cols.single() {
-        Some(c) if !c.all_valid() => ColType::Other,
         Some(c) if c.as_i64().is_some() => ColType::Int,
         Some(c) if c.as_f64().is_some() => ColType::Float,
         Some(c) if c.as_bool().is_some() => ColType::Bool,
@@ -298,7 +291,7 @@ impl StageChain {
     /// does), `cmp`/`filter` need a numeric column with a numeric
     /// constant or a string column with a string constant, `map` needs
     /// a synthetic column, aggregates other than `count` need a numeric
-    /// column, `bandwidth` needs the all-valid metric shape, and `count`
+    /// column, `bandwidth` needs the metric shape, and `count`
     /// takes any type. The walk stops at the first absorber (stages after
     /// it never see elements mid-stream, only the end-of-stream flush);
     /// without one it runs off the end and the chain emits. Which of the
@@ -328,7 +321,7 @@ impl StageChain {
                     break;
                 }
                 StageState::Bandwidth { .. } => {
-                    if ty != ColType::Metric || !cols.columns().iter().all(|(_, c)| c.all_valid()) {
+                    if ty != ColType::Metric {
                         return None;
                     }
                     break;

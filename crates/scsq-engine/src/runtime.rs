@@ -209,10 +209,7 @@ pub(crate) fn elem_shape(e: &Elem, p: &mut StateProbe<'_>) {
             p.shape(11);
             p.shape(c.rows() as u64);
             for row in 0..c.rows() {
-                match c.value_at(row) {
-                    Some(v) => value_shape(&v, p),
-                    None => p.shape(0),
-                }
+                value_shape(&c.value_at(row), p);
             }
         }
     }
@@ -1325,10 +1322,7 @@ fn deliver_columns(
         return;
     }
     for row in 0..view.rows() {
-        let Some(v) = view.value_at(row) else {
-            continue;
-        };
-        process_and_emit(world, sim, dst, v, Some(from), now);
+        process_and_emit(world, sim, dst, view.value_at(row), Some(from), now);
         if world.error.is_some() {
             return;
         }

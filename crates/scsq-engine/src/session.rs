@@ -26,7 +26,6 @@
 use crate::coordinator::{ClientManager, PreparedQuery};
 use crate::error::EngineError;
 use crate::measure::QueryResult;
-use crate::profile::ProfileReport;
 use crate::runtime::RunOptions;
 use scsq_cluster::HardwareSpec;
 use scsq_ql::{parse_program, statement_to_scsql, Statement};
@@ -230,7 +229,6 @@ impl SessionHub {
             spec,
             options,
             prepared: BTreeMap::new(),
-            profile: false,
         }
     }
 }
@@ -267,13 +265,11 @@ impl CatalogEntry {
 /// What one executed statement produced.
 #[derive(Debug)]
 pub enum SessionReply {
-    /// A query ran; optionally with its explain-analyze profile (when
-    /// [`Session::set_profile`] is on).
+    /// A query ran. Its stats carry the explain-analyze profile when
+    /// the session's [`RunOptions::profile`] is on.
     Result {
         /// The query's result.
         result: QueryResult,
-        /// Per-stage profile of the run, when profiling is on.
-        profile: Option<Box<ProfileReport>>,
     },
     /// A `prepare name as …` statement registered a plan; `shared` is
     /// true when the compilation was reused from the hub cache.
@@ -297,7 +293,7 @@ impl SessionReply {
     /// text for the same statement.
     pub fn rows(&self) -> Vec<String> {
         match self {
-            SessionReply::Result { result, .. } => {
+            SessionReply::Result { result } => {
                 result.values().iter().map(|v| v.to_string()).collect()
             }
             SessionReply::Catalog(entries) => entries.iter().map(CatalogEntry::render).collect(),
@@ -309,7 +305,7 @@ impl SessionReply {
     /// `-- …` line; the server's `OK` payload).
     pub fn summary(&self) -> String {
         match self {
-            SessionReply::Result { result, .. } => {
+            SessionReply::Result { result } => {
                 let n = result.values().len();
                 format!(
                     "-- {n} value{} in {}",
@@ -335,7 +331,6 @@ pub struct Session {
     spec: HardwareSpec,
     options: RunOptions,
     prepared: BTreeMap<String, NamedPlan>,
-    profile: bool,
 }
 
 impl Session {
@@ -364,13 +359,6 @@ impl Session {
     /// on the next statement).
     pub fn options_mut(&mut self) -> &mut RunOptions {
         &mut self.options
-    }
-
-    /// Turns explain-analyze profiling of this session's queries on or
-    /// off; when on, every [`SessionReply::Result`] carries the
-    /// per-stage profile (results stay byte-identical).
-    pub fn set_profile(&mut self, on: bool) {
-        self.profile = on;
     }
 
     /// The session's named prepared queries, in name order.
@@ -447,7 +435,9 @@ impl Session {
                         })?
                         .plan,
                 );
-                self.run_plan(&plan)
+                Ok(SessionReply::Result {
+                    result: plan.run(&self.spec, &self.options)?,
+                })
             }
             Statement::ShowCatalog => {
                 let mut entries: Vec<CatalogEntry> = self
@@ -468,23 +458,10 @@ impl Session {
             }
             query => {
                 let (plan, _) = self.hub.intern(&self.spec, &self.options, query)?;
-                self.run_plan(&plan)
+                Ok(SessionReply::Result {
+                    result: plan.run(&self.spec, &self.options)?,
+                })
             }
-        }
-    }
-
-    fn run_plan(&self, plan: &PreparedQuery) -> Result<SessionReply, EngineError> {
-        if self.profile {
-            let (result, profile) = plan.explain_analyze(&self.spec, &self.options)?;
-            Ok(SessionReply::Result {
-                result,
-                profile: Some(Box::new(profile)),
-            })
-        } else {
-            Ok(SessionReply::Result {
-                result: plan.run(&self.spec, &self.options)?,
-                profile: None,
-            })
         }
     }
 }
@@ -514,7 +491,7 @@ mod tests {
 
     fn values(reply: &SessionReply) -> &[Value] {
         match reply {
-            SessionReply::Result { result, .. } => result.values(),
+            SessionReply::Result { result } => result.values(),
             other => panic!("expected a result, got {other:?}"),
         }
     }
@@ -728,13 +705,16 @@ mod tests {
         let hub = hub();
         let mut s = session(&hub);
         let plain = s.execute(Q).unwrap();
-        s.set_profile(true);
+        s.options_mut().profile = true;
         let profiled = s.execute(Q).unwrap();
         assert_eq!(values(&plain), values(&profiled));
-        let SessionReply::Result { profile, .. } = profiled else {
+        let SessionReply::Result { result } = profiled else {
             panic!()
         };
-        assert!(profile.is_some(), "profiling attaches the report");
+        assert!(
+            result.stats().profile.is_some(),
+            "profiling attaches the report"
+        );
     }
 
     #[test]
@@ -750,7 +730,7 @@ mod tests {
             .execute(&HardwareSpec::lofar(), Q, &RunOptions::default())
             .unwrap();
         assert_eq!(values(&served), one_shot.values());
-        let SessionReply::Result { result, .. } = served else {
+        let SessionReply::Result { result } = served else {
             panic!()
         };
         assert_eq!(result.finished(), one_shot.finished());

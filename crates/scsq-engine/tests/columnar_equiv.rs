@@ -129,8 +129,8 @@ fn record() -> impl Strategy<Value = Value> {
 
 /// One delivered batch: homogeneous integer / float / string / metric /
 /// record runs (the shapes the columnar pass accepts) plus mixed runs
-/// it must decline. One variant spans the 64-row validity-word boundary
-/// so bitmap edge cases are continuously exercised.
+/// and runs of one-field bags it must decline. One integer variant runs
+/// 60–70 rows, several full lanes of the chunked folds.
 fn batch_values() -> impl Strategy<Value = Vec<Value>> {
     prop_oneof![
         proptest::collection::vec((-100i64..100).prop_map(Value::Integer), 0..10),
@@ -140,6 +140,10 @@ fn batch_values() -> impl Strategy<Value = Vec<Value>> {
         proptest::collection::vec(metric(), 0..10),
         proptest::collection::vec(record(), 0..10),
         proptest::collection::vec(mixed_value(), 0..10),
+        proptest::collection::vec(
+            (-100i64..100).prop_map(|i| Value::Bag(vec![Value::Integer(i)])),
+            0..10
+        ),
     ]
 }
 
@@ -198,9 +202,7 @@ fn deliver(chain: &mut StageChain, batch: Delivered<'_>) -> Result<Vec<Value>, E
     if let Some(s) = &sel {
         assert_eq!(s.rows().len(), out.rows(), "selection covers the output");
     }
-    Ok((0..out.rows())
-        .map(|j| out.value_at(j).expect("emitted rows are valid"))
-        .collect())
+    Ok((0..out.rows()).map(|j| out.value_at(j)).collect())
 }
 
 /// Feeds the same batches through one chain per element (the scalar
@@ -265,8 +267,7 @@ fn relay_transform() -> impl Strategy<Value = Stage> {
     ]
 }
 
-/// One relayable batch: numeric runs, including lengths straddling the
-/// 64-row validity word.
+/// One relayable batch: short and 60–70-row numeric runs.
 fn relay_batch() -> impl Strategy<Value = Vec<Value>> {
     prop_oneof![
         proptest::collection::vec((-100i64..100).prop_map(Value::Integer), 0..10),
@@ -401,9 +402,8 @@ proptest! {
 
     /// Relay chains (transforms + take, no absorber) produce — via
     /// column kernels, selection vectors, and one survivor gather —
-    /// exactly the per-element outputs, including batch
-    /// lengths straddling the 64-row validity word and filters that
-    /// leave an empty selection.
+    /// exactly the per-element outputs, including filters that leave an
+    /// empty selection.
     #[test]
     fn relayed_equals_interpreted(
         before in proptest::collection::vec(relay_extra(), 0..2),

@@ -128,16 +128,6 @@ impl Ethernet {
         }
     }
 
-    /// Busy time of a host's transmit NIC.
-    pub fn tx_busy(&self, host: usize) -> SimDur {
-        self.tx[host].busy_total()
-    }
-
-    /// Busy time of a host's receive NIC.
-    pub fn rx_busy(&self, host: usize) -> SimDur {
-        self.rx[host].busy_total()
-    }
-
     /// Walks the fabric's contended state through a coalescing probe.
     pub fn probe(&mut self, p: &mut scsq_sim::StateProbe<'_>) {
         for s in &mut self.tx {

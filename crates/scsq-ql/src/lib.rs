@@ -36,7 +36,6 @@
 //! ```
 
 pub mod ast;
-pub mod batch;
 pub mod catalog;
 pub mod codec;
 pub mod column;
@@ -47,9 +46,8 @@ pub mod printer;
 pub mod value;
 
 pub use ast::{Expr, FunctionDef, PredOp, Predicate, SelectQuery, Statement, TypeName, VarDecl};
-pub use batch::Batch;
 pub use catalog::{Builtin, Catalog, Resolved};
-pub use column::{Column, ColumnData, ColumnarBatch, SelectionVector, ValidityBitmap};
+pub use column::{Column, ColumnData, ColumnarBatch, SelectionVector};
 pub use error::QlError;
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{parse_program, parse_statement};

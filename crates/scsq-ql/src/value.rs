@@ -172,23 +172,6 @@ impl Value {
             Value::Sp(_) | Value::Stream(_) => 8,
         }
     }
-
-    /// Whether this value owns no heap storage, so cloning it is a
-    /// plain bit copy. Inline values qualify for the single-tuple batch
-    /// fast path ([`crate::Batch::one`]): handing one off never touches
-    /// the allocator, and fanning it out to several subscribers costs
-    /// no more than sharing an `Arc` would.
-    pub fn is_inline(&self) -> bool {
-        matches!(
-            self,
-            Value::Integer(_)
-                | Value::Real(_)
-                | Value::Bool(_)
-                | Value::Sp(_)
-                | Value::Stream(_)
-                | Value::Array(ArrayData::Synthetic { .. })
-        )
-    }
 }
 
 impl From<i64> for Value {

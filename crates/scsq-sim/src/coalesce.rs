@@ -269,14 +269,6 @@ pub struct Snapshot {
     shape: u64,
 }
 
-impl Snapshot {
-    /// Number of extrapolatable coordinates the walk visited (a size
-    /// diagnostic for tuning digest cost).
-    pub fn coords(&self) -> usize {
-        self.nums.len()
-    }
-}
-
 /// Counters describing what the coalescer did during a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoalesceStats {

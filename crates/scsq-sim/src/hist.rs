@@ -152,11 +152,6 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// The raw bucket counts (for probing and serialisation).
-    pub const fn bucket_counts(&self) -> &[u64; LATENCY_BUCKETS] {
-        &self.buckets
-    }
-
     /// Walks the histogram through a coalescing state probe. In a
     /// steady phase every bucket count, the total and the sum advance
     /// by a constant per period (recorded latencies repeat), so they

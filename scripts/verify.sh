@@ -19,6 +19,19 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo bench --workspace --no-run"
+# Every criterion bench compiles, so a deleted kernel or API cannot
+# leave a bench behind.
+cargo bench --workspace --no-run
+
+echo "==> cargo doc -D warnings"
+# Workspace crates only (not the vendored proptest/criterion); broken
+# intra-doc links and any other rustdoc warning fail.
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps \
+    -p scsq-sim -p scsq-net -p scsq-cluster -p scsq-transport \
+    -p scsq-ql -p scsq-engine -p scsq-fft -p scsq-core \
+    -p scsq-bench -p scsq
+
 echo "==> obs_overhead (observability ceiling on the jittered per-event grid)"
 # Fails if everything-on costs at least max(2%, 3 x MAD_off / wall_off)
 # over gates-off (medians of 7 interleaved passes), or changes a series.

@@ -128,7 +128,7 @@ impl Shell {
                 }
                 println!("{}", reply.summary());
                 if self.show_stats {
-                    if let SessionReply::Result { result, .. } = &reply {
+                    if let SessionReply::Result { result } = &reply {
                         for ch in &result.stats().channels {
                             println!(
                                 "--   {} -> {} [{}] {} bytes",
