@@ -41,7 +41,7 @@ fn pass(observe: bool) -> (Vec<Series>, f64) {
     };
     scsq_core::metrics::set_observability(observe);
     let t = Instant::now();
-    let series = fig6::run_with_jobs(&HardwareSpec::lofar(), scale, &buffer_sweep(), 1, &options)
+    let series = fig6::run(&HardwareSpec::lofar(), scale, &buffer_sweep(), 1, &options)
         .unwrap_or_else(|e| {
             eprintln!("obs_overhead workload failed: {e}");
             std::process::exit(1);

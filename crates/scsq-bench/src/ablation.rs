@@ -37,31 +37,15 @@ pub fn query(scale: Scale) -> String {
 }
 
 /// Runs the ablation: two series (one per policy), x = n, y = inbound
-/// bandwidth (Mbps).
+/// bandwidth (Mbps); on `jobs` workers (bit-identical for every `jobs`
+/// value) with `base` run options under the swept placement policy.
+/// Placement is a *compile-time* decision, so each (policy, n) pair
+/// gets its own prepared plan.
 ///
 /// # Errors
 ///
 /// Propagates query errors.
-pub fn run(spec: &HardwareSpec, scale: Scale, ns: &[u32]) -> Result<Vec<Series>, ScsqError> {
-    run_with_jobs(
-        spec,
-        scale,
-        ns,
-        crate::default_jobs(),
-        &RunOptions::default(),
-    )
-}
-
-/// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
-/// the result is bit-identical for every `jobs` value) and base run
-/// options, under the swept placement policy. Placement is a
-/// *compile-time* decision, so each (policy, n) pair gets its own
-/// prepared plan.
-///
-/// # Errors
-///
-/// Propagates query errors.
-pub fn run_with_jobs(
+pub fn run(
     spec: &HardwareSpec,
     scale: Scale,
     ns: &[u32],
@@ -109,7 +93,7 @@ mod tests {
     fn topology_aware_beats_naive_at_n4() {
         let spec = HardwareSpec::lofar();
         let scale = Scale::quick();
-        let series = run(&spec, scale, &[4]).unwrap();
+        let series = run(&spec, scale, &[4], 1, &RunOptions::default()).unwrap();
         let naive = series[0].y_at(4.0).unwrap();
         let aware = series[1].y_at(4.0).unwrap();
         assert!(

@@ -2,71 +2,40 @@
 //! Compares a single-node FFT pipeline with the paper's radix2
 //! distribution over the array-size sweep.
 //!
-//! Usage: `expensive_functions [--quick] [--csv] [--metrics PATH] [--profile] [--trace PATH]`
-//!
-//! `--profile` prints the explain-analyze per-stage table of one
-//! representative run (the distributed radix2 plan at 1 MB arrays);
-//! `--trace PATH` writes that run's spans in Chrome trace-event format.
+//! Usage: `expensive_functions [--quick] [--csv] [--jobs N] [--metrics PATH] [--profile] [--trace PATH]`
+//! (see [`scsq_bench::figure`]); the representative run is the
+//! distributed radix2 plan at 1 MB arrays.
 
-use scsq_bench::{
-    expensive, parse_metrics, parse_profile, parse_trace, print_figure, profile_representative,
-    series_to_csv, write_hub_metrics, Scale,
-};
-use scsq_core::HardwareSpec;
+use scsq_bench::figure::{self, Figure, Panel, Representative};
+use scsq_bench::{expensive, Scale};
+use scsq_core::{HardwareSpec, RunOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
-    let metrics = parse_metrics(&args);
-    let profile = parse_profile(&args);
-    let trace = parse_trace(&args);
-    if metrics.is_some() {
-        scsq_core::metrics::hub().enable(true);
-    }
-    let scale = if quick {
-        Scale {
-            arrays: 20,
-            ..Scale::quick()
-        }
-    } else {
-        Scale::paper()
+    let quick = Scale {
+        arrays: 20,
+        ..Scale::quick()
     };
-    let sizes = [10_000u64, 50_000, 200_000, 500_000, 1_000_000, 3_000_000];
-    let spec = HardwareSpec::lofar();
-    let series = expensive::run(&spec, scale, &sizes).unwrap_or_else(|e| {
-        eprintln!("expensive-function study failed: {e}");
-        std::process::exit(1);
+    figure::main(quick, |scale, jobs| {
+        let spec = HardwareSpec::lofar();
+        let sizes = [10_000u64, 50_000, 200_000, 500_000, 1_000_000, 3_000_000];
+        let series = expensive::run(&spec, scale, &sizes, jobs, &RunOptions::default())?;
+        let footer = expensive::speedups(&series)
+            .into_iter()
+            .map(|(x, s)| format!("# {x:>9.0} B arrays: radix2 speedup {s:.2}x\n"))
+            .collect();
+        Ok(Figure {
+            panels: vec![Panel {
+                title: "Expensive functions (paper §5): single-node fft vs distributed radix2",
+                x_label: "array (B)",
+                y_label: "query time (ms, lower is better)",
+                series,
+            }],
+            footer,
+            representative: Representative {
+                query: expensive::radix2_query(1_000_000, scale.arrays),
+                spec,
+                bindings: vec![],
+            },
+        })
     });
-    if let Some(path) = &metrics {
-        write_hub_metrics(path).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-    }
-    if profile || trace.is_some() {
-        profile_representative(
-            &spec,
-            &expensive::radix2_query(1_000_000, scale.arrays),
-            &[],
-            profile,
-            trace.as_deref(),
-        );
-    }
-    if csv {
-        print!("{}", series_to_csv(&series));
-        return;
-    }
-    print!(
-        "{}",
-        print_figure(
-            "Expensive functions (paper §5): single-node fft vs distributed radix2",
-            "array (B)",
-            "query time (ms, lower is better)",
-            &series,
-        )
-    );
-    for (x, s) in expensive::speedups(&series) {
-        println!("# {x:>9.0} B arrays: radix2 speedup {s:.2}x");
-    }
 }

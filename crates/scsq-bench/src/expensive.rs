@@ -16,8 +16,8 @@
 //! distribution only profits once the O(n log n) FFT compute outgrows
 //! that doubled communication.
 
-use crate::{mean_metric, Scale};
-use scsq_core::{HardwareSpec, RunOptions, ScsqError};
+use crate::{sweep, Scale, SweepPoint};
+use scsq_core::{HardwareSpec, RunOptions, Scsq, ScsqError};
 use scsq_sim::Series;
 
 /// Single-node plan: one SP computes and counts the full FFTs; only the
@@ -46,48 +46,49 @@ pub fn radix2_query(bytes: u64, count: u64) -> String {
 }
 
 /// Sweeps the array size; returns two series (x = array bytes,
-/// y = query time in milliseconds) plus nothing else — smaller is
-/// better.
+/// y = query time in milliseconds) — smaller is better. Runs on `jobs`
+/// workers (bit-identical for every `jobs` value) with `base` run
+/// options under a 100 kB MPI buffer. Each (plan, size) pair compiles
+/// once.
 ///
 /// # Errors
 ///
 /// Propagates query errors.
-pub fn run(spec: &HardwareSpec, scale: Scale, sizes: &[u64]) -> Result<Vec<Series>, ScsqError> {
-    run_with_options(spec, scale, sizes, &RunOptions::default())
-}
-
-/// [`run`] with base run options, under a 100 kB MPI buffer (a base
-/// with `coalesce` or `columnar` off is bit-identical; it only changes
-/// the wall-clock).
-///
-/// # Errors
-///
-/// Propagates query errors.
-pub fn run_with_options(
+pub fn run(
     spec: &HardwareSpec,
     scale: Scale,
     sizes: &[u64],
+    jobs: usize,
     base: &RunOptions,
 ) -> Result<Vec<Series>, ScsqError> {
     let options = RunOptions {
         mpi_buffer: 100_000,
         ..base.clone()
     };
-    let mut single = Series::new("single-node fft");
-    let mut distributed = Series::new("distributed radix2");
-    for &bytes in sizes {
-        let q1 = single_query(bytes, scale.arrays);
-        let q2 = radix2_query(bytes, scale.arrays);
-        let t1 = mean_metric(spec, &options, scale, &q1, &[], |r| {
-            r.total_time().as_secs_f64() * 1e3
-        })?;
-        let t2 = mean_metric(spec, &options, scale, &q2, &[], |r| {
-            r.total_time().as_secs_f64() * 1e3
-        })?;
-        single.push_with_dev(bytes as f64, t1.mean, t1.std_dev);
-        distributed.push_with_dev(bytes as f64, t2.mean, t2.std_dev);
+    let mut scsq = Scsq::with_spec(spec.clone());
+    *scsq.options_mut() = options.clone();
+    let mut points = Vec::with_capacity(2 * sizes.len());
+    for (si, query) in [single_query as fn(u64, u64) -> String, radix2_query]
+        .into_iter()
+        .enumerate()
+    {
+        for &bytes in sizes {
+            points.push(SweepPoint {
+                series: si,
+                x: bytes as f64,
+                plan: scsq.prepare(&query(bytes, scale.arrays))?,
+                options: options.clone(),
+                spec: spec.clone(),
+            });
+        }
     }
-    Ok(vec![single, distributed])
+    sweep(
+        &["single-node fft", "distributed radix2"],
+        &points,
+        scale,
+        |r| r.total_time().as_secs_f64() * 1e3,
+        jobs,
+    )
 }
 
 /// The speedup of the distributed plan at each swept size (>1 means
@@ -112,7 +113,14 @@ mod tests {
             arrays: 60,
             ..Scale::quick()
         };
-        let series = run(&spec, scale, &[10_000, 3_000_000]).unwrap();
+        let series = run(
+            &spec,
+            scale,
+            &[10_000, 3_000_000],
+            1,
+            &RunOptions::default(),
+        )
+        .unwrap();
         let s = speedups(&series);
         let (small, large) = (s[0].1, s[1].1);
         assert!(

@@ -65,30 +65,15 @@ pub fn query(number: u8, scale: Scale) -> String {
 
 /// Runs the Figure 15 sweep: six series (Query 1–6), with x = n (number
 /// of back-end generator RPs) and y = total inbound streaming bandwidth
-/// (Mbps), the paper's axis.
+/// (Mbps), the paper's axis; on `jobs` workers (bit-identical for every
+/// `jobs` value) with `base` run options. The sweep variable `n`
+/// participates in binding, so each (query, n) pair compiles once and
+/// its repetitions replay the plan.
 ///
 /// # Errors
 ///
 /// Propagates query errors.
-pub fn run(spec: &HardwareSpec, scale: Scale, ns: &[u32]) -> Result<Vec<Series>, ScsqError> {
-    run_with_jobs(
-        spec,
-        scale,
-        ns,
-        crate::default_jobs(),
-        &RunOptions::default(),
-    )
-}
-
-/// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
-/// the result is bit-identical for every `jobs` value) and run options.
-/// The sweep variable `n` participates in binding, so each
-/// (query, n) pair compiles once and its repetitions replay the plan.
-///
-/// # Errors
-///
-/// Propagates query errors.
-pub fn run_with_jobs(
+pub fn run(
     spec: &HardwareSpec,
     scale: Scale,
     ns: &[u32],
@@ -131,7 +116,7 @@ mod tests {
     fn queries_parse_and_run_in_miniature() {
         let spec = HardwareSpec::lofar();
         let scale = Scale::quick();
-        let series = run(&spec, scale, &[2]).unwrap();
+        let series = run(&spec, scale, &[2], 1, &RunOptions::default()).unwrap();
         assert_eq!(series.len(), 6);
         for s in &series {
             let y = s.y_at(2.0).unwrap();
@@ -143,7 +128,7 @@ mod tests {
     fn single_io_queries_lag_multi_io_queries() {
         let spec = HardwareSpec::lofar();
         let scale = Scale::quick();
-        let series = run(&spec, scale, &[4]).unwrap();
+        let series = run(&spec, scale, &[4], 1, &RunOptions::default()).unwrap();
         let at4 = |i: usize| series[i].y_at(4.0).unwrap();
         let (q1, q2, q3, q5, q6) = (at4(0), at4(1), at4(2), at4(4), at4(5));
         // Observation 1: one I/O node ≪ many I/O nodes.

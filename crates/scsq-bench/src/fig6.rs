@@ -25,24 +25,9 @@ pub fn query(scale: Scale) -> String {
 
 /// Runs the Figure 6 sweep; returns one series per buffering mode, with
 /// x = buffer size (bytes) and y = streaming bandwidth into node b
-/// (MB/s). Uses the machine's available parallelism.
-///
-/// # Errors
-///
-/// Propagates query errors.
-pub fn run(spec: &HardwareSpec, scale: Scale, buffers: &[u64]) -> Result<Vec<Series>, ScsqError> {
-    run_with_jobs(
-        spec,
-        scale,
-        buffers,
-        crate::default_jobs(),
-        &RunOptions::default(),
-    )
-}
-
-/// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
-/// the result is bit-identical for every `jobs` value) and base run
-/// options, under the swept buffer size and buffering mode (a base with
+/// (MB/s). `jobs` workers run it (`jobs = 1` runs sequentially; the
+/// result is bit-identical for every `jobs` value), with `base` run
+/// options under the swept buffer size and buffering mode (a base with
 /// `coalesce` or `columnar` off selects a reference path, bit-identical
 /// too — it only changes the wall-clock).
 ///
@@ -53,7 +38,7 @@ pub fn run(spec: &HardwareSpec, scale: Scale, buffers: &[u64]) -> Result<Vec<Ser
 /// # Errors
 ///
 /// Propagates query errors.
-pub fn run_with_jobs(
+pub fn run(
     spec: &HardwareSpec,
     scale: Scale,
     buffers: &[u64],
@@ -97,7 +82,7 @@ mod tests {
         let spec = HardwareSpec::lofar();
         let scale = Scale::quick();
         let buffers = [100u64, 1_000, 100_000, 1_000_000];
-        let series = run(&spec, scale, &buffers).unwrap();
+        let series = run(&spec, scale, &buffers, 1, &RunOptions::default()).unwrap();
         let single = &series[0];
         let double = &series[1];
 

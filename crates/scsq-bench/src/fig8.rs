@@ -57,31 +57,15 @@ pub fn query(scale: Scale, selection: Selection) -> String {
 
 /// Runs the Figure 8 sweep: four series (selection × buffering), with
 /// x = buffer size (bytes) and y = total streaming input bandwidth at
-/// node c (MB/s).
+/// node c (MB/s), on `jobs` workers (bit-identical for every `jobs`
+/// value) with `base` run options under the swept buffer size and
+/// buffering mode. One prepared plan per node selection serves both
+/// buffering modes and every buffer size.
 ///
 /// # Errors
 ///
 /// Propagates query errors.
-pub fn run(spec: &HardwareSpec, scale: Scale, buffers: &[u64]) -> Result<Vec<Series>, ScsqError> {
-    run_with_jobs(
-        spec,
-        scale,
-        buffers,
-        crate::default_jobs(),
-        &RunOptions::default(),
-    )
-}
-
-/// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
-/// the result is bit-identical for every `jobs` value) and base run
-/// options, under the swept buffer size and buffering mode. One prepared
-/// plan per node selection serves both buffering modes and every buffer
-/// size.
-///
-/// # Errors
-///
-/// Propagates query errors.
-pub fn run_with_jobs(
+pub fn run(
     spec: &HardwareSpec,
     scale: Scale,
     buffers: &[u64],
@@ -149,7 +133,7 @@ mod tests {
         let spec = HardwareSpec::lofar();
         let scale = Scale::quick();
         let buffers = [1_000u64, 100_000, 1_000_000];
-        let series = run(&spec, scale, &buffers).unwrap();
+        let series = run(&spec, scale, &buffers, 1, &RunOptions::default()).unwrap();
         assert_eq!(series.len(), 4);
         let bal_double = series
             .iter()

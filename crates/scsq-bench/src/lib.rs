@@ -7,7 +7,8 @@
 //! protocol), and returns labeled [`scsq_sim::Series`] values ready to
 //! print as the figure's rows.
 //!
-//! Binaries:
+//! Figure binaries, each one call into [`figure::main`] with the same
+//! six flags:
 //!
 //! * `fig6_p2p` — intra-BlueGene point-to-point bandwidth vs stream
 //!   buffer size, single vs double buffering (paper Fig 6).
@@ -17,21 +18,25 @@
 //!   number of back-end generator RPs (paper Fig 15).
 //! * `ablation_placement` — naïve vs topology-aware node selection on an
 //!   unconstrained inbound workload (§5 future work).
+//! * `futurework_scaling` — inbound bandwidth at larger partitions, and
+//!   the sender-host sweep (§5 future work).
+//! * `expensive_functions` — single-node FFT vs the radix2 distribution
+//!   over the array size (§5 future work).
 
 pub mod ablation;
 pub mod expensive;
 pub mod fig15;
 pub mod fig6;
 pub mod fig8;
+pub mod figure;
 pub mod pool;
-pub mod report;
 pub mod scaling;
 pub mod serve;
 
-pub use pool::{default_jobs, parse_jobs, parse_metrics, parse_profile, parse_trace, run_indexed};
-pub use report::{print_figure, series_to_csv, write_hub_metrics};
+pub use figure::series_to_csv;
+pub use pool::run_indexed;
 
-use scsq_core::{HardwareSpec, PreparedQuery, QueryResult, RunOptions, Scsq, ScsqError, Value};
+use scsq_core::{HardwareSpec, PreparedQuery, QueryResult, RunOptions, ScsqError};
 use scsq_sim::{RunningStats, Series};
 
 /// Shared experiment scale knobs. The paper streams 100 × 3 MB arrays
@@ -59,7 +64,7 @@ impl Scale {
         }
     }
 
-    /// A reduced scale for fast tests and criterion runs.
+    /// A reduced scale for fast tests and the binaries' `--quick`.
     pub fn quick() -> Scale {
         Scale {
             array_bytes: 300_000,
@@ -68,16 +73,6 @@ impl Scale {
             jitter: 0.0,
         }
     }
-}
-
-/// Mean and sample standard deviation of a metric over a point's
-/// repetitions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricStats {
-    /// Arithmetic mean over the repetitions.
-    pub mean: f64,
-    /// Sample standard deviation (zero for a single repetition).
-    pub std_dev: f64,
 }
 
 /// One cell of a sweep: which series it belongs to, its x coordinate,
@@ -153,101 +148,6 @@ pub fn sweep(
         series[point.series].push_with_dev(point.x, stats.mean(), stats.sample_std_dev());
     }
     Ok(series)
-}
-
-/// Runs `query` once per repetition on jittered hardware and returns the
-/// mean and sample standard deviation of `metric` over the repetitions.
-///
-/// The query is parsed, bound, and placed exactly once; every repetition
-/// replays the prepared plan on a fresh (jittered) environment.
-///
-/// # Errors
-///
-/// Propagates the first query error.
-pub fn mean_metric(
-    base: &HardwareSpec,
-    options: &RunOptions,
-    scale: Scale,
-    query: &str,
-    bindings: &[(&str, Value)],
-    metric: impl Fn(&QueryResult) -> f64,
-) -> Result<MetricStats, ScsqError> {
-    let mut scsq = Scsq::with_spec(base.clone());
-    *scsq.options_mut() = options.clone();
-    let plan = scsq.prepare_with(query, bindings)?;
-    let mut stats = RunningStats::new();
-    for rep in 0..scale.reps {
-        let result = if scale.jitter > 0.0 {
-            plan.run(&base.jittered(0xC0FFEE ^ rep, scale.jitter), options)?
-        } else {
-            // No jitter: run straight off the borrowed base spec.
-            plan.run(base, options)?
-        };
-        scsq_core::metrics::hub().record(&result);
-        stats.push(metric(&result));
-    }
-    Ok(MetricStats {
-        mean: stats.mean(),
-        std_dev: stats.sample_std_dev(),
-    })
-}
-
-/// The `--profile`/`--trace` hook shared by every figure binary: runs
-/// **one representative execution** of `query` under the explain-analyze
-/// profiler and reports what the sweep's timings cannot show — where
-/// each stage's calls, elements, simulated busy time and wall time went.
-///
-/// The run happens on the calling thread (the flight-recorder span ring
-/// is thread-local, so a trace must be drained where it was filled) and
-/// is separate from the figure sweep itself: profiling a representative
-/// point keeps the swept measurements unperturbed. With `show_profile`
-/// the per-stage table is printed to stdout; with `trace` the whole
-/// observability layer is switched on for the run and its simulated-
-/// timeline spans are written to the path in Chrome trace-event format
-/// (loadable in `chrome://tracing` / Perfetto).
-///
-/// Exits the process on query or I/O errors, matching the figure
-/// binaries' handling of their own sweeps.
-pub fn profile_representative(
-    spec: &HardwareSpec,
-    query: &str,
-    bindings: &[(&str, Value)],
-    show_profile: bool,
-    trace: Option<&str>,
-) {
-    let fail = |e: ScsqError| -> ! {
-        eprintln!("representative profiled run failed: {e}");
-        std::process::exit(1);
-    };
-    let plan = Scsq::with_spec(spec.clone())
-        .prepare_with(query, bindings)
-        .unwrap_or_else(|e| fail(e));
-    if trace.is_some() {
-        // Flip the hub *and* the span gate together, and discard any
-        // spans a prior pass of this binary left in the ring.
-        scsq_core::metrics::set_observability(true);
-        let _ = scsq_sim::obs::take_spans();
-    }
-    let (_, profile) = plan
-        .explain_analyze(spec, &RunOptions::default())
-        .unwrap_or_else(|e| fail(e));
-    if show_profile {
-        print!("{}", profile.render());
-    }
-    if let Some(path) = trace {
-        scsq_core::metrics::set_observability(false);
-        let drain = scsq_sim::obs::take_spans();
-        let json = scsq_sim::obs::chrome_trace_json(&drain.spans);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "trace: {} spans ({} overwritten) -> {path}",
-            drain.spans.len(),
-            drain.dropped
-        );
-    }
 }
 
 /// The buffer-size sweep used by Figures 6 and 8.

@@ -17,115 +17,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The default worker count: the machine's available parallelism, or 1
-/// when it cannot be determined.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Every flag a bench binary understands, and whether it takes a value
-/// (`--flag V` / `--flag=V`).
-const FLAGS: &[(&str, bool)] = &[
-    ("--quick", false),
-    ("--csv", false),
-    ("--profile", false),
-    ("--jobs", true),
-    ("--metrics", true),
-    ("--trace", true),
-];
-
-/// The one argument walk behind every `parse_*`: `None` when `name` is
-/// absent, else its value (`None` for a presence flag, or a value flag
-/// at the end of the line). A `--flag` outside [`FLAGS`] aborts with a
-/// usage message and exit code 2 — a misspelt or retired switch must
-/// not quietly run the default.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<Option<&'a str>> {
-    let mut found = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) => (flag, Some(value)),
-            None => (arg.as_str(), None),
-        };
-        let Some(&(_, takes_value)) = FLAGS.iter().find(|(f, _)| *f == flag) else {
-            if flag.starts_with("--") {
-                eprintln!(
-                    "unknown flag {flag}; flags: --quick --csv --jobs N --metrics PATH \
-                     --profile --trace PATH"
-                );
-                std::process::exit(2);
-            }
-            continue;
-        };
-        let value = match inline {
-            None if takes_value => it.next().map(String::as_str),
-            inline => inline,
-        };
-        if flag == name && found.is_none() {
-            found = Some(value);
-        }
-    }
-    found
-}
-
-/// Parses a `--jobs N` / `--jobs=N` command-line flag, defaulting to
-/// [`default_jobs`] when absent. `N` must be a positive integer;
-/// anything else aborts with a usage message, matching the bench
-/// binaries' handling of bad input.
-pub fn parse_jobs(args: &[String]) -> usize {
-    let Some(value) = flag_value(args, "--jobs") else {
-        return default_jobs();
-    };
-    match value.and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => {
-            eprintln!("--jobs expects a positive integer (e.g. --jobs 4)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses a `--name PATH` / `--name=PATH` flag; an empty or missing
-/// path aborts with a usage message.
-fn parse_path(args: &[String], name: &str) -> Option<String> {
-    match flag_value(args, name)? {
-        Some(path) if !path.is_empty() => Some(path.to_string()),
-        _ => {
-            eprintln!("{name} expects an output path (e.g. {name} out.json)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses a `--metrics PATH` / `--metrics=PATH` command-line flag:
-/// where to write the aggregated [`scsq_core::metrics`] hub snapshot
-/// after the run (`None` when absent — the hub then stays disabled and
-/// costs one atomic load per query). An empty path aborts with a usage
-/// message.
-pub fn parse_metrics(args: &[String]) -> Option<String> {
-    parse_path(args, "--metrics")
-}
-
-/// Parses the `--profile` presence flag: when given, the binary runs
-/// one representative execution of its workload under the
-/// explain-analyze profiler and prints the per-stage table
-/// ([`crate::profile_representative`]). Off by default — the sweeps
-/// themselves are never profiled, so the figures stay unperturbed.
-pub fn parse_profile(args: &[String]) -> bool {
-    flag_value(args, "--profile").is_some()
-}
-
-/// Parses a `--trace PATH` / `--trace=PATH` command-line flag: where to
-/// write the representative run's flight-recorder spans in Chrome
-/// trace-event format (`None` when absent — the span gate then stays
-/// off and costs one relaxed atomic load per site). An empty path
-/// aborts with a usage message.
-pub fn parse_trace(args: &[String]) -> Option<String> {
-    parse_path(args, "--trace")
-}
-
 /// Runs every job and returns their results in job order.
 ///
 /// With `workers <= 1` (or fewer than two jobs) the jobs run inline on
@@ -237,34 +128,5 @@ mod tests {
     fn more_workers_than_jobs_is_fine() {
         let jobs: Vec<_> = (0..2).map(|i| move || i).collect();
         assert_eq!(run_indexed(jobs, 16), vec![0, 1]);
-    }
-
-    #[test]
-    fn default_jobs_is_positive() {
-        assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn parse_jobs_reads_both_flag_forms() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs(&to_args(&["--quick", "--jobs", "4"])), 4);
-        assert_eq!(parse_jobs(&to_args(&["--jobs=7", "--csv"])), 7);
-        assert_eq!(parse_jobs(&to_args(&["--quick"])), default_jobs());
-    }
-
-    #[test]
-    fn parse_profile_and_trace_read_their_flags() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(parse_profile(&to_args(&["--quick", "--profile"])));
-        assert!(!parse_profile(&to_args(&["--quick"])));
-        assert_eq!(
-            parse_trace(&to_args(&["--trace", "out.json"])).as_deref(),
-            Some("out.json")
-        );
-        assert_eq!(
-            parse_trace(&to_args(&["--trace=t.json", "--csv"])).as_deref(),
-            Some("t.json")
-        );
-        assert_eq!(parse_trace(&to_args(&["--quick"])), None);
     }
 }

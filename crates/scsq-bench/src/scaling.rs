@@ -47,8 +47,8 @@ pub fn partitions() -> Vec<(&'static str, HardwareSpec)> {
 
 /// The inbound query both strategies run: `n` back-end generators
 /// (placed per `be_alloc`) streaming into pset-spread BlueGene
-/// receivers, summed at a collector. Public so the binary can hand a
-/// representative instance to [`crate::profile_representative`].
+/// receivers, summed at a collector. Public so the binary can name a
+/// representative instance ([`crate::figure::Representative`]).
 pub fn inbound_query(scale: Scale, be_alloc: &str) -> String {
     format!(
         "select extract(c) from \
@@ -72,24 +72,15 @@ pub fn inbound_query(scale: Scale, be_alloc: &str) -> String {
 
 /// Sweeps n (parallel streams) for each partition size and both sender
 /// strategies. Series are labeled `"<strategy> @ <partition>"`; x = n,
-/// y = aggregate inbound Mbps.
+/// y = aggregate inbound Mbps; on `jobs` workers (bit-identical for
+/// every `jobs` value) with `base` run options. Each (partition,
+/// strategy, n) cell compiles once — the partition changes the hardware
+/// the plan is placed against.
 ///
 /// # Errors
 ///
 /// Propagates query errors.
-pub fn run(scale: Scale, ns: &[u32]) -> Result<Vec<Series>, ScsqError> {
-    run_with_jobs(scale, ns, crate::default_jobs(), &RunOptions::default())
-}
-
-/// [`run`] with an explicit worker count (`jobs = 1` runs sequentially;
-/// the result is bit-identical for every `jobs` value) and run options.
-/// Each (partition, strategy, n) cell compiles once — the
-/// partition changes the hardware the plan is placed against.
-///
-/// # Errors
-///
-/// Propagates query errors.
-pub fn run_with_jobs(
+pub fn run(
     scale: Scale,
     ns: &[u32],
     jobs: usize,
@@ -130,21 +121,13 @@ pub fn run_with_jobs(
 
 /// At the quad partition with 16 parallel streams, sweeps how many
 /// back-end *hosts* the generators occupy (the cluster is built with
-/// exactly that many nodes, so `urr` packs them). x = hosts, y = Mbps.
+/// exactly that many nodes, so `urr` packs them). x = hosts, y = Mbps;
+/// on `jobs` workers with `base` run options.
 ///
 /// # Errors
 ///
 /// Propagates query errors.
-pub fn run_host_sweep(scale: Scale, hosts: &[u32]) -> Result<Series, ScsqError> {
-    run_host_sweep_with_jobs(scale, hosts, crate::default_jobs(), &RunOptions::default())
-}
-
-/// [`run_host_sweep`] with an explicit worker count and run options.
-///
-/// # Errors
-///
-/// Propagates query errors.
-pub fn run_host_sweep_with_jobs(
+pub fn run_host_sweep(
     scale: Scale,
     hosts: &[u32],
     jobs: usize,
@@ -189,7 +172,7 @@ mod tests {
 
     #[test]
     fn colocated_strategy_is_nic_capped_even_with_many_io_nodes() {
-        let series = run(Scale::quick(), &[8]).unwrap();
+        let series = run(Scale::quick(), &[8], 1, &RunOptions::default()).unwrap();
         let quad_coloc = series
             .iter()
             .find(|s| s.label() == "co-located @ quad (16 io, 16 be)")
@@ -206,7 +189,7 @@ mod tests {
         // The study's surprise: the per-host I/O coordination cost the
         // paper discovered caps the 1-host-per-stream strategy around
         // 800-900 Mbps aggregate no matter how much hardware is added.
-        let series = run(Scale::quick(), &[8]).unwrap();
+        let series = run(Scale::quick(), &[8], 1, &RunOptions::default()).unwrap();
         for label in [
             "spread @ double (8 io, 8 be)",
             "spread @ quad (16 io, 16 be)",
@@ -229,7 +212,8 @@ mod tests {
         // 16 streams from 4 hosts through 16 I/O nodes beats both the
         // single-host (NIC-bound) and the 16-host (coordination-bound)
         // extremes.
-        let series = run_host_sweep(Scale::quick(), &[1, 4, 16]).unwrap();
+        let series =
+            run_host_sweep(Scale::quick(), &[1, 4, 16], 1, &RunOptions::default()).unwrap();
         let y1 = series.y_at(1.0).unwrap();
         let y4 = series.y_at(4.0).unwrap();
         let y16 = series.y_at(16.0).unwrap();

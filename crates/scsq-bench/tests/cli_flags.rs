@@ -1,6 +1,7 @@
-//! The bench binaries' command-line contract: six flags, and a `--flag`
-//! they do not know exits 2 with one usage line and no output instead
-//! of quietly running the default. The retired switches — `--fuse`,
+//! The bench binaries' command-line contract: six flags, and any other
+//! word — a `--flag` they do not know, a presence flag given a value, a
+//! positional argument — exits 2 with one usage line and no output
+//! instead of quietly running the default. The retired switches — `--fuse`,
 //! `--coalesce`, `--columnar` — must not print a normal-looking CSV;
 //! the reference execution paths they selected are test-only
 //! (`RunOptions { coalesce: false, .. }`, `RunOptions { columnar: false, .. }`).
@@ -57,6 +58,25 @@ fn unknown_flags_exit_2_and_known_switches_run() {
     let json = std::fs::read_to_string(&metrics).expect("--metrics writes its file");
     let _ = std::fs::remove_file(&metrics);
     assert!(json.contains("\"queries\":"), "{json}");
+}
+
+#[test]
+fn presence_flags_with_values_and_positional_words_exit_2() {
+    // `--csv=yes` must not print the table, `--quick=1` must not run at
+    // paper scale, and a stray word must not be skipped.
+    for stray in [
+        &["--csv=yes"][..],
+        &["--quick=1"],
+        &["--profile=on"],
+        &["extra"],
+    ] {
+        let usage = usage_error(&[&["--quick"][..], stray].concat());
+        assert!(usage.contains(stray[0]), "{usage}");
+        assert!(
+            usage.contains("flags: --quick --csv --jobs N --metrics PATH --profile --trace PATH"),
+            "{usage}"
+        );
+    }
 }
 
 #[test]

@@ -41,8 +41,8 @@ fn dense_scale() -> Scale {
 fn fig6_csv_is_identical_under_columnar() {
     let spec = HardwareSpec::lofar();
     let buffers = [5_000u64, 50_000];
-    let on = fig6::run_with_jobs(&spec, dense_scale(), &buffers, 1, &columnar()).unwrap();
-    let off = fig6::run_with_jobs(&spec, dense_scale(), &buffers, 1, &scalar()).unwrap();
+    let on = fig6::run(&spec, dense_scale(), &buffers, 1, &columnar()).unwrap();
+    let off = fig6::run(&spec, dense_scale(), &buffers, 1, &scalar()).unwrap();
     assert_eq!(
         series_to_csv(&on).into_bytes(),
         series_to_csv(&off).into_bytes()
@@ -52,8 +52,8 @@ fn fig6_csv_is_identical_under_columnar() {
 #[test]
 fn fig15_csv_is_identical_under_columnar() {
     let spec = HardwareSpec::lofar();
-    let on = fig15::run_with_jobs(&spec, dense_scale(), &[1, 4], 1, &columnar()).unwrap();
-    let off = fig15::run_with_jobs(&spec, dense_scale(), &[1, 4], 1, &scalar()).unwrap();
+    let on = fig15::run(&spec, dense_scale(), &[1, 4], 1, &columnar()).unwrap();
+    let off = fig15::run(&spec, dense_scale(), &[1, 4], 1, &scalar()).unwrap();
     assert_eq!(
         series_to_csv(&on).into_bytes(),
         series_to_csv(&off).into_bytes()

@@ -17,16 +17,12 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
+# --all-targets compiles every test, example and binary too.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo bench --workspace --no-run"
-# Every criterion bench compiles, so a deleted kernel or API cannot
-# leave a bench behind.
-cargo bench --workspace --no-run
-
 echo "==> cargo doc -D warnings"
-# Workspace crates only (not the vendored proptest/criterion); broken
-# intra-doc links and any other rustdoc warning fail.
+# Workspace crates only (not the vendored proptest); broken intra-doc
+# links and any other rustdoc warning fail.
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps \
     -p scsq-sim -p scsq-net -p scsq-cluster -p scsq-transport \
     -p scsq-ql -p scsq-engine -p scsq-fft -p scsq-core \

@@ -33,7 +33,7 @@ fn jittered_grid(observe: bool) -> (Vec<Series>, Vec<PointFacts>) {
         profile: observe,
         ..RunOptions::default()
     };
-    let series = fig6::run_with_jobs(&spec, scale, &BUFFERS, 1, &base).unwrap();
+    let series = fig6::run(&spec, scale, &BUFFERS, 1, &base).unwrap();
     let plan = Scsq::with_spec(spec.clone())
         .prepare(&fig6::query(scale))
         .unwrap();

@@ -5,10 +5,30 @@
 //! paper's text. These are the claims `EXPERIMENTS.md` tracks.
 
 use scsq_bench::{ablation, fig15, fig6, fig8, Scale};
-use scsq_core::{HardwareSpec, NodeId, Scsq, Value};
+use scsq_core::{HardwareSpec, NodeId, RunOptions, Scsq, Value};
+use scsq_sim::Series;
 
 fn spec() -> HardwareSpec {
     HardwareSpec::lofar()
+}
+
+// The figure sweeps on the LOFAR spec with default options, on two
+// workers (every worker count gives the same series).
+
+fn fig6_sweep(scale: Scale, buffers: &[u64]) -> Vec<Series> {
+    fig6::run(&spec(), scale, buffers, 2, &RunOptions::default()).unwrap()
+}
+
+fn fig8_sweep(scale: Scale, buffers: &[u64]) -> Vec<Series> {
+    fig8::run(&spec(), scale, buffers, 2, &RunOptions::default()).unwrap()
+}
+
+fn fig15_sweep(scale: Scale, ns: &[u32]) -> Vec<Series> {
+    fig15::run(&spec(), scale, ns, 2, &RunOptions::default()).unwrap()
+}
+
+fn ablation_sweep(scale: Scale, ns: &[u32]) -> Vec<Series> {
+    ablation::run(&spec(), scale, ns, 2, &RunOptions::default()).unwrap()
 }
 
 // ---------- Figure 6 ---------------------------------------------------
@@ -16,7 +36,7 @@ fn spec() -> HardwareSpec {
 #[test]
 fn fig6_optimal_buffer_is_1000_bytes_for_both_modes() {
     let buffers = [500u64, 1_000, 2_000, 5_000];
-    let series = fig6::run(&spec(), Scale::quick(), &buffers).unwrap();
+    let series = fig6_sweep(Scale::quick(), &buffers);
     for s in &series {
         assert_eq!(s.peak().unwrap().0, 1_000.0, "{}: {s:?}", s.label());
     }
@@ -24,7 +44,7 @@ fn fig6_optimal_buffer_is_1000_bytes_for_both_modes() {
 
 #[test]
 fn fig6_sub_1k_buffers_collapse_due_to_min_torus_message() {
-    let series = fig6::run(&spec(), Scale::quick(), &[100, 500, 1_000]).unwrap();
+    let series = fig6_sweep(Scale::quick(), &[100, 500, 1_000]);
     let double = &series[1];
     // Bandwidth below 1K scales roughly linearly with the buffer size
     // (everything is padded to a 1K torus message).
@@ -44,7 +64,7 @@ fn fig6_large_buffers_degrade_but_flatten() {
         arrays: 60,
         ..Scale::quick()
     };
-    let series = fig6::run(&spec(), scale, &[1_000, 50_000, 1_000_000]).unwrap();
+    let series = fig6_sweep(scale, &[1_000, 50_000, 1_000_000]);
     let double = &series[1];
     let peak = double.y_at(1_000.0).unwrap();
     let mid = double.y_at(50_000.0).unwrap();
@@ -58,7 +78,7 @@ fn fig6_large_buffers_degrade_but_flatten() {
 
 #[test]
 fn fig6_double_buffering_pays_off_for_large_buffers() {
-    let series = fig6::run(&spec(), Scale::quick(), &[100, 200_000]).unwrap();
+    let series = fig6_sweep(Scale::quick(), &[100, 200_000]);
     let single = &series[0];
     let double = &series[1];
     let gain_small = double.y_at(100.0).unwrap() / single.y_at(100.0).unwrap();
@@ -153,7 +173,7 @@ fn fig6_self_measured_bandwidth_survives_columnar_batching() {
 
 #[test]
 fn fig8_balanced_selection_beats_sequential() {
-    let series = fig8::run(&spec(), Scale::quick(), &[50_000, 500_000]).unwrap();
+    let series = fig8_sweep(Scale::quick(), &[50_000, 500_000]);
     let gain = fig8::best_balanced_gain(&series);
     // §5: "stream merging performs up to 60% better if no busy
     // intermediate nodes are involved".
@@ -163,8 +183,8 @@ fn fig8_balanced_selection_beats_sequential() {
 #[test]
 fn fig8_merging_needs_much_larger_buffers_than_p2p() {
     let buffers = [1_000u64, 100_000];
-    let p2p = fig6::run(&spec(), Scale::quick(), &buffers).unwrap();
-    let merge = fig8::run(&spec(), Scale::quick(), &buffers).unwrap();
+    let p2p = fig6_sweep(Scale::quick(), &buffers);
+    let merge = fig8_sweep(Scale::quick(), &buffers);
     let p2p_double = &p2p[1];
     let bal_double = merge
         .iter()
@@ -182,8 +202,8 @@ fn fig8_merging_needs_much_larger_buffers_than_p2p() {
 #[test]
 fn fig8_double_buffering_matters_less_for_merging() {
     let buffers = [100_000u64];
-    let p2p = fig6::run(&spec(), Scale::quick(), &buffers).unwrap();
-    let merge = fig8::run(&spec(), Scale::quick(), &buffers).unwrap();
+    let p2p = fig6_sweep(Scale::quick(), &buffers);
+    let merge = fig8_sweep(Scale::quick(), &buffers);
     let p2p_gain = p2p[1].y_at(100_000.0).unwrap() / p2p[0].y_at(100_000.0).unwrap();
     let bal = |mode: &str| {
         merge
@@ -204,7 +224,7 @@ fn fig8_double_buffering_matters_less_for_merging() {
 
 #[test]
 fn fig15_observation_1_many_io_nodes_win() {
-    let series = fig15::run(&spec(), Scale::quick(), &[4]).unwrap();
+    let series = fig15_sweep(Scale::quick(), &[4]);
     let at = |i: usize| series[i].y_at(4.0).unwrap();
     for single_io in 0..4 {
         assert!(
@@ -219,7 +239,7 @@ fn fig15_observation_1_many_io_nodes_win() {
 
 #[test]
 fn fig15_observation_2_two_receivers_offload_one() {
-    let series = fig15::run(&spec(), Scale::quick(), &[2, 4]).unwrap();
+    let series = fig15_sweep(Scale::quick(), &[2, 4]);
     let q1 = &series[0];
     let q3 = &series[2];
     assert!(q3.y_at(2.0).unwrap() > 1.15 * q1.y_at(2.0).unwrap());
@@ -228,7 +248,7 @@ fn fig15_observation_2_two_receivers_offload_one() {
 
 #[test]
 fn fig15_observation_3_q5_beats_q6() {
-    let series = fig15::run(&spec(), Scale::quick(), &[4]).unwrap();
+    let series = fig15_sweep(Scale::quick(), &[4]);
     let q5 = series[4].y_at(4.0).unwrap();
     let q6 = series[5].y_at(4.0).unwrap();
     assert!(q5 > 1.15 * q6, "q5={q5:.0} q6={q6:.0}");
@@ -236,7 +256,7 @@ fn fig15_observation_3_q5_beats_q6() {
 
 #[test]
 fn fig15_observation_4_q1_beats_q2() {
-    let series = fig15::run(&spec(), Scale::quick(), &[3]).unwrap();
+    let series = fig15_sweep(Scale::quick(), &[3]);
     let q1 = series[0].y_at(3.0).unwrap();
     let q2 = series[1].y_at(3.0).unwrap();
     assert!(q1 > 1.3 * q2, "q1={q1:.0} q2={q2:.0}");
@@ -250,7 +270,7 @@ fn fig15_observation_5_q5_peaks_near_920_and_dips_at_5() {
         arrays: 25,
         ..Scale::quick()
     };
-    let series = fig15::run(&spec(), scale, &[3, 4, 5]).unwrap();
+    let series = fig15_sweep(scale, &[3, 4, 5]);
     let q5 = &series[4];
     let peak = q5.y_at(4.0).unwrap();
     // "The best streaming bandwidth is achieved for Query 5, which peaks
@@ -267,7 +287,7 @@ fn fig15_observation_5_q5_peaks_near_920_and_dips_at_5() {
 
 #[test]
 fn topology_aware_placement_beats_naive() {
-    let series = ablation::run(&spec(), Scale::quick(), &[4]).unwrap();
+    let series = ablation_sweep(Scale::quick(), &[4]);
     let naive = series[0].y_at(4.0).unwrap();
     let aware = series[1].y_at(4.0).unwrap();
     assert!(aware > 2.0 * naive, "aware={aware:.0} naive={naive:.0}");

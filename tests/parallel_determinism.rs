@@ -3,7 +3,7 @@
 //! path, and the sweep front-end compiles each distinct query text
 //! exactly once no matter how many points and repetitions execute it.
 
-use scsq_bench::{buffer_sweep, fig15, fig6, sweep, Scale, SweepPoint};
+use scsq_bench::{buffer_sweep, expensive, fig15, fig6, sweep, Scale, SweepPoint};
 use scsq_core::prelude::*;
 
 #[test]
@@ -11,9 +11,8 @@ fn fig6_parallel_series_equal_sequential() {
     let spec = HardwareSpec::lofar();
     let scale = Scale::quick();
     let buffers = buffer_sweep();
-    let sequential =
-        fig6::run_with_jobs(&spec, scale, &buffers, 1, &RunOptions::default()).unwrap();
-    let parallel = fig6::run_with_jobs(&spec, scale, &buffers, 4, &RunOptions::default()).unwrap();
+    let sequential = fig6::run(&spec, scale, &buffers, 1, &RunOptions::default()).unwrap();
+    let parallel = fig6::run(&spec, scale, &buffers, 4, &RunOptions::default()).unwrap();
     assert_eq!(sequential, parallel);
 }
 
@@ -22,8 +21,23 @@ fn fig15_parallel_series_equal_sequential() {
     let spec = HardwareSpec::lofar();
     let scale = Scale::quick();
     let ns = [1, 2, 3, 4];
-    let sequential = fig15::run_with_jobs(&spec, scale, &ns, 1, &RunOptions::default()).unwrap();
-    let parallel = fig15::run_with_jobs(&spec, scale, &ns, 4, &RunOptions::default()).unwrap();
+    let sequential = fig15::run(&spec, scale, &ns, 1, &RunOptions::default()).unwrap();
+    let parallel = fig15::run(&spec, scale, &ns, 4, &RunOptions::default()).unwrap();
+    assert_eq!(sequential, parallel);
+}
+
+#[test]
+fn expensive_parallel_series_equal_sequential() {
+    let spec = HardwareSpec::lofar();
+    let scale = Scale {
+        arrays: 4,
+        reps: 2,
+        jitter: 0.02,
+        ..Scale::quick()
+    };
+    let sizes = [10_000u64, 100_000];
+    let sequential = expensive::run(&spec, scale, &sizes, 1, &RunOptions::default()).unwrap();
+    let parallel = expensive::run(&spec, scale, &sizes, 4, &RunOptions::default()).unwrap();
     assert_eq!(sequential, parallel);
 }
 
@@ -38,9 +52,8 @@ fn jittered_repetitions_stay_deterministic_across_jobs() {
         ..Scale::quick()
     };
     let buffers = [1_000u64, 100_000];
-    let sequential =
-        fig6::run_with_jobs(&spec, scale, &buffers, 1, &RunOptions::default()).unwrap();
-    let parallel = fig6::run_with_jobs(&spec, scale, &buffers, 4, &RunOptions::default()).unwrap();
+    let sequential = fig6::run(&spec, scale, &buffers, 1, &RunOptions::default()).unwrap();
+    let parallel = fig6::run(&spec, scale, &buffers, 4, &RunOptions::default()).unwrap();
     assert_eq!(sequential, parallel);
     // With jitter and several reps, the spread is real (non-zero sd).
     assert!(sequential
