@@ -1,8 +1,7 @@
 //! Whole-column compute kernels for the stage chain.
 //!
-//! The per-element driver ([`crate::ops::StageChain::process_into`])
-//! pays one `StageState` match, one `Value` match, and one move per
-//! tuple. For the engine's dominant shapes — long runs of
+//! The scalar driver ([`crate::ops::StageChain::process_run`]) pays one
+//! `StageState` match, one `Value` match, and one move per tuple. For the engine's dominant shapes — long runs of
 //! identically-typed tuples flowing into a terminal aggregate — the
 //! same work is a single tight loop over a flat array. This module
 //! holds those loops: public transform/filter/gather kernels over

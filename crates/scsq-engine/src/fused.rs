@@ -14,8 +14,8 @@
 //! element. The walk has two endings ([`ColumnEnding`]): it stops at an
 //! absorber, which folds the batch into its state, or it runs off the
 //! end of a transforming chain, which emits the rewritten column. Both
-//! mutate the same `StageState`s as the per-element driver
-//! (`StageChain::process_into`, the reference semantics and the
+//! mutate the same `StageState`s as the scalar run driver
+//! (`StageChain::process_run`, the reference semantics and the
 //! fallback for every declined batch), so aggregate flushes and
 //! coalescer probes cannot tell which ran.
 

@@ -9,8 +9,9 @@
 //!
 //! [`StageChain`] is its runtime state and the one executor: the scalar
 //! semantics of every stage live here, once (`StageState::step`, driven
-//! per element by [`StageChain::process_into`]); `crate::fused` adds the
-//! whole-column driver for the batches it admits.
+//! over a run of elements by [`StageChain::process_run`], of which
+//! [`StageChain::process_into`] is the run of one); `crate::fused` adds
+//! the whole-column driver for the batches it admits.
 
 use crate::error::EngineError;
 use crate::funcs;
@@ -537,7 +538,7 @@ impl StageState {
                     out.push(funcs::radix_combine(even, odd)?);
                 }
             }
-            StageState::Window(w) => out.extend(w.push(value)?),
+            StageState::Window(w) => w.push(value, out)?,
             StageState::Take { remaining } => {
                 if *remaining > 0 {
                     *remaining -= 1;
@@ -561,7 +562,7 @@ impl StageState {
 }
 
 /// Runtime state of a [`Pipeline`]'s stage chain — the one executor:
-/// the per-element driver here, and the whole-column driver of
+/// the scalar run driver here, and the whole-column driver of
 /// `crate::fused` over the same states for the batches it admits.
 #[derive(Debug)]
 pub struct StageChain {
@@ -570,11 +571,14 @@ pub struct StageChain {
     /// is enabled (`StageChain::enable_profiling`), so the per-element
     /// cost of the disabled path is a single bounds check.
     pub(crate) tally: Vec<crate::profile::StageTally>,
-    /// Reusable ping-pong scratch: elements move between the two, one
-    /// stage at a time, so the per-element path allocates nothing after
-    /// warm-up.
+    /// Reusable ping-pong scratch: a run moves between the two, one
+    /// stage at a time, so the driver allocates nothing after warm-up.
+    /// `cur_row[i]` is the run row whose walk produced `cur[i]` (likewise
+    /// `nxt_row`): what keeps a run's first error exact.
     cur: Vec<Value>,
     nxt: Vec<Value>,
+    cur_row: Vec<usize>,
+    nxt_row: Vec<usize>,
     /// Where the column tier's admission walk can end for this chain —
     /// fold into an absorber or emit the transformed column — or `None`
     /// when no batch is ever admitted (`crate::fused::column_ending`).
@@ -639,6 +643,8 @@ impl StageChain {
             tally: Vec::new(),
             cur: Vec::new(),
             nxt: Vec::new(),
+            cur_row: Vec::new(),
+            nxt_row: Vec::new(),
             ending: crate::fused::column_ending(stage_list),
             costly: stage_list
                 .iter()
@@ -663,7 +669,8 @@ impl StageChain {
     }
 
     /// Feeds one element (from producer `from`, if any) through the
-    /// chain, appending whatever falls out the end to `out`.
+    /// chain, appending whatever falls out the end to `out`: a run of
+    /// one ([`StageChain::process_run`]).
     ///
     /// # Errors
     ///
@@ -675,34 +682,71 @@ impl StageChain {
         from: Option<SpHandle>,
         out: &mut Vec<Value>,
     ) -> Result<(), EngineError> {
-        self.run_from(0, value, from, out)
+        self.cur.push(value);
+        self.run_from(0, from, out)
     }
 
-    /// Drives `value` through stages `start..`, breadth-first: stages
-    /// are order-preserving stateful flat-maps, so passing every output
-    /// of one stage to the next in order feeds each stage the same
-    /// sequence a depth-first walk would.
-    fn run_from(
+    /// Feeds the elements of `run` (all from producer `from`, if any)
+    /// through the chain in one walk, leaving `run` empty and appending
+    /// whatever falls out the end to `out`: the same outputs, stage
+    /// states and profile tallies as [`StageChain::process_into`] on each
+    /// element in turn.
+    ///
+    /// # Errors
+    ///
+    /// The error that element-by-element walk stops at, with `out`
+    /// holding exactly the outputs of the elements before the failing
+    /// one. The chain's state is then that of a failed run: the caller
+    /// stops feeding it, as the runtime does.
+    pub fn process_run(
         &mut self,
-        start: usize,
-        value: Value,
+        run: &mut Vec<Value>,
         from: Option<SpHandle>,
         out: &mut Vec<Value>,
     ) -> Result<(), EngineError> {
-        if start >= self.stages.len() {
-            out.push(value);
-            return Ok(());
-        }
-        self.cur.clear();
-        self.cur.push(value);
+        // `cur` is empty between walks: the swap hands `run` its capacity.
+        std::mem::swap(&mut self.cur, run);
+        self.run_from(0, from, out)
+    }
+
+    /// The one chain walk: drives the run staged in `cur` through stages
+    /// `start..`, breadth-first, and appends what falls out the end to
+    /// `out`. Stages are order-preserving stateful flat-maps, so passing
+    /// every output of one stage to the next in order feeds each stage
+    /// the same sequence a row-by-row walk would.
+    ///
+    /// Errors keep that walk's precedence. Each value carries the run row
+    /// it came from. When a stage fails on row `r`, only values of rows
+    /// before `r` go on (the row-by-row walk never took row `r` or any
+    /// later row past this stage), so a later stage can only fail on an
+    /// earlier row, and does exactly when the row-by-row walk would have
+    /// failed there first. The last error found is therefore the one that
+    /// walk reports, and what reaches `out` is what it emitted before.
+    fn run_from(
+        &mut self,
+        start: usize,
+        from: Option<SpHandle>,
+        out: &mut Vec<Value>,
+    ) -> Result<(), EngineError> {
+        let mut failed = None;
+        self.cur_row.clear();
+        self.cur_row.extend(0..self.cur.len());
         for (i, stage) in self.stages.iter_mut().enumerate().skip(start) {
             if self.cur.is_empty() {
-                return Ok(());
+                break;
             }
             self.nxt.clear();
+            self.nxt_row.clear();
             let n_in = self.cur.len() as u64;
-            for v in self.cur.drain(..) {
-                stage.step(v, from, &mut self.nxt)?;
+            for (v, &row) in self.cur.drain(..).zip(&self.cur_row) {
+                if let Err(e) = stage.step(v, from, &mut self.nxt) {
+                    let keep = self.nxt_row.partition_point(|&r| r < row);
+                    self.nxt.truncate(keep);
+                    self.nxt_row.truncate(keep);
+                    failed = Some(e);
+                    break;
+                }
+                self.nxt_row.resize(self.nxt.len(), row);
             }
             if let Some(t) = self.tally.get_mut(i) {
                 t.calls += n_in;
@@ -710,9 +754,10 @@ impl StageChain {
                 t.elems_out += self.nxt.len() as u64;
             }
             std::mem::swap(&mut self.cur, &mut self.nxt);
+            std::mem::swap(&mut self.cur_row, &mut self.nxt_row);
         }
         out.append(&mut self.cur);
-        Ok(())
+        failed.map_or(Ok(()), Err)
     }
 
     /// Walks the chain's mutable state through a coalescing probe.
@@ -825,12 +870,15 @@ impl StageChain {
     ///
     /// # Errors
     ///
-    /// Propagates type errors from downstream stages processing flushed
-    /// values.
+    /// A window's type error over its final partial window, and type
+    /// errors from downstream stages processing flushed values.
     pub fn finish(&mut self) -> Result<Vec<Value>, EngineError> {
         let mut result = Vec::new();
         for idx in 0..self.stages.len() {
-            let flushed: Vec<Value> = match &mut self.stages[idx] {
+            // Each stage flushes into the run the chain walk drives on.
+            let flushed = &mut self.cur;
+            flushed.clear();
+            match &mut self.stages[idx] {
                 StageState::Agg {
                     kind,
                     count,
@@ -839,47 +887,34 @@ impl StageChain {
                     saw_real,
                     best,
                 } => match kind {
-                    AggKind::Count => vec![Value::Integer(*count)],
-                    AggKind::Sum => {
-                        if *saw_real {
-                            vec![Value::Real(*sum_real + *sum_int as f64)]
-                        } else {
-                            vec![Value::Integer(*sum_int)]
-                        }
-                    }
+                    AggKind::Count => flushed.push(Value::Integer(*count)),
+                    AggKind::Sum => flushed.push(if *saw_real {
+                        Value::Real(*sum_real + *sum_int as f64)
+                    } else {
+                        Value::Integer(*sum_int)
+                    }),
                     AggKind::Avg => {
-                        if *count == 0 {
-                            Vec::new()
-                        } else {
-                            vec![Value::Real((*sum_real + *sum_int as f64) / *count as f64)]
+                        if *count != 0 {
+                            flushed
+                                .push(Value::Real((*sum_real + *sum_int as f64) / *count as f64));
                         }
                     }
                     // Empty streams have no extremum; emit nothing, like
                     // SQL's NULL-free aggregates over empty inputs.
-                    AggKind::Max | AggKind::Min => best.take().into_iter().collect(),
+                    AggKind::Max | AggKind::Min => flushed.extend(best.take()),
                 },
-                StageState::Window(w) => w.finish(),
-                StageState::Bandwidth { bytes, last_nanos } => {
-                    if *bytes > 0 && *last_nanos > 0 {
-                        vec![Value::Real(
-                            *bytes as f64 / (*last_nanos as f64 / 1_000_000_000.0),
-                        )]
-                    } else {
-                        Vec::new()
-                    }
+                StageState::Window(w) => w.finish(flushed)?,
+                StageState::Bandwidth { bytes, last_nanos } if *bytes > 0 && *last_nanos > 0 => {
+                    flushed.push(Value::Real(
+                        *bytes as f64 / (*last_nanos as f64 / 1_000_000_000.0),
+                    ));
                 }
-                StageState::Quantile { q, hist } => {
-                    if hist.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![Value::Integer(hist.quantile(*q) as i64)]
-                    }
+                StageState::Quantile { q, hist } if !hist.is_empty() => {
+                    flushed.push(Value::Integer(hist.quantile(*q) as i64));
                 }
-                _ => Vec::new(),
-            };
-            for v in flushed {
-                self.run_from(idx + 1, v, None, &mut result)?;
+                _ => {}
             }
+            self.run_from(idx + 1, None, &mut result)?;
         }
         Ok(result)
     }
@@ -1046,6 +1081,104 @@ mod tests {
             elems_out,
         };
         assert_eq!(c.tally, vec![tally(3, 3, 1), tally(2, 2, 0)]);
+    }
+
+    /// Feeds `values` as one run and element by element into two fresh
+    /// profiled chains; returns both outcomes and leaves the chains for
+    /// inspection.
+    fn run_vs_elements(
+        stages: &[Stage],
+        values: &[Value],
+    ) -> [(Vec<Value>, Result<(), String>, StageChain); 2] {
+        let mut run = chain(stages.to_vec());
+        run.enable_profiling();
+        let mut run_out = Vec::new();
+        let run_res = run
+            .process_run(&mut values.to_vec(), None, &mut run_out)
+            .map_err(|e| e.to_string());
+        let mut each = chain(stages.to_vec());
+        each.enable_profiling();
+        let mut each_out = Vec::new();
+        let each_res = values
+            .iter()
+            .try_for_each(|v| each.process_into(v.clone(), None, &mut each_out))
+            .map_err(|e| e.to_string());
+        [(run_out, run_res, run), (each_out, each_res, each)]
+    }
+
+    #[test]
+    fn a_run_emits_and_tallies_what_its_elements_do() {
+        let window = WindowSpec::new(3, 2, AggKind::Sum).unwrap();
+        let stages = [
+            Stage::Filter {
+                op: CmpOp::Ne,
+                rhs: Value::Integer(4),
+            },
+            Stage::Window(window),
+            Stage::Take { limit: 3 },
+            Stage::Agg(AggKind::Max),
+        ];
+        let values: Vec<Value> = (1..=12).map(Value::Integer).collect();
+        let [(run_out, run_res, mut run), (each_out, each_res, mut each)] =
+            run_vs_elements(&stages, &values);
+        assert_eq!((run_out, run_res), (each_out, each_res));
+        assert_eq!(run.tally, each.tally);
+        assert_eq!(run.finish().unwrap(), each.finish().unwrap());
+        assert_eq!(run.tally, each.tally);
+    }
+
+    #[test]
+    fn a_run_reports_the_error_its_first_failing_element_raises() {
+        // Element by element, row 1 completes the window {1, 2} and `arith`
+        // rejects its sum 3 * "m". Breadth-first, `winagg` reaches row 2
+        // (the window {2, "x"}) and fails first; the run must still report
+        // the `arith` error, and emit nothing from row 1 or later.
+        let stages = [
+            Stage::Window(WindowSpec::new(2, 1, AggKind::Sum).unwrap()),
+            Stage::Arith {
+                op: ArithOp::Mul,
+                rhs: Value::from("m"),
+            },
+        ];
+        let values = [Value::Integer(1), Value::Integer(2), Value::from("x")];
+        let [(run_out, run_res, _), (each_out, each_res, _)] = run_vs_elements(&stages, &values);
+        assert_eq!(
+            each_res,
+            Err("type error in arith: expected number, found integer".into())
+        );
+        assert_eq!((run_out, run_res), (each_out, each_res));
+        // Rows before the failing one still come out: with an integer
+        // constant only row 2's window fails, after rows 0 and 1 emitted.
+        let stages = [
+            Stage::Window(WindowSpec::new(1, 1, AggKind::Sum).unwrap()),
+            Stage::Arith {
+                op: ArithOp::Add,
+                rhs: Value::Integer(1),
+            },
+        ];
+        let [(run_out, run_res, _), (each_out, each_res, _)] = run_vs_elements(&stages, &values);
+        assert_eq!(run_out, vec![Value::Integer(2), Value::Integer(3)]);
+        assert!(
+            run_res.as_ref().unwrap_err().contains("winagg"),
+            "{run_res:?}"
+        );
+        assert_eq!((run_out, run_res), (each_out, each_res));
+    }
+
+    #[test]
+    fn a_partial_window_type_error_fails_the_flush() {
+        // A full window over "x" is a type error mid-stream; the final
+        // partial window holding it is one at end of stream, not a 0.
+        let window = WindowSpec::new(4, 4, AggKind::Sum).unwrap();
+        let mut c = chain(vec![Stage::Window(window), Stage::Agg(AggKind::Sum)]);
+        for v in [Value::Integer(1), Value::Integer(2), Value::from("x")] {
+            assert!(push(&mut c, v, None).unwrap().is_empty());
+        }
+        let err = c.finish().unwrap_err().to_string();
+        assert!(
+            err.contains("winagg: expected number, found string"),
+            "{err}"
+        );
     }
 
     #[test]

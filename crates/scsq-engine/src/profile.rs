@@ -9,7 +9,7 @@
 //! (what neither covers — channels, the event queue, set-up — is the
 //! report's unattributed remainder). Counts are maintained by the
 //! executors themselves ([`StageTally`] slots inside the stage chain),
-//! so they are exact on both tiers: the per-element driver counts per
+//! so they are exact on both tiers: the scalar run driver counts per
 //! scratch pass (one call per element a stage consumed), and the
 //! columnar folds per admitted batch (with semantic element counts —
 //! a filter's output is its selection length, a `take`'s the rows it

@@ -278,9 +278,9 @@ pub(crate) struct World<'g> {
     first_result_at: Option<SimTime>,
     finished_at: Option<SimTime>,
     error: Option<EngineError>,
-    /// Reusable output buffer for `process_and_emit`: taken, filled,
-    /// drained, and returned on every element, so the hot path never
-    /// allocates a fresh `Vec` per processed tuple.
+    /// Reusable output buffer for `process_and_emit` and `run_rows`:
+    /// taken, filled, drained, and returned on every element or run, so
+    /// the hot path never allocates a fresh `Vec` per processed tuple.
     scratch: Vec<Value>,
     /// Per-channel metric-stream observers (`metrics(p)` RPs watching
     /// the channel's deliveries), indexed by channel. Left entirely
@@ -302,9 +302,9 @@ pub(crate) struct World<'g> {
     /// Value→column decompositions performed (`columnar: false` must
     /// keep this at zero: no speculative transposes).
     columnar_transposes: u64,
-    /// Reusable gather buffer for a delivered run of scalar values —
-    /// one move per element, the same cost the consuming per-element
-    /// iteration already paid.
+    /// Reusable gather buffer for a delivered run of scalar values (or
+    /// the rows of a declined column view) — one move per element, the
+    /// same cost the consuming iteration already paid.
     val_scratch: Vec<Value>,
     /// Reusable per-element compute-finish times for emitting batches.
     ready_scratch: Vec<SimTime>,
@@ -982,10 +982,9 @@ fn process_and_emit(
     // important to analyze the performance of continuous queries
     // involving expensive functions"). The compiled cost model tracks
     // how each stage transforms the element size (decimation halves it,
-    // so a radix2-style plan's FFTs run on half-size arrays) and memoizes
-    // the answer for the streaming case of same-size elements. The
-    // charge applies to every element — including ones an aggregate
-    // absorbs.
+    // so a radix2-style plan's FFTs run on half-size arrays) and walks
+    // its cost ops afresh for every element. The charge applies to every
+    // element — including ones an aggregate absorbs.
     let cost = world.rps[idx].cost.cost(elem_bytes);
     let node = world.rps[idx].node;
     let ready = charge(world, idx, |env| env.compute(node, cost, at));
@@ -1162,7 +1161,7 @@ fn cycle(world: &mut World, sim: &mut Sim, ci: usize) {
 ///
 /// The delivered run is partitioned in order: consecutive `Elem::Val`s
 /// form scalar runs (gathered into a reusable buffer, then transposed
-/// for the columnar fast path or walked per element); consecutive
+/// for the columnar fast path or walked as a run, `run_rows`); consecutive
 /// `Elem::Col` slices that continue one another in one backing batch
 /// reassemble the upstream columnar view **zero-copy** — no
 /// re-marshaling, no per-row materialization — before the same
@@ -1221,11 +1220,10 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
             let m = world.lat_observers[ci].len();
             for k in 0..m {
                 let o = world.lat_observers[ci][k];
-                for &s in &samples {
-                    process_and_emit(world, sim, o, Value::Integer(s as i64), None, now);
-                    if world.error.is_some() {
-                        return;
-                    }
+                let mut run = samples.iter().map(|&s| Value::Integer(s as i64)).collect();
+                run_rows(world, sim, o, None, &mut run, now);
+                if world.error.is_some() {
+                    return;
                 }
             }
         }
@@ -1238,7 +1236,7 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
         match e {
             Elem::Val(v) => {
                 if let Some(g) = cols.take() {
-                    deliver_columns(world, sim, dst, from, &g, now);
+                    deliver_columns(world, sim, dst, from, &g, &mut vals, now);
                 }
                 vals.push(v);
             }
@@ -1246,14 +1244,14 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
                 deliver_value_run(world, sim, dst, from, &mut vals, now);
                 if !cols.as_mut().is_some_and(|g| g.try_extend(&c)) {
                     if let Some(g) = cols.replace(c) {
-                        deliver_columns(world, sim, dst, from, &g, now);
+                        deliver_columns(world, sim, dst, from, &g, &mut vals, now);
                     }
                 }
             }
         }
     }
     if let Some(g) = cols {
-        deliver_columns(world, sim, dst, from, &g, now);
+        deliver_columns(world, sim, dst, from, &g, &mut vals, now);
     }
     deliver_value_run(world, sim, dst, from, &mut vals, now);
     world.val_scratch = vals;
@@ -1277,8 +1275,8 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
 /// Processes one run of scalar values delivered back-to-back, leaving
 /// `run` empty: transpose and try the column tier when the
 /// destination chain can use columns at all (`columnar: false` or a
-/// non-qualifying chain skips the decomposition entirely), else walk
-/// the run per element.
+/// non-qualifying chain skips the decomposition entirely), else hand
+/// the run to `run_rows`.
 fn deliver_value_run(
     world: &mut World,
     sim: &mut Sim,
@@ -1299,34 +1297,82 @@ fn deliver_value_run(
             return;
         }
     }
-    for v in run.drain(..) {
-        process_and_emit(world, sim, dst, v, Some(from), now);
-        if world.error.is_some() {
-            return;
-        }
-    }
+    run_rows(world, sim, dst, Some(from), run, now);
 }
 
 /// Processes one reassembled column view: shared storage all the way
 /// from the producer — the zero-copy hand-off. Falls back to
-/// materializing each row as a `Value` when the chain declines columns.
+/// materializing its rows as `Value`s into `rows` (empty, and left
+/// empty) when the chain declines columns.
 fn deliver_columns(
     world: &mut World,
     sim: &mut Sim,
     dst: usize,
     from: SpHandle,
     view: &ColumnarBatch,
+    rows: &mut Vec<Value>,
     now: SimTime,
 ) {
     if world.error.is_some() || run_columns(world, sim, dst, view, now) {
         return;
     }
-    for row in 0..view.rows() {
-        process_and_emit(world, sim, dst, view.value_at(row), Some(from), now);
-        if world.error.is_some() {
-            return;
-        }
+    debug_assert!(rows.is_empty(), "a pending value run precedes the view");
+    view.to_values_into(rows);
+    run_rows(world, sim, dst, Some(from), rows, now);
+}
+
+/// The scalar tier's one entry for a run of rows that all arrive at
+/// `now` (from producer `from`, if any), leaving `rows` empty: a
+/// delivered run the column tier declined or never saw, or one
+/// delivery's latency samples.
+///
+/// A cost-free chain (`StageChain::costly` false: its cost model
+/// charges 0, and `Environment::compute` returns `at` without drawing)
+/// finishes every row at `now`. The run then walks the chain once
+/// ([`StageChain::process_run`]) and its outputs go out in one `emit`
+/// at `now`: the same values, in the same order, at the same time, to
+/// the same channels as one `process_and_emit` per row enqueues them. A
+/// failing run emits the outputs of the rows before the failing one,
+/// as the row loop does, then records the error. A costly chain keeps
+/// the row loop: each output leaves at its own input's compute-finish
+/// time.
+fn run_rows(
+    world: &mut World,
+    sim: &mut Sim,
+    dst: usize,
+    from: Option<SpHandle>,
+    rows: &mut Vec<Value>,
+    now: SimTime,
+) {
+    let n = rows.len();
+    if n == 0 || world.error.is_some() {
+        rows.clear();
+        return;
     }
+    if world.rps[dst].chain.costly {
+        for v in rows.drain(..) {
+            process_and_emit(world, sim, dst, v, from, now);
+            if world.error.is_some() {
+                return;
+            }
+        }
+        return;
+    }
+    world.rps[dst].elements_in += n as u64;
+    let mut out = std::mem::take(&mut world.scratch);
+    out.clear();
+    let t0 = world.profile.then(std::time::Instant::now);
+    let res = world.rps[dst].chain.process_run(rows, from, &mut out);
+    if let Some(t0) = t0 {
+        world.rps[dst].wall_ns += t0.elapsed().as_nanos() as u64;
+    }
+    if !out.is_empty() {
+        emit(world, sim, dst, &mut out, now);
+    }
+    if let Err(e) = res {
+        world.error = Some(e);
+    }
+    world.scratch = out;
 }
 
 /// The column tier's one entry: runs an admitted batch through the

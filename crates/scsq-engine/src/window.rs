@@ -59,12 +59,13 @@ impl WindowState {
         }
     }
 
-    /// Feeds one element; returns any completed window aggregates.
+    /// Feeds one element, appending the window aggregate it completes (if
+    /// any) to `out`.
     ///
     /// # Errors
     ///
     /// Type error when summing non-numeric elements.
-    pub fn push(&mut self, value: Value) -> Result<Vec<Value>, EngineError> {
+    pub fn push(&mut self, value: Value, out: &mut Vec<Value>) -> Result<(), EngineError> {
         self.buffer.push_back(value);
         if self.buffer.len() > self.spec.size {
             self.buffer.pop_front();
@@ -78,24 +79,26 @@ impl WindowState {
         if due {
             self.since_emit = 0;
             self.emitted_any = true;
-            Ok(vec![self.aggregate()?])
-        } else {
-            Ok(Vec::new())
+            out.push(self.aggregate()?);
         }
+        Ok(())
     }
 
-    /// End of stream: emits a final partial window over the elements
-    /// that arrived since the last emission, if any.
-    pub fn finish(&mut self) -> Vec<Value> {
+    /// End of stream: appends a final partial window over the elements
+    /// that arrived since the last emission, if any, to `out`.
+    ///
+    /// # Errors
+    ///
+    /// The same type error a full window over those elements raises.
+    pub fn finish(&mut self, out: &mut Vec<Value>) -> Result<(), EngineError> {
         let tail = self.since_emit.min(self.buffer.len());
         if tail == 0 {
-            return Vec::new();
+            return Ok(());
         }
         self.since_emit = 0;
-        let skip = self.buffer.len() - tail;
-        let partial: Vec<Value> = self.buffer.iter().skip(skip).cloned().collect();
-        self.buffer = partial.into();
-        vec![self.aggregate().unwrap_or(Value::Integer(0))]
+        self.buffer.drain(..self.buffer.len() - tail);
+        out.push(self.aggregate()?);
+        Ok(())
     }
 
     /// Walks the window's mutable state through a coalescing probe.
@@ -166,9 +169,15 @@ mod tests {
     fn ints(state: &mut WindowState, values: &[i64]) -> Vec<Value> {
         let mut out = Vec::new();
         for &v in values {
-            out.extend(state.push(Value::Integer(v)).unwrap());
+            state.push(Value::Integer(v), &mut out).unwrap();
         }
         out
+    }
+
+    fn flush(state: &mut WindowState) -> Result<Vec<Value>, EngineError> {
+        let mut out = Vec::new();
+        state.finish(&mut out)?;
+        Ok(out)
     }
 
     #[test]
@@ -190,9 +199,9 @@ mod tests {
     fn finish_flushes_partial_window() {
         let mut w = WindowState::new(WindowSpec::new(4, 4, AggKind::Sum).unwrap());
         assert!(ints(&mut w, &[5, 7]).is_empty());
-        assert_eq!(w.finish(), vec![Value::Integer(12)]);
+        assert_eq!(flush(&mut w).unwrap(), vec![Value::Integer(12)]);
         // Second finish is a no-op.
-        assert!(w.finish().is_empty());
+        assert!(flush(&mut w).unwrap().is_empty());
     }
 
     #[test]
@@ -203,14 +212,15 @@ mod tests {
         let mut w = WindowState::new(WindowSpec::new(4, 4, AggKind::Sum).unwrap());
         let emitted = ints(&mut w, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(emitted, vec![Value::Integer(10), Value::Integer(26)]);
-        assert_eq!(w.finish(), vec![Value::Integer(19)]);
+        assert_eq!(flush(&mut w).unwrap(), vec![Value::Integer(19)]);
     }
 
     #[test]
     fn real_values_widen_the_sum() {
         let mut w = WindowState::new(WindowSpec::new(2, 2, AggKind::Sum).unwrap());
-        w.push(Value::Integer(1)).unwrap();
-        let out = w.push(Value::Real(0.25)).unwrap();
+        let mut out = Vec::new();
+        w.push(Value::Integer(1), &mut out).unwrap();
+        w.push(Value::Real(0.25), &mut out).unwrap();
         assert_eq!(out, vec![Value::Real(1.25)]);
     }
 
@@ -223,6 +233,24 @@ mod tests {
     #[test]
     fn sum_window_rejects_strings() {
         let mut w = WindowState::new(WindowSpec::new(1, 1, AggKind::Sum).unwrap());
-        assert!(w.push(Value::from("x")).is_err());
+        assert!(w.push(Value::from("x"), &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn partial_window_rejects_strings_like_a_full_one() {
+        // The unemitted tail {"x"} is aggregated at end of stream with the
+        // same check a full window gets: a type error, not a sum of 0.
+        let mut w = WindowState::new(WindowSpec::new(4, 4, AggKind::Sum).unwrap());
+        assert_eq!(ints(&mut w, &[1, 2, 3, 4]), vec![Value::Integer(10)]);
+        w.push(Value::from("x"), &mut Vec::new()).unwrap();
+        let err = flush(&mut w).unwrap_err().to_string();
+        assert!(
+            err.contains("winagg: expected number, found string"),
+            "{err}"
+        );
+        // `count` windows take anything, partial or not.
+        let mut w = WindowState::new(WindowSpec::new(4, 4, AggKind::Count).unwrap());
+        w.push(Value::from("x"), &mut Vec::new()).unwrap();
+        assert_eq!(flush(&mut w).unwrap(), vec![Value::Integer(1)]);
     }
 }

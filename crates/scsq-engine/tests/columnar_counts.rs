@@ -4,20 +4,22 @@
 //! `columnar_accounting.rs` proves their books balance; this suite pins
 //! the admission *decisions* themselves on one query per chain shape:
 //! how many batches the column tier took, how many value runs it
-//! transposed to get them, what every RP counted in and out, and the
-//! static verdict `explain` prints for every stage. Every number is
-//! deterministic, so a change to the admission walk that admits or
-//! declines one batch more or less fails here by name.
+//! transposed to get them, how many jitter factors the run drew, what
+//! every RP counted in and out, and the static verdict `explain` prints
+//! for every stage. Every number is deterministic, so a change to the
+//! admission walk that admits or declines one batch more or less fails
+//! here by name, and so does a scalar fallback that charges one element
+//! more or less.
 
 use scsq_cluster::Environment;
-use scsq_engine::{admission_verdicts, run_graph, CmpOp, MapFunc, QueryBuilder, RunOptions, Stage};
+use scsq_engine::{
+    admission_verdicts, run_graph, CmpOp, MapFunc, QueryBuilder, QueryGraph, QueryResult,
+    RunOptions, Stage,
+};
 use scsq_ql::{parse_statement, Catalog, Value};
 
-/// Runs `src` (with `v` pre-bound to `v`, when given) and renders the
-/// pinned facts: batches and transposes, then one line per RP — SPs in
-/// creation order, the client last — with its element counts and its
-/// stages' verdicts.
-fn counts(src: &str, v: Option<Vec<Value>>, options: &RunOptions) -> String {
+/// Builds and runs `src` (with `v` pre-bound to `v`, when given).
+fn run(src: &str, v: Option<Vec<Value>>, options: &RunOptions) -> (QueryGraph, QueryResult) {
     let mut env = Environment::lofar();
     let catalog = Catalog::new();
     let stmt = parse_statement(src).expect("parses");
@@ -29,10 +31,19 @@ fn counts(src: &str, v: Option<Vec<Value>>, options: &RunOptions) -> String {
         .build(&stmt, &prebound)
         .expect("builds");
     let r = run_graph(env, &graph, options).expect("runs");
+    (graph, r)
+}
+
+/// Runs `src` (with `v` pre-bound to `v`, when given) and renders the
+/// pinned facts: batches, transposes and jitter draws, then one line per
+/// RP — SPs in creation order, the client last — with its element counts
+/// and its stages' verdicts.
+fn counts(src: &str, v: Option<Vec<Value>>, options: &RunOptions) -> String {
+    let (graph, r) = run(src, v, options);
     let s = r.stats();
     let mut out = format!(
-        "batches {} transposes {}\n",
-        s.columnar_batches, s.columnar_transposes
+        "batches {} transposes {} draws {}\n",
+        s.columnar_batches, s.columnar_transposes, s.jitter_draws
     );
     let pipelines = graph
         .sps
@@ -74,7 +85,7 @@ fn take_into_sum_folds_every_view() {
         None,
         &small_buffers(),
         concat!(
-            "batches 5 transposes 0\n",
+            "batches 5 transposes 0 draws 0\n",
             "1000/1000: scalar: chain neither absorbs nor transforms\n",
             "1000/1: columnar | columnar | scalar: after the absorber (sees only the flush)\n",
             "1/1: columnar | scalar: after the absorber (sees only the flush)\n",
@@ -96,7 +107,7 @@ fn filter_heavy_chain_folds() {
         None,
         &small_buffers(),
         concat!(
-            "batches 5 transposes 0\n",
+            "batches 5 transposes 0 draws 0\n",
             "1000/1000: scalar: chain neither absorbs nor transforms\n",
             "1000/1: columnar | columnar | columnar | columnar | columnar | columnar | columnar | scalar: after the absorber (sees only the flush)\n",
             "1/1: columnar | scalar: after the absorber (sees only the flush)\n",
@@ -117,7 +128,7 @@ fn two_sp_relay_emits_then_folds() {
         None,
         &small_buffers(),
         concat!(
-            "batches 10 transposes 0\n",
+            "batches 10 transposes 0 draws 0\n",
             "1000/1000: scalar: chain neither absorbs nor transforms\n",
             "1000/500: columnar (relay) | columnar (relay)\n",
             "500/1: columnar | scalar: after the absorber (sees only the flush)\n",
@@ -136,7 +147,7 @@ fn a_relay_into_the_client_walks_per_element() {
         None,
         &small_buffers(),
         concat!(
-            "batches 0 transposes 0\n",
+            "batches 0 transposes 0 draws 0\n",
             "1000/1000: scalar: chain neither absorbs nor transforms\n",
             "1000/500: columnar (relay) | columnar (relay)\n",
         ),
@@ -168,7 +179,7 @@ fn map_without_an_absorber_stays_scalar() {
         None,
         &small_buffers(),
         concat!(
-            "batches 2 transposes 2\n",
+            "batches 2 transposes 2 draws 0\n",
             "60/60: \n",
             "60/60: scalar: chain neither absorbs nor transforms\n",
             "60/1: columnar | scalar: after the absorber (sees only the flush)\n",
@@ -190,7 +201,7 @@ fn forwarded_metric_samples_fold_into_bandwidth() {
         None,
         &small_buffers(),
         concat!(
-            "batches 18 transposes 18\n",
+            "batches 18 transposes 18 draws 0\n",
             "300/300: \n",
             "17/17: \n",
             "300/1: columnar | scalar: after the absorber (sees only the flush)\n",
@@ -214,7 +225,7 @@ fn record_batches_fold_into_count() {
         Some(records),
         &small_buffers(),
         concat!(
-            "batches 5 transposes 0\n",
+            "batches 5 transposes 0 draws 0\n",
             "400/400: scalar: chain neither absorbs nor transforms\n",
             "400/1: columnar | columnar | scalar: after the absorber (sees only the flush)\n",
             "1/1: \n",
@@ -222,24 +233,135 @@ fn record_batches_fold_into_count() {
     );
 }
 
+/// Small buffers and 5 % service jitter: every service charged draws one
+/// factor, so the draw count pins how many elements the run charged.
+fn jittered() -> RunOptions {
+    RunOptions {
+        service_jitter: 0.05,
+        ..small_buffers()
+    }
+}
+
+/// The benchmark's declined leg, at 1 000 elements.
+const WINAGG_DECLINED: &str = "select extract(c) from sp a, sp b, sp c \
+     where c=sp(streamof(sum(merge({b}))), 'bg', 0) \
+     and b=sp(streamof(sum(winagg(extract(a), 4, 4, 'sum'))), 'bg', 2) \
+     and a=sp(streamof(iota(1,1000)),'bg',1);";
+
 /// `winagg` has no kernel: its chain declines every batch, and only the
 /// `sum` it forwards to folds.
 #[test]
 fn winagg_declines() {
     assert_counts(
-        "select extract(c) from sp a, sp b, sp c \
-         where c=sp(streamof(sum(merge({b}))), 'bg', 0) \
-         and b=sp(streamof(sum(winagg(extract(a), 4, 4, 'sum'))), 'bg', 2) \
-         and a=sp(streamof(iota(1,1000)),'bg',1);",
+        WINAGG_DECLINED,
         None,
-        &small_buffers(),
+        &jittered(),
         concat!(
-            "batches 0 transposes 0\n",
+            "batches 0 transposes 0 draws 1014\n",
             "1000/1000: scalar: chain neither absorbs nor transforms\n",
             "1000/1: scalar: no whole-column kernel | scalar: chain blocked by a non-vectorizable stage | scalar: chain blocked by a non-vectorizable stage\n",
             "1/1: columnar | scalar: after the absorber (sees only the flush)\n",
             "1/1: \n",
         ),
+    );
+}
+
+/// An `arith` before the `winagg` makes the declined chain charge
+/// compute: one draw per element it takes, on the row-by-row walk.
+#[test]
+fn a_costly_winagg_chain_declines() {
+    assert_counts(
+        "select extract(c) from sp a, sp b, sp c \
+         where c=sp(streamof(sum(merge({b}))), 'bg', 0) \
+         and b=sp(streamof(sum(winagg(arith(extract(a), '*', 3), 4, 4, 'sum'))), 'bg', 2) \
+         and a=sp(streamof(iota(1,1000)),'bg',1);",
+        None,
+        &jittered(),
+        concat!(
+            "batches 0 transposes 0 draws 2014\n",
+            "1000/1000: scalar: chain neither absorbs nor transforms\n",
+            "1000/1: scalar: chain blocked by a non-vectorizable stage | scalar: no whole-column kernel | scalar: chain blocked by a non-vectorizable stage | scalar: chain blocked by a non-vectorizable stage\n",
+            "1/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+}
+
+/// `take` ahead of the `winagg`: the declined run stops feeding the
+/// window mid-buffer, and the flush covers the last partial window.
+#[test]
+fn take_into_winagg_declines() {
+    assert_counts(
+        "select extract(c) from sp a, sp b, sp c \
+         where c=sp(streamof(sum(merge({b}))), 'bg', 0) \
+         and b=sp(streamof(sum(winagg(take(extract(a), 901), 4, 4, 'sum'))), 'bg', 2) \
+         and a=sp(streamof(iota(1,1000)),'bg',1);",
+        None,
+        &jittered(),
+        concat!(
+            "batches 0 transposes 0 draws 1014\n",
+            "1000/1000: scalar: chain neither absorbs nor transforms\n",
+            "1000/1: scalar: chain blocked by a non-vectorizable stage | scalar: no whole-column kernel | scalar: chain blocked by a non-vectorizable stage | scalar: chain blocked by a non-vectorizable stage\n",
+            "1/1: columnar | scalar: after the absorber (sees only the flush)\n",
+            "1/1: \n",
+        ),
+    );
+}
+
+/// A record-bag source reaches the `winagg` as two-column views, which
+/// the declined chain takes back as one bag per row.
+#[test]
+fn a_record_run_into_winagg_declines() {
+    let records = (0..400)
+        .map(|i| Value::Bag(vec![Value::Integer(i), Value::Real(i as f64 / 4.0)]))
+        .collect();
+    assert_counts(
+        "select extract(b) from sp a, sp b \
+         where b=sp(streamof(sum(winagg(extract(a), 3, 2, 'count'))), 'bg', 0) \
+         and a=sp(streamof(v),'bg',1);",
+        Some(records),
+        &jittered(),
+        concat!(
+            "batches 0 transposes 0 draws 412\n",
+            "400/400: scalar: chain neither absorbs nor transforms\n",
+            "400/1: scalar: no whole-column kernel | scalar: chain blocked by a non-vectorizable stage | scalar: chain blocked by a non-vectorizable stage\n",
+            "1/1: \n",
+        ),
+    );
+}
+
+/// `explain analyze` of the declined leg, less its wall-clock columns
+/// (every line with a `%`): per-RP counts and per-stage tallies are
+/// exact whichever way the scalar tier walks a run.
+#[test]
+fn declined_explain_analyze_tallies() {
+    let options = RunOptions {
+        profile: true,
+        ..jittered()
+    };
+    let (_, r) = run(WINAGG_DECLINED, None, &options);
+    let report = r.stats().profile.as_ref().expect("a profiled run");
+    let text: String = report
+        .render()
+        .lines()
+        .filter(|l| !l.contains('%'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        text,
+        concat!(
+            "rp#0 @ bg:1: const[1000 values] | in 1000 out 1000\n",
+            "  streamof                            1         1000         1000\n",
+            "rp#1 @ bg:2: receive[sp#0] | in 1000 out 1\n",
+            "  winagg(4, 4, sum)                1000         1000          250\n",
+            "  sum                               250          250            0\n",
+            "  streamof                            1            1            1\n",
+            "rp#2 @ bg:0: receive[sp#1] | in 1 out 1\n",
+            "  sum                                 1            1            0\n",
+            "  streamof                            1            1            1\n",
+            "rp#3 client @ fe:0: receive[sp#2] | in 1 out 1\n",
+            "coalescer: 0 digests, 0 jumps (0.0 digests/jump); 25 events dispatched, 0 skipped\n",
+        )
     );
 }
 
@@ -259,7 +381,7 @@ fn one_row_views_are_batches() {
         None,
         &options,
         concat!(
-            "batches 28 transposes 0\n",
+            "batches 28 transposes 0 draws 0\n",
             "40/40: scalar: chain neither absorbs nor transforms\n",
             "40/1: columnar | scalar: after the absorber (sees only the flush)\n",
             "1/1: \n",
@@ -273,7 +395,7 @@ fn one_row_views_are_batches() {
         None,
         &options,
         concat!(
-            "batches 56 transposes 0\n",
+            "batches 56 transposes 0 draws 0\n",
             "40/40: scalar: chain neither absorbs nor transforms\n",
             "40/40: columnar (relay)\n",
             "40/1: columnar | scalar: after the absorber (sees only the flush)\n",

@@ -11,10 +11,11 @@
 //! to the client verbatim.
 //!
 //! One driver below mirrors `World::deliver`: admit the batch, run it as
-//! columns, and fall back to the per-element path when admission
-//! declines, exactly as the engine does. The reference is a second
-//! chain fed one element at a time (`StageChain::process_into`, the
-//! scalar semantics).
+//! columns, and fall back to the scalar run driver
+//! (`StageChain::process_run`, the whole run in one chain walk) when
+//! admission declines, exactly as the engine does. The reference is a
+//! second chain fed one element at a time (`StageChain::process_into`,
+//! the scalar semantics).
 
 use proptest::prelude::*;
 use scsq_engine::ops::{AggKind, MapFunc, Pipeline, Stage, StageChain};
@@ -176,7 +177,7 @@ fn per_element(chain: &mut StageChain, values: &[Value]) -> Result<Vec<Value>, E
 
 /// Mirrors `World::deliver`: admit the batch and run it as columns,
 /// returning the rows it emitted (none when it folded); when admission
-/// declines, walk its elements one at a time.
+/// declines, walk its rows through the chain as one run.
 fn deliver(chain: &mut StageChain, batch: Delivered<'_>) -> Result<Vec<Value>, EngineError> {
     let cols = match batch {
         Delivered::Values(vs) if vs.len() > 1 => Some(ColumnarBatch::from_values(vs)),
@@ -184,14 +185,15 @@ fn deliver(chain: &mut StageChain, batch: Delivered<'_>) -> Result<Vec<Value>, E
         Delivered::View(view) => Some(view.clone()),
     };
     let Some(admit) = cols.and_then(|c| chain.admit_cols(&c)) else {
-        return match batch {
-            Delivered::Values(vs) => per_element(chain, vs),
-            Delivered::View(view) => {
-                let mut rows = Vec::new();
-                view.to_values_into(&mut rows);
-                per_element(chain, &rows)
-            }
-        };
+        let mut rows = Vec::new();
+        match batch {
+            Delivered::Values(vs) => rows.extend_from_slice(vs),
+            Delivered::View(view) => view.to_values_into(&mut rows),
+        }
+        let mut out = Vec::new();
+        chain.process_run(&mut rows, None, &mut out)?;
+        assert!(rows.is_empty(), "the run driver takes the whole run");
+        return Ok(out);
     };
     let ending = admit.ending;
     let emitted = chain.process_cols(admit)?;
@@ -442,6 +444,32 @@ fn columnar_pass_absorbs_metric_batches() {
     let mut scalar = chain(&stages);
     per_element(&mut scalar, &values).unwrap();
     assert_eq!(columnar.finish().unwrap(), scalar.finish().unwrap());
+}
+
+/// A declined view whose first failing element fails downstream of an
+/// upstream stage that fails on a later element: row 1 completes the
+/// window {1, 2} and `arith` rejects 3 * "m"; a breadth-first walk that
+/// ignored row order would report `winagg` failing on {2, "x"} (row 2).
+#[test]
+fn a_declined_run_reports_the_first_failing_element() {
+    let stages = [
+        Stage::Window(WindowSpec::new(2, 1, AggKind::Sum).expect("valid window")),
+        Stage::Arith {
+            op: ArithOp::Mul,
+            rhs: Value::Str("m".to_string()),
+        },
+    ];
+    let values = vec![
+        Value::Integer(1),
+        Value::Integer(2),
+        Value::Str("x".to_string()),
+    ];
+    let view = ColumnarBatch::from_values(&values);
+    let want = per_element(&mut chain(&stages), &values).unwrap_err();
+    let got = deliver(&mut chain(&stages), Delivered::View(&view)).unwrap_err();
+    assert_eq!(got.to_string(), want.to_string());
+    assert!(want.to_string().contains("arith"), "{want}");
+    assert_equivalent(&stages, &[values]).expect("values agree too");
 }
 
 /// A chain that neither folds nor transforms is never admitted: emitting

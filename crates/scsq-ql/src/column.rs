@@ -483,9 +483,27 @@ impl ColumnarBatch {
         }
     }
 
-    /// Appends the viewed rows to `out` as row values, in order.
+    /// Appends the viewed rows to `out` as row values, in order. A
+    /// single-column view dispatches on its layout once, not per row.
     pub fn to_values_into(&self, out: &mut Vec<Value>) {
-        out.extend((0..self.rows()).map(|row| self.value_at(row)));
+        let [(_, c)] = &self.columns[..] else {
+            out.extend((0..self.rows()).map(|row| self.value_at(row)));
+            return;
+        };
+        // `c`'s rows `self.start..self.end`, as indices into its storage.
+        let rows = c.start + self.start..c.start + self.end;
+        match &*c.data {
+            ColumnData::Int64(v) => out.extend(v[rows].iter().map(|&x| Value::Integer(x))),
+            ColumnData::Float64(v) => out.extend(v[rows].iter().map(|&x| Value::Real(x))),
+            ColumnData::Bool(v) => out.extend(v[rows].iter().map(|&x| Value::Bool(x))),
+            ColumnData::Synthetic(v) => out.extend(
+                v[rows]
+                    .iter()
+                    .map(|&bytes| Value::Array(ArrayData::Synthetic { bytes })),
+            ),
+            ColumnData::Values(v) => out.extend_from_slice(&v[rows]),
+            ColumnData::Utf8 { .. } => out.extend((self.start..self.end).map(|i| c.value_at(i))),
+        }
     }
 }
 

@@ -33,6 +33,13 @@ echo "==> obs_overhead (observability ceiling on the jittered per-event grid)"
 # over gates-off (medians of 7 interleaved passes), or changes a series.
 cargo run -q --release -p scsq-bench --example obs_overhead
 
+echo "==> benchmark unit tests"
+# The benchmark is its own workspace, so `cargo test --workspace` above
+# never reaches its tests; among them is the check that its metric names
+# still match BENCHMARK.json. Same build tree as the smoke run below.
+CARGO_TARGET_DIR=${CARGO_TARGET_DIR:-.bench_build} \
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> benchmark smoke (closed-form answers, per-pass digests, declined-leg verdict)"
 # The repo benchmark at reduced scale, for its output checks, not its
 # timings: every workload's answers against closed forms, simtime.digest
