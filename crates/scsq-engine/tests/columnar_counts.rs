@@ -403,3 +403,202 @@ fn one_row_views_are_batches() {
         ),
     );
 }
+
+/// The admission matrix's stage alphabet: every aggregate, the pass-
+/// through and absorbing stages, a `map`, a `winagg`, and `arith` /
+/// `cmp` / `filter` against an integer, a real and a string constant.
+fn matrix_alphabet() -> Vec<Stage> {
+    use scsq_engine::window::WindowSpec;
+    use scsq_engine::{AggKind, ArithOp};
+    let consts = [
+        Value::Integer(2),
+        Value::Real(1.5),
+        Value::Str("m".to_string()),
+    ];
+    let mut stages: Vec<Stage> = [
+        AggKind::Count,
+        AggKind::Sum,
+        AggKind::Max,
+        AggKind::Min,
+        AggKind::Avg,
+    ]
+    .into_iter()
+    .map(Stage::Agg)
+    .collect();
+    stages.extend([
+        Stage::StreamOf,
+        Stage::Take { limit: 2 },
+        Stage::Bandwidth,
+        Stage::Quantile { q: 0.5 },
+        Stage::Map(MapFunc::Odd),
+        Stage::Window(WindowSpec::new(2, 2, AggKind::Sum).expect("valid window")),
+    ]);
+    for rhs in consts {
+        stages.push(Stage::Arith {
+            op: ArithOp::Mul,
+            rhs: rhs.clone(),
+        });
+        stages.push(Stage::Cmp {
+            op: CmpOp::Gt,
+            rhs: rhs.clone(),
+        });
+        stages.push(Stage::Filter { op: CmpOp::Lt, rhs });
+    }
+    stages
+}
+
+/// One batch of each shape a delivery can present — integer, real,
+/// boolean, string, synthetic, metric, record and opaque — plus string
+/// and synthetic runs whose rows differ in marshaled size (which a
+/// costly chain must decline) and an empty view.
+fn matrix_batches() -> Vec<(&'static str, scsq_ql::ColumnarBatch)> {
+    use scsq_ql::ColumnarBatch;
+    let strs =
+        |xs: &[&str]| -> Vec<Value> { xs.iter().map(|s| Value::Str(s.to_string())).collect() };
+    let sample = |t: i64, b: i64| {
+        Value::Bag(vec![
+            Value::Integer(0),
+            Value::Integer(t),
+            Value::Integer(b),
+        ])
+    };
+    let shapes: Vec<(&str, Vec<Value>)> = vec![
+        ("int", (1..=3).map(Value::Integer).collect()),
+        ("float", [1.5, -2.0, 3.25].map(Value::Real).to_vec()),
+        ("bool", [true, false, true].map(Value::Bool).to_vec()),
+        ("str", strs(&["ab", "mz", "zz"])),
+        (
+            "synthetic",
+            [64, 64, 64].map(Value::synthetic_array).to_vec(),
+        ),
+        (
+            "metric",
+            vec![sample(100, 10), sample(250, 20), sample(900, 30)],
+        ),
+        (
+            "record",
+            (0..3)
+                .map(|i| Value::Bag(vec![Value::Integer(i), Value::Real(i as f64 / 4.0)]))
+                .collect(),
+        ),
+        (
+            "other",
+            vec![
+                Value::Integer(1),
+                Value::Str("x".to_string()),
+                Value::Bool(true),
+            ],
+        ),
+        ("str-ragged", strs(&["a", "mzz", "zz"])),
+        (
+            "synthetic-ragged",
+            [64, 128, 64].map(Value::synthetic_array).to_vec(),
+        ),
+    ];
+    let mut batches: Vec<(&str, ColumnarBatch)> = shapes
+        .into_iter()
+        .map(|(name, vs)| (name, ColumnarBatch::from_values(&vs)))
+        .collect();
+    let empty = batches[0].1.slice(0, 0);
+    batches.push(("empty", empty));
+    batches
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every chain of one to three stages over [`matrix_alphabet`] against
+/// every batch of [`matrix_batches`]: admit or decline, the ending, the
+/// row count and the charged element size, plus the chain's `explain`
+/// verdicts. The per-shape admit / fold / emit counts and a digest of
+/// the whole rendering pin every admission decision at once.
+#[test]
+fn admission_matrix() {
+    use scsq_engine::ops::StageChain;
+    use scsq_engine::{ColumnEnding, InputKind, Pipeline};
+    let alphabet = matrix_alphabet();
+    let batches = matrix_batches();
+    let mut chains: Vec<Vec<Stage>> = alphabet.iter().map(|s| vec![s.clone()]).collect();
+    for len in 2..=3 {
+        let longer: Vec<Vec<Stage>> = chains
+            .iter()
+            .filter(|c| c.len() == len - 1)
+            .flat_map(|c| {
+                alphabet.iter().map(move |s| {
+                    let mut c = c.clone();
+                    c.push(s.clone());
+                    c
+                })
+            })
+            .collect();
+        chains.extend(longer);
+    }
+    assert_eq!(chains.len(), 20 + 20 * 20 + 20 * 20 * 20);
+    let mut render = String::new();
+    let mut tally = vec![[0u32; 3]; batches.len()];
+    for stages in &chains {
+        let chain = StageChain::new(&Pipeline {
+            input: InputKind::Const {
+                values: Vec::new().into(),
+            },
+            stages: stages.clone(),
+        });
+        render.push_str(&format!(
+            "{stages:?} [{}]",
+            admission_verdicts(stages).join(" | ")
+        ));
+        for ((name, batch), counts) in batches.iter().zip(&mut tally) {
+            match chain.admit_cols(batch) {
+                None => render.push_str(&format!(" {name}=-")),
+                Some(admit) => {
+                    counts[0] += 1;
+                    let ending = match admit.ending {
+                        ColumnEnding::Fold => {
+                            counts[1] += 1;
+                            "fold"
+                        }
+                        ColumnEnding::Emit => {
+                            counts[2] += 1;
+                            "emit"
+                        }
+                    };
+                    render.push_str(&format!(
+                        " {name}={ending}/{}/{}",
+                        admit.rows, admit.elem_bytes
+                    ));
+                }
+            }
+        }
+        render.push('\n');
+    }
+    let counts: String = batches
+        .iter()
+        .zip(&tally)
+        .map(|((name, _), [a, f, e])| format!("{name}: {a} admitted, {f} fold, {e} emit\n"))
+        .collect();
+    assert_eq!(
+        counts,
+        concat!(
+            "int: 3644 admitted, 3278 fold, 366 emit\n",
+            "float: 3644 admitted, 3278 fold, 366 emit\n",
+            "bool: 425 admitted, 425 fold, 0 emit\n",
+            "str: 525 admitted, 475 fold, 50 emit\n",
+            "synthetic: 450 admitted, 450 fold, 0 emit\n",
+            "metric: 850 admitted, 850 fold, 0 emit\n",
+            "record: 425 admitted, 425 fold, 0 emit\n",
+            "other: 115 admitted, 115 fold, 0 emit\n",
+            "str-ragged: 115 admitted, 115 fold, 0 emit\n",
+            "synthetic-ragged: 115 admitted, 115 fold, 0 emit\n",
+            "empty: 0 admitted, 0 fold, 0 emit\n",
+        )
+    );
+    assert_eq!(
+        format!("{:016x}", fnv1a(render.as_bytes())),
+        "afa4c33905bedaa5",
+        "the rendering changed"
+    );
+}

@@ -487,3 +487,113 @@ fn relay_chains_decline_the_columnar_pass() {
         assert!(chain(&stages).admit_cols(&cols).is_none(), "{stages:?}");
     }
 }
+
+/// Runs `batches` through `stages` once per element and once through the
+/// column tier, asserting that every batch is admitted, and compares the
+/// two by their `Debug` renderings, errors and the flush included: NaN
+/// never equals itself and `-0.0 == 0.0`, so value equality would miss
+/// exactly the differences these cases exist to catch.
+#[track_caller]
+fn assert_fixed_case(stages: &[Stage], batches: &[Vec<Value>]) {
+    let run = |columnar: bool| {
+        let mut c = chain(stages);
+        let mut out = Vec::new();
+        for values in batches {
+            let res = if columnar {
+                let cols = ColumnarBatch::from_values(values);
+                assert!(
+                    c.admit_cols(&cols).is_some(),
+                    "{stages:?} admits {values:?}"
+                );
+                deliver(&mut c, Delivered::View(&cols))
+            } else {
+                per_element(&mut c, values)
+            };
+            match res {
+                Ok(rows) => out.extend(rows),
+                Err(e) => return format!("{out:?} error {e}"),
+            }
+        }
+        match c.finish() {
+            Ok(flushed) => format!("{out:?} flush {flushed:?}"),
+            Err(e) => format!("{out:?} flush error {e}"),
+        }
+    };
+    assert_eq!(run(true), run(false), "{stages:?}");
+}
+
+/// A `filter` ahead of a numeric fold: the folds only ever see dense
+/// survivors, so the cases where a fold over survivors could differ from
+/// a fold over a gathered column — NaN, signed zeros, integers past 2^53,
+/// order-dependent rounding and a failing survivor — are
+/// pinned here against the per-element walk.
+#[test]
+fn folds_after_a_filter_match_the_scalar_walk() {
+    let keep_all = |rhs: Value| Stage::Filter { op: CmpOp::Ne, rhs };
+    let fold = |kind| [keep_all(Value::Real(1e300)), Stage::Agg(kind)];
+    let reals = |xs: &[f64]| -> Vec<Value> { xs.iter().map(|&x| Value::Real(x)).collect() };
+    let nan = f64::NAN;
+    for kind in [AggKind::Max, AggKind::Min] {
+        // NaN before the best value, after it, and seeding the fold.
+        assert_fixed_case(&fold(kind), &[reals(&[1.0, nan, 5.0, nan, -2.0])]);
+        assert_fixed_case(&fold(kind), &[reals(&[nan, 3.0, 7.0])]);
+        assert_fixed_case(&fold(kind), &[reals(&[4.0, 2.0]), reals(&[nan, 9.0, -9.0])]);
+        // Signed-zero ties: the first of equal keys wins.
+        assert_fixed_case(&fold(kind), &[reals(&[0.0, -0.0])]);
+        assert_fixed_case(&fold(kind), &[reals(&[-0.0, 0.0]), reals(&[0.0, -0.0])]);
+    }
+    // Two integers past 2^53 with one f64 key: the first one wins.
+    let big = 1i64 << 53;
+    for kind in [AggKind::Max, AggKind::Min] {
+        let stages = [keep_all(Value::Integer(0)), Stage::Agg(kind)];
+        assert_fixed_case(
+            &stages,
+            &[vec![
+                Value::Integer(big + 1),
+                Value::Integer(big),
+                Value::Integer(3),
+            ]],
+        );
+        assert_fixed_case(
+            &stages,
+            &[vec![
+                Value::Integer(3),
+                Value::Integer(big),
+                Value::Integer(big + 1),
+            ]],
+        );
+    }
+    // Rounding that depends on order, with a dropped row in the middle.
+    let sum = [
+        Stage::Filter {
+            op: CmpOp::Lt,
+            rhs: Value::Real(1e17),
+        },
+        Stage::Agg(AggKind::Sum),
+    ];
+    assert_fixed_case(&sum, &[reals(&[1e16, 1.0, 1e18, 1.0, -1e16, 0.1])]);
+    assert_fixed_case(
+        &[sum[0].clone(), Stage::Agg(AggKind::Avg)],
+        &[reals(&[0.1, 0.2, 1e18, 0.3])],
+    );
+    // A negative survivor fails the quantile with the scalar text.
+    let quantile = |rhs: Value| {
+        [
+            Stage::Filter { op: CmpOp::Lt, rhs },
+            Stage::Quantile { q: 0.5 },
+        ]
+    };
+    assert_fixed_case(
+        &quantile(Value::Integer(4)),
+        &[vec![
+            Value::Integer(3),
+            Value::Integer(9),
+            Value::Integer(-1),
+            Value::Integer(2),
+        ]],
+    );
+    assert_fixed_case(
+        &quantile(Value::Real(4.0)),
+        &[reals(&[3.5, 9.0, -0.5, 2.0])],
+    );
+}
