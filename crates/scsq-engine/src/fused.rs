@@ -5,25 +5,44 @@
 //! to a compact op list ([`CostModel`]), and a constant source
 //! transposed to columns ([`PreparedSource`]).
 //!
-//! The rest of the module is the columnar half of [`StageChain`]: one
-//! admission walk ([`StageChain::admit_cols`]) that decides, per
-//! delivered batch, whether the chain's stages all have a whole-column
-//! kernel for the types flowing through them, and one driver
-//! ([`StageChain::process_cols`]) that then runs the batch through
-//! [`crate::columnar`] with one dispatch per stage instead of one per
-//! element. The walk has two endings ([`ColumnEnding`]): it stops at an
-//! absorber, which folds the batch into its state, or it runs off the
-//! end of a transforming chain, which emits the rewritten column. Both
-//! mutate the same `StageState`s as the scalar run driver
-//! (`StageChain::process_run`, the reference semantics and the
-//! fallback for every declined batch), so aggregate flushes and
-//! coalescer probes cannot tell which ran.
+//! The rest of the module is the columnar half of [`StageChain`]. When
+//! the chain is built, its stage list is lowered once for each of the
+//! eight column types a batch can present (`ColType`) into a table of
+//! typed column programs (`ColumnPrograms`): an entry is the list of
+//! kernel steps that type flows through, or a decline. A program's walk
+//! has two endings ([`ColumnEnding`]): it stops at an absorber, which
+//! folds the batch into its state, or it runs off the end of a
+//! transforming chain, which emits the rewritten column.
+//!
+//! Admission ([`StageChain::admit_cols`]) is then a lookup into that
+//! table: classify the delivered batch, index the table, and for a
+//! chain that charges compute check that the batch's elements share one
+//! marshaled size. The driver ([`StageChain::process_cols`]) runs the
+//! program's steps over the batch's typed slices through
+//! [`crate::columnar`], one dispatch per stage instead of one per
+//! element, mutating the same `StageState`s as the scalar run driver
+//! (`StageChain::process_run`, the reference semantics and the fallback
+//! for every declined batch), so aggregate flushes and coalescer probes
+//! cannot tell which ran. `explain`'s verdicts ([`admission_verdicts`])
+//! read the walk the table is lowered along.
 
-use crate::columnar;
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::unreachable,
+        clippy::panic
+    )
+)]
+
+use crate::columnar::{self, Vals};
 use crate::error::EngineError;
 use crate::funcs;
-use crate::ops::{AggKind, CmpOp, InputKind, MapFunc, Pipeline, Stage, StageChain, StageState};
-use scsq_ql::column::{Column, SelectionVector, METRIC_COLUMNS};
+use crate::ops::{
+    AggKind, ArithOp, CmpOp, InputKind, MapFunc, Pipeline, Stage, StageChain, StageState,
+};
+use scsq_ql::column::SelectionVector;
 use scsq_ql::{ColumnarBatch, Value};
 
 /// One compiled compute-cost operation. Only stages that charge CPU
@@ -159,8 +178,7 @@ impl CostModel {
     }
 }
 
-/// Where the admission walk ends, and so what an admitted batch leaves
-/// behind.
+/// Where an admitted batch's walk ends, and so what it leaves behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnEnding {
     /// The walk stops at an absorber (an aggregate, `bandwidth`,
@@ -173,8 +191,8 @@ pub enum ColumnEnding {
 }
 
 /// A batch cleared for whole-column execution by
-/// [`StageChain::admit_cols`]: the columns, which ending the walk
-/// reached, and the two facts the runtime needs to charge the chain's
+/// [`StageChain::admit_cols`]: the columns, which ending its program
+/// reaches, and the two facts the runtime needs to charge the chain's
 /// modeled compute cost *before* running the kernels, mirroring the
 /// per-element path's charge-then-process order.
 #[derive(Debug)]
@@ -195,7 +213,9 @@ pub struct ColumnAdmit {
 /// (`None` when the output is a prefix of the input).
 pub type Emitted = (ColumnarBatch, Option<SelectionVector>);
 
-/// Column type flowing between stages during the admission walk.
+/// The column type a batch presents to the first stage, and the type
+/// flowing between steps: a typed single column, the three-column
+/// metric shape, a multi-column record, or the opaque fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ColType {
     Int,
@@ -211,92 +231,332 @@ enum ColType {
     Other,
 }
 
-/// The type a batch presents to the first stage: the three-column
-/// metric shape, a multi-column record, a typed single column, or the
-/// opaque fallback (which only `count` absorbs).
-fn batch_col_type(cols: &ColumnarBatch) -> ColType {
-    if cols.width() == 3
-        && METRIC_COLUMNS
-            .iter()
-            .zip(cols.columns())
-            .all(|(want, (name, _))| name == want)
+/// A comparison lowered for the column type it reads.
+#[derive(Debug, Clone, PartialEq)]
+enum Pred {
+    /// Exact integer ordering: an integer column against an integer.
+    I64(CmpOp, i64),
+    /// IEEE ordering: every other numeric pair, integers widened.
+    F64(CmpOp, f64),
+    /// Lexicographic ordering: a string column against a string.
+    Utf8(CmpOp, String),
+}
+
+/// One typed step of a column program. Every step but [`Step::Gather`]
+/// is the lowering of the chain stage at its position.
+#[derive(Debug, Clone, PartialEq)]
+enum Step {
+    /// `streamof`: the rows pass untouched.
+    Pass,
+    /// `take`: the first `remaining` live rows pass.
+    Take,
+    /// `map` over synthetic-array byte sizes.
+    MapSynthetic(MapFunc),
+    /// `arith` over an integer column with an integer constant.
+    ArithI64(ArithOp, i64),
+    /// `arith` over `f64`: a real column, or an integer column widened
+    /// because the constant is real.
+    ArithF64(ArithOp, f64),
+    /// `cmp`: the column becomes the boolean mask.
+    Cmp(Pred),
+    /// `filter`: the mask narrows the selection over the original rows;
+    /// the column itself is left dense.
+    Filter(Pred),
+    /// Compacts the selected rows ahead of a fold that reads values.
+    Gather,
+    // The absorbers: `count` adds the live rows; `sum` / `avg`, `max` /
+    // `min` and `quantile` fold an integer or a real column; `bandwidth`
+    // folds the metric shape.
+    FoldCount,
+    FoldSumI64,
+    FoldSumF64,
+    FoldBestI64 {
+        maximize: bool,
+    },
+    FoldBestF64 {
+        maximize: bool,
+    },
+    FoldQuantileI64,
+    FoldQuantileF64,
+    Bandwidth,
+}
+
+/// A column program: the steps one batch type runs, and how it ends.
+#[derive(Debug, Clone, PartialEq)]
+struct Program {
+    ending: ColumnEnding,
+    steps: Vec<Step>,
+}
+
+/// Why a chain's shape admits no batch, whatever its type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Decline {
+    /// A stage has no whole-column kernel.
+    NoKernel,
+    /// The chain neither absorbs nor transforms: re-emitting its rows
+    /// untransformed would rebuild the very tuples the per-element path
+    /// forwards. A `map` without an absorber counts here too: its arrays
+    /// are left to the per-element path unless a fold consumes them.
+    Passthrough,
+}
+
+/// The type-independent half of lowering: how many stages an admitted
+/// walk drives and how it ends — up to and including the first absorber
+/// (stages after it never see elements mid-stream, only the
+/// end-of-stream flush), or the whole chain when it emits — or why no
+/// batch is ever admitted.
+fn walk(stages: &[Stage]) -> Result<(usize, ColumnEnding), Decline> {
+    let has = |f: fn(&Stage) -> bool| stages.iter().any(f);
+    let absorbs =
+        |s: &Stage| matches!(s, Stage::Agg(_) | Stage::Bandwidth | Stage::Quantile { .. });
+    if has(|s| matches!(s, Stage::RadixCombine { .. } | Stage::Window(_))) {
+        Err(Decline::NoKernel)
+    } else if let Some(a) = stages.iter().position(absorbs) {
+        Ok((a + 1, ColumnEnding::Fold))
+    } else if has(|s| {
+        matches!(
+            s,
+            Stage::Arith { .. } | Stage::Cmp { .. } | Stage::Filter { .. }
+        )
+    }) && !has(|s| matches!(s, Stage::Map(_)))
     {
-        return ColType::Metric;
-    }
-    if cols.width() > 1 {
-        return ColType::Record;
-    }
-    match cols.single() {
-        Some(c) if c.as_i64().is_some() => ColType::Int,
-        Some(c) if c.as_f64().is_some() => ColType::Float,
-        Some(c) if c.as_bool().is_some() => ColType::Bool,
-        Some(c) if c.as_synthetic().is_some() => ColType::Synthetic,
-        Some(c) if c.as_utf8().is_some() => ColType::Str,
-        _ => ColType::Other,
+        Ok((stages.len(), ColumnEnding::Emit))
+    } else {
+        Err(Decline::Passthrough)
     }
 }
 
-/// One step of the admission type flow for a non-absorbing stage:
-/// the column type a stage emits given the type flowing into it, or
-/// `None` when the stage has no kernel for that type (the batch then
-/// falls back to the per-element path).
-fn transform_type(state: &StageState, ty: ColType) -> Option<ColType> {
-    match state {
-        StageState::StreamOf | StageState::Take { .. } => Some(ty),
-        StageState::Map(_) => (ty == ColType::Synthetic).then_some(ty),
-        StageState::Arith { rhs, .. } => match (ty, rhs) {
-            (ColType::Int, Value::Integer(_)) => Some(ColType::Int),
-            (ColType::Int, Value::Real(_)) => Some(ColType::Float),
-            (ColType::Float, Value::Integer(_) | Value::Real(_)) => Some(ColType::Float),
-            _ => None,
-        },
-        StageState::Cmp { rhs, .. } | StageState::Filter { rhs, .. } => {
-            let ok = matches!(
-                (ty, rhs),
-                (
-                    ColType::Int | ColType::Float,
-                    Value::Integer(_) | Value::Real(_)
-                ) | (ColType::Str, Value::Str(_))
-            );
-            if !ok {
-                None
-            } else if matches!(state, StageState::Cmp { .. }) {
-                Some(ColType::Bool)
-            } else {
-                Some(ty)
-            }
-        }
+/// The comparison a `cmp` / `filter` stage lowers to over `ty`, matching
+/// the scalar stage's type arms; `None` when it has no kernel for `ty`.
+fn pred(op: CmpOp, rhs: &Value, ty: ColType) -> Option<Pred> {
+    match (ty, rhs) {
+        (ColType::Int, Value::Integer(k)) => Some(Pred::I64(op, *k)),
+        (ColType::Int | ColType::Float, _) => Some(Pred::F64(op, rhs.as_real()?)),
+        (ColType::Str, Value::Str(k)) => Some(Pred::Utf8(op, k.clone())),
         _ => None,
     }
 }
 
+/// The type-dependent half of lowering: the step `stage` becomes when
+/// `ty` flows into it, and the type it hands on (`None` from an
+/// absorber); `None` when the stage has no kernel for `ty`. `arith`
+/// needs a numeric column (an integer column with a real constant
+/// widens to float, as the scalar stage does), `cmp` / `filter` a
+/// numeric column with a numeric constant or a string column with a
+/// string constant, `map` a synthetic column, aggregates other than
+/// `count` and `quantile` a numeric column, `bandwidth` the metric
+/// shape; `count` takes any type.
+fn lower_stage(stage: &Stage, ty: ColType) -> Option<(Step, Option<ColType>)> {
+    use ColType::{Float, Int, Metric, Synthetic};
+    let step = match (stage, ty) {
+        (Stage::StreamOf, _) => Step::Pass,
+        (Stage::Take { .. }, _) => Step::Take,
+        (Stage::Map(f), Synthetic) => Step::MapSynthetic(*f),
+        (Stage::Arith { op, rhs }, Int | Float) => match (ty, rhs) {
+            (Int, Value::Integer(k)) => Step::ArithI64(*op, *k),
+            _ => return Some((Step::ArithF64(*op, rhs.as_real()?), Some(Float))),
+        },
+        (Stage::Cmp { op, rhs }, _) => {
+            return Some((Step::Cmp(pred(*op, rhs, ty)?), Some(ColType::Bool)))
+        }
+        (Stage::Filter { op, rhs }, _) => Step::Filter(pred(*op, rhs, ty)?),
+        (Stage::Agg(AggKind::Count), _) => return Some((Step::FoldCount, None)),
+        (Stage::Agg(kind), Int | Float) => {
+            let maximize = *kind == AggKind::Max;
+            let step = match (kind, ty) {
+                (AggKind::Max | AggKind::Min, Int) => Step::FoldBestI64 { maximize },
+                (AggKind::Max | AggKind::Min, _) => Step::FoldBestF64 { maximize },
+                (_, Int) => Step::FoldSumI64,
+                _ => Step::FoldSumF64,
+            };
+            return Some((step, None));
+        }
+        (Stage::Quantile { .. }, Int) => return Some((Step::FoldQuantileI64, None)),
+        (Stage::Quantile { .. }, Float) => return Some((Step::FoldQuantileF64, None)),
+        (Stage::Bandwidth, Metric) => return Some((Step::Bandwidth, None)),
+        _ => return None,
+    };
+    Some((step, Some(ty)))
+}
+
+/// The chain's column programs, one per [`ColType`], lowered once when
+/// the chain is built and never changed: what
+/// [`StageChain::admit_cols`] looks up and
+/// [`StageChain::process_cols`] runs. An entry is `None` when the
+/// chain's shape admits nothing or some stage of the walk has no kernel
+/// for the type flowing into it.
+#[derive(Debug)]
+pub(crate) struct ColumnPrograms([Option<Program>; 8]);
+
+impl ColumnPrograms {
+    pub(crate) fn lower(stages: &[Stage]) -> ColumnPrograms {
+        use ColType::{Bool, Float, Int, Metric, Other, Record, Str, Synthetic};
+        let shape = walk(stages).ok();
+        let types = [Int, Float, Bool, Str, Synthetic, Metric, Record, Other];
+        ColumnPrograms(types.map(|mut ty| {
+            let (n, ending) = shape?;
+            let mut steps = Vec::with_capacity(n + 1);
+            let mut selected = false;
+            for stage in &stages[..n] {
+                let (step, next) = lower_stage(stage, ty)?;
+                // A fold over values reads the survivors dense.
+                if selected && next.is_none() && step != Step::FoldCount {
+                    steps.push(Step::Gather);
+                }
+                selected |= matches!(step, Step::Filter(_));
+                steps.push(step);
+                ty = next.unwrap_or(ty);
+            }
+            Some(Program { ending, steps })
+        }))
+    }
+}
+
+/// The type a batch or a step's column presents.
+fn col_type(vals: &Vals<'_>) -> ColType {
+    match vals {
+        Vals::I64(_) => ColType::Int,
+        Vals::F64(_) => ColType::Float,
+        Vals::Bool(_) => ColType::Bool,
+        Vals::Utf8(..) => ColType::Str,
+        Vals::Synthetic(_) => ColType::Synthetic,
+        Vals::Metric(_) => ColType::Metric,
+        Vals::Record(_) => ColType::Record,
+        Vals::Other(_) => ColType::Other,
+    }
+}
+
+/// The mask `p` computes; `None` unless the column is of the type `p`
+/// was lowered for.
+fn mask(p: &Pred, vals: &Vals<'_>) -> Option<Vec<bool>> {
+    Some(match (p, vals) {
+        (Pred::I64(op, k), Vals::I64(xs)) => columnar::cmp_mask_i64(xs, *op, *k),
+        (Pred::F64(op, k), Vals::I64(xs)) => {
+            columnar::cmp_mask_f64(xs.iter().map(|&x| x as f64), *op, *k)
+        }
+        (Pred::F64(op, k), Vals::F64(xs)) => columnar::cmp_mask_f64(xs.iter().copied(), *op, *k),
+        (Pred::Utf8(op, k), Vals::Utf8(offsets, bytes)) => {
+            columnar::cmp_mask_utf8(offsets, bytes, *op, k)
+        }
+        _ => return None,
+    })
+}
+
+/// What one step leaves: the column for the next step, `None` once the
+/// batch folded, or the error the per-element path would raise.
+type Flow<'a> = Result<Option<Vals<'a>>, EngineError>;
+
+/// Runs one lowered stage step (the driver applies [`Step::Gather`]) on
+/// the live column and the state of the stage it was lowered from.
+/// `None` when the column or the state is not what the step was lowered
+/// for.
+fn run_step<'a>(
+    step: &Step,
+    state: &mut StageState,
+    vals: Vals<'a>,
+    sel: &mut Option<SelectionVector>,
+) -> Option<Flow<'a>> {
+    let live = vals.live(sel.as_ref());
+    let next = match (step, state, vals) {
+        (Step::Pass, _, v) => v,
+        (Step::Take, StageState::Take { remaining }, v) => {
+            let k = (live as u64).min(*remaining);
+            *remaining -= k;
+            match sel {
+                Some(s) => {
+                    s.truncate(k as usize);
+                    v
+                }
+                None => v.take(k as usize),
+            }
+        }
+        (Step::MapSynthetic(f), _, Vals::Synthetic(xs)) => {
+            Vals::Synthetic(columnar::map_synthetic(&xs, *f).into())
+        }
+        (Step::ArithI64(op, k), _, Vals::I64(xs)) => {
+            Vals::I64(columnar::arith_i64(&xs, *op, *k).into())
+        }
+        (Step::ArithF64(op, k), _, Vals::I64(xs)) => {
+            Vals::F64(columnar::arith_f64(xs.iter().map(|&x| x as f64), *op, *k).into())
+        }
+        (Step::ArithF64(op, k), _, Vals::F64(xs)) => {
+            Vals::F64(columnar::arith_f64(xs.iter().copied(), *op, *k).into())
+        }
+        (Step::Cmp(p), _, v) => Vals::Bool(mask(p, &v)?.into()),
+        (Step::Filter(p), _, v) => {
+            let mask = mask(p, &v)?;
+            *sel = Some(match sel.take() {
+                Some(s) => columnar::intersect_selection(&mask, &s),
+                None => columnar::filter_to_selection(&mask),
+            });
+            v
+        }
+        (Step::FoldCount, StageState::Agg { count, .. }, _) => {
+            *count += live as i64;
+            return Some(Ok(None));
+        }
+        (Step::FoldSumI64, StageState::Agg { count, sum_int, .. }, Vals::I64(xs)) => {
+            columnar::fold_sum_i64(count, sum_int, &xs);
+            return Some(Ok(None));
+        }
+        (
+            Step::FoldSumF64,
+            StageState::Agg {
+                count,
+                sum_real,
+                saw_real,
+                ..
+            },
+            Vals::F64(xs),
+        ) => {
+            columnar::fold_sum_f64(count, sum_real, saw_real, &xs);
+            return Some(Ok(None));
+        }
+        (Step::FoldBestI64 { maximize }, StageState::Agg { count, best, .. }, Vals::I64(xs)) => {
+            columnar::fold_best(count, best, &xs, |i| i as f64, Value::Integer, *maximize);
+            return Some(Ok(None));
+        }
+        (Step::FoldBestF64 { maximize }, StageState::Agg { count, best, .. }, Vals::F64(xs)) => {
+            columnar::fold_best(count, best, &xs, |x| x, Value::Real, *maximize);
+            return Some(Ok(None));
+        }
+        (Step::FoldQuantileI64, StageState::Quantile { hist, .. }, Vals::I64(xs)) => {
+            return Some(columnar::fold_quantile(hist, &xs, Value::Integer).map(|()| None));
+        }
+        (Step::FoldQuantileF64, StageState::Quantile { hist, .. }, Vals::F64(xs)) => {
+            return Some(columnar::fold_quantile(hist, &xs, Value::Real).map(|()| None));
+        }
+        (
+            Step::Bandwidth,
+            StageState::Bandwidth { bytes, last_nanos },
+            Vals::Metric([channel, time_ns, sample_bytes]),
+        ) => {
+            let folded =
+                columnar::fold_bandwidth(bytes, last_nanos, channel, time_ns, sample_bytes);
+            return Some(folded.map(|()| None));
+        }
+        _ => return None,
+    };
+    Some(Ok(Some(next)))
+}
+
 impl StageChain {
-    /// Whether the chain could admit *some* batch. The runtime consults
-    /// this before transposing a delivered run, so chains that can never
-    /// admit skip the decomposition work entirely.
+    /// Whether the chain could admit *some* batch: some entry of its
+    /// program table is a program. The runtime consults this before
+    /// transposing a delivered run, so chains that can never admit skip
+    /// the decomposition work entirely.
     pub(crate) fn wants_columnar(&self) -> bool {
-        self.ending.is_some()
+        self.programs.0.iter().any(Option::is_some)
     }
 
     /// Decides, without mutating anything, whether a delivered batch
     /// qualifies for whole-column execution, and if so returns it with
-    /// the ending the walk reached and the cost-accounting facts.
+    /// the ending its program reaches and the cost-accounting facts.
     ///
-    /// The walk runs the type flow the kernels implement: the batch
-    /// transposes to a typed column (`Int`/`Float`/`Bool`/`Str`/
-    /// `Synthetic`, the three-column metric shape, a multi-column record,
-    /// or an opaque fallback), and each stage must have a kernel for the
-    /// type flowing into it — `arith` needs a numeric column (an integer
-    /// column with a real constant widens to float, as the scalar stage
-    /// does), `cmp`/`filter` need a numeric column with a numeric
-    /// constant or a string column with a string constant, `map` needs
-    /// a synthetic column, aggregates other than `count` need a numeric
-    /// column, `bandwidth` needs the metric shape, and `count`
-    /// takes any type. The walk stops at the first absorber (stages after
-    /// it never see elements mid-stream, only the end-of-stream flush);
-    /// without one it runs off the end and the chain emits. Which of the
-    /// two a chain can reach is fixed by its stage list
-    /// (`column_ending`).
+    /// The batch is classified by the type it presents (`Int`/`Float`/
+    /// `Bool`/`Str`/`Synthetic`, the three-column metric shape, a
+    /// multi-column record, or an opaque fallback), and qualifies when
+    /// the chain's program table holds a program for that type.
     ///
     /// When any stage charges modeled compute cost the elements must
     /// additionally share one marshaled size, so the runtime can charge
@@ -305,44 +565,20 @@ impl StageChain {
     /// to the per-element path (which also reproduces type-error
     /// semantics for ill-typed runs).
     pub fn admit_cols(&self, cols: &ColumnarBatch) -> Option<ColumnAdmit> {
-        let ending = self.ending?;
         if cols.is_empty() {
             return None;
         }
-        let initial = batch_col_type(cols);
-        let mut ty = initial;
-        for state in &self.stages {
-            let numeric = matches!(ty, ColType::Int | ColType::Float);
-            match state {
-                StageState::Agg { kind, .. } => {
-                    if *kind != AggKind::Count && !numeric {
-                        return None;
-                    }
-                    break;
-                }
-                StageState::Bandwidth { .. } => {
-                    if ty != ColType::Metric {
-                        return None;
-                    }
-                    break;
-                }
-                StageState::Quantile { .. } => {
-                    if !numeric {
-                        return None;
-                    }
-                    break;
-                }
-                other => ty = transform_type(other, ty)?,
-            }
-        }
+        let held = columnar::view_columns(cols);
+        let vals = Vals::of(cols, &held);
+        let program = self.programs.0[col_type(&vals) as usize].as_ref()?;
         let elem_bytes = if self.costly {
-            uniform_elem_bytes(cols, initial)?
+            uniform_elem_bytes(cols, &vals)?
         } else {
             0
         };
         Some(ColumnAdmit {
             cols: cols.clone(),
-            ending,
+            ending: program.ending,
             rows: cols.rows(),
             elem_bytes,
         })
@@ -362,11 +598,11 @@ impl StageChain {
     ///
     /// Transform stages rewrite the column; `filter` narrows a
     /// selection vector over the *original* row space instead of
-    /// gathering survivors, so a chain of filters is mask intersection,
-    /// a fold visits survivors by index, and an emitting chain gathers
-    /// them once at the end. Dense stages after a filter keep operating
-    /// on all rows — dead rows are computed and never read, which is
-    /// cheaper than gathering and cannot fail on an admitted type.
+    /// gathering survivors, so a chain of filters is mask intersection.
+    /// Dense stages after a filter keep operating on all rows — dead
+    /// rows are computed and never read — and the survivors are
+    /// gathered once: ahead of a fold that reads values, or at the end
+    /// of an emitting chain.
     ///
     /// # Errors
     ///
@@ -374,263 +610,70 @@ impl StageChain {
     /// failing element (`bandwidth` over malformed samples or
     /// `quantile` over negative values on an admitted shape).
     pub fn process_cols(&mut self, admit: ColumnAdmit) -> Result<Option<Emitted>, EngineError> {
-        let cols = admit.cols;
-        if cols.width() != 1 {
-            self.process_multi_columns(cols)?;
-            return Ok(None);
+        match self.run_program(&admit.cols) {
+            Some(result) => result,
+            #[expect(
+                clippy::unreachable,
+                reason = "an admitted batch runs the program this chain lowered for its type, \
+                          over the stage states that program was lowered from"
+            )]
+            None => unreachable!("a column program met a column or stage it was not lowered for"),
         }
-        let mut cur: Column = cols.single().expect("width checked above");
+    }
+
+    /// [`StageChain::process_cols`]'s driver; `None` when a step meets a
+    /// column type or stage state it was not lowered for.
+    fn run_program(
+        &mut self,
+        cols: &ColumnarBatch,
+    ) -> Option<Result<Option<Emitted>, EngineError>> {
+        let held = columnar::view_columns(cols);
+        let mut vals = Vals::of(cols, &held);
+        let program = self.programs.0[col_type(&vals) as usize].as_ref()?;
         let mut sel: Option<SelectionVector> = None;
-        let StageChain { stages, tally, .. } = self;
-        for (si, state) in stages.iter_mut().enumerate() {
+        let mut si = 0;
+        for step in &program.steps {
+            if *step == Step::Gather {
+                vals = vals.gather(sel.as_ref()?)?;
+                continue;
+            }
             // Semantic element counts for explain-analyze: what the
             // per-element path would have fed this stage (survivors of
             // the selection so far).
-            let live_in = sel.as_ref().map_or(cur.len(), SelectionVector::len) as u64;
-            match state {
-                StageState::StreamOf => {}
-                StageState::Map(f) => {
-                    cur = columnar::map_synthetic(&cur, *f).expect("admitted: synthetic column");
-                }
-                StageState::Arith { op, rhs } => {
-                    cur = match rhs {
-                        Value::Integer(k) if cur.as_i64().is_some() => {
-                            columnar::arith_i64(&cur, *op, *k).expect("admitted: integer column")
-                        }
-                        _ => {
-                            let k = rhs.as_real().expect("admitted: numeric constant");
-                            columnar::arith_f64(&cur, *op, k).expect("admitted: numeric column")
-                        }
-                    };
-                }
-                StageState::Cmp { op, rhs } => {
-                    cur = cmp_mask(&cur, *op, rhs);
-                }
-                StageState::Filter { op, rhs } => {
-                    let mask = cmp_mask(&cur, *op, rhs);
-                    sel = Some(match sel.take() {
-                        Some(s) => columnar::intersect_selection(&mask, &s)
-                            .expect("cmp kernels produce Bool masks"),
-                        None => columnar::filter_to_selection(&mask)
-                            .expect("cmp kernels produce Bool masks"),
-                    });
-                }
-                StageState::Take { remaining } => match &mut sel {
-                    Some(s) => {
-                        let k = (s.len() as u64).min(*remaining);
-                        *remaining -= k;
-                        s.truncate(k as usize);
-                    }
-                    None => {
-                        let k = (cur.len() as u64).min(*remaining);
-                        *remaining -= k;
-                        cur = cur.slice(0, k as usize);
-                    }
-                },
-                StageState::Agg {
-                    kind,
-                    count,
-                    sum_int,
-                    sum_real,
-                    saw_real,
-                    best,
-                } => {
-                    match kind {
-                        AggKind::Count => {
-                            *count += sel.as_ref().map_or(cur.len(), SelectionVector::len) as i64;
-                        }
-                        AggKind::Sum | AggKind::Avg => {
-                            if let Some(xs) = cur.as_i64() {
-                                match &sel {
-                                    Some(s) => columnar::fold_sum_i64_sel(count, sum_int, xs, s),
-                                    None => columnar::fold_sum_i64(count, sum_int, xs),
-                                }
-                            } else {
-                                let xs = cur.as_f64().expect("admitted: numeric column");
-                                match &sel {
-                                    Some(s) => {
-                                        columnar::fold_sum_f64_sel(count, sum_real, saw_real, xs, s)
-                                    }
-                                    None => columnar::fold_sum_f64(count, sum_real, saw_real, xs),
-                                }
-                            }
-                        }
-                        AggKind::Max | AggKind::Min => {
-                            let maximize = *kind == AggKind::Max;
-                            if let Some(xs) = cur.as_i64() {
-                                match &sel {
-                                    Some(s) => {
-                                        columnar::fold_best_i64_sel(count, best, xs, s, maximize)
-                                    }
-                                    None => columnar::fold_best_i64(count, best, xs, maximize),
-                                }
-                            } else {
-                                let xs = cur.as_f64().expect("admitted: numeric column");
-                                match &sel {
-                                    Some(s) => {
-                                        columnar::fold_best_f64_sel(count, best, xs, s, maximize)
-                                    }
-                                    None => columnar::fold_best_f64(count, best, xs, maximize),
-                                }
-                            }
-                        }
-                    }
-                    if let Some(t) = tally.get_mut(si) {
-                        t.calls += 1;
-                        t.elems_in += live_in;
-                    }
-                    return Ok(None);
-                }
-                StageState::Quantile { hist, .. } => {
-                    if let Some(xs) = cur.as_i64() {
-                        match &sel {
-                            Some(s) => columnar::fold_quantile_i64_sel(hist, xs, s)?,
-                            None => columnar::fold_quantile_i64(hist, xs)?,
-                        }
-                    } else {
-                        let xs = cur.as_f64().expect("admitted: numeric column");
-                        match &sel {
-                            Some(s) => columnar::fold_quantile_f64_sel(hist, xs, s)?,
-                            None => columnar::fold_quantile_f64(hist, xs)?,
-                        }
-                    }
-                    if let Some(t) = tally.get_mut(si) {
-                        t.calls += 1;
-                        t.elems_in += live_in;
-                    }
-                    return Ok(None);
-                }
-                _ => unreachable!("admission excludes non-vectorizable stages"),
-            }
-            if let Some(t) = tally.get_mut(si) {
-                let live_out = sel.as_ref().map_or(cur.len(), SelectionVector::len) as u64;
+            let live_in = vals.live(sel.as_ref()) as u64;
+            let next = match run_step(step, self.stages.get_mut(si)?, vals, &mut sel)? {
+                Ok(next) => next,
+                Err(e) => return Some(Err(e)),
+            };
+            if let Some(t) = self.tally.get_mut(si) {
                 t.calls += 1;
                 t.elems_in += live_in;
-                t.elems_out += live_out;
+                t.elems_out += next.as_ref().map_or(0, |v| v.live(sel.as_ref()) as u64);
             }
+            vals = match next {
+                Some(v) => v,
+                None => return Some(Ok(None)),
+            };
+            si += 1;
         }
-        // No absorber: the chain emits. Compact survivors once, here —
-        // dense stages upstream computed dead rows but never
-        // materialized them.
-        let out = match &sel {
-            Some(s) => columnar::take(&cur, s),
-            None => cur,
-        };
-        Ok(Some((
-            ColumnarBatch::new(vec![("v".to_string(), out)]),
-            sel,
-        )))
-    }
-
-    /// The multi-column walk: parallel columns — the metric triple or a
-    /// record batch — flow untransformed (admission declines transform
-    /// stages on multi-column batches) through pass-through stages into
-    /// `bandwidth` or `count`.
-    fn process_multi_columns(&mut self, cols: ColumnarBatch) -> Result<(), EngineError> {
-        let mut view = cols;
-        let StageChain { stages, tally, .. } = self;
-        for (si, state) in stages.iter_mut().enumerate() {
-            let live_in = view.rows() as u64;
-            match state {
-                StageState::StreamOf => {}
-                StageState::Take { remaining } => {
-                    let k = (view.rows() as u64).min(*remaining);
-                    *remaining -= k;
-                    view = view.slice(0, k as usize);
-                }
-                StageState::Agg { count, .. } => {
-                    *count += view.rows() as i64;
-                    if let Some(t) = tally.get_mut(si) {
-                        t.calls += 1;
-                        t.elems_in += live_in;
-                    }
-                    return Ok(());
-                }
-                StageState::Bandwidth { bytes, last_nanos } => {
-                    let col = |name| view.column(name).expect("admitted: metric columns present");
-                    let (channel, time_ns, sample_bytes) = (
-                        col(METRIC_COLUMNS[0]),
-                        col(METRIC_COLUMNS[1]),
-                        col(METRIC_COLUMNS[2]),
-                    );
-                    columnar::fold_bandwidth(
-                        bytes,
-                        last_nanos,
-                        channel.as_i64().expect("metric columns are Int64"),
-                        time_ns.as_i64().expect("metric columns are Int64"),
-                        sample_bytes.as_i64().expect("metric columns are Int64"),
-                    )?;
-                    if let Some(t) = tally.get_mut(si) {
-                        t.calls += 1;
-                        t.elems_in += live_in;
-                    }
-                    return Ok(());
-                }
-                _ => unreachable!("admission excludes transforms on metric batches"),
-            }
-            if let Some(t) = tally.get_mut(si) {
-                t.calls += 1;
-                t.elems_in += live_in;
-                t.elems_out += view.rows() as u64;
-            }
-        }
-        unreachable!("admission implies an absorber terminates the walk")
-    }
-}
-
-/// Dispatches an admitted comparison to the kernel matching the scalar
-/// `cmp` stage's type arms: integer column against an integer constant
-/// compares exactly, strings compare lexicographically, every other
-/// admitted pair widens to IEEE `f64`.
-fn cmp_mask(cur: &Column, op: CmpOp, rhs: &Value) -> Column {
-    match rhs {
-        Value::Integer(k) if cur.as_i64().is_some() => {
-            columnar::cmp_mask_i64(cur, op, *k).expect("admitted: integer column")
-        }
-        Value::Str(s) => columnar::cmp_mask_utf8(cur, op, s).expect("admitted: string column"),
-        _ => {
-            let k = rhs.as_real().expect("admitted: numeric constant");
-            columnar::cmp_mask_f64(cur, op, k).expect("admitted: numeric column")
-        }
+        // No absorber: the chain emits.
+        let out = ColumnarBatch::new(vec![("v".to_string(), vals.emit(sel.as_ref())?)]);
+        Some(Ok(Some((out, sel))))
     }
 }
 
 /// The marshaled size shared by every element of the batch, or `None`
 /// when sizes differ (then bulk cost charging would not equal the
-/// per-element walk and the batch is declined). Fixed-width kinds
-/// answer from the type; synthetic arrays and strings check the run.
-fn uniform_elem_bytes(cols: &ColumnarBatch, ty: ColType) -> Option<u64> {
-    match ty {
-        // Tag byte + 8-byte payload.
-        ColType::Int | ColType::Float => Some(9),
-        // Tag byte + 1-byte payload.
-        ColType::Bool => Some(2),
-        // A metric sample marshals as a 3-integer bag: tag + length
-        // prefix + three 9-byte integers.
-        ColType::Metric => Some(32),
-        // A record marshals as a bag of its cells: tag + length prefix
-        // + each cell. Only all-fixed-stride records qualify.
-        ColType::Record => {
-            let mut total = 5u64;
-            for (_, c) in cols.columns() {
-                total += match (c.as_i64(), c.as_f64(), c.as_bool()) {
-                    (Some(_), _, _) | (_, Some(_), _) => 9,
-                    (_, _, Some(_)) => 2,
-                    _ => return None,
-                };
-            }
-            Some(total)
-        }
-        ColType::Synthetic => {
-            let c = cols.single()?;
-            let xs = c.as_synthetic()?;
+/// per-element walk and the batch is declined). Fixed-width layouts
+/// answer from the layout; synthetic arrays and strings check the run.
+fn uniform_elem_bytes(cols: &ColumnarBatch, vals: &Vals<'_>) -> Option<u64> {
+    match vals {
+        Vals::Synthetic(xs) => {
             let &b = xs.first()?;
             // Tag + length prefix + the array body.
             xs.iter().all(|&x| x == b).then_some(9 + b)
         }
-        ColType::Str => {
-            let c = cols.single()?;
-            let (offsets, _) = c.as_utf8()?;
+        Vals::Utf8(offsets, _) => {
             let l = offsets.get(1)? - offsets.first()?;
             // Tag + length prefix + the bytes.
             offsets
@@ -638,99 +681,36 @@ fn uniform_elem_bytes(cols: &ColumnarBatch, ty: ColType) -> Option<u64> {
                 .all(|w| w[1] - w[0] == l)
                 .then_some(5 + u64::from(l))
         }
-        ColType::Other => None,
-    }
-}
-
-/// Whether a stage has a whole-column kernel.
-fn vectorizable(s: &Stage) -> bool {
-    matches!(
-        s,
-        Stage::Agg(_)
-            | Stage::StreamOf
-            | Stage::Take { .. }
-            | Stage::Bandwidth
-            | Stage::Quantile { .. }
-            | Stage::Map(_)
-            | Stage::Arith { .. }
-            | Stage::Cmp { .. }
-            | Stage::Filter { .. }
-    )
-}
-
-/// Whether a stage absorbs its input until end of stream.
-fn absorber(s: &Stage) -> bool {
-    matches!(s, Stage::Agg(_) | Stage::Bandwidth | Stage::Quantile { .. })
-}
-
-/// Whether a stage transforms or filters the column it is handed.
-fn transform(s: &Stage) -> bool {
-    matches!(
-        s,
-        Stage::Arith { .. } | Stage::Cmp { .. } | Stage::Filter { .. }
-    )
-}
-
-/// The ending a chain's admission walk can reach, fixed by its stage
-/// list. `Fold` when every stage has a kernel and one absorbs; `Emit`
-/// when every stage has a kernel, none absorbs, none maps (a `map`'s
-/// arrays are left to the per-element path unless a fold consumes
-/// them), and one transforms or filters. `None` otherwise — a stage
-/// without a kernel, or a chain that only passes rows through (re-emitting
-/// them untransformed would rebuild the very tuples the per-element path
-/// forwards) — and then no batch is ever admitted.
-pub(crate) fn column_ending(stages: &[Stage]) -> Option<ColumnEnding> {
-    if !stages.iter().all(vectorizable) {
-        None
-    } else if stages.iter().any(absorber) {
-        Some(ColumnEnding::Fold)
-    } else if stages.iter().any(transform) && !stages.iter().any(|s| matches!(s, Stage::Map(_))) {
-        Some(ColumnEnding::Emit)
-    } else {
-        None
+        _ => cols.uniform_row_size(),
     }
 }
 
 /// The static columnar-admission verdict for each stage of a chain —
 /// what `explain` prints so rejected shapes are diagnosable without
-/// reading [`StageChain::admit_cols`]. `"columnar"` marks the stages a
-/// folding walk drives (those after the absorber see only the flush),
-/// `"columnar (relay)"` the stages of an emitting one, and
+/// reading [`StageChain::admit_cols`]. It reads the same walk the
+/// chain's column programs are lowered along. `"columnar"` marks the
+/// stages a folding walk drives (those after the absorber see only the
+/// flush), `"columnar (relay)"` the stages of an emitting one, and
 /// `"scalar: <reason>"` explains why a stage forces the per-element
 /// path. Verdicts are shape-level: per-batch typing (a string column
 /// into `sum`, mixed runs) can still demote an admitted shape at
 /// delivery time.
 pub fn admission_verdicts(stages: &[Stage]) -> Vec<String> {
-    let Some(ending) = column_ending(stages) else {
-        let all_vectorizable = stages.iter().all(vectorizable);
-        return stages
-            .iter()
-            .map(|s| {
-                if !vectorizable(s) {
-                    "scalar: no whole-column kernel".to_string()
-                } else if all_vectorizable {
-                    "scalar: chain neither absorbs nor transforms".to_string()
-                } else {
-                    "scalar: chain blocked by a non-vectorizable stage".to_string()
-                }
-            })
-            .collect();
+    let shape = walk(stages);
+    let verdict = |i: usize, s: &Stage| match shape {
+        Ok((n, _)) if i >= n => "scalar: after the absorber (sees only the flush)",
+        Ok((_, ColumnEnding::Fold)) => "columnar",
+        Ok((_, ColumnEnding::Emit)) => "columnar (relay)",
+        Err(_) if walk(std::slice::from_ref(s)) == Err(Decline::NoKernel) => {
+            "scalar: no whole-column kernel"
+        }
+        Err(Decline::NoKernel) => "scalar: chain blocked by a non-vectorizable stage",
+        Err(Decline::Passthrough) => "scalar: chain neither absorbs nor transforms",
     };
-    let walked = match ending {
-        ColumnEnding::Fold => "columnar",
-        ColumnEnding::Emit => "columnar (relay)",
-    };
-    let mut absorbed = false;
     stages
         .iter()
-        .map(|s| {
-            if absorbed {
-                "scalar: after the absorber (sees only the flush)".to_string()
-            } else {
-                absorbed = absorber(s);
-                walked.to_string()
-            }
-        })
+        .enumerate()
+        .map(|(i, s)| verdict(i, s).to_string())
         .collect()
 }
 

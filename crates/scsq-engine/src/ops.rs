@@ -579,11 +579,9 @@ pub struct StageChain {
     nxt: Vec<Value>,
     cur_row: Vec<usize>,
     nxt_row: Vec<usize>,
-    /// Where the column tier's admission walk can end for this chain —
-    /// fold into an absorber or emit the transformed column — or `None`
-    /// when no batch is ever admitted (`crate::fused::column_ending`).
-    /// Per-batch typing is checked by [`StageChain::admit_cols`].
-    pub(crate) ending: Option<crate::fused::ColumnEnding>,
+    /// The column tier's program for each batch type, lowered once
+    /// here and looked up by [`StageChain::admit_cols`].
+    pub(crate) programs: crate::fused::ColumnPrograms,
     /// Whether any stage charges modeled compute cost. Costly chains
     /// only admit batches whose elements share one marshaled size, so
     /// the runtime can charge the whole batch in bulk (same total, same
@@ -645,7 +643,7 @@ impl StageChain {
             nxt: Vec::new(),
             cur_row: Vec::new(),
             nxt_row: Vec::new(),
-            ending: crate::fused::column_ending(stage_list),
+            programs: crate::fused::ColumnPrograms::lower(stage_list),
             costly: stage_list
                 .iter()
                 .any(|s| crate::fused::cost_op(s).is_some()),
