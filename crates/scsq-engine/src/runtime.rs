@@ -334,19 +334,28 @@ pub(crate) enum Ev {
     Eos(usize),
 }
 
+/// Event kinds, the `kind` of [`Ev::kind_target`].
+const EV_KINDS: usize = 6;
+
 impl Ev {
+    /// The event's kind (0..[`EV_KINDS`]) and target (RP or channel).
+    #[inline]
+    fn kind_target(&self) -> (usize, usize) {
+        match self {
+            Ev::StartRp(i) => (0, *i),
+            Ev::Produce(i) => (1, *i),
+            Ev::FinishRp(i) => (2, *i),
+            Ev::Cycle(ci) => (3, *ci),
+            Ev::Deliver { ci, .. } => (4, *ci),
+            Ev::Eos(ci) => (5, *ci),
+        }
+    }
+
     /// Stable identity of an event kind + target, used by the coalescer
     /// to anchor periodic phases of the schedule.
     pub(crate) fn key(&self) -> u64 {
-        let (tag, idx) = match self {
-            Ev::StartRp(i) => (1u64, *i),
-            Ev::Produce(i) => (2, *i),
-            Ev::FinishRp(i) => (3, *i),
-            Ev::Cycle(ci) => (4, *ci),
-            Ev::Deliver { ci, .. } => (5, *ci),
-            Ev::Eos(ci) => (6, *ci),
-        };
-        (tag << 56) | idx as u64
+        let (kind, idx) = self.kind_target();
+        ((kind as u64 + 1) << 56) | idx as u64
     }
 
     /// Walks the event's payload through a coalescing probe (pending
@@ -372,6 +381,17 @@ impl<'g> Event<World<'g>> for Ev {
             Ev::Deliver { ci, batch } => deliver(world, sim, ci, batch),
             Ev::Eos(ci) => eos(world, sim, ci),
         }
+    }
+
+    /// One lane per (kind, target), dense. A target's events of one
+    /// kind are scheduled in time order: every `Produce` and `Deliver`,
+    /// and 99.8 % of the `Cycle`s queued below the front slot on the
+    /// paper-scale Fig 8 grid, where each array's chain of cycles
+    /// overlaps the previous array's on one channel.
+    #[inline]
+    fn lane(&self) -> u32 {
+        let (kind, idx) = self.kind_target();
+        (idx * EV_KINDS + kind) as u32
     }
 }
 

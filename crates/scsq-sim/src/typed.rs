@@ -43,6 +43,17 @@ use crate::time::{SimDur, SimTime};
 pub trait Event<W>: Sized {
     /// Consumes the event, mutating the world and scheduling follow-ups.
     fn fire(self, world: &mut W, sim: &mut TypedSimulator<W, Self>);
+
+    /// The [`EventQueue`] lane this event is queued in: a small dense
+    /// index. Lanes never change the firing order, only what scheduling
+    /// costs: an event scheduled at or after the latest one pending in
+    /// its lane is an append, and a pop sifts through one head per lane
+    /// rather than every pending event. So give each chain of events
+    /// that is scheduled in time order (one target's repeating event,
+    /// say) its own lane. The default puts every event in lane 0.
+    fn lane(&self) -> u32 {
+        0
+    }
 }
 
 /// A discrete-event simulator whose events are a concrete type rather
@@ -154,30 +165,6 @@ impl<W, E> TypedSimulator<W, E> {
         self.pending_hwm
     }
 
-    /// Schedules `event` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule event in the past: now={:?} at={:?}",
-            self.now,
-            at
-        );
-        self.queue.push(at, event);
-        let pending = self.queue.len();
-        if pending > self.pending_hwm {
-            self.pending_hwm = pending;
-        }
-    }
-
-    /// Schedules `event` to fire `after` from now.
-    pub fn schedule_after(&mut self, after: SimDur, event: E) {
-        self.schedule_at(self.now + after, event);
-    }
-
     /// Maps the next event to fire through `f` without removing it
     /// (e.g. to derive a coalescing cut key). `None` when the queue is
     /// empty.
@@ -222,6 +209,35 @@ impl<W, E> TypedSimulator<W, E> {
 }
 
 impl<W, E: Event<W>> TypedSimulator<W, E> {
+    /// Schedules `event` to fire at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time.
+    //
+    // Out of line on purpose, one copy per event type: the queue's push
+    // is inlined here, and copied into the channel cycle's scheduling
+    // it reshaped that hot function's code.
+    #[inline(never)]
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule event in the past: now={:?} at={:?}",
+            self.now,
+            at
+        );
+        self.queue.push_in(at, event.lane(), event);
+        let pending = self.queue.len();
+        if pending > self.pending_hwm {
+            self.pending_hwm = pending;
+        }
+    }
+
+    /// Schedules `event` to fire `after` from now.
+    pub fn schedule_after(&mut self, after: SimDur, event: E) {
+        self.schedule_at(self.now + after, event);
+    }
+
     /// Runs a single event if one is pending. Returns `false` when the
     /// queue is empty or the event budget is exhausted.
     pub fn step(&mut self) -> bool {

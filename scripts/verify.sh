@@ -13,6 +13,11 @@ echo "==> cargo test -q --workspace"
 # equivalence and figure-CSV suites live under crates/*/tests.
 cargo test -q --workspace
 
+echo "==> bash -n scripts/ab_pairs.sh"
+# The A/B pairs script is only run by hand (it takes minutes per
+# workload); keep it at least parseable.
+bash -n scripts/ab_pairs.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -224,7 +224,7 @@ proptest! {
 
 // ---------- event queue ordering ----------------------------------------
 
-use scsq_sim::{EventQueue, SimTime};
+use scsq_sim::{EventQueue, SimTime, StateProbe};
 
 proptest! {
     /// The event queue (with its front-slot fast path) pops in
@@ -245,37 +245,101 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Interleaved pushes and pops — the pop-then-push-later pattern the
-    /// fast path optimizes — agree with a naive min-scan model at every
-    /// step, including pushes that displace the cached front.
+    /// Interleaved pushes, pops and coalescer walks agree with a naive
+    /// min-scan model at every step. Pushes name random lanes, so equal
+    /// times across lanes and pushes landing before their lane's tail
+    /// (the loose-entry path) are both common, as are pushes that
+    /// displace the cached front. A digest-mode walk visits entries in
+    /// the model's (time, seq) order; neither its renumbering nor a
+    /// zero-delta advance walk changes the pop order.
     #[test]
     fn event_queue_interleaved_ops_match_model(
-        ops in proptest::collection::vec((0u64..20, proptest::arbitrary::any::<bool>()), 0..64)
+        ops in proptest::collection::vec((0u8..10, 0u32..5, 0u64..20), 0..200)
     ) {
         let mut q = EventQueue::new();
         let mut model: Vec<(u64, usize)> = Vec::new();
         let mut seq = 0usize;
-        for (t, is_pop) in ops {
-            if is_pop {
-                let expected = model
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &(mt, ms))| (mt, ms))
-                    .map(|(i, _)| i);
-                match expected {
-                    Some(i) => {
-                        let (mt, ms) = model.remove(i);
-                        let (qt, qp) = q.pop().expect("model is non-empty");
-                        prop_assert_eq!((qt.as_nanos(), qp), (mt, ms));
+        for (op, lane, t) in ops {
+            match op {
+                // Pop.
+                0..=2 => {
+                    let expected = model
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, &(mt, ms))| (mt, ms))
+                        .map(|(i, _)| i);
+                    match expected {
+                        Some(i) => {
+                            let (mt, ms) = model.remove(i);
+                            let (qt, qp) = q.pop().expect("model is non-empty");
+                            prop_assert_eq!((qt.as_nanos(), qp), (mt, ms));
+                        }
+                        None => prop_assert!(q.pop().is_none()),
                     }
-                    None => prop_assert!(q.pop().is_none()),
                 }
-            } else {
-                q.push(SimTime::from_nanos(t), seq);
-                model.push((t, seq));
-                seq += 1;
+                // Digest-mode walk: surfacing order is the model's order.
+                3 => {
+                    let mut walked = Vec::new();
+                    let mut p = StateProbe::digest();
+                    q.probe_entries(&mut p, SimTime::ZERO, |v, _| walked.push(*v));
+                    let mut sorted = model.clone();
+                    sorted.sort();
+                    let expected: Vec<usize> = sorted.iter().map(|&(_, s)| s).collect();
+                    prop_assert_eq!(walked, expected);
+                }
+                // Advance-mode walk by zero deltas: two coordinates
+                // (margin, time) per entry, the payloads unprobed.
+                4 => {
+                    let zeros = vec![0i64; 2 * q.len()];
+                    let mut p = StateProbe::advance(&zeros, 3);
+                    q.probe_entries(&mut p, SimTime::ZERO, |_, _| {});
+                }
+                // Push; lane 4 stands for `u32::MAX`, the heap-only lane.
+                _ => {
+                    let lane = if lane == 4 { u32::MAX } else { lane };
+                    q.push_in(SimTime::from_nanos(t), lane, seq);
+                    model.push((t, seq));
+                    seq += 1;
+                }
             }
             prop_assert_eq!(q.len(), model.len());
+            let earliest = model.iter().map(|&(mt, _)| mt).min();
+            prop_assert_eq!(q.peek_time().map(|t| t.as_nanos()), earliest);
+        }
+        let mut rest = model;
+        rest.sort();
+        let drained: Vec<(u64, usize)> =
+            std::iter::from_fn(|| q.pop().map(|(t, p)| (t.as_nanos(), p))).collect();
+        prop_assert_eq!(drained, rest);
+    }
+}
+
+/// The adversarial lane pattern: 10^5 strictly decreasing times pushed
+/// into one lane, so every push lands before the lane's tail, with a pop
+/// after every third push and a digest walk halfway. Pops come out in
+/// time order throughout.
+#[test]
+fn event_queue_decreasing_pushes_into_one_lane_pop_in_order() {
+    const N: u64 = 100_000;
+    let mut q = EventQueue::new();
+    let mut model = std::collections::BTreeSet::new();
+    for i in 0..N {
+        let at = 2 * N - i;
+        q.push_in(SimTime::from_nanos(at), 7, i);
+        model.insert((at, i));
+        if i % 3 == 2 {
+            let first = model.pop_first();
+            assert_eq!(q.pop().map(|(t, p)| (t.as_nanos(), p)), first);
+        }
+        if i == N / 2 {
+            let mut walked = Vec::new();
+            q.probe_entries(&mut StateProbe::digest(), SimTime::ZERO, |v, _| {
+                walked.push(*v)
+            });
+            assert!(walked.iter().copied().eq(model.iter().map(|&(_, i)| i)));
         }
     }
+    let drained: Vec<(u64, u64)> =
+        std::iter::from_fn(|| q.pop().map(|(t, p)| (t.as_nanos(), p))).collect();
+    assert!(drained.into_iter().eq(model));
 }
