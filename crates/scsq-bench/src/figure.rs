@@ -125,9 +125,6 @@ fn exit(code: i32, message: impl std::fmt::Display) -> ! {
 pub fn main(quick: Scale, figure: impl FnOnce(Scale, usize) -> Result<Figure, ScsqError>) {
     let args = Args::parse(std::env::args().skip(1))
         .unwrap_or_else(|problem| exit(2, format!("{problem}; {USAGE}")));
-    if args.metrics.is_some() {
-        scsq_core::metrics::hub().enable(true);
-    }
     let scale = if args.quick { quick } else { Scale::paper() };
     let figure = figure(scale, args.jobs).unwrap_or_else(|e| exit(1, format!("sweep failed: {e}")));
     if let Some(path) = &args.metrics {
@@ -157,21 +154,14 @@ pub fn main(quick: Scale, figure: impl FnOnce(Scale, usize) -> Result<Figure, Sc
 
 /// Runs the representative query once under the explain-analyze
 /// profiler: prints the per-stage table with `show_profile`, and with
-/// `trace` switches the whole observability layer on for the run and
-/// writes its simulated-timeline spans to that path in Chrome
-/// trace-event format (loadable in `chrome://tracing` / Perfetto). The
-/// span ring is thread-local, so this runs on the calling thread.
+/// `trace` writes the profiled run's simulated-timeline spans to that
+/// path in Chrome trace-event format (loadable in `chrome://tracing` /
+/// Perfetto).
 fn profile(run: &Representative, show_profile: bool, trace: Option<&str>) {
     let fail = |e: ScsqError| -> ! { exit(1, format!("representative profiled run failed: {e}")) };
     let plan = Scsq::with_spec(run.spec.clone())
         .prepare_with(&run.query, &run.bindings)
         .unwrap_or_else(|e| fail(e));
-    if trace.is_some() {
-        // Flip the hub *and* the span gate together, and discard any
-        // spans a prior pass left in the ring.
-        scsq_core::metrics::set_observability(true);
-        let _ = scsq_sim::obs::take_spans();
-    }
     let (_, profile) = plan
         .explain_analyze(&run.spec, &RunOptions::default())
         .unwrap_or_else(|e| fail(e));
@@ -179,14 +169,12 @@ fn profile(run: &Representative, show_profile: bool, trace: Option<&str>) {
         print!("{}", profile.render());
     }
     if let Some(path) = trace {
-        scsq_core::metrics::set_observability(false);
-        let drain = scsq_sim::obs::take_spans();
-        let json = scsq_sim::obs::chrome_trace_json(&drain.spans);
+        let json = scsq_sim::obs::chrome_trace_json(&profile.spans);
         std::fs::write(path, json).unwrap_or_else(|e| exit(1, format!("cannot write {path}: {e}")));
         eprintln!(
-            "trace: {} spans ({} overwritten) -> {path}",
-            drain.spans.len(),
-            drain.dropped
+            "trace: {} spans ({} dropped) -> {path}",
+            profile.spans.len(),
+            profile.spans_dropped
         );
     }
 }

@@ -126,9 +126,8 @@ pub fn sweep(
                 } else {
                     point.plan.run(&point.spec, &point.options)?
                 };
-                // One relaxed load when the hub is disabled; relaxed
-                // adds are order-independent, so recording from worker
-                // threads keeps the sweep bit-deterministic.
+                // Relaxed adds are order-independent, so recording from
+                // worker threads keeps the sweep bit-deterministic.
                 scsq_core::metrics::hub().record(&result);
                 Ok(metric(&result))
             });

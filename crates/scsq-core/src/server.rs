@@ -17,7 +17,6 @@
 //! Protocol framing lives in [`crate::wire`]; the full reference is
 //! `docs/server.md`.
 
-use crate::metrics;
 use crate::wire::{encode_frame, read_frame, Frame, FrameKind};
 use scsq_cluster::HardwareSpec;
 use scsq_engine::session::{Session, SessionHub, SessionReply};
@@ -160,7 +159,6 @@ impl ScsqdServer {
             let endpoint = self.endpoint.clone();
             thread::spawn(move || {
                 let session = hub.session(spec, RunOptions::default());
-                metrics::hub().record_session();
                 let mut conn = Connection {
                     reader: BufReader::new(conn.0),
                     writer: conn.1,
@@ -259,12 +257,7 @@ impl Connection {
             return self.send(FrameKind::Err, "program contained no statement");
         }
         for stmt in &statements {
-            let hits_before = self.session.hub().plan_cache_hits();
-            let reply = self.session.execute_statement(stmt);
-            metrics::hub().record_statement();
-            metrics::hub()
-                .record_plan_cache_hits(self.session.hub().plan_cache_hits() - hits_before);
-            match reply {
+            match self.session.execute_statement(stmt) {
                 Ok(reply) => {
                     for row in reply.rows() {
                         self.send(FrameKind::Row, &row)?;

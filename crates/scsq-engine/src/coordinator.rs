@@ -116,13 +116,15 @@ impl PreparedQuery {
         run_graph(env, &self.graph, options)
     }
 
-    /// Executes the plan with explain-analyze profiling forced on and
-    /// returns the per-stage profile alongside the result.
+    /// Executes the plan with the run's observability switch forced on
+    /// and returns the profile alongside the result.
     ///
     /// Runs exactly like [`PreparedQuery::run`] with
     /// `options.profile = true`: tallies are exact per-stage counts
-    /// from whichever executor tier ran, and the query result is
-    /// byte-identical to an unprofiled run.
+    /// from whichever executor tier ran, the report carries the run's
+    /// simulated-timeline spans, every channel report its latency
+    /// histogram, and the query result is byte-identical to an
+    /// unprofiled run.
     ///
     /// # Errors
     ///

@@ -52,7 +52,7 @@ pub struct ChannelMetrics {
     pub bandwidth: f64,
     /// Elements with a closed ingress→delivery latency measurement
     /// (0 unless the run tracked latency: a `latency(p)` observer
-    /// watched the channel or `RunOptions::observe_latency` was set).
+    /// watched the channel or `RunOptions::profile` was set).
     pub lat_count: u64,
     /// Median ingress→delivery latency in simulated nanoseconds
     /// (log-bucket upper bound; 0 when untracked).

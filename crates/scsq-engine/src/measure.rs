@@ -41,8 +41,8 @@ pub struct ChannelReport {
     pub last_delivery: SimTime,
     /// Ingress→delivery latency distribution of the channel's elements,
     /// in simulated nanoseconds. Empty unless the channel was tracked
-    /// (a `latency(p)` observer watched it, or
-    /// `RunOptions::observe_latency` was set).
+    /// (a `latency(p)` observer watched it, or the run was profiled:
+    /// `RunOptions::profile`).
     pub latency: scsq_sim::LatencyHistogram,
 }
 

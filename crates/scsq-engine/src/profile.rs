@@ -15,16 +15,21 @@
 //! a filter's output is its selection length, a `take`'s the rows it
 //! kept).
 //!
-//! Cost discipline: tallies are allocated only when
-//! [`RunOptions::profile`](crate::runtime::RunOptions) is set; with
-//! profiling off the executors consult an empty slice and the
-//! per-element overhead is one bounds check. Wall time is sampled with
-//! [`std::time::Instant`] only when profiling — it is observational
-//! (never probed by the coalescer, never feeds simulated time), so a
-//! profiled run still produces byte-identical query results.
+//! The report also carries the run's simulated-timeline [`Span`]s
+//! (channel transmits, deliveries, columnar folds, coalescer jumps),
+//! which `scsq_sim::obs::chrome_trace_json` exports as a Chrome trace.
+//!
+//! Cost discipline: [`RunOptions::profile`](crate::runtime::RunOptions)
+//! is the run's one observability switch. Tallies are allocated only
+//! when it is set; with profiling off the executors consult an empty
+//! slice and the per-element overhead is one bounds check. Wall time is
+//! sampled with [`std::time::Instant`] and spans are built only when
+//! profiling — both are observational (never probed by the coalescer,
+//! never feed simulated time), so a profiled run still produces
+//! byte-identical query results.
 
 use scsq_cluster::NodeId;
-use scsq_sim::{CoalesceStats, SimDur};
+use scsq_sim::{CoalesceStats, SimDur, Span};
 use std::fmt::Write;
 
 /// Per-stage invocation and element counters, updated by whichever
@@ -94,6 +99,12 @@ pub struct ProfileReport {
     pub events: u64,
     /// What the train coalescer did (all zero when it was disabled).
     pub coalesce: CoalesceStats,
+    /// The run's simulated-timeline spans in recording order, the
+    /// first [`SPAN_CAPACITY`](scsq_sim::obs::SPAN_CAPACITY) of them;
+    /// export with [`scsq_sim::obs::chrome_trace_json`].
+    pub spans: Vec<Span>,
+    /// Spans recorded past the capacity and not kept.
+    pub spans_dropped: u64,
 }
 
 impl ProfileReport {
@@ -241,6 +252,8 @@ mod tests {
                 periods_skipped: 300,
                 events_skipped: 900,
             },
+            spans: Vec::new(),
+            spans_dropped: 0,
         }
     }
 

@@ -19,7 +19,7 @@
 //! cap and falls back to ordinary event dispatch.
 
 use crate::runtime::{Ev, Sim, World};
-use scsq_sim::{CoalesceStats, Coalescer, SimTime, StateProbe};
+use scsq_sim::{CoalesceStats, Coalescer, SimTime, Span, StateProbe};
 
 /// Runs the simulation to completion, coalescing periodic phases.
 /// Returns the final simulation time and what the coalescer did.
@@ -34,19 +34,16 @@ pub(crate) fn run_coalesced(sim: &mut Sim) -> (SimTime, CoalesceStats) {
                 let mut adv = StateProbe::advance(&plan.deltas, plan.periods);
                 sim.probe_state(&mut adv, Ev::probe, World::probe);
                 co.after_jump(&plan);
-                // Flight recorder: the advance probe moved simulated
-                // time across the whole coalesced train — record the
-                // skipped interval as one span.
-                if scsq_sim::obs::enabled() {
-                    let t1 = sim.now();
-                    scsq_sim::obs::record_span(scsq_sim::Span {
-                        name: "coalesce-jump",
-                        cat: "coalesce",
-                        tid: 4000,
-                        ts_ns: t0.as_nanos(),
-                        dur_ns: t1.since(t0).as_nanos(),
-                    });
-                }
+                // A profiled run records the train the advance probe
+                // moved simulated time across as one span.
+                let dur_ns = sim.now().since(t0).as_nanos();
+                sim.world_mut().record_span(Span {
+                    name: "coalesce-jump",
+                    cat: "coalesce",
+                    tid: 4000,
+                    ts_ns: t0.as_nanos(),
+                    dur_ns,
+                });
             }
         }
         if !sim.step() {

@@ -1,13 +1,14 @@
-//! Property-based equivalence of the train-coalescing fast path.
+//! Exhaustive equivalence of the train-coalescing fast path.
 //!
 //! The coalescer's contract is *bit-identical* execution: for any
 //! query, topology, message size, and buffer size, running with
 //! `coalesce: true` must produce exactly the same result stream,
 //! timestamps, per-channel byte accounting, and event count as the
 //! per-event reference — the only permitted difference is the
-//! coalescer's own activity counters.
+//! coalescer's own activity counters. The grid is small enough to
+//! enumerate (720 TCP/MPI configurations, 8 UDP ones), so every
+//! configuration is checked and every divergent one is reported.
 
-use proptest::prelude::*;
 use scsq_cluster::Environment;
 use scsq_engine::{run_graph, PlacementPolicy, QueryBuilder, QueryResult, RunOptions};
 use scsq_ql::{parse_statement, Catalog};
@@ -22,9 +23,9 @@ fn run(src: &str, options: &RunOptions) -> QueryResult {
     run_graph(env, &graph, options).expect("runs")
 }
 
-/// Asserts both modes agree on everything except the coalescer's own
-/// activity counters.
-fn assert_equivalent(src: &str, options: &RunOptions) -> Result<(), TestCaseError> {
+/// Checks that both modes agree on everything except the coalescer's
+/// own activity counters; names the first fact that differs.
+fn check_equivalent(src: &str, options: &RunOptions) -> Result<(), String> {
     let reference = run(
         src,
         &RunOptions {
@@ -39,32 +40,33 @@ fn assert_equivalent(src: &str, options: &RunOptions) -> Result<(), TestCaseErro
             ..options.clone()
         },
     );
-    prop_assert_eq!(reference.values(), coalesced.values(), "result stream");
-    prop_assert_eq!(
-        reference.first_result(),
-        coalesced.first_result(),
-        "first-result latency"
-    );
-    prop_assert_eq!(reference.finished(), coalesced.finished(), "completion");
-    prop_assert_eq!(
-        &reference.stats().channels,
-        &coalesced.stats().channels,
-        "channel accounting"
-    );
-    prop_assert_eq!(
-        &reference.stats().rp_reports,
-        &coalesced.stats().rp_reports,
-        "rp monitors"
-    );
-    prop_assert_eq!(
-        reference.stats().events,
-        coalesced.stats().events,
-        "event count (skipped periods count as executed)"
-    );
-    Ok(())
+    let facts = [
+        ("result stream", reference.values() == coalesced.values()),
+        (
+            "first-result latency",
+            reference.first_result() == coalesced.first_result(),
+        ),
+        ("completion", reference.finished() == coalesced.finished()),
+        (
+            "channel accounting",
+            reference.stats().channels == coalesced.stats().channels,
+        ),
+        (
+            "rp monitors",
+            reference.stats().rp_reports == coalesced.stats().rp_reports,
+        ),
+        (
+            "event count (skipped periods count as executed)",
+            reference.stats().events == coalesced.stats().events,
+        ),
+    ];
+    match facts.iter().find(|(_, same)| !same) {
+        Some((what, _)) => Err(what.to_string()),
+        None => Ok(()),
+    }
 }
 
-/// The three stream topologies of the paper's evaluation, at a random
+/// The three stream topologies of the paper's evaluation, at a given
 /// message size and count.
 fn query(topology: usize, bytes: u64, arrays: u64) -> String {
     match topology {
@@ -96,47 +98,77 @@ fn query(topology: usize, bytes: u64, arrays: u64) -> String {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Runs every configuration and fails listing each divergent one.
+fn assert_all_equivalent(configs: Vec<(String, String, RunOptions)>) {
+    let failures: Vec<String> = configs
+        .iter()
+        .filter_map(|(label, src, options)| {
+            check_equivalent(src, options)
+                .err()
+                .map(|what| format!("{label}: {what}"))
+        })
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of {} configurations diverge:\n{}",
+        failures.len(),
+        configs.len(),
+        failures.join("\n")
+    );
+}
 
-    /// Coalesced and per-event execution are bit-identical across
-    /// randomized topologies, message sizes, and buffer sweeps.
-    #[test]
-    fn coalesced_equals_per_event(
-        topology in 0usize..3,
-        bytes in prop_oneof![Just(10_000u64), Just(100_000), Just(1_000_000)],
-        arrays in 1u64..6,
-        buffer in prop_oneof![
-            Just(100u64), Just(1_000), Just(5_000), Just(100_000)
-        ],
-        double in any::<bool>(),
-        aware in any::<bool>(),
-    ) {
-        let options = RunOptions {
-            mpi_buffer: buffer,
-            mpi_double: double,
-            placement: if aware {
-                PlacementPolicy::TopologyAware
-            } else {
-                PlacementPolicy::Naive
-            },
-            ..RunOptions::default()
-        };
-        assert_equivalent(&query(topology, bytes, arrays), &options)?;
+/// Coalesced and per-event execution are bit-identical across every
+/// topology, message size, array count, buffer size, buffering mode
+/// and placement policy of the grid.
+#[test]
+fn coalesced_equals_per_event() {
+    let mut configs = Vec::new();
+    for topology in 0..3 {
+        for bytes in [10_000, 100_000, 1_000_000] {
+            for arrays in 1..6 {
+                for buffer in [100, 1_000, 5_000, 100_000] {
+                    for double in [false, true] {
+                        for placement in [PlacementPolicy::Naive, PlacementPolicy::TopologyAware] {
+                            configs.push((
+                                format!(
+                                    "topology {topology}, {bytes} B x {arrays}, \
+                                     buffer {buffer} B, double {double}, {placement:?}"
+                                ),
+                                query(topology, bytes, arrays),
+                                RunOptions {
+                                    mpi_buffer: buffer,
+                                    mpi_double: double,
+                                    placement,
+                                    ..RunOptions::default()
+                                },
+                            ));
+                        }
+                    }
+                }
+            }
+        }
     }
+    assert_eq!(configs.len(), 720);
+    assert_all_equivalent(configs);
+}
 
-    /// The fast path stays exact under UDP inter-cluster carriers,
-    /// where datagram-drop decisions depend on I/O-node backlog — the
-    /// probe must forbid jumps across the drop threshold.
-    #[test]
-    fn coalesced_equals_per_event_over_udp(
-        bytes in prop_oneof![Just(100_000u64), Just(1_000_000)],
-        arrays in 1u64..5,
-    ) {
-        let options = RunOptions {
-            udp_inter_cluster: true,
-            ..RunOptions::default()
-        };
-        assert_equivalent(&query(2, bytes, arrays), &options)?;
+/// The fast path stays exact under UDP inter-cluster carriers, where
+/// datagram-drop decisions depend on I/O-node backlog — the probe must
+/// forbid jumps across the drop threshold.
+#[test]
+fn coalesced_equals_per_event_over_udp() {
+    let mut configs = Vec::new();
+    for bytes in [100_000, 1_000_000] {
+        for arrays in 1..5 {
+            configs.push((
+                format!("udp, {bytes} B x {arrays}"),
+                query(2, bytes, arrays),
+                RunOptions {
+                    udp_inter_cluster: true,
+                    ..RunOptions::default()
+                },
+            ));
+        }
     }
+    assert_all_equivalent(configs);
 }

@@ -468,7 +468,7 @@ fn observed_sources_balance() {
          and a=sp(streamof(v),'bg',1);";
     let values: Vec<Value> = (1..=3_000).map(Value::Integer).collect();
     let options = RunOptions {
-        observe_latency: true,
+        profile: true,
         ..small_buffers()
     };
     let (graph, columnar) =

@@ -54,7 +54,7 @@ pub mod typed;
 
 pub use coalesce::{CoalesceStats, Coalescer, JumpPlan, Snapshot, StateProbe};
 pub use hist::{LatencyHistogram, LATENCY_BUCKETS};
-pub use obs::{Span, SpanDrain};
+pub use obs::Span;
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use server::{FifoServer, SwitchingServer};

@@ -1,41 +1,18 @@
-//! Observability gate and flight-recorder span ring.
+//! Simulated-timeline spans and their Chrome trace export.
 //!
-//! This module holds the two cross-layer observability primitives that
-//! must live below the engine in the dependency graph:
-//!
-//! - a global [`enabled`]/[`set_enabled`] gate (one relaxed atomic
-//!   load when off — the same cost discipline as the metrics hub,
-//!   which forwards its own gate here), and
-//! - a bounded, thread-local **flight recorder**: a fixed-capacity
-//!   ring of recent [`Span`]s on the *simulated* timeline, drained
-//!   with [`take_spans`] and exported with [`chrome_trace_json`] in
-//!   Chrome trace-event format (`chrome://tracing`, Perfetto).
-//!
-//! The ring is thread-local so recording never takes a lock: parallel
-//! sweep workers each record their own spans and the per-event hot
-//! path stays allocation- and contention-free. A driver that wants a
-//! trace runs the traced pass on one thread and drains the ring there.
+//! A profiled run (`RunOptions::profile` in the engine) records
+//! [`Span`]s — intervals on the *simulated* timeline: channel
+//! transmits, deliveries, columnar folds, coalescer jumps — into its
+//! own report, keeping the first [`SPAN_CAPACITY`] and counting the
+//! rest as dropped. [`chrome_trace_json`] exports them in Chrome
+//! trace-event format (`chrome://tracing`, Perfetto). Nothing here is
+//! global: each run owns its spans, so parallel sweep workers and
+//! served sessions never see each other's.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Global observability gate. Off by default.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Spans retained per thread before the oldest are overwritten.
-pub const SPAN_RING_CAPACITY: usize = 65_536;
-
-/// Whether span recording is enabled (one relaxed load).
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns span recording on or off globally.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
+/// Spans a run retains; later ones are counted as dropped.
+pub const SPAN_CAPACITY: usize = 65_536;
 
 /// One interval on the simulated timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,69 +27,6 @@ pub struct Span {
     pub ts_ns: u64,
     /// Duration, in simulated nanoseconds.
     pub dur_ns: u64,
-}
-
-struct Ring {
-    spans: Vec<Span>,
-    /// Next write position once the ring is full.
-    head: usize,
-    dropped: u64,
-}
-
-thread_local! {
-    static RING: RefCell<Ring> = const {
-        RefCell::new(Ring {
-            spans: Vec::new(),
-            head: 0,
-            dropped: 0,
-        })
-    };
-}
-
-/// Records a span into this thread's flight-recorder ring.
-///
-/// A no-op unless [`enabled`]; when the ring is full the oldest span
-/// is overwritten and counted as dropped.
-#[inline]
-pub fn record_span(span: Span) {
-    if !enabled() {
-        return;
-    }
-    RING.with(|r| {
-        let mut r = r.borrow_mut();
-        if r.spans.len() < SPAN_RING_CAPACITY {
-            r.spans.push(span);
-        } else {
-            let head = r.head;
-            r.spans[head] = span;
-            r.head = (head + 1) % SPAN_RING_CAPACITY;
-            r.dropped += 1;
-        }
-    });
-}
-
-/// The result of draining the flight recorder.
-#[derive(Debug, Clone, Default)]
-pub struct SpanDrain {
-    /// Retained spans, oldest first.
-    pub spans: Vec<Span>,
-    /// Spans overwritten because the ring was full.
-    pub dropped: u64,
-}
-
-/// Drains and returns this thread's recorded spans (oldest first),
-/// resetting the ring.
-pub fn take_spans() -> SpanDrain {
-    RING.with(|r| {
-        let mut r = r.borrow_mut();
-        let head = r.head;
-        let mut spans = std::mem::take(&mut r.spans);
-        spans.rotate_left(head);
-        let dropped = r.dropped;
-        r.head = 0;
-        r.dropped = 0;
-        SpanDrain { spans, dropped }
-    })
 }
 
 /// Renders spans as a Chrome trace-event JSON document.
@@ -182,40 +96,6 @@ mod tests {
             ts_ns: ts,
             dur_ns: dur,
         }
-    }
-
-    #[test]
-    fn disabled_gate_records_nothing() {
-        set_enabled(false);
-        record_span(span(1, 0, 10));
-        assert!(take_spans().spans.is_empty());
-    }
-
-    #[test]
-    fn enabled_gate_records_and_drains() {
-        set_enabled(true);
-        record_span(span(1, 0, 10));
-        record_span(span(1, 20, 5));
-        set_enabled(false);
-        let drain = take_spans();
-        assert_eq!(drain.spans.len(), 2);
-        assert_eq!(drain.dropped, 0);
-        assert!(take_spans().spans.is_empty(), "drain resets the ring");
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_when_full() {
-        set_enabled(true);
-        for i in 0..(SPAN_RING_CAPACITY as u64 + 10) {
-            record_span(span(1, i, 1));
-        }
-        set_enabled(false);
-        let drain = take_spans();
-        assert_eq!(drain.spans.len(), SPAN_RING_CAPACITY);
-        assert_eq!(drain.dropped, 10);
-        assert_eq!(drain.spans[0].ts_ns, 10, "oldest retained span is #10");
-        let last = drain.spans.last().expect("non-empty");
-        assert_eq!(last.ts_ns, SPAN_RING_CAPACITY as u64 + 9);
     }
 
     #[test]

@@ -244,11 +244,13 @@ impl SwitchingServer {
     /// Walks the server's state through a coalescing probe.
     ///
     /// The activity list is visited in sorted key order (its storage
-    /// order). Each entry's age relative to `now` is guarded: an idle
-    /// source expiring out of the window changes the switch penalty, so
-    /// no jump may cross that expiry. Entries already past the window
-    /// can only be retained out (age never shrinks while a source is
-    /// idle), so they carry no upper bound.
+    /// order). Each entry's age is guarded: an idle source expiring out
+    /// of the window changes the switch penalty, so no jump may cross
+    /// that expiry. Expiry is decided against the next job's arrival,
+    /// which runs ahead of `now` by the path latency, so age is taken
+    /// from the later of `now` and the newest arrival seen. Entries
+    /// already past the window can only be retained out (age never
+    /// shrinks while a source is idle), so they carry no upper bound.
     pub fn probe(&mut self, p: &mut crate::coalesce::StateProbe<'_>, now: SimTime) {
         self.inner.probe(p);
         if self.penalty_total == SimDur::ZERO && self.activity.is_empty() {
@@ -258,9 +260,11 @@ impl SwitchingServer {
         p.dur(&mut self.penalty_total);
         p.shape(self.activity.len() as u64);
         let window = Self::ACTIVITY_WINDOW.as_nanos();
+        let anchor = self.activity.iter().fold(now, |t, &(_, last)| t.max(last));
+        let anchor = anchor.as_nanos();
         for (k, last) in &mut self.activity {
             p.shape(*k);
-            let age = now.as_nanos().saturating_sub(last.as_nanos());
+            let age = anchor.saturating_sub(last.as_nanos());
             p.guard(age, if age < window { window } else { u64::MAX });
             p.time(last);
         }

@@ -136,6 +136,17 @@ impl<W, E> TypedSimulator<W, E> {
             .expect("world is moved out during event dispatch; use fire's &mut W argument")
     }
 
+    /// Exclusive access to the world between events.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called from inside an event.
+    pub fn world_mut(&mut self) -> &mut W {
+        self.world
+            .as_deref_mut()
+            .expect("world is moved out during event dispatch; use fire's &mut W argument")
+    }
+
     /// Consumes the simulator, returning the world.
     ///
     /// # Panics

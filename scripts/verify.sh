@@ -33,10 +33,28 @@ RUSTDOCFLAGS='-D warnings' cargo doc --no-deps \
     -p scsq-ql -p scsq-engine -p scsq-fft -p scsq-core \
     -p scsq-bench -p scsq
 
+echo "==> doc links"
+bash scripts/check_doc_links.sh
+
 echo "==> obs_overhead (observability ceiling on the jittered per-event grid)"
-# Fails if everything-on costs at least max(2%, 3 x MAD_off / wall_off)
-# over gates-off (medians of 7 interleaved passes), or changes a series.
+# Fails if a profiled run costs at least max(2%, 3 x MAD_off / wall_off)
+# over a plain one (medians of 7 interleaved passes), or changes a series.
 cargo run -q --release -p scsq-bench --example obs_overhead
+
+echo "==> profiled representative run with a simulated-timeline trace"
+# The same run CI archives: --trace writes the profiled run's own spans.
+# Fails unless the trace holds at least one span and every begin event
+# has its end event.
+trace_dir=$(mktemp -d)
+./target/release/fig6_p2p --quick --profile --trace "$trace_dir/trace.json" > /dev/null
+begins=$(grep -c '"ph":"B"' "$trace_dir/trace.json" || true)
+ends=$(grep -c '"ph":"E"' "$trace_dir/trace.json" || true)
+rm -rf "$trace_dir"
+if [ "$begins" -lt 1 ] || [ "$begins" -ne "$ends" ]; then
+    echo "trace has $begins begin and $ends end events"
+    exit 1
+fi
+echo "    $begins spans, every one closed"
 
 echo "==> benchmark unit tests"
 # The benchmark is its own workspace, so `cargo test --workspace` above

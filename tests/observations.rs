@@ -387,15 +387,15 @@ fn forwarded_latency_quantile_survives_columnar_batching() {
 
 #[test]
 fn latency_observation_never_perturbs_the_channel() {
-    // Observability may never change results: a run with per-channel
-    // latency tracking on must be indistinguishable from the plain run
-    // in every result-affecting respect.
+    // Observability may never change results: a profiled run, which
+    // tracks every channel's latency, must be indistinguishable from
+    // the plain run in every result-affecting respect.
     let query = "select extract(b) from sp a, sp b
          where b=sp(streamof(count(extract(a))), 'bg', 0)
          and a=sp(gen_array(100000,30),'bg',1);";
     let mut scsq = Scsq::lofar();
     let plain = scsq.run(query).unwrap();
-    scsq.options_mut().observe_latency = true;
+    scsq.options_mut().profile = true;
     let observed = scsq.run(query).unwrap();
     assert_eq!(plain.values(), observed.values());
     assert_eq!(plain.finished().as_nanos(), observed.finished().as_nanos());
@@ -423,7 +423,7 @@ fn metrics_snapshot_carries_the_latency_summary() {
          where b=sp(streamof(count(extract(a))), 'bg', 0)
          and a=sp(gen_array(100000,30),'bg',1);";
     let mut scsq = Scsq::lofar();
-    scsq.options_mut().observe_latency = true;
+    scsq.options_mut().profile = true;
     let r = scsq.run(query).unwrap();
     let snap = scsq_engine::MetricsSnapshot::from_result(&r);
     let c = snap
@@ -489,7 +489,7 @@ fn metric_catalog_doc_matches_snapshot_json_keys() {
         }
     }
     let mut scsq = Scsq::lofar();
-    scsq.options_mut().observe_latency = true;
+    scsq.options_mut().profile = true;
     let r = scsq
         .run(
             "select extract(b) from sp a, sp b
@@ -555,34 +555,33 @@ fn metric_catalog_doc_matches_snapshot_json_keys() {
 
 #[test]
 fn chrome_trace_export_is_well_formed() {
-    // The flight recorder's Chrome-trace export must load in a trace
+    // A profiled run's Chrome-trace export must load in a trace
     // viewer: monotone non-decreasing `ts`, every span a matched B/E
-    // pair, balanced JSON. The span gate is global and observational
-    // only (the ring is thread-local), so flipping it here cannot
-    // affect other tests' results.
-    scsq_sim::obs::set_enabled(true);
-    let _ = scsq_sim::obs::take_spans();
+    // pair, balanced JSON. The spans are the run's own, so no other
+    // test's run can add to them.
     let mut scsq = Scsq::lofar();
-    scsq.run(
-        "select extract(b) from sp a, sp b
-         where b=sp(streamof(count(extract(a))), 'bg', 0)
-         and a=sp(gen_array(100000,10),'bg',1);",
-    )
-    .unwrap();
-    scsq_sim::obs::set_enabled(false);
-    let drain = scsq_sim::obs::take_spans();
-    assert!(!drain.spans.is_empty(), "the traced run recorded spans");
-    assert_eq!(drain.dropped, 0, "a short run fits the ring");
-    let json = scsq_sim::obs::chrome_trace_json(&drain.spans);
+    scsq.options_mut().profile = true;
+    let r = scsq
+        .run(
+            "select extract(b) from sp a, sp b
+             where b=sp(streamof(count(extract(a))), 'bg', 0)
+             and a=sp(gen_array(100000,10),'bg',1);",
+        )
+        .unwrap();
+    let profile = r.stats().profile.as_ref().expect("profiled run");
+    let spans = &profile.spans;
+    assert!(!spans.is_empty(), "the profiled run recorded spans");
+    assert_eq!(profile.spans_dropped, 0, "a short run fits the cap");
+    let json = scsq_sim::obs::chrome_trace_json(spans);
     assert!(json.starts_with("{\"traceEvents\":["));
     assert_eq!(
         json.matches("\"ph\":\"B\"").count(),
-        drain.spans.len(),
+        spans.len(),
         "one begin event per span"
     );
     assert_eq!(
         json.matches("\"ph\":\"E\"").count(),
-        drain.spans.len(),
+        spans.len(),
         "one end event per span"
     );
     let ts: Vec<f64> = json
