@@ -1,7 +1,7 @@
 //! Per-point coalescing diagnostics (dev tool): one row per Figure 6,
 //! Figure 8 and Figure 15 point — the 102 queries of a paper sweep —
-//! with the detector's counts and the wall clock with and without the
-//! coalescer.
+//! with the detector's counts, the coordinates a digest records on
+//! average, and the wall clock with and without the coalescer.
 //!
 //! `cargo run --release -p scsq-bench --example coalstat [arrays] [jitter] [seed] [counts]`
 //! (defaults: the paper's 100 arrays, no service jitter; a seed other
@@ -41,8 +41,8 @@ fn main() {
         ("fig8-seq", fig8::query(scale, fig8::Selection::Sequential)),
         ("fig8-bal", fig8::query(scale, fig8::Selection::Balanced)),
     ];
-    println!("leg,buffering,buffer,events,digests,jumps,dispatched,on_ms,off_ms");
-    let mut totals = (0u64, 0u64, 0u64, 0.0, 0.0);
+    println!("leg,buffering,buffer,events,digests,jumps,dispatched,coords_per_digest,on_ms,off_ms");
+    let mut totals = (0u64, 0u64, 0u64, 0.0, 0.0, 0u64);
     let mut row = |leg: &str, variant: &str, x: u64, plan: &PreparedQuery, options: RunOptions| {
         let on = plan.run(&spec, &options).unwrap();
         let s = on.stats();
@@ -56,15 +56,18 @@ fn main() {
             };
             off_ms = wall_ms(plan, &spec, &off);
         }
+        let c = s.coalesce;
+        let coords = c.coords as f64 / c.digests.max(1) as f64;
         println!(
-            "{leg},{variant},{x},{},{},{},{dispatched},{on_ms:.2},{off_ms:.2}",
-            s.events, s.coalesce.digests, s.coalesce.jumps,
+            "{leg},{variant},{x},{},{},{},{dispatched},{coords:.1},{on_ms:.2},{off_ms:.2}",
+            s.events, c.digests, c.jumps,
         );
         totals.0 += s.coalesce.digests;
         totals.1 += s.coalesce.jumps;
         totals.2 += dispatched;
         totals.3 += on_ms;
         totals.4 += off_ms;
+        totals.5 += c.coords;
     };
     for (leg, text) in &legs {
         let plan = scsq.prepare(text).unwrap();
@@ -95,7 +98,12 @@ fn main() {
         }
     }
     println!(
-        "total,,,,{},{},{},{:.2},{:.2}",
-        totals.0, totals.1, totals.2, totals.3, totals.4
+        "total,,,,{},{},{},{:.1},{:.2},{:.2}",
+        totals.0,
+        totals.1,
+        totals.2,
+        totals.5 as f64 / totals.0.max(1) as f64,
+        totals.3,
+        totals.4
     );
 }

@@ -99,6 +99,11 @@ pub struct ProfileReport {
     pub events: u64,
     /// What the train coalescer did (all zero when it was disabled).
     pub coalesce: CoalesceStats,
+    /// Real time spent digesting state at cuts: the probe walks and
+    /// the detector's comparison of consecutive snapshots.
+    pub coalesce_digest_ns: u64,
+    /// Real time spent advancing state across jumps (advance walks).
+    pub coalesce_advance_ns: u64,
     /// The run's simulated-timeline spans in recording order, the
     /// first [`SPAN_CAPACITY`](scsq_sim::obs::SPAN_CAPACITY) of them;
     /// export with [`scsq_sim::obs::chrome_trace_json`].
@@ -178,6 +183,13 @@ impl ProfileReport {
             self.events - c.events_skipped,
             c.events_skipped,
         );
+        let _ = writeln!(
+            out,
+            "coalescer wall: digests {:.2}%, advances {:.2}%; {:.1} coordinates/digest",
+            share(self.coalesce_digest_ns),
+            share(self.coalesce_advance_ns),
+            c.coords as f64 / c.digests.max(1) as f64,
+        );
         out
     }
 
@@ -251,7 +263,10 @@ mod tests {
                 jumps: 3,
                 periods_skipped: 300,
                 events_skipped: 900,
+                coords: 4_200,
             },
+            coalesce_digest_ns: 6_000,
+            coalesce_advance_ns: 500,
             spans: Vec::new(),
             spans_dropped: 0,
         }
@@ -267,7 +282,8 @@ mod tests {
         assert!(
             text.contains(
                 "coalescer: 12 digests, 3 jumps (4.0 digests/jump); \
-                 100 events dispatched, 900 skipped"
+                 100 events dispatched, 900 skipped\n\
+                 coalescer wall: digests 12.00%, advances 1.00%; 350.0 coordinates/digest"
             ),
             "{text}"
         );

@@ -294,7 +294,7 @@ pub(crate) struct World<'g> {
     lat_observers: Vec<Vec<usize>>,
     /// Whether the run records its own profile: wall timers, tallies
     /// and spans (`RunOptions::profile`).
-    profile: bool,
+    pub(crate) profile: bool,
     /// The profiled run's simulated-timeline spans, the first
     /// `SPAN_CAPACITY` of them; `spans_dropped` counts the rest.
     /// Observational, like the wall timers: never probed.
@@ -794,10 +794,14 @@ pub fn run_graph<'g>(
         sim.schedule_at(start, Ev::StartRp(idx));
     }
 
-    let (end, coalesce) = if options.coalesce {
+    let (end, coalesce, coalesce_wall) = if options.coalesce {
         crate::train::run_coalesced(&mut sim)
     } else {
-        (sim.run_to_completion(), scsq_sim::CoalesceStats::default())
+        (
+            sim.run_to_completion(),
+            Default::default(),
+            Default::default(),
+        )
     };
     let events = sim.events_executed();
     let events_pending_hwm = sim.events_pending_high_water() as u64;
@@ -892,6 +896,8 @@ pub fn run_graph<'g>(
             run_wall_ns: run_t0.elapsed().as_nanos() as u64,
             events,
             coalesce,
+            coalesce_digest_ns: coalesce_wall.digest_ns,
+            coalesce_advance_ns: coalesce_wall.advance_ns,
             spans: std::mem::take(&mut world.spans),
             spans_dropped: world.spans_dropped,
         })

@@ -20,28 +20,47 @@
 
 use crate::runtime::{Ev, Sim, World};
 use scsq_sim::{CoalesceStats, Coalescer, SimTime, Span, StateProbe};
+use std::time::Instant;
+
+/// Wall time a profiled run spent in the coalescer (zero otherwise).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CoalesceWall {
+    /// Digest walks and the detector's `observe`.
+    pub digest_ns: u64,
+    /// Advance walks.
+    pub advance_ns: u64,
+}
 
 /// Runs the simulation to completion, coalescing periodic phases.
-/// Returns the final simulation time and what the coalescer did.
-pub(crate) fn run_coalesced(sim: &mut Sim) -> (SimTime, CoalesceStats) {
+/// Returns the final simulation time, what the coalescer did and, for a
+/// profiled run, what it cost.
+pub(crate) fn run_coalesced(sim: &mut Sim) -> (SimTime, CoalesceStats, CoalesceWall) {
     let mut co = Coalescer::new();
+    let profile = sim.world().profile;
+    let mut wall = CoalesceWall::default();
+    let elapsed = |t0: Option<Instant>| t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
     while let Some(key) = sim.peek_key(Ev::key) {
         if co.note_event(key) {
-            let mut p = StateProbe::digest();
+            let t0 = profile.then(Instant::now);
+            let mut p = co.digest_probe();
             sim.probe_state(&mut p, Ev::probe, World::probe);
-            if let Some(plan) = co.observe(p.finish()) {
-                let t0 = sim.now();
+            let plan = co.observe(p.finish());
+            wall.digest_ns += elapsed(t0);
+            if let Some(plan) = plan {
+                let t0 = profile.then(Instant::now);
+                let at = sim.now();
                 let mut adv = StateProbe::advance(&plan.deltas, plan.periods);
                 sim.probe_state(&mut adv, Ev::probe, World::probe);
                 co.after_jump(&plan);
+                wall.advance_ns += elapsed(t0);
                 // A profiled run records the train the advance probe
                 // moved simulated time across as one span.
-                let dur_ns = sim.now().since(t0).as_nanos();
+                let dur_ns = sim.now().since(at).as_nanos();
                 sim.world_mut().record_span(Span {
                     name: "coalesce-jump",
                     cat: "coalesce",
                     tid: 4000,
-                    ts_ns: t0.as_nanos(),
+                    ts_ns: at.as_nanos(),
                     dur_ns,
                 });
             }
@@ -50,5 +69,5 @@ pub(crate) fn run_coalesced(sim: &mut Sim) -> (SimTime, CoalesceStats) {
             break;
         }
     }
-    (sim.now(), co.stats())
+    (sim.now(), co.stats(), wall)
 }

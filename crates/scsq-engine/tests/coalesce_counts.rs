@@ -33,6 +33,9 @@ fn stats(src: &str, options: &RunOptions) -> QueryStats {
         .clone()
 }
 
+/// A paper query text for a number of arrays.
+type Query = fn(u64) -> String;
+
 /// Figure 6: intra-BlueGene point-to-point.
 fn p2p(arrays: u64) -> String {
     format!(
@@ -44,11 +47,21 @@ fn p2p(arrays: u64) -> String {
 
 /// Figure 8, sequential selection: two senders merged at node 0.
 fn merge(arrays: u64) -> String {
+    merge_from(arrays, 2)
+}
+
+/// Figure 8, balanced selection: the second sender on node 4.
+fn balanced_merge(arrays: u64) -> String {
+    merge_from(arrays, 4)
+}
+
+/// Figure 8: senders on nodes 1 and `y` merged at node 0.
+fn merge_from(arrays: u64, y: u64) -> String {
     format!(
         "select extract(c) from sp a, sp b, sp c \
          where c=sp(count(merge({{a,b}})), 'bg', 0) \
          and a=sp(gen_array({ARRAY_BYTES},{arrays}),'bg',1) \
-         and b=sp(gen_array({ARRAY_BYTES},{arrays}),'bg',2);"
+         and b=sp(gen_array({ARRAY_BYTES},{arrays}),'bg',{y});"
     )
 }
 
@@ -122,4 +135,39 @@ fn a_run_that_never_locks_stops_paying() {
         s.coalesce.digests,
         s.events
     );
+}
+
+/// A digest's width no longer grows by two coordinates per pending
+/// buffer-cycle chain: a channel's queued cycles (one per array, each
+/// issued about a hundred periods ahead) are probed as one periodic
+/// block. What still grows with the arrays is state outside the event
+/// queue, the channel's queue of pending arrays, and on the sequential
+/// merge the stalled channel's far-future cycles, which are irregular.
+/// Per-entry probing grew these widths by 3.0 (Figure 6), 5.8 to 6.2
+/// (sequential) and 7.4 to 7.6 (balanced) coordinates per added array
+/// from 10 to 40 arrays at these buffer sizes; the block walk grows
+/// them by 1.0, 3.8 to 4.0 and 2.0 to 2.4.
+#[test]
+fn probe_width_is_flat_in_the_number_of_arrays() {
+    // (leg, query, coordinates per digest an added array may add)
+    let queries: [(&str, Query, f64); 3] = [
+        ("fig6", p2p, 1.5),
+        ("fig8 sequential", merge, 4.5),
+        ("fig8 balanced", balanced_merge, 3.0),
+    ];
+    for (name, query, per_array) in queries {
+        for buffer in [100, 1_000] {
+            let width = |arrays| {
+                let c = stats(&query(arrays), &buffered(buffer, false)).coalesce;
+                assert!(c.digests > 0, "{name}, buffer {buffer}: no digest");
+                c.coords as f64 / c.digests as f64
+            };
+            let (few, many) = (width(10), width(40));
+            assert!(
+                many <= few + per_array * 30.0,
+                "{name}, buffer {buffer}: {few:.1} coordinates per digest at 10 arrays, \
+                 {many:.1} at 40"
+            );
+        }
+    }
 }

@@ -125,6 +125,23 @@ impl<'a> StateProbe<'a> {
         }
     }
 
+    /// A digest-mode probe recording into `buf`'s vectors, cleared: the
+    /// detector hands a retired snapshot's buffers to the next digest.
+    fn digest_into(buf: Snapshot) -> Self {
+        let Snapshot {
+            mut nums, mut caps, ..
+        } = buf;
+        nums.clear();
+        caps.clear();
+        StateProbe {
+            mode: Mode::Digest,
+            idx: 0,
+            nums,
+            caps,
+            shape: FNV_OFFSET,
+        }
+    }
+
     /// Creates a probe that advances state by `deltas * periods`.
     pub fn advance(deltas: &'a [i64], periods: u64) -> Self {
         StateProbe {
@@ -280,6 +297,9 @@ pub struct CoalesceStats {
     pub periods_skipped: u64,
     /// Events those skipped periods would have dispatched.
     pub events_skipped: u64,
+    /// Coordinates recorded, summed over all digests: the width of the
+    /// state probe, which `comparable` and the delta checks walk.
+    pub coords: u64,
 }
 
 /// The plan for one jump: replay `deltas` onto the state `periods`
@@ -338,6 +358,9 @@ pub struct Coalescer {
     /// Digests taken up to the last jump.
     paid_digests: u64,
     stats: CoalesceStats,
+    /// Retired snapshots (at most two: a miss retires both of a
+    /// window's), whose buffers the next digests record into.
+    spare: Vec<Snapshot>,
 }
 
 impl Coalescer {
@@ -351,8 +374,26 @@ impl Coalescer {
         self.stats
     }
 
+    /// A digest-mode probe for the next cut, recording into a retired
+    /// snapshot's buffers when there is one: a detector past its first
+    /// window allocates nothing per digest.
+    pub fn digest_probe(&mut self) -> StateProbe<'static> {
+        match self.spare.pop() {
+            Some(buf) => StateProbe::digest_into(buf),
+            None => StateProbe::digest(),
+        }
+    }
+
+    fn retire(&mut self, snap: Snapshot) {
+        if self.spare.len() < 2 {
+            self.spare.push(snap);
+        }
+    }
+
     fn close_window(&mut self) {
-        self.prev = None;
+        if let Some(snap) = self.prev.take() {
+            self.retire(snap);
+        }
         self.matches = 0;
     }
 
@@ -423,12 +464,14 @@ impl Coalescer {
         a.shape == b.shape && a.nums.len() == b.nums.len() && a.caps == b.caps
     }
 
-    fn deltas_of(prev: &Snapshot, snap: &Snapshot) -> Vec<i64> {
-        prev.nums
-            .iter()
-            .zip(&snap.nums)
-            .map(|(&a, &b)| b.wrapping_sub(a) as i64)
-            .collect()
+    fn deltas_into(prev: &Snapshot, snap: &Snapshot, out: &mut Vec<i64>) {
+        out.clear();
+        out.extend(
+            prev.nums
+                .iter()
+                .zip(&snap.nums)
+                .map(|(&a, &b)| b.wrapping_sub(a) as i64),
+        );
     }
 
     /// Whether the per-coordinate deltas between two comparable
@@ -478,15 +521,24 @@ impl Coalescer {
     /// must then apply the plan and call [`Coalescer::after_jump`].
     pub fn observe(&mut self, snap: Snapshot) -> Option<JumpPlan> {
         self.stats.digests += 1;
+        self.stats.coords += snap.nums.len() as u64;
         let prev = self.prev.replace(snap)?;
+        let plan = self.confirm(&prev);
+        self.retire(prev);
+        plan
+    }
+
+    /// [`Coalescer::observe`] with a previous cut: the snapshot just
+    /// stored against `prev`.
+    fn confirm(&mut self, prev: &Snapshot) -> Option<JumpPlan> {
         let snap = self.prev.as_ref().expect("just stored");
-        if Self::comparable(&prev, snap) {
+        if Self::comparable(prev, snap) {
             if self.matches == 0 {
-                self.delta = Self::deltas_of(&prev, snap);
+                Self::deltas_into(prev, snap, &mut self.delta);
                 self.matches = 1;
                 return None;
             }
-            if Self::deltas_match(&prev, snap, &self.delta) {
+            if Self::deltas_match(prev, snap, &self.delta) {
                 self.matches += 1;
                 if self.matches < CONFIRM_MATCHES {
                     return None;

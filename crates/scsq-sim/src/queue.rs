@@ -47,6 +47,7 @@
     )
 )]
 
+use crate::coalesce::StateProbe;
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
@@ -80,10 +81,62 @@ pub struct EventQueue<T> {
     /// queued entry `e`, and every `None` slot index is on `free`.
     slab: Vec<Option<T>>,
     free: Vec<u32>,
-    /// [`EventQueue::probe_entries`]' loose entries, kept between
-    /// digests for its allocation.
-    loose: Vec<Entry>,
+    /// [`EventQueue::probe_entries`]' scratch, kept between walks for
+    /// its allocations.
+    walk: Walk,
 }
+
+/// The scratch of a walk: the sorted loose entries (a deque, to merge
+/// like a lane), the merge cursors and the surfacing order.
+#[derive(Debug, Default)]
+struct Walk {
+    loose: VecDeque<Entry>,
+    cursors: Vec<Cursor>,
+    order: Vec<Step>,
+}
+
+/// A merge cursor: position `pos` of lane `src`, or of the walk's
+/// sorted loose entries when `src` is [`LOOSE`], and the key and slot
+/// of the entry there.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    key: Key,
+    pos: usize,
+    slot: u32,
+    src: u32,
+}
+
+/// One entry of a walk's surfacing order: its time in nanoseconds, its
+/// payload slot, and where it is queued: position `pos` of lane `src`,
+/// or of the walk's sorted loose entries when `src` is [`LOOSE`].
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    at: u64,
+    pos: usize,
+    slot: u32,
+    src: u32,
+}
+
+impl Step {
+    #[inline]
+    fn of(e: &Entry, src: u32, pos: usize) -> Step {
+        Step {
+            at: e.at.as_nanos(),
+            pos,
+            slot: e.slot,
+            src,
+        }
+    }
+}
+
+/// The most distinct lanes one cycle of a periodic block interleaves.
+const MAX_CYCLE: usize = 4;
+/// The fewest entries a periodic block spans (and at least two per
+/// lane); shorter stretches are walked entry by entry, which then costs
+/// no more.
+const MIN_BLOCK: usize = 4;
+/// Shape marker opening a periodic block.
+const BLOCK: u64 = 0xb10c;
 
 /// The lane of a heap entry that is not its lane's head: a push that
 /// would have landed before its lane's tail, or one that named this
@@ -98,7 +151,15 @@ struct Entry {
     lane: u32,
 }
 
+/// An entry's place in surfacing order: (time, insertion sequence).
+type Key = (SimTime, u64);
+
 impl Entry {
+    #[inline]
+    fn key(&self) -> Key {
+        (self.at, self.seq)
+    }
+
     /// Whether this entry surfaces strictly before `other`.
     #[inline]
     fn before(&self, other: &Self) -> bool {
@@ -147,7 +208,7 @@ impl<T> EventQueue<T> {
             seq: 0,
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
-            loose: Vec::new(),
+            walk: Walk::default(),
         }
     }
 
@@ -303,31 +364,202 @@ impl<T> EventQueue<T> {
     }
 
     /// Walks every queued entry in surfacing order through a
-    /// [`crate::coalesce::StateProbe`]: each entry's time is probed as
-    /// an extrapolatable number, the margin to the previous entry (and
-    /// to `now` for the first) as a stay-positive guard, and the payload
-    /// through `probe_payload`.
+    /// [`crate::coalesce::StateProbe`], payloads through `probe_payload`.
     ///
-    /// The walk is a k-way merge, in place, of the front slot, the
-    /// sorted lanes and the loose entries (sorted first; they are few).
-    /// Every entry is renumbered with its rank, so relative order is
-    /// preserved exactly and future pushes sort after every entry; the
-    /// head heap is then rebuilt from its own tokens. A digest-mode walk
-    /// is therefore observationally a no-op.
+    /// The walk first lists the entries in surfacing order: the front
+    /// slot, then a merge of the lanes and the loose entries (copied and
+    /// sorted; they are few). It then cuts that order into *periodic
+    /// blocks* and single entries. A block is a stretch of at least four
+    /// entries, two per lane, where a cycle of up to four distinct lanes
+    /// repeats and each lane's times form an arithmetic progression with
+    /// one common step: a channel's chain of buffer cycles, or two
+    /// channels' chains interleaved. A block is probed as a few
+    /// coordinates whatever its length (see `probe_block`); a single
+    /// entry as its time plus the
+    /// margin to the previous entry (to `now` for the first) as a
+    /// stay-positive guard. The front slot and loose entries are always
+    /// single, and so is every entry of a walk under service jitter,
+    /// where no progression survives.
+    ///
+    /// A digest-mode walk reads the queue and changes nothing. An
+    /// advance-mode walk rewrites every time it moved (a block's entries
+    /// from their lane's advanced head and the advanced step) and
+    /// rebuilds the head heap. Its guards keep every margin positive
+    /// that was, so entries keep their relative order and their
+    /// insertion sequence numbers still break exactly the ties they did.
     pub fn probe_entries(
         &mut self,
-        p: &mut crate::coalesce::StateProbe<'_>,
+        p: &mut StateProbe<'_>,
         now: SimTime,
-        mut probe_payload: impl FnMut(&mut T, &mut crate::coalesce::StateProbe<'_>),
+        mut probe_payload: impl FnMut(&mut T, &mut StateProbe<'_>),
+    ) {
+        p.shape(self.len() as u64);
+        let mut walk = std::mem::take(&mut self.walk);
+        self.merge_order(&mut walk);
+        let slab = &mut self.slab;
+        let mut payload = |slot: u32, p: &mut StateProbe<'_>| {
+            if let Some(v) = slab[slot as usize].as_mut() {
+                probe_payload(v, p);
+            }
+        };
+        let mut prev_at = now.as_nanos();
+        if let Some(e) = self.front.as_mut() {
+            let mut at = e.at.as_nanos();
+            probe_single(p, &mut at, &mut prev_at);
+            e.at = SimTime::from_nanos(at);
+            payload(e.slot, p);
+        }
+        let order = &mut walk.order;
+        let mut moved = false;
+        let mut i = 0;
+        while i < order.len() {
+            let n = match block_shape(&order[i..]) {
+                Some((m, n)) => {
+                    let block = &mut order[i..i + n];
+                    moved |= probe_block(p, block, m, &mut prev_at);
+                    for s in block.iter() {
+                        payload(s.slot, p);
+                    }
+                    n
+                }
+                None => {
+                    let s = &mut order[i];
+                    let at = s.at;
+                    probe_single(p, &mut s.at, &mut prev_at);
+                    moved |= s.at != at;
+                    payload(s.slot, p);
+                    1
+                }
+            };
+            i += n;
+        }
+        if moved {
+            self.rewrite_times(&mut walk);
+        }
+        walk.order.clear();
+        walk.loose.clear();
+        self.walk = walk;
+    }
+
+    /// Lists every entry below the front slot into `walk.order` in
+    /// surfacing order, copying the loose entries, sorted, into
+    /// `walk.loose` to merge them as one more source.
+    ///
+    /// The merge lists whole stretches: while the two earliest sources
+    /// stay ahead of the third's head, a tight two-way merge lists them
+    /// (a lane of a hundred pending cycles in one pass, two lanes
+    /// interleaved one entry apart at a comparison each); then both
+    /// shift back into the few cursors, kept sorted.
+    fn merge_order(&self, walk: &mut Walk) {
+        let Walk {
+            loose,
+            cursors,
+            order,
+        } = walk;
+        loose.extend(self.heads.iter().filter(|e| e.lane == LOOSE));
+        loose.make_contiguous().sort_unstable_by_key(Entry::key);
+        cursors.extend(
+            self.heads
+                .iter()
+                .filter(|e| e.lane != LOOSE)
+                .chain(loose.front())
+                .map(|e| Cursor {
+                    key: e.key(),
+                    pos: 0,
+                    slot: e.slot,
+                    src: e.lane,
+                }),
+        );
+        // Latest first: the earliest source is the last cursor.
+        cursors.sort_unstable_by_key(|c| Reverse(c.key));
+        let source = |src: u32| match src {
+            LOOSE => &*loose,
+            lane => &self.lanes[lane as usize],
+        };
+        while let Some(x) = cursors.pop() {
+            let (Some(y), bound) = (cursors.pop(), cursors.last().map(|c| c.key)) else {
+                let steps = source(x.src).range(x.pos..).zip(x.pos..);
+                order.extend(steps.map(|(e, i)| Step::of(e, x.src, i)));
+                break;
+            };
+            let bound = bound.unwrap_or((SimTime::from_nanos(u64::MAX), u64::MAX));
+            let (xs, ys) = (source(x.src), source(y.src));
+            let (mut x, mut y) = (Some(x), Some(y));
+            while let (Some(a), Some(b)) = (&mut x, &mut y) {
+                let take_x = a.key < b.key;
+                let (c, cs) = if take_x { (a, &xs) } else { (b, &ys) };
+                if c.key > bound {
+                    break;
+                }
+                order.push(Step {
+                    at: c.key.0.as_nanos(),
+                    pos: c.pos,
+                    slot: c.slot,
+                    src: c.src,
+                });
+                c.pos += 1;
+                match cs.get(c.pos) {
+                    Some(e) => (c.key, c.slot) = (e.key(), e.slot),
+                    None if take_x => x = None,
+                    None => y = None,
+                }
+            }
+            for c in [x, y].into_iter().flatten() {
+                // Shift it back to its place: cursors stay sorted
+                // latest first.
+                cursors.push(c);
+                let mut j = cursors.len() - 1;
+                while j > 0 && cursors[j - 1].key < c.key {
+                    cursors[j] = cursors[j - 1];
+                    j -= 1;
+                }
+                cursors[j] = c;
+            }
+        }
+    }
+
+    /// After an advance walk moved `walk.order`'s times: writes them
+    /// back into the lanes and the loose entries, and rebuilds the head
+    /// heap from the lanes' new heads and the moved loose entries.
+    fn rewrite_times(&mut self, walk: &mut Walk) {
+        let order = &walk.order;
+        debug_assert!(
+            order.windows(2).all(|w| w[0].at <= w[1].at),
+            "a walk reordered the queue"
+        );
+        for s in order {
+            let e = match s.src {
+                LOOSE => &mut walk.loose[s.pos],
+                lane => &mut self.lanes[lane as usize][s.pos],
+            };
+            e.at = SimTime::from_nanos(s.at);
+        }
+        let mut tokens = std::mem::take(&mut self.heads).into_vec();
+        tokens.retain(|e| e.lane != LOOSE);
+        for token in &mut tokens {
+            if let Some(&front) = self.lanes[token.lane as usize].front() {
+                *token = front;
+            }
+        }
+        tokens.extend(&walk.loose);
+        self.heads = BinaryHeap::from(tokens);
+    }
+
+    /// The walk [`EventQueue::probe_entries`] replaced, kept as its
+    /// reference: every entry probed as its time and its margin to the
+    /// previous entry, blocks or not.
+    #[cfg(test)]
+    pub(crate) fn probe_entries_per_entry(
+        &mut self,
+        p: &mut StateProbe<'_>,
+        now: SimTime,
+        mut probe_payload: impl FnMut(&mut T, &mut StateProbe<'_>),
     ) {
         p.shape(self.len() as u64);
         let mut tokens = std::mem::take(&mut self.heads).into_vec();
-        let mut loose = std::mem::take(&mut self.loose);
-        loose.extend(tokens.iter().filter(|e| e.lane == LOOSE));
+        let mut loose: Vec<Entry> = tokens.iter().filter(|e| e.lane == LOOSE).copied().collect();
         loose.sort_unstable_by_key(|e| (e.at, e.seq));
         tokens.retain(|e| e.lane != LOOSE);
-        // Merge cursors (time, seq, source, position): a lane index, or
-        // `LOOSE` for the loose entries.
         let mut cursors: BinaryHeap<Reverse<(SimTime, u64, u32, usize)>> = tokens
             .iter()
             .map(|e| Reverse((e.at, e.seq, e.lane, 0)))
@@ -335,17 +567,11 @@ impl<T> EventQueue<T> {
             .collect();
         let mut rank = 0;
         let mut prev_at = now;
-        let mut walked_at = SimTime::ZERO;
         let slab = &mut self.slab;
         let mut visit = |e: &mut Entry| {
-            // An advancing `now` must never overtake this entry, and
-            // entries must not swap order: guard both margins (only the
-            // implicit negative-delta rule applies).
             p.guard(e.at.as_nanos().saturating_sub(prev_at.as_nanos()), u64::MAX);
             prev_at = e.at;
             p.time(&mut e.at);
-            debug_assert!(e.at >= walked_at, "a walk reordered the queue");
-            walked_at = e.at;
             if let Some(payload) = slab[e.slot as usize].as_mut() {
                 probe_payload(payload, p);
             }
@@ -378,8 +604,90 @@ impl<T> EventQueue<T> {
         }
         tokens.append(&mut loose);
         self.heads = BinaryHeap::from(tokens);
-        self.loose = loose;
     }
+}
+
+/// Probes an entry's time outside a block: the margin to the previous
+/// entry as a guard (an advancing `now` must never overtake the entry,
+/// and entries must not swap order; only the implicit negative-delta
+/// rule applies), the time as a coordinate.
+#[inline]
+fn probe_single(p: &mut StateProbe<'_>, at: &mut u64, prev_at: &mut u64) {
+    p.guard(at.saturating_sub(*prev_at), u64::MAX);
+    *prev_at = *at;
+    p.num(at);
+}
+
+/// The periodic block `order` opens with, as (lanes per cycle, entries),
+/// if any. The cycle is the stretch up to the first lane's next entry;
+/// its lanes must be distinct and none loose. The block then runs as
+/// long as every entry repeats the lane `m` places back, one common
+/// step later, and counts only with at least two entries per lane.
+fn block_shape(order: &[Step]) -> Option<(usize, usize)> {
+    let first = order.first()?;
+    if first.src == LOOSE {
+        return None;
+    }
+    let m = (1..=MAX_CYCLE).find(|&m| order.get(m).is_some_and(|s| s.src == first.src))?;
+    let cycle = &order[1..m];
+    let distinct = cycle
+        .iter()
+        .enumerate()
+        .all(|(j, s)| s.src != LOOSE && cycle[..j].iter().all(|t| t.src != s.src));
+    if !distinct {
+        return None;
+    }
+    let step = order[m].at - first.at;
+    let n = m + order[m..]
+        .iter()
+        .zip(order)
+        .take_while(|(s, t)| s.src == t.src && s.at - t.at == step)
+        .count();
+    (n >= MIN_BLOCK.max(2 * m)).then_some((m, n))
+}
+
+/// Probes a periodic block of `m` lanes per cycle (see `block_shape`).
+/// Its shape is a marker, `m`, the entry count and the cycle's lanes;
+/// its coordinates each lane's head time and the common step. Its
+/// guards are the margin from the previous entry, the offsets between
+/// consecutive lanes within a cycle, and the closing gap from the
+/// cycle's last lane to the first lane's next entry: every margin
+/// between two consecutive block entries is one of those, so the block
+/// sets every cap the per-entry walk would, with the same value (the
+/// margin to the entry after the block is that entry's own guard).
+/// Returns whether the probe moved the block, and then rewrites every
+/// entry's time from the advanced heads and step.
+fn probe_block(p: &mut StateProbe<'_>, block: &mut [Step], m: usize, prev_at: &mut u64) -> bool {
+    p.shape(BLOCK);
+    p.shape(m as u64);
+    p.shape(block.len() as u64);
+    let mut heads = [0; MAX_CYCLE];
+    for (h, s) in heads.iter_mut().zip(&block[..m]) {
+        p.shape(u64::from(s.src));
+        *h = s.at;
+    }
+    let heads = &mut heads[..m];
+    let step = block[m].at - heads[0];
+    p.guard(heads[0].saturating_sub(*prev_at), u64::MAX);
+    for w in heads.windows(2) {
+        p.guard(w[1] - w[0], u64::MAX);
+    }
+    p.guard(step - (heads[m - 1] - heads[0]), u64::MAX);
+    *prev_at = block[block.len() - 1].at;
+    let mut new_step = step;
+    for h in heads.iter_mut() {
+        p.num(h);
+    }
+    p.num(&mut new_step);
+    let moved = new_step != step || heads.iter().zip(block.iter()).any(|(h, s)| *h != s.at);
+    if moved {
+        for (k, cycle) in (0..).zip(block.chunks_mut(m)) {
+            for (s, &h) in cycle.iter_mut().zip(heads.iter()) {
+                s.at = h + k * new_step;
+            }
+        }
+    }
+    moved
 }
 
 impl<T> Default for EventQueue<T> {
@@ -497,6 +805,207 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
         assert!(q.heads.is_empty());
+    }
+
+    /// A queue of `m` lanes interleaved at one step, starting `lead` ns
+    /// in, for the block walk's tests, as it stands `period` periods in:
+    /// every entry moves `shift` ns earlier per period, block lane `j`
+    /// another `drift[j]`. Irregular entries share lane 9, are pushed
+    /// first and may land before its tail, and each `loose` time is
+    /// pushed into lane 8 after a later one, so it goes loose. `nudge`
+    /// moves one block entry (not a lane head) 1 ns later. A payload is
+    /// its push index, with its lane in the high half, which the walks
+    /// mix into the shape like an event's key.
+    #[derive(Debug, Clone)]
+    struct Layout {
+        offsets: Vec<u64>,
+        drift: Vec<u64>,
+        per_lane: u64,
+        step: u64,
+        lead: u64,
+        irregular: Vec<u64>,
+        loose: Vec<u64>,
+        shift: u64,
+    }
+
+    const BASE: u64 = 1 << 24;
+
+    impl Layout {
+        fn pushes(&self, period: u64, nudge: Option<usize>) -> Vec<(u64, u32)> {
+            let at = |t: u64| BASE + t - period * self.shift;
+            let mut pushes: Vec<_> = self.irregular.iter().map(|&t| (at(t), 9)).collect();
+            let first = pushes.len() + self.offsets.len();
+            for i in 0..self.per_lane {
+                for (j, (&off, &drift)) in self.offsets.iter().zip(&self.drift).enumerate() {
+                    let t = at(self.lead + off + i * self.step) - period * drift;
+                    pushes.push((t, j as u32));
+                }
+            }
+            if let Some(n) = nudge {
+                let len = pushes.len();
+                pushes[first + n % (len - first)].0 += 1;
+            }
+            for &t in &self.loose {
+                pushes.push((at(t) + 1, 8));
+                pushes.push((at(t), 8));
+            }
+            pushes
+        }
+
+        fn queue(&self, period: u64, nudge: Option<usize>) -> EventQueue<u64> {
+            let mut q = EventQueue::new();
+            for (i, (at, lane)) in (0..).zip(self.pushes(period, nudge)) {
+                q.push_in(SimTime::from_nanos(at), lane, u64::from(lane) << 32 | i);
+            }
+            q
+        }
+    }
+
+    use proptest::prelude::*;
+
+    type Walker = fn(&mut EventQueue<u64>, &mut crate::coalesce::StateProbe<'_>);
+
+    fn block_walk(q: &mut EventQueue<u64>, p: &mut crate::coalesce::StateProbe<'_>) {
+        q.probe_entries(p, SimTime::ZERO, |v, p| p.shape(*v >> 32));
+    }
+
+    fn entry_walk(q: &mut EventQueue<u64>, p: &mut crate::coalesce::StateProbe<'_>) {
+        q.probe_entries_per_entry(p, SimTime::ZERO, |v, p| p.shape(*v >> 32));
+    }
+
+    /// Digests the layout at periods 0..4 (the last one nudged, if
+    /// asked) the way the engine's `run_coalesced` does, and applies the
+    /// plan the fourth digest yields to that queue. Returns the plan's
+    /// periods, the coordinates digested, and the queue's pops.
+    fn digest_and_jump(
+        layout: &Layout,
+        walk: Walker,
+        nudge: Option<usize>,
+    ) -> (Option<u64>, u64, Vec<(SimTime, u64)>) {
+        let mut co = crate::coalesce::Coalescer::new();
+        let mut plan = None;
+        let mut q = EventQueue::new();
+        for period in 0..4 {
+            q = layout.queue(period, nudge.filter(|_| period == 3));
+            let mut p = crate::coalesce::StateProbe::digest();
+            walk(&mut q, &mut p);
+            plan = co.observe(p.finish());
+        }
+        if let Some(plan) = &plan {
+            walk(
+                &mut q,
+                &mut crate::coalesce::StateProbe::advance(&plan.deltas, plan.periods),
+            );
+        }
+        let pops = std::iter::from_fn(|| q.pop()).collect();
+        (plan.map(|p| p.periods), co.stats().coords, pops)
+    }
+
+    fn layout() -> impl Strategy<Value = Layout> {
+        use proptest::collection::vec;
+        (
+            (1usize..=4, vec(0u64..3, 4), 2u64..10),
+            (1u64..400, vec(0u64..400, 4), vec(0u64..4_000, 0..5)),
+            (vec(0u64..4_000, 0..3), 1u64..40, any::<bool>(), 0u64..2_000),
+        )
+            .prop_map(
+                |(
+                    (m, drift, per_lane),
+                    (step, mut offsets, irregular),
+                    (loose, shift, uniform, lead),
+                )| {
+                    offsets.truncate(m);
+                    for o in &mut offsets {
+                        *o %= step;
+                    }
+                    offsets.sort_unstable();
+                    let drift = if uniform {
+                        vec![0; m]
+                    } else {
+                        drift[..m].to_vec()
+                    };
+                    Layout {
+                        offsets,
+                        drift,
+                        per_lane,
+                        step,
+                        lead,
+                        irregular,
+                        loose,
+                        shift,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The block walk against the per-entry walk it replaced, on
+        /// arithmetic runs of 1 to 4 interleaved lanes with irregular
+        /// and loose entries and ties. Digests one period apart must
+        /// confirm a jump on exactly the same queues, capped at the same
+        /// periods, and the jump must leave the queue the per-entry
+        /// jump leaves: the layout as it stands that many periods on.
+        /// Moving one block entry by 1 ns must refuse the jump.
+        #[test]
+        fn block_walk_matches_the_per_entry_walk(
+            layout in layout(),
+            nudge in 0usize..1_000,
+        ) {
+            let (periods, coords, pops) = digest_and_jump(&layout, block_walk, None);
+            let (ref_periods, ref_coords, ref_pops) = digest_and_jump(&layout, entry_walk, None);
+            prop_assert_eq!(periods, ref_periods, "{:?}", layout);
+            prop_assert_eq!(&pops, &ref_pops, "{:?}", layout);
+            let uniform = layout.drift.iter().all(|&d| d == 0);
+            if uniform {
+                prop_assert!(periods.is_some(), "a uniform shift must jump: {:?}", layout);
+            }
+            if let Some(p) = periods {
+                let mut expected = layout.queue(3 + p, None);
+                let expected: Vec<_> = std::iter::from_fn(|| expected.pop()).collect();
+                prop_assert_eq!(&pops, &expected);
+            }
+            // Below the front slot (lane 0's head), the lanes form one
+            // block when it has four entries and two per lane.
+            let m = layout.offsets.len() as u64;
+            let n = m * layout.per_lane - 1;
+            if uniform && layout.irregular.is_empty() && layout.loose.is_empty() && n >= 4.max(2 * m) {
+                prop_assert!(coords < ref_coords, "no block formed: {} coordinates", coords);
+            }
+            if periods.is_some() {
+                let (nudged, _, _) = digest_and_jump(&layout, block_walk, Some(nudge));
+                prop_assert_eq!(nudged, None, "a 1 ns move went unseen");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shrinking_closing_gap_caps_the_block_jump() {
+        // Two lanes 370 ns apart in a 400 ns step, after an irregular
+        // front entry; the first lane gains 2 ns a period on the
+        // second, so the gap that closes the cycle narrows from 30 ns.
+        // At the fourth digest it is 24 ns: 12 periods, less the
+        // reserve. Without that guard the block capped the jump by its
+        // lead margin only.
+        let layout = Layout {
+            offsets: vec![10, 380],
+            drift: vec![2, 0],
+            per_lane: 4,
+            step: 400,
+            lead: 1_000,
+            irregular: vec![0],
+            loose: Vec::new(),
+            shift: 5,
+        };
+        let (periods, coords, pops) = digest_and_jump(&layout, block_walk, None);
+        let (ref_periods, ref_coords, ref_pops) = digest_and_jump(&layout, entry_walk, None);
+        assert_eq!((periods, ref_periods), (Some(10), Some(10)));
+        assert_eq!(pops, ref_pops);
+        assert!(
+            coords < ref_coords,
+            "{coords} coordinates, per entry {ref_coords}"
+        );
     }
 
     #[test]

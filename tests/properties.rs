@@ -249,12 +249,14 @@ proptest! {
     /// min-scan model at every step. Pushes name random lanes, so equal
     /// times across lanes and pushes landing before their lane's tail
     /// (the loose-entry path) are both common, as are pushes that
-    /// displace the cached front. A digest-mode walk visits entries in
-    /// the model's (time, seq) order; neither its renumbering nor a
-    /// zero-delta advance walk changes the pop order.
+    /// displace the cached front, and some pushes are arithmetic runs
+    /// of six into one lane, which the walk probes as periodic blocks.
+    /// A digest-mode walk visits entries in the model's (time, seq)
+    /// order, and neither it nor a zero-delta advance walk changes the
+    /// pop order.
     #[test]
     fn event_queue_interleaved_ops_match_model(
-        ops in proptest::collection::vec((0u8..10, 0u32..5, 0u64..20), 0..200)
+        ops in proptest::collection::vec((0u8..12, 0u32..5, 0u64..20), 0..200)
     ) {
         let mut q = EventQueue::new();
         let mut model: Vec<(u64, usize)> = Vec::new();
@@ -287,12 +289,24 @@ proptest! {
                     let expected: Vec<usize> = sorted.iter().map(|&(_, s)| s).collect();
                     prop_assert_eq!(walked, expected);
                 }
-                // Advance-mode walk by zero deltas: two coordinates
-                // (margin, time) per entry, the payloads unprobed.
+                // Advance-mode walk by zero deltas: at most two
+                // coordinates (margin, time) per entry, the payloads
+                // unprobed.
                 4 => {
                     let zeros = vec![0i64; 2 * q.len()];
                     let mut p = StateProbe::advance(&zeros, 3);
                     q.probe_entries(&mut p, SimTime::ZERO, |_, _| {});
+                }
+                // An arithmetic run of six pushes into one lane, with a
+                // step of 1 to 3.
+                10 | 11 => {
+                    let lane = if lane == 4 { u32::MAX } else { lane };
+                    for k in 0..6 {
+                        let at = t + k * (1 + t % 3);
+                        q.push_in(SimTime::from_nanos(at), lane, seq);
+                        model.push((at, seq));
+                        seq += 1;
+                    }
                 }
                 // Push; lane 4 stands for `u32::MAX`, the heap-only lane.
                 _ => {
