@@ -1,7 +1,8 @@
 //! Per-point coalescing diagnostics (dev tool): one row per Figure 6,
 //! Figure 8 and Figure 15 point — the 102 queries of a paper sweep —
-//! with the detector's counts, the coordinates a digest records on
-//! average, and the wall clock with and without the coalescer.
+//! with the detector's counts, the coordinates a digest records and the
+//! words it mixes into its shape hash on average, and the wall clock
+//! with and without the coalescer.
 //!
 //! `cargo run --release -p scsq-bench --example coalstat [arrays] [jitter] [seed] [counts]`
 //! (defaults: the paper's 100 arrays, no service jitter; a seed other
@@ -41,8 +42,11 @@ fn main() {
         ("fig8-seq", fig8::query(scale, fig8::Selection::Sequential)),
         ("fig8-bal", fig8::query(scale, fig8::Selection::Balanced)),
     ];
-    println!("leg,buffering,buffer,events,digests,jumps,dispatched,coords_per_digest,on_ms,off_ms");
-    let mut totals = (0u64, 0u64, 0u64, 0.0, 0.0, 0u64);
+    println!(
+        "leg,buffering,buffer,events,digests,jumps,dispatched,coords_per_digest,\
+         shape_words_per_digest,on_ms,off_ms"
+    );
+    let mut totals = (0u64, 0u64, 0u64, 0.0, 0.0, 0u64, 0u64);
     let mut row = |leg: &str, variant: &str, x: u64, plan: &PreparedQuery, options: RunOptions| {
         let on = plan.run(&spec, &options).unwrap();
         let s = on.stats();
@@ -58,8 +62,9 @@ fn main() {
         }
         let c = s.coalesce;
         let coords = c.coords as f64 / c.digests.max(1) as f64;
+        let words = c.shape_words as f64 / c.digests.max(1) as f64;
         println!(
-            "{leg},{variant},{x},{},{},{},{dispatched},{coords:.1},{on_ms:.2},{off_ms:.2}",
+            "{leg},{variant},{x},{},{},{},{dispatched},{coords:.1},{words:.1},{on_ms:.2},{off_ms:.2}",
             s.events, c.digests, c.jumps,
         );
         totals.0 += s.coalesce.digests;
@@ -68,6 +73,7 @@ fn main() {
         totals.3 += on_ms;
         totals.4 += off_ms;
         totals.5 += c.coords;
+        totals.6 += c.shape_words;
     };
     for (leg, text) in &legs {
         let plan = scsq.prepare(text).unwrap();
@@ -98,11 +104,12 @@ fn main() {
         }
     }
     println!(
-        "total,,,,{},{},{},{:.1},{:.2},{:.2}",
+        "total,,,,{},{},{},{:.1},{:.1},{:.2},{:.2}",
         totals.0,
         totals.1,
         totals.2,
         totals.5 as f64 / totals.0.max(1) as f64,
+        totals.6 as f64 / totals.0.max(1) as f64,
         totals.3,
         totals.4
     );

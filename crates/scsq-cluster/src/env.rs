@@ -16,8 +16,8 @@ use crate::ids::{ClusterName, NodeId, NodeKind};
 use crate::specs::HardwareSpec;
 use scsq_net::torus::TransmitOutcome;
 use scsq_net::{Ethernet, FlowId, TorusDims, TorusNet, TreeNet};
-use scsq_sim::{FifoServer, SimDur, SimTime, SplitMix64, SwitchingServer};
-use std::collections::HashMap;
+use scsq_sim::{FifoServer, ServerBank, SimDur, SimTime, SplitMix64, SwitchingServer};
+use std::collections::{BTreeMap, HashMap};
 
 /// Which stream carrier a buffer traveled on; the receiving compute
 /// node's de-marshal cost depends on it (torus DMA vs CIOD-proxied TCP).
@@ -47,25 +47,28 @@ pub struct Environment {
     tree: TreeNet,
     ether: Ethernet,
     /// Marshal CPU per BlueGene compute node (the "compute" core).
-    cn_tx: Vec<FifoServer>,
+    cn_tx: ServerBank<FifoServer>,
     /// De-marshal CPU per BlueGene compute node, with per-flow switch
     /// penalty (single-threaded CNK alternating between input streams).
-    cn_rx: Vec<SwitchingServer>,
+    cn_rx: ServerBank<SwitchingServer>,
     /// Marshal CPU per Linux node (front-end then back-end, see
     /// `linux_slot`).
-    linux_tx: Vec<FifoServer>,
+    linux_tx: ServerBank<FifoServer>,
     /// De-marshal CPU per Linux node.
-    linux_rx: Vec<FifoServer>,
+    linux_rx: ServerBank<FifoServer>,
     /// Forwarding processor of each I/O node (CIOD).
-    io_forward: Vec<FifoServer>,
+    io_forward: ServerBank<FifoServer>,
     /// CNDB per cluster.
     cndbs: HashMap<ClusterName, Cndb>,
-    /// Registered inbound flows: flow → (external ether host, pset).
-    inbound: HashMap<FlowId, (usize, usize)>,
-    /// Inbound flow count per I/O node (indexed by pset).
+    /// Registered inbound flows: flow → (external ether host, pset), in
+    /// flow order.
+    inbound: BTreeMap<FlowId, (usize, usize)>,
+    /// Inbound flow count per I/O node (indexed by pset). Derived from
+    /// `inbound`, so never probed.
     io_streams: Vec<usize>,
-    /// Refcount of inbound flows per external host.
-    host_flows: HashMap<usize, usize>,
+    /// Refcount of inbound flows per external host. Derived from
+    /// `inbound`, so never probed.
+    host_flows: BTreeMap<usize, usize>,
     /// BlueGene rank → pset: the tree next-hop table (which I/O node
     /// carries a compute node's inter-cluster traffic), precomputed at
     /// construction so the per-message path does no spec arithmetic.
@@ -172,17 +175,15 @@ impl Environment {
             torus: TorusNet::new(dims, spec.torus.clone()),
             tree: TreeNet::new(psets, spec.tree.clone()),
             ether: Ethernet::new(ether_hosts, spec.ether.clone()),
-            cn_tx: vec![FifoServer::new(); cn_count],
-            cn_rx: (0..cn_count)
-                .map(|_| SwitchingServer::new(spec.cn_recv_switch))
-                .collect(),
-            linux_tx: vec![FifoServer::new(); linux_count],
-            linux_rx: vec![FifoServer::new(); linux_count],
-            io_forward: vec![FifoServer::new(); psets],
+            cn_tx: ServerBank::new(cn_count, FifoServer::new),
+            cn_rx: ServerBank::new(cn_count, || SwitchingServer::new(spec.cn_recv_switch)),
+            linux_tx: ServerBank::new(linux_count, FifoServer::new),
+            linux_rx: ServerBank::new(linux_count, FifoServer::new),
+            io_forward: ServerBank::new(psets, FifoServer::new),
             cndbs,
-            inbound: HashMap::new(),
+            inbound: BTreeMap::new(),
             io_streams: vec![0; psets],
-            host_flows: HashMap::new(),
+            host_flows: BTreeMap::new(),
             pset_of_rank: (0..cn_count).map(|rank| spec.pset_of(rank)).collect(),
             io_host_of_pset: (0..psets).map(|p| linux_count + p).collect(),
             service_jitter: 0.0,
@@ -331,6 +332,7 @@ impl Environment {
     /// locals and written back once. Nothing can observe the stale
     /// originals in between: the loop calls nothing outside this
     /// function but the inlined `jitter`, `serve` and `SimDur` arithmetic.
+    /// An empty run changes nothing and returns `ready`.
     fn charge_run(
         &mut self,
         node: NodeId,
@@ -340,6 +342,9 @@ impl Environment {
         ready: SimTime,
         out: Option<&mut Vec<SimTime>>,
     ) -> SimTime {
+        if count == 0 {
+            return ready;
+        }
         let amp = self.service_jitter;
         let mut rng = self.jitter_rng.clone();
         let (slot, rate) = self.tx_server(node, generating);
@@ -474,7 +479,8 @@ impl Environment {
                 };
                 let factor = self.jitter_factor();
                 let service = scaled(self.demarshal_memo.get(bytes, rate), factor);
-                self.cn_rx[node.index]
+                self.cn_rx
+                    .serving(node.index)
                     .serve_from_with_cost(flow.0, ready, service, switch)
                     .finish
             }
@@ -483,11 +489,16 @@ impl Environment {
                 let slot = self.linux_slot(node);
                 let rate = self.spec.linux_demarshal.bytes_per_sec();
                 let service = scaled(self.demarshal_memo.get(bytes, rate), factor);
-                self.linux_rx[slot].serve(ready, service).finish
+                self.linux_rx.serving(slot).serve(ready, service).finish
             }
         }
     }
 
+    /// Forced inline: the per-element generate, marshal and compute
+    /// paths each resolve their server here, and with the bank's
+    /// first-serve check it outgrew what the inliner takes unasked,
+    /// which put a call on every marshal.
+    #[inline(always)]
     fn tx_server(&mut self, node: NodeId, generating: bool) -> (&mut FifoServer, f64) {
         match node.cluster {
             ClusterName::BlueGene => {
@@ -496,7 +507,7 @@ impl Environment {
                 } else {
                     self.spec.cn_marshal.bytes_per_sec()
                 };
-                (&mut self.cn_tx[node.index], rate)
+                (self.cn_tx.serving(node.index), rate)
             }
             _ => {
                 let rate = if generating {
@@ -505,7 +516,7 @@ impl Environment {
                     self.spec.linux_marshal.bytes_per_sec()
                 };
                 let slot = self.linux_slot(node);
-                (&mut self.linux_tx[slot], rate)
+                (self.linux_tx.serving(slot), rate)
             }
         }
     }
@@ -665,7 +676,10 @@ impl Environment {
         let hosts = self.host_flows.len().max(1);
         let factor = self.spec.io_stream_factor(streams) * self.spec.io_host_factor(hosts);
         let base = SimDur::for_bytes(bytes, self.spec.io_forward.bytes_per_sec());
-        self.io_forward[pset].serve(ready, base * factor).finish
+        self.io_forward
+            .serving(pset)
+            .serve(ready, base * factor)
+            .finish
     }
 
     // ----- inbound flow registration ----------------------------------
@@ -723,7 +737,15 @@ impl Environment {
         }
     }
 
-    /// Walks every contended resource through a coalescing probe.
+    /// Walks every contended resource a run has used through a
+    /// coalescing probe.
+    ///
+    /// Every server bank walks only the servers that have served (a
+    /// query touches a few dozen of a partition's hundreds), allocating
+    /// nothing: the flow table is kept in flow order, and the per-pset
+    /// and per-host counts derived from it are not walked.
+    /// A server that has never served is idle at time zero and stays
+    /// so until its first serve, which changes the bank's shape.
     ///
     /// `udp_active` must be `true` while any UDP carrier is live: it adds
     /// guards on the I/O-node forwarders so a jump can never carry a
@@ -732,7 +754,9 @@ impl Environment {
     /// test sees, since deliveries happen at or after `now`) is capped
     /// strictly below [`HardwareSpec::udp_drop_backlog`]; at or above it
     /// the gap is frozen into the shape, so a steady-drop regime only
-    /// jumps when the backlog is perfectly rigid between cuts.
+    /// jumps when the backlog is perfectly rigid between cuts. A
+    /// forwarder that has never served has a gap of 0 that stays 0, so
+    /// its guard could never cap a jump and is not walked.
     pub fn probe(&mut self, p: &mut scsq_sim::StateProbe<'_>, now: SimTime, udp_active: bool) {
         // Jitter makes every period unique by construction: the factor
         // stream's state is opaque shape, so any draw between two
@@ -744,20 +768,12 @@ impl Environment {
         self.torus.probe(p, now);
         self.tree.probe(p);
         self.ether.probe(p);
-        for s in &mut self.cn_tx {
-            s.probe(p);
-        }
-        for s in &mut self.cn_rx {
-            s.probe(p, now);
-        }
-        for s in &mut self.linux_tx {
-            s.probe(p);
-        }
-        for s in &mut self.linux_rx {
-            s.probe(p);
-        }
+        self.cn_tx.probe_each(p, FifoServer::probe);
+        self.cn_rx.probe_each(p, |s, p| s.probe(p, now));
+        self.linux_tx.probe_each(p, FifoServer::probe);
+        self.linux_rx.probe_each(p, FifoServer::probe);
         let drop_gap = self.spec.udp_drop_backlog.as_nanos();
-        for s in &mut self.io_forward {
+        self.io_forward.probe_each(p, |s, p| {
             if udp_active {
                 let gap = s.busy_until().as_nanos().saturating_sub(now.as_nanos());
                 if gap < drop_gap {
@@ -767,34 +783,16 @@ impl Environment {
                 }
             }
             s.probe(p);
-        }
+        });
         // Flow registration feeds the coordination factors; it changes
-        // only at stream setup/teardown, which must block jumps.
+        // only at stream setup/teardown, which must block jumps. The
+        // per-pset stream counts and the per-host refcounts are
+        // functions of this table.
         p.shape(self.inbound.len() as u64);
-        let mut flows: Vec<_> = self
-            .inbound
-            .iter()
-            .map(|(f, &(host, pset))| (f.0, host as u64, pset as u64))
-            .collect();
-        flows.sort_unstable();
-        for (f, host, pset) in flows {
-            p.shape(f);
-            p.shape(host);
-            p.shape(pset);
-        }
-        for n in &self.io_streams {
-            p.shape(*n as u64);
-        }
-        p.shape(self.host_flows.len() as u64);
-        let mut hosts: Vec<_> = self
-            .host_flows
-            .iter()
-            .map(|(&h, &c)| (h as u64, c as u64))
-            .collect();
-        hosts.sort_unstable();
-        for (h, c) in hosts {
-            p.shape(h);
-            p.shape(c);
+        for (f, &(host, pset)) in &self.inbound {
+            p.shape(f.0);
+            p.shape(host as u64);
+            p.shape(pset as u64);
         }
         // Node allocation is effectively static during a run; the running
         // counts still guard against mid-run placement.

@@ -185,10 +185,12 @@ impl ProfileReport {
         );
         let _ = writeln!(
             out,
-            "coalescer wall: digests {:.2}%, advances {:.2}%; {:.1} coordinates/digest",
+            "coalescer wall: digests {:.2}%, advances {:.2}%; {:.1} coordinates/digest, \
+             {:.1} shape words/digest",
             share(self.coalesce_digest_ns),
             share(self.coalesce_advance_ns),
             c.coords as f64 / c.digests.max(1) as f64,
+            c.shape_words as f64 / c.digests.max(1) as f64,
         );
         out
     }
@@ -264,6 +266,7 @@ mod tests {
                 periods_skipped: 300,
                 events_skipped: 900,
                 coords: 4_200,
+                shape_words: 1_800,
             },
             coalesce_digest_ns: 6_000,
             coalesce_advance_ns: 500,
@@ -283,7 +286,8 @@ mod tests {
             text.contains(
                 "coalescer: 12 digests, 3 jumps (4.0 digests/jump); \
                  100 events dispatched, 900 skipped\n\
-                 coalescer wall: digests 12.00%, advances 1.00%; 350.0 coordinates/digest"
+                 coalescer wall: digests 12.00%, advances 1.00%; 350.0 coordinates/digest, \
+                 150.0 shape words/digest"
             ),
             "{text}"
         );

@@ -5,11 +5,12 @@
 //! *cheaply* it finds its jumps on the paper's two torus queries: how
 //! many state digests a jump costs, how many events still get
 //! dispatched, that the digests are repaid by skipped events at every
-//! sweep point, and that a run which can never jump stops paying.
+//! sweep point, that a run which can never jump stops paying, and how
+//! wide a digest is.
 //! Every count is deterministic, so the bounds are exact regression
 //! gates with headroom, not noise bands.
 
-use scsq_cluster::Environment;
+use scsq_cluster::{Environment, HardwareSpec};
 use scsq_engine::{run_graph, QueryBuilder, QueryStats, RunOptions};
 use scsq_ql::{parse_statement, Catalog};
 
@@ -21,7 +22,11 @@ const BUFFER_SWEEP: [u64; 13] = [
 const ARRAY_BYTES: u64 = 3_000_000;
 
 fn stats(src: &str, options: &RunOptions) -> QueryStats {
-    let mut env = Environment::lofar();
+    stats_on(HardwareSpec::lofar(), src, options)
+}
+
+fn stats_on(spec: HardwareSpec, src: &str, options: &RunOptions) -> QueryStats {
+    let mut env = Environment::new(spec);
     let catalog = Catalog::new();
     let stmt = parse_statement(src).expect("parses");
     let graph = QueryBuilder::new(&mut env, &catalog, options.placement, options)
@@ -137,23 +142,24 @@ fn a_run_that_never_locks_stops_paying() {
     );
 }
 
-/// A digest's width no longer grows by two coordinates per pending
-/// buffer-cycle chain: a channel's queued cycles (one per array, each
-/// issued about a hundred periods ahead) are probed as one periodic
-/// block. What still grows with the arrays is state outside the event
-/// queue, the channel's queue of pending arrays, and on the sequential
-/// merge the stalled channel's far-future cycles, which are irregular.
-/// Per-entry probing grew these widths by 3.0 (Figure 6), 5.8 to 6.2
-/// (sequential) and 7.4 to 7.6 (balanced) coordinates per added array
-/// from 10 to 40 arrays at these buffer sizes; the block walk grows
-/// them by 1.0, 3.8 to 4.0 and 2.0 to 2.4.
+/// A digest's width barely grows with the arrays a run sends. A
+/// channel's queued cycles (one per array, each issued about a hundred
+/// periods ahead) are probed as one periodic block, and a channel's
+/// queue of pending arrays as its front and back trains plus one shape
+/// word for the rest. What still grows on the sequential merge is the
+/// stalled channel's far-future cycles, which are irregular.
+/// From 10 to 40 arrays at these buffer sizes, per added array:
+/// per-entry probing grew these widths by 3.0 (Figure 6), 5.8 to 6.2
+/// (sequential) and 7.4 to 7.6 (balanced) coordinates; the block walk
+/// with every pending train probed by 1.0, 3.8 to 4.0 and 2.0 to 2.4;
+/// the interior word by 0.01, 1.4 to 1.7 and 0.03 to 0.3.
 #[test]
 fn probe_width_is_flat_in_the_number_of_arrays() {
     // (leg, query, coordinates per digest an added array may add)
     let queries: [(&str, Query, f64); 3] = [
-        ("fig6", p2p, 1.5),
-        ("fig8 sequential", merge, 4.5),
-        ("fig8 balanced", balanced_merge, 3.0),
+        ("fig6", p2p, 0.25),
+        ("fig8 sequential", merge, 2.5),
+        ("fig8 balanced", balanced_merge, 1.0),
     ];
     for (name, query, per_array) in queries {
         for buffer in [100, 1_000] {
@@ -168,6 +174,57 @@ fn probe_width_is_flat_in_the_number_of_arrays() {
                 "{name}, buffer {buffer}: {few:.1} coordinates per digest at 10 arrays, \
                  {many:.1} at 40"
             );
+        }
+    }
+}
+
+/// The 8×8×2 partition of the scaling study (`scsq-bench`'s
+/// `scaling::partition(8, 8, 2, 16)`): four times the LOFAR partition's
+/// compute nodes, psets, I/O nodes and back-end nodes.
+fn quad_partition() -> HardwareSpec {
+    HardwareSpec {
+        torus_x: 8,
+        torus_y: 8,
+        torus_z: 2,
+        back_end_nodes: 16,
+        ..HardwareSpec::lofar()
+    }
+}
+
+/// A digest walks the servers a run has used, not the partition: the
+/// paper's torus queries read the same digests, jumps, coordinates and
+/// shape words on the 4×4×2 LOFAR partition and on an 8×8×2 one. The
+/// balanced merge's second sender is the node one Y hop from node 0 on
+/// both (rank 4 on LOFAR, 8 on the larger torus), so every run crosses
+/// the same co-processors and links. Walking every server of the
+/// partition, one shape word per idle server, took about 11 shape words
+/// more per added compute node (Figure 6 at a 100-byte buffer: 451
+/// words per digest on 4×4×2, 1 519 on 8×8×2; now 91 on both).
+#[test]
+fn probe_width_is_flat_in_the_partition() {
+    const ARRAYS: u64 = 10;
+    for buffer in [100, 1_000] {
+        let options = buffered(buffer, false);
+        for (name, second) in [
+            ("fig6", None),
+            ("fig8 sequential", Some(2)),
+            ("fig8 balanced", None),
+        ] {
+            let run = |spec: HardwareSpec| {
+                let src = match (name, second) {
+                    ("fig6", _) => p2p(ARRAYS),
+                    (_, Some(y)) => merge_from(ARRAYS, y),
+                    _ => merge_from(ARRAYS, spec.torus_x as u64),
+                };
+                stats_on(spec, &src, &options)
+            };
+            let (small, large) = (run(HardwareSpec::lofar()), run(quad_partition()));
+            let (a, b) = (small.coalesce, large.coalesce);
+            let at = format!("{name}, buffer {buffer}: {a:?} on 4x4x2, {b:?} on 8x8x2");
+            assert!(a.jumps > 0, "no jump at {at}");
+            assert_eq!(small.events, large.events, "{at}");
+            assert_eq!((a.digests, a.jumps), (b.digests, b.jumps), "{at}");
+            assert_eq!((a.coords, a.shape_words), (b.coords, b.shape_words), "{at}");
         }
     }
 }

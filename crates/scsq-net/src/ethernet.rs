@@ -8,7 +8,7 @@
 //! single NIC.
 
 use crate::{Bandwidth, FlowId};
-use scsq_sim::{FifoServer, SimDur, SimTime};
+use scsq_sim::{FifoServer, ServerBank, SimDur, SimTime};
 
 /// Calibration constants for the Ethernet fabric.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,8 +48,8 @@ pub struct EtherOutcome {
 #[derive(Debug)]
 pub struct Ethernet {
     params: EtherParams,
-    tx: Vec<FifoServer>,
-    rx: Vec<FifoServer>,
+    tx: ServerBank<FifoServer>,
+    rx: ServerBank<FifoServer>,
     messages: u64,
     bytes: u64,
 }
@@ -64,8 +64,8 @@ impl Ethernet {
         assert!(hosts > 0, "fabric needs at least one host");
         Ethernet {
             params,
-            tx: vec![FifoServer::new(); hosts],
-            rx: vec![FifoServer::new(); hosts],
+            tx: ServerBank::new(hosts, FifoServer::new),
+            rx: ServerBank::new(hosts, FifoServer::new),
             messages: 0,
             bytes: 0,
         }
@@ -116,11 +116,11 @@ impl Ethernet {
 
         let rate = self.params.nic.bytes_per_sec();
         let tx_service = self.params.per_msg_overhead + SimDur::for_bytes(bytes, rate);
-        let tx = self.tx[src].serve(ready, tx_service);
+        let tx = self.tx.serving(src).serve(ready, tx_service);
 
         let arrival = tx.finish + self.params.latency;
         let rx_service = SimDur::for_bytes(bytes, rate);
-        let rx = self.rx[dst].serve(arrival, rx_service);
+        let rx = self.rx.serving(dst).serve(arrival, rx_service);
 
         EtherOutcome {
             sent: tx.finish,
@@ -128,14 +128,11 @@ impl Ethernet {
         }
     }
 
-    /// Walks the fabric's contended state through a coalescing probe.
+    /// Walks the fabric's contended state through a coalescing probe:
+    /// the NICs that have served, senders then receivers.
     pub fn probe(&mut self, p: &mut scsq_sim::StateProbe<'_>) {
-        for s in &mut self.tx {
-            s.probe(p);
-        }
-        for s in &mut self.rx {
-            s.probe(p);
-        }
+        self.tx.probe_each(p, FifoServer::probe);
+        self.rx.probe_each(p, FifoServer::probe);
         p.num(&mut self.messages);
         p.num(&mut self.bytes);
     }

@@ -21,7 +21,7 @@
 //! [`TorusParams::cache_factor`] applied to the injection cost.
 
 use crate::{Bandwidth, FlowId};
-use scsq_sim::{FifoServer, SimDur, SimTime, SwitchingServer};
+use scsq_sim::{FifoServer, ServerBank, SimDur, SimTime, SwitchingServer};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -320,11 +320,11 @@ pub struct TransmitOutcome {
 pub struct TorusNet {
     dims: TorusDims,
     params: TorusParams,
-    coprocs: Vec<SwitchingServer>,
+    coprocs: ServerBank<SwitchingServer>,
     /// Directed links in [`RouteTable`] id order — a dense array instead
     /// of a hash map, so the per-hop contention accounting is one index
     /// away from the precomputed route step.
-    links: Vec<FifoServer>,
+    links: ServerBank<FifoServer>,
     routes: Arc<RouteTable>,
     messages: u64,
     bytes: u64,
@@ -339,11 +339,11 @@ pub struct TorusNet {
 impl TorusNet {
     /// Creates an idle torus of the given dimensions.
     pub fn new(dims: TorusDims, params: TorusParams) -> Self {
-        let coprocs = (0..dims.node_count())
-            .map(|_| SwitchingServer::new(params.switch_cost))
-            .collect();
+        let coprocs = ServerBank::new(dims.node_count(), || {
+            SwitchingServer::new(params.switch_cost)
+        });
         let routes = RouteTable::shared(dims);
-        let links = vec![FifoServer::new(); routes.link_count];
+        let links = ServerBank::new(routes.link_count, FifoServer::new);
         TorusNet {
             dims,
             params,
@@ -425,7 +425,10 @@ impl TorusNet {
 
         if src == dst {
             // Same-node handoff: only the receive drain cost applies.
-            let g = self.coprocs[src].serve_from(flow.0, ready, recv_service);
+            let g = self
+                .coprocs
+                .serving(src)
+                .serve_from(flow.0, ready, recv_service);
             return TransmitOutcome {
                 inject_done: g.finish,
                 delivered: g.finish,
@@ -434,7 +437,10 @@ impl TorusNet {
 
         // 1. Injection at the source co-processor (driver copy; pays the
         //    per-message overhead and the cache derating).
-        let inject = self.coprocs[src].serve_from(flow.0, ready, inject_service);
+        let inject = self
+            .coprocs
+            .serving(src)
+            .serve_from(flow.0, ready, inject_service);
         let mut t = inject.finish;
 
         // 2. Hop along the precomputed dimension-ordered route: each link
@@ -443,18 +449,24 @@ impl TorusNet {
         //    buffer granularity).
         let n = self.dims.node_count();
         for step in self.routes.steps(n, src, dst) {
-            let g = self.links[step.link as usize].serve(t, link_service);
+            let g = self
+                .links
+                .serving(step.link as usize)
+                .serve(t, link_service);
             t = g.finish;
             let b = step.node as usize;
             if b != dst {
-                let g = self.coprocs[b].serve_from(flow.0, t, fwd_service);
+                let g = self.coprocs.serving(b).serve_from(flow.0, t, fwd_service);
                 t = g.finish;
             }
         }
 
         // 3. Drain at the destination co-processor; alternating flows pay
         //    the switch penalty here.
-        let g = self.coprocs[dst].serve_from(flow.0, t, recv_service);
+        let g = self
+            .coprocs
+            .serving(dst)
+            .serve_from(flow.0, t, recv_service);
 
         TransmitOutcome {
             inject_done: inject.finish,
@@ -491,17 +503,12 @@ impl TorusNet {
         Arc::ptr_eq(&self.routes, &other.routes)
     }
 
-    /// Walks the torus's contended state through a coalescing probe.
-    /// Links are visited in route-table id order (fixed at
-    /// construction, so the walk is deterministic); untouched links
-    /// contribute a single shape bit each.
+    /// Walks the torus's contended state through a coalescing probe:
+    /// the co-processors, then the links, only those that have served
+    /// (a query crosses a few of a partition's nodes and links).
     pub fn probe(&mut self, p: &mut scsq_sim::StateProbe<'_>, now: SimTime) {
-        for c in &mut self.coprocs {
-            c.probe(p, now);
-        }
-        for link in &mut self.links {
-            link.probe(p);
-        }
+        self.coprocs.probe_each(p, |c, p| c.probe(p, now));
+        self.links.probe_each(p, FifoServer::probe);
         p.num(&mut self.messages);
         p.num(&mut self.bytes);
     }

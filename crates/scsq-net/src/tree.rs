@@ -8,7 +8,7 @@
 //! a shared, serially-used resource.
 
 use crate::{Bandwidth, FlowId};
-use scsq_sim::{FifoServer, SimDur, SimTime};
+use scsq_sim::{FifoServer, ServerBank, SimDur, SimTime};
 
 /// Calibration constants for the tree network.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +32,7 @@ impl Default for TreeParams {
 #[derive(Debug)]
 pub struct TreeNet {
     params: TreeParams,
-    channels: Vec<FifoServer>,
+    channels: ServerBank<FifoServer>,
 }
 
 impl TreeNet {
@@ -45,7 +45,7 @@ impl TreeNet {
         assert!(psets > 0, "need at least one pset");
         TreeNet {
             params,
-            channels: vec![FifoServer::new(); psets],
+            channels: ServerBank::new(psets, FifoServer::new),
         }
     }
 
@@ -71,7 +71,7 @@ impl TreeNet {
         assert!(pset < self.channels.len(), "pset {pset} out of range");
         let service = self.params.per_msg_overhead
             + SimDur::for_bytes(bytes, self.params.channel.bytes_per_sec());
-        self.channels[pset].serve(ready, service).finish
+        self.channels.serving(pset).serve(ready, service).finish
     }
 
     /// Busy time accumulated on a pset's channel.
@@ -79,11 +79,10 @@ impl TreeNet {
         self.channels[pset].busy_total()
     }
 
-    /// Walks the tree channels' state through a coalescing probe.
+    /// Walks the state of the tree channels that have served through a
+    /// coalescing probe.
     pub fn probe(&mut self, p: &mut scsq_sim::StateProbe<'_>) {
-        for c in &mut self.channels {
-            c.probe(p);
-        }
+        self.channels.probe_each(p, FifoServer::probe);
     }
 }
 

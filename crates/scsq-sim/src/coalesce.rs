@@ -111,6 +111,8 @@ pub struct StateProbe<'a> {
     nums: Vec<u64>,
     caps: Vec<Cap>,
     shape: u64,
+    /// Words mixed into `shape` (digest mode only).
+    shape_words: u64,
 }
 
 impl<'a> StateProbe<'a> {
@@ -122,6 +124,7 @@ impl<'a> StateProbe<'a> {
             nums: Vec::with_capacity(1024),
             caps: Vec::with_capacity(16),
             shape: FNV_OFFSET,
+            shape_words: 0,
         }
     }
 
@@ -139,6 +142,7 @@ impl<'a> StateProbe<'a> {
             nums,
             caps,
             shape: FNV_OFFSET,
+            shape_words: 0,
         }
     }
 
@@ -150,6 +154,7 @@ impl<'a> StateProbe<'a> {
             nums: Vec::new(),
             caps: Vec::new(),
             shape: FNV_OFFSET,
+            shape_words: 0,
         }
     }
 
@@ -239,6 +244,7 @@ impl<'a> StateProbe<'a> {
     pub fn shape(&mut self, v: u64) {
         if matches!(self.mode, Mode::Digest) {
             self.shape = fnv_mix(self.shape, v);
+            self.shape_words += 1;
         }
     }
 
@@ -257,7 +263,37 @@ impl<'a> StateProbe<'a> {
             }
             h = fnv_mix(h, tail);
             self.shape = h;
+            self.shape_words += bytes.len() as u64 / 8 + 2;
         }
+    }
+
+    /// Digests `walk` on a probe of its own and folds the result, its
+    /// shape, every coordinate and every cap, into one word for
+    /// [`StateProbe::shape`]: for state the model knows is unchanged
+    /// since the word was taken, so it can cache the word instead of
+    /// walking the state again. Two walks give the same word only when
+    /// they would give comparable snapshots with all-zero deltas
+    /// between them (barring a hash collision), so shaping the word is
+    /// stricter than walking the state: it refuses any jump across a
+    /// change of it.
+    pub fn fingerprint(walk: impl FnOnce(&mut StateProbe<'_>)) -> u64 {
+        let mut p = StateProbe {
+            mode: Mode::Digest,
+            idx: 0,
+            nums: Vec::new(),
+            caps: Vec::new(),
+            shape: FNV_OFFSET,
+            shape_words: 0,
+        };
+        walk(&mut p);
+        let mut h = fnv_mix(p.shape, p.nums.len() as u64);
+        for &x in &p.nums {
+            h = fnv_mix(h, x);
+        }
+        for c in &p.caps {
+            h = fnv_mix(fnv_mix(h, c.coord as u64), c.bound);
+        }
+        h
     }
 
     /// Consumes a digest-mode probe, yielding the snapshot.
@@ -274,6 +310,7 @@ impl<'a> StateProbe<'a> {
             nums: self.nums,
             caps: self.caps,
             shape: self.shape,
+            shape_words: self.shape_words,
         }
     }
 }
@@ -284,6 +321,20 @@ pub struct Snapshot {
     nums: Vec<u64>,
     caps: Vec<Cap>,
     shape: u64,
+    shape_words: u64,
+}
+
+impl Snapshot {
+    /// The recorded coordinates, in walk order.
+    pub fn nums(&self) -> &[u64] {
+        &self.nums
+    }
+
+    /// Whether the detector compares `self` and `other` coordinate by
+    /// coordinate: equal shapes, widths and caps.
+    pub fn comparable(&self, other: &Snapshot) -> bool {
+        Coalescer::comparable(self, other)
+    }
 }
 
 /// Counters describing what the coalescer did during a run.
@@ -300,6 +351,9 @@ pub struct CoalesceStats {
     /// Coordinates recorded, summed over all digests: the width of the
     /// state probe, which `comparable` and the delta checks walk.
     pub coords: u64,
+    /// Words mixed into the shape hash, summed over all digests: the
+    /// rest of a digest's width, which only the digest walk pays.
+    pub shape_words: u64,
 }
 
 /// The plan for one jump: replay `deltas` onto the state `periods`
@@ -522,6 +576,7 @@ impl Coalescer {
     pub fn observe(&mut self, snap: Snapshot) -> Option<JumpPlan> {
         self.stats.digests += 1;
         self.stats.coords += snap.nums.len() as u64;
+        self.stats.shape_words += snap.shape_words;
         let prev = self.prev.replace(snap)?;
         let plan = self.confirm(&prev);
         self.retire(prev);

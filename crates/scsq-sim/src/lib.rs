@@ -57,7 +57,7 @@ pub use hist::{LatencyHistogram, LATENCY_BUCKETS};
 pub use obs::Span;
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
-pub use server::{FifoServer, SwitchingServer};
+pub use server::{FifoServer, Server, ServerBank, SwitchingServer};
 pub use stats::{RunningStats, Series};
 pub use time::{SimDur, SimTime};
 pub use typed::{Event, TypedSimulator};

@@ -13,8 +13,14 @@
 //! paper observes pays a cost each time it alternates between receiving
 //! from different source nodes (§3.1: merge needs much larger buffers than
 //! point-to-point).
+//!
+//! A [`ServerBank`] holds one kind of server for every node, link or
+//! NIC of a model and remembers which of them have ever served, so a
+//! coalescing digest walks the handful a query uses, not the machine.
 
+use crate::coalesce::StateProbe;
 use crate::time::{SimDur, SimTime};
+use std::ops::Index;
 
 /// A work-conserving FIFO resource.
 ///
@@ -84,16 +90,6 @@ impl FifoServer {
         self.jobs
     }
 
-    /// Utilization over the window `[SimTime::ZERO, horizon]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is zero.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        assert!(horizon > SimTime::ZERO, "horizon must be positive");
-        self.busy_total.as_secs_f64() / horizon.as_secs_f64()
-    }
-
     /// Resets the server to idle, clearing statistics.
     pub fn reset(&mut self) {
         *self = FifoServer::default();
@@ -101,21 +97,11 @@ impl FifoServer {
 
     /// Walks the server's state through a coalescing probe: the busy
     /// horizon and all counters advance affinely during steady trains.
-    ///
-    /// A never-used server contributes a single shape bit instead of
-    /// three coordinates: most servers of a large cluster are idle in
-    /// any given query, and the probe runs on every coalescing digest.
-    /// The bit keeps digest and advance walks aligned — a server waking
-    /// up changes the walk's structure, which blocks the jump.
-    pub fn probe(&mut self, p: &mut crate::coalesce::StateProbe<'_>) {
-        let untouched =
-            self.jobs == 0 && self.busy_until == SimTime::ZERO && self.busy_total == SimDur::ZERO;
-        p.shape(untouched as u64);
-        if !untouched {
-            p.time(&mut self.busy_until);
-            p.dur(&mut self.busy_total);
-            p.num(&mut self.jobs);
-        }
+    /// Only a [`ServerBank`]'s served servers are walked.
+    pub fn probe(&mut self, p: &mut StateProbe<'_>) {
+        p.time(&mut self.busy_until);
+        p.dur(&mut self.busy_total);
+        p.num(&mut self.jobs);
     }
 }
 
@@ -241,7 +227,9 @@ impl SwitchingServer {
         *self = SwitchingServer::new(cost);
     }
 
-    /// Walks the server's state through a coalescing probe.
+    /// Walks the server's state through a coalescing probe. Only a
+    /// [`ServerBank`]'s served servers are walked, and a served one has
+    /// at least one source in its activity list.
     ///
     /// The activity list is visited in sorted key order (its storage
     /// order). Each entry's age is guarded: an idle source expiring out
@@ -251,12 +239,8 @@ impl SwitchingServer {
     /// from the later of `now` and the newest arrival seen. Entries
     /// already past the window can only be retained out (age never
     /// shrinks while a source is idle), so they carry no upper bound.
-    pub fn probe(&mut self, p: &mut crate::coalesce::StateProbe<'_>, now: SimTime) {
+    pub fn probe(&mut self, p: &mut StateProbe<'_>, now: SimTime) {
         self.inner.probe(p);
-        if self.penalty_total == SimDur::ZERO && self.activity.is_empty() {
-            p.shape(u64::MAX);
-            return;
-        }
         p.dur(&mut self.penalty_total);
         p.shape(self.activity.len() as u64);
         let window = Self::ACTIVITY_WINDOW.as_nanos();
@@ -268,6 +252,121 @@ impl SwitchingServer {
             p.guard(age, if age < window { window } else { u64::MAX });
             p.time(last);
         }
+    }
+}
+
+/// A server a [`ServerBank`] can hold: one that counts the jobs it
+/// served, which is how the bank tells a first serve.
+pub trait Server {
+    /// Number of jobs served.
+    fn jobs(&self) -> u64;
+}
+
+impl Server for FifoServer {
+    #[inline(always)]
+    fn jobs(&self) -> u64 {
+        self.jobs
+    }
+}
+
+impl Server for SwitchingServer {
+    #[inline(always)]
+    fn jobs(&self) -> u64 {
+        self.inner.jobs
+    }
+}
+
+/// A dense array of servers (one per node, link or NIC) that records
+/// the index of each one the first time it serves.
+///
+/// A query uses a few dozen of the hundreds of servers a partition
+/// has, and a coalescing digest only needs to walk those:
+/// [`ServerBank::probe_each`] visits the served ones and nothing else.
+/// The served list only grows within a run, by appending, so its
+/// length alone tells two digests of one run whether it changed, and
+/// equal lengths walk the servers in the same order.
+///
+/// Reads go through [`Index`]; a serve goes through
+/// [`ServerBank::serving`], which must be followed by a serve.
+#[derive(Debug, Clone)]
+pub struct ServerBank<S> {
+    servers: Vec<S>,
+    /// Indices of the servers that have served, in first-serve order,
+    /// in the first `served` slots: one slot per server, so recording
+    /// one never allocates.
+    order: Box<[u32]>,
+    served: usize,
+}
+
+impl<S: Server> ServerBank<S> {
+    /// A bank of `len` servers built by `make`, none served yet.
+    pub fn new(len: usize, make: impl FnMut() -> S) -> Self {
+        assert!(u32::try_from(len).is_ok(), "{len} servers in one bank");
+        ServerBank {
+            servers: std::iter::repeat_with(make).take(len).collect(),
+            order: vec![0; len].into_boxed_slice(),
+            served: 0,
+        }
+    }
+
+    /// Number of servers in the bank.
+    pub fn len(&self) -> usize {
+        self.servers.len()
+    }
+
+    /// Whether the bank holds no server.
+    pub fn is_empty(&self) -> bool {
+        self.servers.is_empty()
+    }
+
+    /// Server `i`, about to serve a job: the caller must serve on it.
+    /// Its first serve records `i` among the served.
+    #[inline(always)]
+    pub fn serving(&mut self, i: usize) -> &mut S {
+        if self.servers[i].jobs() == 0 {
+            return self.record(i);
+        }
+        &mut self.servers[i]
+    }
+
+    /// Records server `i`'s first serve and returns it. Out of line and
+    /// cold, so the serve path is a compare and a not-taken branch.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, i: usize) -> &mut S {
+        debug_assert!(
+            !self.order[..self.served].contains(&(i as u32)),
+            "server {i} recorded twice: a serving() call without a serve"
+        );
+        self.order[self.served] = i as u32;
+        self.served += 1;
+        &mut self.servers[i]
+    }
+
+    /// Walks the served servers through a coalescing probe, in
+    /// first-serve order, with `probe` for each. The number of served
+    /// servers is shape: the list only grows, so an equal count is an
+    /// equal list.
+    pub fn probe_each(
+        &mut self,
+        p: &mut StateProbe<'_>,
+        mut probe: impl FnMut(&mut S, &mut StateProbe<'_>),
+    ) {
+        p.shape(self.served as u64);
+        for &i in &self.order[..self.served] {
+            let server = &mut self.servers[i as usize];
+            debug_assert!(server.jobs() > 0, "server {i} recorded but never served");
+            probe(server, p);
+        }
+    }
+}
+
+impl<S> Index<usize> for ServerBank<S> {
+    type Output = S;
+
+    #[inline]
+    fn index(&self, i: usize) -> &S {
+        &self.servers[i]
     }
 }
 
@@ -304,14 +403,6 @@ mod tests {
         assert_eq!(g.start, SimTime::from_micros(100));
         assert_eq!(s.busy_total(), SimDur::from_micros(2));
         assert_eq!(s.jobs(), 2);
-    }
-
-    #[test]
-    fn utilization_reflects_busy_fraction() {
-        let mut s = FifoServer::new();
-        s.serve(SimTime::ZERO, SimDur::from_micros(25));
-        let u = s.utilization(SimTime::from_micros(100));
-        assert!((u - 0.25).abs() < 1e-9);
     }
 
     #[test]
@@ -384,6 +475,31 @@ mod tests {
         s.serve_from(3, later, SimDur::from_micros(1));
         assert_eq!(s.active_sources(), 1);
         assert_eq!(s.penalty_total(), before);
+    }
+
+    #[test]
+    fn a_bank_walks_only_its_served_servers_in_first_serve_order() {
+        let mut bank = ServerBank::new(8, FifoServer::new);
+        for i in [5, 2, 5, 7, 2] {
+            bank.serving(i)
+                .serve(SimTime::ZERO, SimDur::from_micros(i as u64));
+        }
+        assert_eq!(bank.order[..bank.served], [5, 2, 7]);
+        assert_eq!(bank[5].jobs(), 2);
+        assert_eq!(bank[0].jobs(), 0);
+        let mut walked = Vec::new();
+        let mut p = StateProbe::digest();
+        bank.probe_each(&mut p, |s, p| {
+            walked.push(s.busy_total());
+            s.probe(p);
+        });
+        let micros = |us| SimDur::from_micros(us);
+        assert_eq!(walked, [micros(10), micros(4), micros(7)]);
+        assert_eq!(
+            p.finish().nums().len(),
+            9,
+            "three coordinates per served server"
+        );
     }
 
     #[test]

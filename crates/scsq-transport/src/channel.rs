@@ -222,6 +222,68 @@ enum Node<T> {
     Pack(Pack<T>),
 }
 
+impl<T: Payload> Node<T> {
+    /// Bytes of this node not yet packed into a buffer.
+    fn bytes_left(&self) -> u64 {
+        match self {
+            Node::Train(t) => t.head_bytes_left + (t.copies - 1) * t.bytes_each,
+            Node::Pack(pk) => pk.bytes_left(),
+        }
+    }
+
+    /// Walks one node through a coalescing probe. Copy counts, packed
+    /// byte counts and clocks are extrapolatable; payloads (via
+    /// `probe_item`), sizes and flags are shape.
+    fn probe(
+        &mut self,
+        p: &mut StateProbe<'_>,
+        probe_item: &mut impl FnMut(&T, &mut StateProbe<'_>),
+    ) {
+        match self {
+            Node::Train(t) => {
+                p.shape(0);
+                p.num(&mut t.copies);
+                p.shape(t.bytes_each);
+                p.num(&mut t.head_bytes_left);
+                p.time(&mut t.head_ready);
+                p.dur(&mut t.step);
+                p.shape(t.head_corrupted as u64);
+                p.shape(t.item.is_some() as u64);
+                if let Some(item) = &t.item {
+                    probe_item(item, p);
+                }
+            }
+            Node::Pack(pk) => {
+                p.shape(1);
+                p.shape(pk.remaining() as u64);
+                p.shape(pk.bytes_each);
+                p.num(&mut pk.head_bytes_left);
+                p.shape(pk.head_corrupted as u64);
+                for t in &mut pk.readies[pk.next..] {
+                    p.time(t);
+                }
+                probe_item(&pk.view.slice_rows(pk.next, pk.view.rows()), p);
+            }
+        }
+    }
+}
+
+/// A send queue's interior fingerprint and the queue length and
+/// `ChannelStats::bytes_enqueued` it was taken at.
+///
+/// Only `cycle` (popping at the front) and `enqueue` / `enqueue_run`
+/// (pushing at the back) change which nodes are interior, and no call
+/// changes an interior node. A push raises `bytes_enqueued`, which
+/// never falls, and without a push every pop shortens the queue: the
+/// word is current whenever both read as they did when it was taken.
+/// Keying it so costs the push and pop paths nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct InteriorWord {
+    len: usize,
+    bytes_enqueued: u64,
+    word: u64,
+}
+
 /// What one [`StreamChannel::cycle`] call produced.
 #[derive(Debug)]
 pub struct CycleOutput<T> {
@@ -272,6 +334,9 @@ pub struct StreamChannel<T> {
     /// [`Self::pending_buffers`] in O(1) so the engine can skip
     /// scheduling cycles that could not transmit anything.
     pending_bytes: u64,
+    /// The coalescing fingerprint of the queue's interior (every node
+    /// but the front and the back), keyed by when it was taken.
+    interior: Option<InteriorWord>,
     /// Send-completion times of recent buffers, at most `window` entries.
     inflight: VecDeque<SimTime>,
     /// An empty delivery vector donated back by the consumer
@@ -307,6 +372,7 @@ impl<T: Payload> StreamChannel<T> {
             fill_ready: SimTime::ZERO,
             fill_items: Vec::new(),
             pending_bytes: 0,
+            interior: None,
             inflight: VecDeque::new(),
             spare: Vec::new(),
             eos_queued: false,
@@ -758,49 +824,83 @@ impl<T: Payload> StreamChannel<T> {
         }
     }
 
-    /// Walks the channel's full state through a coalescing probe.
+    /// Bytes of the filling buffer and of the queue's front and back
+    /// nodes: the part of `pending_bytes` a probe walk can change.
+    fn end_bytes(&self) -> u64 {
+        let ends = match self.queue.len() {
+            0 => 0,
+            1 => self.queue[0].bytes_left(),
+            n => self.queue[0].bytes_left() + self.queue[n - 1].bytes_left(),
+        };
+        self.fill + ends
+    }
+
+    /// Walks the channel's state through a coalescing probe.
     ///
-    /// Train copy counts, packed byte counts and all clocks are
-    /// extrapolatable; element payloads (via `probe_item`), queue
-    /// structure and protocol flags are shape. The buffer fill level is
-    /// bounded by the buffer size so a jump can never carry it across a
-    /// transmit boundary.
+    /// The send queue's front and back nodes are walked node by node
+    /// (`Node::probe`): they are the only ones `cycle` and `enqueue`
+    /// change. The nodes between them are one shape word, their
+    /// [`StateProbe::fingerprint`], cached until the next push or pop
+    /// (`InteriorWord`), so a digest costs the same for two pending
+    /// arrays as for a hundred. A jump is then allowed only across
+    /// periods that leave the interior as it was, and an advance leaves
+    /// it alone.
+    ///
+    /// Element payloads (via `probe_item`), queue structure and protocol
+    /// flags are shape; counters and clocks are extrapolatable. The
+    /// buffer fill level is bounded by the buffer size so a jump can
+    /// never carry it across a transmit boundary.
     pub fn probe(
         &mut self,
         env: &Environment,
         p: &mut StateProbe<'_>,
         mut probe_item: impl FnMut(&T, &mut StateProbe<'_>),
     ) {
-        let buffer_size = self.buffer_size(env);
-        p.shape(self.queue.len() as u64);
-        for node in &mut self.queue {
-            match node {
-                Node::Train(t) => {
-                    p.shape(0);
-                    p.num(&mut t.copies);
-                    p.shape(t.bytes_each);
-                    p.num(&mut t.head_bytes_left);
-                    p.time(&mut t.head_ready);
-                    p.dur(&mut t.step);
-                    p.shape(t.head_corrupted as u64);
-                    p.shape(t.item.is_some() as u64);
-                    if let Some(item) = &t.item {
-                        probe_item(item, p);
-                    }
-                }
-                Node::Pack(pk) => {
-                    p.shape(1);
-                    p.shape(pk.remaining() as u64);
-                    p.shape(pk.bytes_each);
-                    p.num(&mut pk.head_bytes_left);
-                    p.shape(pk.head_corrupted as u64);
-                    for t in &mut pk.readies[pk.next..] {
-                        p.time(t);
-                    }
-                    probe_item(&pk.view.slice_rows(pk.next, pk.view.rows()), p);
-                }
-            }
+        let ends_before = self.end_bytes();
+        let len = self.queue.len();
+        p.shape(len as u64);
+        if let Some(front) = self.queue.front_mut() {
+            front.probe(p, &mut probe_item);
         }
+        if len > 2 {
+            let bytes_enqueued = self.stats.bytes_enqueued;
+            let word = match self.interior {
+                Some(i) if i.len == len && i.bytes_enqueued == bytes_enqueued => i.word,
+                _ => {
+                    let nodes = self.queue.range_mut(1..len - 1);
+                    let word = StateProbe::fingerprint(|p| {
+                        for node in nodes {
+                            node.probe(p, &mut probe_item);
+                        }
+                    });
+                    self.interior = Some(InteriorWord {
+                        len,
+                        bytes_enqueued,
+                        word,
+                    });
+                    word
+                }
+            };
+            p.shape(word);
+        }
+        if len > 1 {
+            self.queue[len - 1].probe(p, &mut probe_item);
+        }
+        self.probe_rest(env, p, probe_item);
+        // `pending_bytes` is derived state (filling buffer plus queue);
+        // an advance changes only the filling buffer and the end nodes,
+        // so moving it by their change keeps it equal to the sum.
+        self.pending_bytes = self.pending_bytes - ends_before + self.end_bytes();
+    }
+
+    /// The part of [`StreamChannel::probe`] after the send queue.
+    fn probe_rest(
+        &mut self,
+        env: &Environment,
+        p: &mut StateProbe<'_>,
+        mut probe_item: impl FnMut(&T, &mut StateProbe<'_>),
+    ) {
+        let buffer_size = self.buffer_size(env);
         p.bounded(&mut self.fill, buffer_size);
         p.time(&mut self.fill_ready);
         p.shape(self.fill_items.len() as u64);
@@ -830,19 +930,24 @@ impl<T: Payload> StreamChannel<T> {
             p.time(t);
         }
         p.time(&mut s.last_delivery);
-        // `pending_bytes` is derived state (filling buffer plus queue);
-        // rebuild it from the possibly-extrapolated fields above rather
-        // than probing it independently, so it can never drift from
-        // what it summarizes.
-        self.pending_bytes = self.fill
-            + self
-                .queue
-                .iter()
-                .map(|node| match node {
-                    Node::Train(t) => t.head_bytes_left + (t.copies - 1) * t.bytes_each,
-                    Node::Pack(pk) => pk.bytes_left(),
-                })
-                .sum::<u64>();
+    }
+
+    /// The walk [`StreamChannel::probe`] replaced, kept as the tests'
+    /// reference: every queue node walked, then `pending_bytes` rebuilt
+    /// from scratch.
+    #[cfg(test)]
+    fn probe_per_node(
+        &mut self,
+        env: &Environment,
+        p: &mut StateProbe<'_>,
+        mut probe_item: impl FnMut(&T, &mut StateProbe<'_>),
+    ) {
+        p.shape(self.queue.len() as u64);
+        for node in &mut self.queue {
+            node.probe(p, &mut probe_item);
+        }
+        self.probe_rest(env, p, probe_item);
+        self.pending_bytes = self.fill + self.queue.iter().map(Node::bytes_left).sum::<u64>();
     }
 }
 
@@ -1173,5 +1278,408 @@ mod tests {
         let mut ch = StreamChannel::new(mpi_cfg(1000, false), &mut env);
         ch.finish(SimTime::ZERO);
         ch.enqueue((), 10, SimTime::ZERO);
+    }
+
+    /// The interior fingerprint against the per-node walk it replaced.
+    mod interior {
+        use super::*;
+        use proptest::prelude::*;
+        use scsq_sim::Snapshot;
+
+        /// A run of consecutive element ids; one id is `len == 1`.
+        #[derive(Debug, Clone, PartialEq)]
+        struct Span {
+            first: u64,
+            len: usize,
+        }
+
+        impl Payload for Span {
+            fn rows(&self) -> usize {
+                self.len
+            }
+
+            fn slice_rows(&self, start: usize, end: usize) -> Span {
+                Span {
+                    first: self.first + start as u64,
+                    len: end - start,
+                }
+            }
+        }
+
+        fn item_shape(s: &Span, p: &mut StateProbe<'_>) {
+            p.shape(s.first);
+            p.shape(s.len as u64);
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// The shared element (one size per case), ready one train
+            /// step after the last element, or `late` later than that
+            /// when `late > 0`.
+            Equal {
+                late: u64,
+            },
+            /// A fresh element, `gap` after the last.
+            Distinct {
+                bytes_sel: usize,
+                gap: u64,
+            },
+            /// A fresh run of `rows` elements, `gap` apart.
+            Run {
+                rows: usize,
+                bytes_sel: usize,
+                gap: u64,
+            },
+            Cycle(usize),
+            Digest,
+            /// Digests, then replays the deltas from the digest before,
+            /// if the two compare.
+            Advance,
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            // Weighted by the selector: pushes, cycles and digests
+            // dominate, so queues grow, turn over and get compared.
+            (0u8..17, 0usize..4, 0u64..5, 1usize..6).prop_map(|(sel, bytes_sel, n, rows)| match sel
+            {
+                0..=1 => Op::Equal { late: 0 },
+                2..=3 => Op::Equal { late: n + 1 },
+                4..=5 => Op::Distinct { bytes_sel, gap: n },
+                6 => Op::Run {
+                    rows,
+                    bytes_sel,
+                    gap: n,
+                },
+                7..=10 => Op::Cycle(rows.min(3)),
+                11..=14 => Op::Digest,
+                _ => Op::Advance,
+            })
+        }
+
+        /// One digest of each walk, and where the reference walk keeps
+        /// the interior: `front` coordinates, then `interior` more.
+        struct Digest {
+            new: Snapshot,
+            reference: Snapshot,
+            front: usize,
+            interior: usize,
+        }
+
+        impl Digest {
+            fn interior_nums(&self) -> &[u64] {
+                &self.reference.nums()[self.front..self.front + self.interior]
+            }
+        }
+
+        /// Coordinates one node records.
+        fn width(node: &mut Node<Span>) -> usize {
+            let mut p = StateProbe::digest();
+            node.probe(&mut p, &mut item_shape);
+            p.finish().nums().len()
+        }
+
+        /// Channel state that is not a cache, for comparing two channels.
+        fn state(ch: &StreamChannel<Span>) -> String {
+            format!(
+                "{:?} {} {:?} {:?} {} {:?} {} {} {:?}",
+                ch.queue,
+                ch.fill,
+                ch.fill_ready,
+                ch.fill_items,
+                ch.pending_bytes,
+                ch.inflight,
+                ch.eos_queued,
+                ch.eos_reported,
+                ch.stats
+            )
+        }
+
+        /// Periods a jump may replay `deltas` from `snap`: every
+        /// depleting coordinate stays clear of zero, and at most 3.
+        fn periods(snap: &Snapshot, deltas: &[i64]) -> u64 {
+            snap.nums()
+                .iter()
+                .zip(deltas)
+                .filter(|(_, &d)| d < 0)
+                .map(|(&x, &d)| (x / d.unsigned_abs()).saturating_sub(2))
+                .fold(3, u64::min)
+        }
+
+        fn deltas(a: &Snapshot, b: &Snapshot) -> Vec<i64> {
+            a.nums()
+                .iter()
+                .zip(b.nums())
+                .map(|(&x, &y)| y.wrapping_sub(x) as i64)
+                .collect()
+        }
+
+        /// Two channels driven alike: one walked by `probe`, one by the
+        /// per-node reference.
+        struct Pair {
+            new: StreamChannel<Span>,
+            new_env: Environment,
+            reference: StreamChannel<Span>,
+            ref_env: Environment,
+            sizes: [u64; 4],
+            equal_bytes: u64,
+            /// Whether distinct elements and runs are pushed too; when
+            /// not, their ops push the shared element, and the queue's
+            /// nodes all share one shape.
+            mixed: bool,
+            gap_unit: u64,
+            step: u64,
+            last_ready: u64,
+            next_id: u64,
+            now: SimTime,
+            digests: Vec<Digest>,
+        }
+
+        impl Pair {
+            fn new(cfg: ChannelConfig) -> Pair {
+                let udp = cfg.carrier == Carrier::Udp;
+                let env = || {
+                    let mut env = Environment::lofar();
+                    if udp {
+                        // A 3 MB segment ahead of the stream keeps the
+                        // I/O node's forwarder busy for ~80 ms: datagrams
+                        // of the first ~60 ms are dropped.
+                        env.tcp_transmit(
+                            FlowId(99),
+                            NodeId::be(1),
+                            NodeId::bg(0),
+                            3_000_000,
+                            SimTime::ZERO,
+                        );
+                    }
+                    env
+                };
+                let (mut new_env, mut ref_env) = (env(), env());
+                Pair {
+                    new: StreamChannel::new(cfg, &mut new_env),
+                    reference: StreamChannel::new(cfg, &mut ref_env),
+                    new_env,
+                    ref_env,
+                    sizes: if udp {
+                        [3_000, 8_192, 10_000, 20_000]
+                    } else {
+                        [250, 1_000, 1_500, 3_000]
+                    },
+                    equal_bytes: 0,
+                    mixed: true,
+                    gap_unit: if udp { 2_000_000 } else { 2_000 },
+                    step: 0,
+                    last_ready: 0,
+                    next_id: 100,
+                    now: SimTime::ZERO,
+                    digests: Vec::new(),
+                }
+            }
+
+            fn ready(&mut self, gap: u64) -> SimTime {
+                self.last_ready += gap;
+                SimTime::from_nanos(self.last_ready)
+            }
+
+            fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
+                let op = match *op {
+                    Op::Distinct { gap, .. } | Op::Run { gap, .. } if !self.mixed => {
+                        &Op::Equal { late: gap }
+                    }
+                    _ => op,
+                };
+                match *op {
+                    Op::Equal { late } => {
+                        let gap = self.step + late * self.gap_unit;
+                        let ready = self.ready(gap);
+                        let item = Span { first: 7, len: 1 };
+                        let bytes = self.equal_bytes;
+                        self.new.enqueue(item.clone(), bytes, ready);
+                        self.reference.enqueue(item, bytes, ready);
+                    }
+                    Op::Distinct { bytes_sel, gap } => {
+                        let ready = self.ready(gap * self.gap_unit);
+                        let item = Span {
+                            first: self.next_id,
+                            len: 1,
+                        };
+                        self.next_id += 1;
+                        let bytes = self.sizes[bytes_sel];
+                        self.new.enqueue(item.clone(), bytes, ready);
+                        self.reference.enqueue(item, bytes, ready);
+                    }
+                    Op::Run {
+                        rows,
+                        bytes_sel,
+                        gap,
+                    } => {
+                        let view = Span {
+                            first: self.next_id,
+                            len: rows,
+                        };
+                        self.next_id += rows as u64;
+                        let readies: Vec<SimTime> =
+                            (0..rows).map(|_| self.ready(gap * self.gap_unit)).collect();
+                        let bytes = self.sizes[bytes_sel];
+                        self.new.enqueue_run(view.clone(), bytes, readies.clone());
+                        self.reference.enqueue_run(view, bytes, readies);
+                    }
+                    Op::Cycle(n) => {
+                        for _ in 0..n {
+                            let a = self.new.cycle(&mut self.new_env, self.now);
+                            let b = self.reference.cycle(&mut self.ref_env, self.now);
+                            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                            if let Some(t) = a.next_cycle {
+                                self.now = self.now.max(t);
+                            }
+                        }
+                    }
+                    Op::Digest => self.digest()?,
+                    Op::Advance => {
+                        self.digest()?;
+                        self.advance()?;
+                    }
+                }
+                prop_assert_eq!(state(&self.new), state(&self.reference), "after {:?}", op);
+                Ok(())
+            }
+
+            fn digest(&mut self) -> Result<(), TestCaseError> {
+                let mut p = StateProbe::digest();
+                self.new.probe(&self.new_env, &mut p, item_shape);
+                let new = p.finish();
+                // The cached interior word is the one a fresh walk takes.
+                let cached = self.new.interior.take();
+                let mut p = StateProbe::digest();
+                self.new.probe(&self.new_env, &mut p, item_shape);
+                prop_assert_eq!(&p.finish(), &new, "a stale interior word");
+                self.new.interior = cached;
+
+                let mut p = StateProbe::digest();
+                self.reference
+                    .probe_per_node(&self.ref_env, &mut p, item_shape);
+                let reference = p.finish();
+                let len = self.reference.queue.len();
+                let front = self.reference.queue.front_mut().map_or(0, width);
+                let interior = if len > 2 {
+                    self.reference.queue.range_mut(1..len - 1).map(width).sum()
+                } else {
+                    0
+                };
+                // The new walk records the reference's coordinates less
+                // the interior's.
+                let r = reference.nums();
+                let expected = [&r[..front], &r[front + interior..]].concat();
+                prop_assert_eq!(new.nums(), &expected[..]);
+                let d = Digest {
+                    new,
+                    reference,
+                    front,
+                    interior,
+                };
+                // Against every earlier digest, not just the last one:
+                // comparable exactly when the reference is and the
+                // interior is the same.
+                for prev in &self.digests {
+                    let reference_comparable = prev.reference.comparable(&d.reference);
+                    let same = reference_comparable && prev.interior_nums() == d.interior_nums();
+                    prop_assert_eq!(prev.new.comparable(&d.new), same);
+                }
+                self.digests.push(d);
+                Ok(())
+            }
+
+            /// Replays the last two digests' deltas onto both channels,
+            /// which stand where the last one was taken.
+            fn advance(&mut self) -> Result<(), TestCaseError> {
+                let [.., a, b] = &self.digests[..] else {
+                    return Ok(());
+                };
+                if !a.new.comparable(&b.new) {
+                    return Ok(());
+                }
+                let new_deltas = deltas(&a.new, &b.new);
+                let ref_deltas = deltas(&a.reference, &b.reference);
+                let p = periods(&b.new, &new_deltas);
+                prop_assert_eq!(p, periods(&b.reference, &ref_deltas));
+                if p == 0 {
+                    return Ok(());
+                }
+                let mut adv = StateProbe::advance(&new_deltas, p);
+                self.new.probe(&self.new_env, &mut adv, item_shape);
+                let mut adv = StateProbe::advance(&ref_deltas, p);
+                self.reference
+                    .probe_per_node(&self.ref_env, &mut adv, item_shape);
+                Ok(())
+            }
+        }
+
+        fn config() -> impl Strategy<Value = ChannelConfig> {
+            (0u8..3).prop_map(|c| match c {
+                0 | 1 => mpi_cfg(1000, c == 1),
+                _ => ChannelConfig {
+                    flow: FlowId(1),
+                    src: NodeId::be(0),
+                    dst: NodeId::bg(0),
+                    carrier: Carrier::Udp,
+                },
+            })
+        }
+
+        /// A queue of equal-shaped trains that loses its front and
+        /// gains a back between two digests compares node by node, but
+        /// its interior moved: the interior word refuses the pair.
+        #[test]
+        fn a_shifted_interior_refuses_the_comparison() {
+            let mut pair = Pair::new(mpi_cfg(1000, false));
+            pair.equal_bytes = 1_000;
+            pair.step = 0;
+            // Two copies per train, 2 µs apart, trains 4 µs apart: each
+            // train is one buffer-sized element and its equal twin.
+            let push = [Op::Equal { late: 2 }, Op::Equal { late: 1 }];
+            for _ in 0..5 {
+                push.iter().try_for_each(|op| pair.apply(op)).unwrap();
+            }
+            // The first transmits set the window and the first-send
+            // time: digest after them, then turn over one train.
+            for _ in 0..2 {
+                pair.apply(&Op::Cycle(2)).unwrap();
+                push.iter().try_for_each(|op| pair.apply(op)).unwrap();
+                pair.apply(&Op::Digest).unwrap();
+            }
+            let [a, b] = &pair.digests[..] else {
+                panic!("two digests");
+            };
+            assert!(a.reference.comparable(&b.reference));
+            assert_ne!(a.interior_nums(), b.interior_nums());
+            assert!(!a.new.comparable(&b.new));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Random pushes (equal elements on an arithmetic or an
+            /// irregular progression, distinct ones, runs), cycles (UDP
+            /// drops poison heads), digests and advances, on a channel
+            /// walked by `probe` and one walked node by node. Digests
+            /// agree on what they compare and on every coordinate but
+            /// the interior's, the cached interior word is always a
+            /// fresh walk's, and advances leave equal channels.
+            #[test]
+            fn interior_word_matches_the_per_node_walk(
+                cfg in config(),
+                step in 0u64..3,
+                equal_sel in 0usize..4,
+                mixed in any::<bool>(),
+                ops in proptest::collection::vec(op(), 1..80),
+            ) {
+                let mut pair = Pair::new(cfg);
+                pair.mixed = mixed;
+                pair.step = step * pair.gap_unit;
+                pair.equal_bytes = pair.sizes[equal_sel];
+                for op in &ops {
+                    pair.apply(op)?;
+                }
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 # Alternating A/B pairs of the repo benchmark: a parent revision against
 # the working tree.
 #
-#   scripts/ab_pairs.sh <parent-rev> <workload> [--pairs N] [--seconds S] [--seed K]
+#   scripts/ab_pairs.sh <parent-rev> <workload> [--pairs N] [--seconds S] [--seed K] [--aa]
 #
 # Builds scsqd and the benchmark twice, each into its own target
 # directory: once from <parent-rev>, exported with `git archive` into a
@@ -14,21 +14,33 @@
 # metric the parent's median and quartiles, the working tree's median,
 # the median delta and how many pairs the working tree won.
 #
+# --aa is the A/A control: the working tree is replaced by a second
+# export of <parent-rev> into another directory, built into its own
+# target directory, so the pairs run the parent against itself. Its
+# deltas are what code layout, build path and host drift alone produce
+# on that workload; a claim that a change is "within noise" compares
+# its deltas with these, not with zero.
+#
 # Builds are cached under $AB_PAIRS_DIR (default $TMPDIR/scsq-ab-pairs,
 # or /tmp/scsq-ab-pairs), keyed by the parent's commit hash; delete the
 # directory to reclaim the space.
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 <parent-rev> <workload> [--pairs N] [--seconds S] [--seed K]" >&2
+    echo "usage: $0 <parent-rev> <workload> [--pairs N] [--seconds S] [--seed K] [--aa]" >&2
     exit 2
 }
 
 [ $# -ge 2 ] || usage
 rev=$1 workload=$2
 shift 2
-pairs=10 seconds=10 seed=11
+pairs=10 seconds=10 seed=11 aa=0
 while [ $# -gt 0 ]; do
+    if [ "$1" = --aa ]; then
+        aa=1
+        shift
+        continue
+    fi
     [ $# -ge 2 ] || usage
     case $1 in
         --pairs) pairs=$2 ;;
@@ -45,10 +57,24 @@ cache=${AB_PAIRS_DIR:-${TMPDIR:-/tmp}/scsq-ab-pairs}
 parent_src=$cache/src-$sha
 mkdir -p "$cache"
 
-if [ ! -f "$parent_src/Cargo.toml" ]; then
-    rm -rf "$parent_src"
-    mkdir -p "$parent_src"
-    git -C "$root" archive "$sha" | tar -x -C "$parent_src"
+# export <dir>: <parent-rev>'s tree in <dir>, unless already there.
+export_parent() {
+    if [ ! -f "$1/Cargo.toml" ]; then
+        rm -rf "$1"
+        mkdir -p "$1"
+        git -C "$root" archive "$sha" | tar -x -C "$1"
+    fi
+}
+export_parent "$parent_src"
+
+# The other side: the working tree, or for --aa a second export.
+if ((aa)); then
+    work_src=$cache/src-$sha-aa
+    work_target=$cache/target-$sha-aa
+    export_parent "$work_src"
+else
+    work_src=$root
+    work_target=$cache/target-work
 fi
 
 # build <source dir> <target dir>: what benchmark/run.sh builds.
@@ -60,7 +86,7 @@ build() {
         --manifest-path "$1/benchmark/Cargo.toml" >&2
 }
 build "$parent_src" "$cache/target-$sha"
-build "$root" "$cache/target-work"
+build "$work_src" "$work_target"
 
 # run <side>: one untraced run, appending `side metric value` lines.
 runs=$(mktemp)
@@ -69,7 +95,7 @@ run() {
     local src bin
     case $1 in
         parent) src=$parent_src bin=$cache/target-$sha/release/scsq-benchmark ;;
-        work) src=$root bin=$cache/target-work/release/scsq-benchmark ;;
+        work) src=$work_src bin=$work_target/release/scsq-benchmark ;;
     esac
     (cd "$src" && "$bin" run --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0) |
@@ -77,7 +103,11 @@ run() {
             'NF == 3 && $1 !~ /^#/ { print pair, side, $1, $2 }' >> "$runs"
 }
 
-echo "# $workload: parent ${sha:0:12} vs working tree; $pairs pairs, seed $seed, $seconds s runs"
+other="working tree"
+if ((aa)); then
+    other="a second export of itself (A/A control)"
+fi
+echo "# $workload: parent ${sha:0:12} vs $other; $pairs pairs, seed $seed, $seconds s runs"
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then
         run parent "$i"
