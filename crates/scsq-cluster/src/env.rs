@@ -301,7 +301,8 @@ impl Environment {
     /// `count` chained [`Environment::generate`] calls in one: element
     /// `i` starts generating when element `i - 1` is done (the first at
     /// `ready`), and each element's finish time goes to `out` (cleared
-    /// first). Call-for-call identical to the loop
+    /// first). Returns the last finish time (`ready` when `count` is 0).
+    /// Call-for-call identical to the loop
     /// `t = generate(node, bytes, t)` — same serve sequence, same
     /// jitter-draw positions: the sibling of
     /// [`Environment::compute_each`] for a source that emits a whole
@@ -313,9 +314,9 @@ impl Environment {
         count: u64,
         ready: SimTime,
         out: &mut Vec<SimTime>,
-    ) {
+    ) -> SimTime {
         out.clear();
-        self.charge_run(node, true, bytes, count, ready, Some(out));
+        self.charge_run(node, true, bytes, count, ready, Some(out))
     }
 
     /// The one bulk charging loop, behind [`Environment::generate_each`],
@@ -933,8 +934,9 @@ mod tests {
                 })
                 .collect();
             let mut each = vec![SimTime::ZERO; 3];
-            bulk.generate_each(node, 9, n, READY, &mut each);
+            let last = bulk.generate_each(node, 9, n, READY, &mut each);
             assert_eq!(each, want);
+            assert_eq!(last, want.last().copied().unwrap_or(READY));
         });
     }
 

@@ -20,7 +20,7 @@
 use crate::wire::{encode_frame, read_frame, Frame, FrameKind};
 use scsq_cluster::HardwareSpec;
 use scsq_engine::session::{Session, SessionHub, SessionReply};
-use scsq_engine::{MetricsSnapshot, PlacementPolicy, RunOptions};
+use scsq_engine::{MetricsSnapshot, RunOptions};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
@@ -284,33 +284,15 @@ impl Connection {
     /// Handles a meta-command (already stripped of its leading `.`).
     /// Returns `false` when the connection should close (`.shutdown`).
     fn meta(&mut self, cmd: &str) -> io::Result<bool> {
+        if let Some(reply) = self.session.set_option(cmd) {
+            match reply {
+                Ok(ack) => self.send(FrameKind::Ok, &ack)?,
+                Err(usage) => self.send(FrameKind::Err, usage)?,
+            }
+            return Ok(true);
+        }
         let mut parts = cmd.split_whitespace();
         match parts.next().unwrap_or_default() {
-            "buffer" => match parts.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(b) if b > 0 => {
-                    self.session.options_mut().mpi_buffer = b;
-                    self.send(FrameKind::Ok, &format!("-- buffer {b}"))?;
-                }
-                _ => self.send(FrameKind::Err, "usage: .buffer <bytes>")?,
-            },
-            "double" => match parts.next() {
-                Some(on @ ("on" | "off")) => {
-                    self.session.options_mut().mpi_double = on == "on";
-                    self.send(FrameKind::Ok, &format!("-- double {on}"))?;
-                }
-                _ => self.send(FrameKind::Err, "usage: .double on|off")?,
-            },
-            "policy" => match parts.next() {
-                Some(p @ ("naive" | "aware")) => {
-                    self.session.options_mut().placement = if p == "naive" {
-                        PlacementPolicy::Naive
-                    } else {
-                        PlacementPolicy::TopologyAware
-                    };
-                    self.send(FrameKind::Ok, &format!("-- policy {p}"))?;
-                }
-                _ => self.send(FrameKind::Err, "usage: .policy naive|aware")?,
-            },
             "metrics" => match parts.next() {
                 Some(on @ ("on" | "off")) => {
                     self.metrics_on = on == "on";

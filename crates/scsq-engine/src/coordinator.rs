@@ -26,7 +26,6 @@ pub struct Coordinator {
     /// Polling interval with which this coordinator retrieves new
     /// sub-queries (zero = push, i.e. direct registration).
     poll: SimDur,
-    registrations: u64,
 }
 
 impl Coordinator {
@@ -38,21 +37,12 @@ impl Coordinator {
             ClusterName::BlueGene => SimDur::from_millis(1),
             _ => SimDur::ZERO,
         };
-        Coordinator {
-            cluster,
-            poll,
-            registrations: 0,
-        }
+        Coordinator { cluster, poll }
     }
 
     /// The cluster this coordinator manages.
     pub fn cluster(&self) -> ClusterName {
         self.cluster
-    }
-
-    /// Number of sub-queries registered so far.
-    pub fn registrations(&self) -> u64 {
-        self.registrations
     }
 
     /// Registers a sub-query and selects a node for its RP via the
@@ -63,7 +53,6 @@ impl Coordinator {
     /// Propagates [`CndbError`] when the allocation sequence has no
     /// available node.
     pub fn register(&mut self, env: &mut Environment, seq: &AllocSeq) -> Result<NodeId, CndbError> {
-        self.registrations += 1;
         env.place(self.cluster, seq)
     }
 
@@ -358,6 +347,5 @@ mod tests {
         let a = c.register(&mut env, &AllocSeq::Any).unwrap();
         let b = c.register(&mut env, &AllocSeq::Any).unwrap();
         assert_ne!(a, b, "CNK nodes take one RP each");
-        assert_eq!(c.registrations(), 2);
     }
 }

@@ -26,6 +26,7 @@
 use crate::coordinator::{ClientManager, PreparedQuery};
 use crate::error::EngineError;
 use crate::measure::QueryResult;
+use crate::placement::PlacementPolicy;
 use crate::runtime::RunOptions;
 use scsq_cluster::HardwareSpec;
 use scsq_ql::{parse_program, statement_to_scsql, Statement};
@@ -359,6 +360,39 @@ impl Session {
     /// on the next statement).
     pub fn options_mut(&mut self) -> &mut RunOptions {
         &mut self.options
+    }
+
+    /// Applies a session option command, given without its leading `.`:
+    /// `buffer <bytes>`, `double on|off` or `policy naive|aware`. Returns
+    /// `None` when `cmd` names none of them, else the ack (`-- buffer
+    /// 100000`) or, leaving the options as they were, the usage text.
+    /// The shell and the daemon share this one grammar.
+    pub fn set_option(&mut self, cmd: &str) -> Option<Result<String, &'static str>> {
+        let mut parts = cmd.split_whitespace();
+        let (name, arg) = (parts.next()?, parts.next());
+        Some(match (name, arg) {
+            ("buffer", _) => match arg.and_then(|s| s.parse::<u64>().ok()) {
+                Some(b) if b > 0 => {
+                    self.options.mpi_buffer = b;
+                    Ok(format!("-- buffer {b}"))
+                }
+                _ => Err("usage: .buffer <bytes>"),
+            },
+            ("double", Some(on @ ("on" | "off"))) => {
+                self.options.mpi_double = on == "on";
+                Ok(format!("-- double {on}"))
+            }
+            ("double", _) => Err("usage: .double on|off"),
+            ("policy", Some(p @ ("naive" | "aware"))) => {
+                self.options.placement = match p {
+                    "naive" => PlacementPolicy::Naive,
+                    _ => PlacementPolicy::TopologyAware,
+                };
+                Ok(format!("-- policy {p}"))
+            }
+            ("policy", _) => Err("usage: .policy naive|aware"),
+            _ => return None,
+        })
     }
 
     /// The session's named prepared queries, in name order.

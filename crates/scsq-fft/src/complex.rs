@@ -42,14 +42,6 @@ impl Complex {
         }
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Squared magnitude.
     pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
@@ -167,9 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn conj_and_norm() {
+    fn norm_and_scale() {
         let a = Complex::new(3.0, 4.0);
-        assert_eq!(a.conj(), Complex::new(3.0, -4.0));
         assert_eq!(a.norm_sqr(), 25.0);
         assert_eq!(a.abs(), 5.0);
         assert_eq!(a.scale(2.0), Complex::new(6.0, 8.0));

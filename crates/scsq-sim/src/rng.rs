@@ -47,18 +47,6 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// A uniform integer in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        // Multiply-shift rejection-free mapping (slightly biased for huge
-        // bounds, irrelevant for simulation jitter).
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-
     /// A multiplicative jitter factor in `[1 - amp, 1 + amp]`.
     ///
     /// Used to reproduce the paper's run-to-run variance across its five
@@ -105,14 +93,6 @@ mod tests {
         for _ in 0..1000 {
             let x = r.next_f64();
             assert!((0.0..1.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn next_below_respects_bound() {
-        let mut r = SplitMix64::new(3);
-        for _ in 0..1000 {
-            assert!(r.next_below(10) < 10);
         }
     }
 

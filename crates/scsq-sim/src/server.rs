@@ -50,13 +50,6 @@ pub struct Grant {
     pub finish: SimTime,
 }
 
-impl Grant {
-    /// How long the job waited in queue before service began.
-    pub fn queueing_delay(&self, arrival: SimTime) -> SimDur {
-        self.start.since(arrival)
-    }
-}
-
 impl FifoServer {
     /// Creates an idle server.
     pub fn new() -> Self {
@@ -380,7 +373,6 @@ mod tests {
         let g = s.serve(SimTime::from_micros(5), SimDur::from_micros(3));
         assert_eq!(g.start, SimTime::from_micros(5));
         assert_eq!(g.finish, SimTime::from_micros(8));
-        assert_eq!(g.queueing_delay(SimTime::from_micros(5)), SimDur::ZERO);
     }
 
     #[test]
@@ -389,10 +381,6 @@ mod tests {
         s.serve(SimTime::ZERO, SimDur::from_micros(10));
         let g = s.serve(SimTime::from_micros(2), SimDur::from_micros(1));
         assert_eq!(g.start, SimTime::from_micros(10));
-        assert_eq!(
-            g.queueing_delay(SimTime::from_micros(2)),
-            SimDur::from_micros(8)
-        );
     }
 
     #[test]

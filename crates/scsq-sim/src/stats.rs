@@ -16,7 +16,7 @@ use std::fmt;
 ///     s.push(x);
 /// }
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunningStats {
@@ -63,16 +63,6 @@ impl RunningStats {
         }
     }
 
-    /// Population variance (divides by n); zero for fewer than one
-    /// observation.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample variance (divides by n-1); zero for fewer than two
     /// observations.
     pub fn sample_variance(&self) -> f64 {
@@ -81,11 +71,6 @@ impl RunningStats {
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Sample standard deviation.
@@ -176,14 +161,6 @@ impl Series {
         self.points.iter().find(|(px, _)| *px == x).map(|(_, y)| *y)
     }
 
-    /// The recorded standard deviation at a given x, if present.
-    pub fn dev_at(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .position(|(px, _)| *px == x)
-            .map(|i| self.devs[i])
-    }
-
     /// The (x, y) pair with the largest y; `None` when empty.
     pub fn peak(&self) -> Option<(f64, f64)> {
         self.points
@@ -256,7 +233,5 @@ mod tests {
         s.push(1000.0, 100.0);
         s.push_with_dev(2000.0, 90.0, 1.5);
         assert_eq!(s.to_csv(), "p2p,1000,100,0\np2p,2000,90,1.5\n");
-        assert_eq!(s.dev_at(2000.0), Some(1.5));
-        assert_eq!(s.dev_at(1000.0), Some(0.0));
     }
 }

@@ -268,19 +268,19 @@ impl<T: Payload> Node<T> {
     }
 }
 
-/// A send queue's interior fingerprint and the queue length and
-/// `ChannelStats::bytes_enqueued` it was taken at.
+/// A send queue's interior fingerprint and the queue length and node
+/// push count it was taken at.
 ///
 /// Only `cycle` (popping at the front) and `enqueue` / `enqueue_run`
-/// (pushing at the back) change which nodes are interior, and no call
-/// changes an interior node. A push raises `bytes_enqueued`, which
-/// never falls, and without a push every pop shortens the queue: the
-/// word is current whenever both read as they did when it was taken.
-/// Keying it so costs the push and pop paths nothing.
+/// (pushing a node at the back) change which nodes are interior, and no
+/// call changes an interior node: growing the back node leaves the
+/// interior as it was. A node push raises the count, which never falls,
+/// and without a push every pop shortens the queue: the word is current
+/// whenever both read as they did when it was taken.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct InteriorWord {
     len: usize,
-    bytes_enqueued: u64,
+    pushes: u64,
     word: u64,
 }
 
@@ -337,6 +337,9 @@ pub struct StreamChannel<T> {
     /// The coalescing fingerprint of the queue's interior (every node
     /// but the front and the back), keyed by when it was taken.
     interior: Option<InteriorWord>,
+    /// Nodes pushed onto the send queue so far: the interior word's key.
+    /// Bookkeeping only, never probed.
+    pushes: u64,
     /// Send-completion times of recent buffers, at most `window` entries.
     inflight: VecDeque<SimTime>,
     /// An empty delivery vector donated back by the consumer
@@ -373,6 +376,7 @@ impl<T: Payload> StreamChannel<T> {
             fill_items: Vec::new(),
             pending_bytes: 0,
             interior: None,
+            pushes: 0,
             inflight: VecDeque::new(),
             spare: Vec::new(),
             eos_queued: false,
@@ -442,6 +446,7 @@ impl<T: Payload> StreamChannel<T> {
         if self.queue.len() == self.queue.capacity() && self.queue.len() >= 4096 {
             self.queue.reserve(3 * self.queue.len());
         }
+        self.pushes += 1;
         self.queue.push_back(Node::Train(Train {
             item: Some(item),
             copies: 1,
@@ -507,6 +512,7 @@ impl<T: Payload> StreamChannel<T> {
         let bytes = bytes_each * readies.len() as u64;
         self.stats.bytes_enqueued += bytes;
         self.pending_bytes += bytes;
+        self.pushes += 1;
         self.queue.push_back(Node::Pack(Pack {
             view,
             readies,
@@ -863,9 +869,9 @@ impl<T: Payload> StreamChannel<T> {
             front.probe(p, &mut probe_item);
         }
         if len > 2 {
-            let bytes_enqueued = self.stats.bytes_enqueued;
+            let pushes = self.pushes;
             let word = match self.interior {
-                Some(i) if i.len == len && i.bytes_enqueued == bytes_enqueued => i.word,
+                Some(i) if i.len == len && i.pushes == pushes => i.word,
                 _ => {
                     let nodes = self.queue.range_mut(1..len - 1);
                     let word = StateProbe::fingerprint(|p| {
@@ -873,11 +879,7 @@ impl<T: Payload> StreamChannel<T> {
                             node.probe(p, &mut probe_item);
                         }
                     });
-                    self.interior = Some(InteriorWord {
-                        len,
-                        bytes_enqueued,
-                        word,
-                    });
+                    self.interior = Some(InteriorWord { len, pushes, word });
                     word
                 }
             };

@@ -18,6 +18,11 @@ echo "==> bash -n scripts/ab_pairs.sh"
 # workload); keep it at least parseable.
 bash -n scripts/ab_pairs.sh
 
+echo "==> bash -n scripts/loc.sh"
+# The non-test line counter; cheap, so also run it once.
+bash -n scripts/loc.sh
+bash scripts/loc.sh > /dev/null
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

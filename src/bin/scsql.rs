@@ -23,7 +23,7 @@
 //! here exactly as they do against a served `scsqd` — same rows, same
 //! summary lines, byte for byte.
 
-use scsq::{PlacementPolicy, Session, SessionReply};
+use scsq::{Session, SessionReply};
 use std::io::{BufRead, IsTerminal, Write};
 
 struct Shell {
@@ -152,6 +152,15 @@ impl Shell {
     }
 
     fn meta(&mut self, cmd: &str) -> bool {
+        let option = cmd
+            .strip_prefix('.')
+            .and_then(|c| self.session.set_option(c));
+        if let Some(reply) = option {
+            if let Err(usage) = reply {
+                eprintln!("{usage}");
+            }
+            return true;
+        }
         let mut parts = cmd.split_whitespace();
         match parts.next().unwrap_or_default() {
             ".quit" | ".exit" => return false,
@@ -174,22 +183,6 @@ impl Shell {
                 Some("on") => self.show_stats = true,
                 Some("off") => self.show_stats = false,
                 _ => eprintln!("usage: .stats on|off"),
-            },
-            ".buffer" => match parts.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(b) if b > 0 => self.session.options_mut().mpi_buffer = b,
-                _ => eprintln!("usage: .buffer <bytes>"),
-            },
-            ".double" => match parts.next() {
-                Some("on") => self.session.options_mut().mpi_double = true,
-                Some("off") => self.session.options_mut().mpi_double = false,
-                _ => eprintln!("usage: .double on|off"),
-            },
-            ".policy" => match parts.next() {
-                Some("naive") => self.session.options_mut().placement = PlacementPolicy::Naive,
-                Some("aware") => {
-                    self.session.options_mut().placement = PlacementPolicy::TopologyAware
-                }
-                _ => eprintln!("usage: .policy naive|aware"),
             },
             other => eprintln!("unknown meta-command `{other}` (try .help)"),
         }

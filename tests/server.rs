@@ -357,6 +357,35 @@ fn runtime_option_metas_apply_per_session() {
     daemon.stop();
 }
 
+/// A malformed session option and the usage text it must answer.
+const BAD_OPTIONS: [(&str, &str); 4] = [
+    (".buffer 0", "usage: .buffer <bytes>"),
+    (".buffer x", "usage: .buffer <bytes>"),
+    (".double maybe", "usage: .double on|off"),
+    (".policy foo", "usage: .policy naive|aware"),
+];
+
+#[test]
+fn malformed_option_metas_answer_their_usage_and_change_nothing() {
+    let daemon = Daemon::start();
+    let q = "select extract(b) from sp a, sp b \
+             where b=sp(streamof(count(extract(a))), 'bg', 0) \
+             and a=sp(gen_array(100000,5),'bg',1);";
+    let mut fresh = daemon.connect();
+    let defaults = fresh.statement(q).unwrap();
+    fresh.bye().unwrap();
+    let mut c = daemon.connect();
+    for (meta, usage) in BAD_OPTIONS {
+        let frames = c.statement(meta).unwrap();
+        assert_eq!(frames.len(), 1, "{meta}: {frames:?}");
+        assert_eq!(frames[0].kind, FrameKind::Err, "{meta}");
+        assert_eq!(frames[0].payload, usage, "{meta}");
+        assert_eq!(c.statement(q).unwrap(), defaults, "after {meta}");
+    }
+    c.bye().unwrap();
+    daemon.stop();
+}
+
 #[test]
 fn unix_socket_end_to_end() {
     #[cfg(unix)]

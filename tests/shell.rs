@@ -109,3 +109,35 @@ fn explain_meta_command_describes_the_setup() {
     assert!(stdout.contains("2 stream processes"), "{stdout}");
     assert!(stdout.contains("=mpi=>"), "{stdout}");
 }
+
+#[test]
+fn malformed_option_metas_print_their_usage_and_change_nothing() {
+    let q = "select extract(b) from sp a, sp b \
+             where b=sp(streamof(count(extract(a))), 'bg', 0) \
+             and a=sp(gen_array(100000,5),'bg',1);\n";
+    let run = |script: &str| {
+        let mut child = scsql()
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        let stdin = child.stdin.as_mut().expect("stdin");
+        stdin.write_all(script.as_bytes()).expect("write stdin");
+        let out = child.wait_with_output().expect("wait");
+        assert!(out.status.success());
+        let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8");
+        (text(out.stdout), text(out.stderr))
+    };
+    let (defaults, _) = run(q);
+    for (meta, usage) in [
+        (".buffer 0", "usage: .buffer <bytes>"),
+        (".buffer x", "usage: .buffer <bytes>"),
+        (".double maybe", "usage: .double on|off"),
+        (".policy foo", "usage: .policy naive|aware"),
+    ] {
+        let (stdout, stderr) = run(&format!("{meta}\n{q}"));
+        assert_eq!(stderr, format!("{usage}\n"), "{meta}");
+        assert_eq!(stdout, defaults, "after {meta}");
+    }
+}
