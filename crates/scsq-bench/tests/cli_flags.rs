@@ -100,3 +100,25 @@ fn usage_lists_exactly_the_surviving_flags() {
         "{usage}"
     );
 }
+
+#[test]
+fn metrics_file_is_byte_identical_across_worker_counts() {
+    // The hub's sums and maxima are order-independent, so the
+    // `--metrics` file of a sweep is the same bytes on any `--jobs`.
+    for jobs in ["1", "2"] {
+        let metrics = std::env::temp_dir().join(format!(
+            "cli_flags_metrics_{}_{jobs}.json",
+            std::process::id()
+        ));
+        let path = metrics.to_str().expect("utf-8 temp path");
+        let run = fig6_p2p(&["--quick", "--jobs", jobs, "--metrics", path]);
+        assert_eq!(run.status.code(), Some(0), "{run:?}");
+        let json = std::fs::read_to_string(&metrics).expect("--metrics writes its file");
+        let _ = std::fs::remove_file(&metrics);
+        assert_eq!(
+            json,
+            include_str!("golden/fig6_quick_metrics.json"),
+            "--jobs {jobs}"
+        );
+    }
+}
