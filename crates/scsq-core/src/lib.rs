@@ -35,9 +35,9 @@ pub mod wire;
 
 pub use scsq_cluster::{AllocSeq, ClusterName, Environment, HardwareSpec, NodeId};
 pub use scsq_engine::{
-    CatalogEntry, ChannelReport, EngineError as ScsqError, MetricsSnapshot, PlacementPolicy,
-    PreparedQuery, ProfileReport, QueryResult, QueryStats, RpReport, RunOptions, Session,
-    SessionHub, SessionReply, StageProfile,
+    CatalogEntry, ChannelReport, EngineError as ScsqError, PlacementPolicy, PreparedQuery,
+    ProfileReport, QueryResult, QueryStats, RpReport, RunOptions, Session, SessionHub,
+    SessionReply, StageProfile,
 };
 pub use scsq_ql::{ArrayData, Catalog, SpHandle, Value};
 pub use scsq_sim::{LatencyHistogram, SimDur, SimTime, Span};

@@ -4,16 +4,16 @@
 //! The paper's SCSQ measures its communication performance *with its own
 //! stream queries*; this module is the host-process counterpart: every
 //! benchmark harness (and any embedding application) can funnel finished
-//! [`QueryResult`]s into the global [`hub`], which maintains cheap
-//! atomic counters (the workspace deliberately carries no
+//! [`QueryResult`]s into the global [`hub`], which folds each one into
+//! a running [`HubSnapshot`] (the workspace deliberately carries no
 //! `tracing`/`serde` dependency).
 //!
-//! Cost discipline: the hub always records. A record is nine relaxed
-//! atomic updates per *finished query* — the per-event hot path of the
-//! simulator never touches the hub. Counters use relaxed ordering:
-//! they are order-independent sums and maxima, so recording from worker
-//! threads (the parallel sweep executor) never perturbs run-to-run
-//! determinism of the results themselves.
+//! Cost discipline: the hub always records. A record is one
+//! uncontended lock and one [`HubSnapshot::record`] fold per *finished
+//! query* — the per-event hot path of the simulator never touches the
+//! hub. The totals are order-independent sums and maxima, so recording
+//! from worker threads (the parallel sweep executor) in any order gives
+//! the same snapshot and never perturbs the results themselves.
 //!
 //! ```
 //! use scsq_core::prelude::*;
@@ -36,10 +36,10 @@
 //! ```
 
 use crate::QueryResult;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// A point-in-time copy of the hub's counters.
+/// Totals over recorded query executions: what the hub holds, and a
+/// point-in-time copy of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HubSnapshot {
     /// Query executions recorded.
@@ -65,6 +65,22 @@ pub struct HubSnapshot {
 }
 
 impl HubSnapshot {
+    /// Folds one finished query into the totals.
+    pub fn record(&mut self, result: &QueryResult) {
+        let stats = result.stats();
+        self.queries += 1;
+        self.events += stats.events;
+        for c in &stats.channels {
+            self.bytes_delivered += c.bytes;
+            self.buffers_sent += c.buffers_sent;
+            self.buffers_dropped += c.buffers_dropped;
+        }
+        self.values += result.values().len() as u64;
+        self.events_pending_hwm = self.events_pending_hwm.max(stats.events_pending_hwm);
+        self.sim_time_nanos += result.total_time().as_nanos();
+        self.coalesce_events_skipped += stats.coalesce.events_skipped;
+    }
+
     /// Mean delivered bandwidth in bytes per simulated second over all
     /// recorded queries (`0.0` before anything is recorded).
     pub fn mean_bandwidth(&self) -> f64 {
@@ -97,19 +113,11 @@ impl HubSnapshot {
     }
 }
 
-/// The process-wide metrics registry: a set of relaxed atomic
-/// counters.
+/// The process-wide metrics registry: one [`HubSnapshot`] of totals
+/// behind a lock.
 #[derive(Debug, Default)]
 pub struct MetricsHub {
-    queries: AtomicU64,
-    events: AtomicU64,
-    bytes_delivered: AtomicU64,
-    values: AtomicU64,
-    buffers_sent: AtomicU64,
-    buffers_dropped: AtomicU64,
-    events_pending_hwm: AtomicU64,
-    sim_time_nanos: AtomicU64,
-    coalesce_events_skipped: AtomicU64,
+    totals: Mutex<HubSnapshot>,
 }
 
 impl MetricsHub {
@@ -119,58 +127,26 @@ impl MetricsHub {
         MetricsHub::default()
     }
 
-    /// Folds one finished query into the counters.
+    /// Folds one finished query into the totals.
     pub fn record(&self, result: &QueryResult) {
-        let stats = result.stats();
-        let mut bytes = 0u64;
-        let mut sent = 0u64;
-        let mut dropped = 0u64;
-        for c in &stats.channels {
-            bytes += c.bytes;
-            sent += c.buffers_sent;
-            dropped += c.buffers_dropped;
-        }
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.events.fetch_add(stats.events, Ordering::Relaxed);
-        self.bytes_delivered.fetch_add(bytes, Ordering::Relaxed);
-        self.values
-            .fetch_add(result.values().len() as u64, Ordering::Relaxed);
-        self.buffers_sent.fetch_add(sent, Ordering::Relaxed);
-        self.buffers_dropped.fetch_add(dropped, Ordering::Relaxed);
-        self.events_pending_hwm
-            .fetch_max(stats.events_pending_hwm, Ordering::Relaxed);
-        self.sim_time_nanos
-            .fetch_add(result.total_time().as_nanos(), Ordering::Relaxed);
-        self.coalesce_events_skipped
-            .fetch_add(stats.coalesce.events_skipped, Ordering::Relaxed);
+        self.lock().record(result);
     }
 
-    /// Copies the current counter values.
+    /// Copies the current totals.
     pub fn snapshot(&self) -> HubSnapshot {
-        HubSnapshot {
-            queries: self.queries.load(Ordering::Relaxed),
-            events: self.events.load(Ordering::Relaxed),
-            bytes_delivered: self.bytes_delivered.load(Ordering::Relaxed),
-            values: self.values.load(Ordering::Relaxed),
-            buffers_sent: self.buffers_sent.load(Ordering::Relaxed),
-            buffers_dropped: self.buffers_dropped.load(Ordering::Relaxed),
-            events_pending_hwm: self.events_pending_hwm.load(Ordering::Relaxed),
-            sim_time_nanos: self.sim_time_nanos.load(Ordering::Relaxed),
-            coalesce_events_skipped: self.coalesce_events_skipped.load(Ordering::Relaxed),
-        }
+        *self.lock()
     }
 
-    /// Zeroes every counter.
+    /// Zeroes every total.
     pub fn reset(&self) {
-        self.queries.store(0, Ordering::Relaxed);
-        self.events.store(0, Ordering::Relaxed);
-        self.bytes_delivered.store(0, Ordering::Relaxed);
-        self.values.store(0, Ordering::Relaxed);
-        self.buffers_sent.store(0, Ordering::Relaxed);
-        self.buffers_dropped.store(0, Ordering::Relaxed);
-        self.events_pending_hwm.store(0, Ordering::Relaxed);
-        self.sim_time_nanos.store(0, Ordering::Relaxed);
-        self.coalesce_events_skipped.store(0, Ordering::Relaxed);
+        *self.lock() = HubSnapshot::default();
+    }
+
+    /// The totals. A recorder that panicked mid-fold leaves totals that
+    /// are still plain numbers, so a poisoned lock is recovered rather
+    /// than passed on.
+    fn lock(&self) -> MutexGuard<'_, HubSnapshot> {
+        self.totals.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::wire::{encode_frame, read_frame, Frame, FrameKind};
 use scsq_cluster::HardwareSpec;
 use scsq_engine::session::{Session, SessionHub, SessionReply};
-use scsq_engine::{MetricsSnapshot, RunOptions};
+use scsq_engine::RunOptions;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
@@ -264,10 +264,7 @@ impl Connection {
                     }
                     if let SessionReply::Result { result } = &reply {
                         if self.metrics_on {
-                            self.send(
-                                FrameKind::Metrics,
-                                &MetricsSnapshot::from_result(result).to_json(),
-                            )?;
+                            self.send(FrameKind::Metrics, &result.metrics_json())?;
                         }
                         if let Some(profile) = &result.stats().profile {
                             self.send(FrameKind::Profile, &profile.render())?;

@@ -24,14 +24,14 @@
 //! | `OK`      | server → client  | statement done; the `-- …` summary    |
 //! | `ERR`     | server → client  | error text (shell prints `error: …`)  |
 //! | `INFO`    | server → client  | out-of-band text (`.server`, explain) |
-//! | `METRICS` | server → client  | per-query [`MetricsSnapshot`] JSON    |
+//! | `METRICS` | server → client  | per-query [`metrics_json`] JSON       |
 //! | `PROFILE` | server → client  | explain-analyze profile rendering     |
 //!
 //! Every statement's reply stream terminates with exactly one `OK` or
 //! `ERR`, so a client can pipeline statements and still attribute
 //! frames. See `docs/server.md` for the full protocol reference.
 //!
-//! [`MetricsSnapshot`]: scsq_engine::MetricsSnapshot
+//! [`metrics_json`]: scsq_engine::QueryResult::metrics_json
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

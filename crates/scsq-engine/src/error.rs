@@ -7,7 +7,7 @@ use std::fmt;
 /// Errors from query set-up or execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
-    /// Language-level error (parse, catalog, marshaling).
+    /// Language-level error (parse, catalog).
     Ql(QlError),
     /// Node selection failed (allocation sequence exhausted, unknown
     /// node) — the paper: "in case the stream contains no available

@@ -194,45 +194,6 @@ impl ProfileReport {
         );
         out
     }
-
-    /// Renders the report as a JSON object (hand-formatted, like every
-    /// other serialisation in the workspace).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{\"run_wall_ns\": {}, \"rps\": [", self.run_wall_ns);
-        for (i, rp) in self.rps.iter().enumerate() {
-            let comma = if i + 1 < self.rps.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "  {{\"rp\": {}, \"node\": \"{}\", \"is_client\": {}, \
-                 \"input\": \"{}\", \"elements_in\": {}, \"elements_out\": {}, \
-                 \"sim_busy_s\": {}, \"wall_ns\": {}, \"charge_ns\": {}, \"stages\": [",
-                rp.rp,
-                rp.node,
-                rp.is_client,
-                rp.input.replace('"', "\\\""),
-                rp.elements_in,
-                rp.elements_out,
-                rp.sim_busy.as_secs_f64(),
-                rp.wall_ns,
-                rp.charge_ns,
-            );
-            for (j, s) in rp.stages.iter().enumerate() {
-                let sc = if j + 1 < rp.stages.len() { "," } else { "" };
-                let _ = write!(
-                    out,
-                    "{{\"stage\": \"{}\", \"calls\": {}, \"elems_in\": {}, \"elems_out\": {}}}{sc}",
-                    s.stage.replace('"', "\\\""),
-                    s.calls,
-                    s.elems_in,
-                    s.elems_out
-                );
-            }
-            let _ = writeln!(out, "]}}{comma}");
-        }
-        out.push_str("]}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -296,15 +257,5 @@ mod tests {
         assert!(text.contains("(unattributed)"), "{text}");
         assert!(text.contains("  50.00%"), "{text}");
         assert_eq!(r.unattributed_ns(), 25_000);
-    }
-
-    #[test]
-    fn json_is_balanced() {
-        let json = sample().to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"elements_in\": 10"));
-        assert!(json.contains("\"run_wall_ns\": 50000"));
-        assert!(json.contains("\"charge_ns\": 20000"));
     }
 }

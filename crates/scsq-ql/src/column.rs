@@ -779,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn row_marshaled_size_matches_the_value_codec() {
+    fn row_marshaled_size_matches_value_marshaled_size() {
         let runs: Vec<Vec<Value>> = vec![
             (0..3).map(Value::Integer).collect(),
             vec![Value::Real(1.5), Value::Real(f64::NAN)],

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors from lexing, parsing, catalog resolution, or marshaling.
+/// Errors from lexing, parsing, or catalog resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QlError {
     /// Lexical error: unexpected character or malformed literal.
@@ -26,8 +26,6 @@ pub enum QlError {
     /// Catalog error: unknown function, wrong arity, or duplicate
     /// definition.
     Catalog(String),
-    /// Marshaling error (truncated or corrupt wire data).
-    Codec(String),
 }
 
 impl QlError {
@@ -60,7 +58,6 @@ impl fmt::Display for QlError {
                 write!(f, "syntax error at {line}:{col}: {msg}")
             }
             QlError::Catalog(msg) => write!(f, "catalog error: {msg}"),
-            QlError::Codec(msg) => write!(f, "marshaling error: {msg}"),
         }
     }
 }

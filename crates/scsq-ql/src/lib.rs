@@ -8,9 +8,9 @@
 //! * [`value`] — the SCSQL object model (paper Fig 4): integers, reals,
 //!   strings, arrays (including *synthetic* arrays whose bytes are
 //!   simulated rather than materialized), bags, and handles to streams
-//!   and stream processes.
-//! * [`codec`] — the marshaling format used by the stream carriers
-//!   (§2.3: objects are marshaled into send buffers).
+//!   and stream processes. [`Value::marshaled_size`] defines the
+//!   marshaling format: the bytes a stream carrier charges for each
+//!   object it packs into a send buffer (§2.3).
 //! * [`lexer`] / [`parser`] / [`ast`] — SCSQL surface syntax. The six
 //!   inbound queries, the intra-BlueGene measurement queries, the
 //!   mapreduce-grep query, and the `radix2` function from the paper all
@@ -37,7 +37,6 @@
 
 pub mod ast;
 pub mod catalog;
-pub mod codec;
 pub mod column;
 pub mod error;
 pub mod lexer;

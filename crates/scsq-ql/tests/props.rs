@@ -179,8 +179,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Every sub-slice of a transposed run reads back the run: row
-    /// values bit for bit, row sizes as the codec charges them, and the
-    /// layout-level uniform size whenever it answers.
+    /// values bit for bit, row sizes as `Value::marshaled_size` charges
+    /// them, and the layout-level uniform size whenever it answers.
     #[test]
     fn columnar_views_round_trip_the_run(run in arb_run()) {
         let batch = ColumnarBatch::from_values(&run);

@@ -1,15 +1,14 @@
 //! Cross-crate property-based tests (proptest).
 //!
 //! These pin down the invariants the reproduction's correctness rests
-//! on: the parser never panics, marshaling round-trips every value, the
-//! distributed radix-2 plan equals the direct FFT, counting queries
-//! count exactly, and the simulated network behaves like a physical one
-//! (conservation, monotonicity).
+//! on: the parser never panics, the distributed radix-2 plan equals the
+//! direct FFT, counting queries count exactly, and the simulated network
+//! behaves like a physical one (conservation, monotonicity).
 
 use proptest::prelude::*;
 use scsq::prelude::*;
 use scsq::{ArrayData, ClusterName};
-use scsq_ql::{codec, parse_program};
+use scsq_ql::parse_program;
 
 // ---------- parser robustness -------------------------------------------
 
@@ -50,48 +49,6 @@ proptest! {
     ) {
         let src = tokens.join(" ");
         let _ = parse_program(&src);
-    }
-}
-
-// ---------- marshaling ----------------------------------------------------
-
-fn arb_value() -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
-        any::<i64>().prop_map(Value::Integer),
-        any::<f64>()
-            .prop_filter("NaN breaks equality", |f| !f.is_nan())
-            .prop_map(Value::Real),
-        ".{0,24}".prop_map(Value::Str),
-        any::<bool>().prop_map(Value::Bool),
-        proptest::collection::vec(-1e9f64..1e9, 0..16)
-            .prop_map(|v| Value::Array(ArrayData::Real(v))),
-        proptest::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 0..8)
-            .prop_map(|v| Value::Array(ArrayData::Complex(v))),
-        (1u64..10_000_000).prop_map(Value::synthetic_array),
-        (0u64..1000).prop_map(|h| Value::Sp(scsq::SpHandle(h))),
-    ];
-    leaf.prop_recursive(3, 32, 8, |inner| {
-        proptest::collection::vec(inner, 0..6).prop_map(Value::Bag)
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// encode ∘ decode = identity, and the declared marshaled size is an
-    /// upper bound that synthetic arrays alone can exceed on the wire.
-    #[test]
-    fn codec_round_trips_every_value(v in arb_value()) {
-        let bytes = codec::encode_to_vec(&v);
-        let (back, used) = codec::decode(&bytes).expect("decode");
-        prop_assert_eq!(&back, &v);
-        prop_assert_eq!(used, bytes.len());
-    }
-
-    /// Decoding arbitrary bytes never panics.
-    #[test]
-    fn codec_never_panics_on_noise(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = codec::decode(&bytes);
     }
 }
 
