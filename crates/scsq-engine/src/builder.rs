@@ -92,16 +92,12 @@ impl<'a> QueryBuilder<'a> {
         policy: PlacementPolicy,
         options: &'a RunOptions,
     ) -> Self {
-        let coordinators = ClusterName::ALL
-            .into_iter()
-            .map(|c| (c, Coordinator::for_cluster(c)))
-            .collect();
         QueryBuilder {
             env,
             catalog,
             policy,
             options,
-            coordinators,
+            coordinators: HashMap::new(),
             sps: Vec::new(),
             next_handle: 0,
             fn_depth: 0,
@@ -153,8 +149,8 @@ impl<'a> QueryBuilder<'a> {
         };
         let client_node = self
             .coordinators
-            .get_mut(&ClusterName::FrontEnd)
-            .expect("fe coordinator")
+            .entry(ClusterName::FrontEnd)
+            .or_insert_with(|| Coordinator::for_cluster(ClusterName::FrontEnd))
             .register(self.env, &AllocSeq::Any)?;
         let client_cost = CostModel::compile(&client);
         Ok(QueryGraph {
@@ -492,8 +488,8 @@ impl<'a> QueryBuilder<'a> {
         let effective = self.policy.effective(cluster, alloc);
         let node = self
             .coordinators
-            .get_mut(&cluster)
-            .expect("coordinator per cluster")
+            .entry(cluster)
+            .or_insert_with(|| Coordinator::for_cluster(cluster))
             .register(self.env, &effective)?;
         let handle = SpHandle(self.next_handle);
         self.next_handle += 1;
@@ -559,24 +555,26 @@ impl<'a> QueryBuilder<'a> {
             rest.push(pred.clone());
         }
         // Find an expandable `in` predicate.
-        let pos = rest.iter().position(|p| {
-            p.op == PredOp::In
-                && matches!(&p.lhs, Expr::Var(v) if !bindings.contains_key(v))
-                && p.rhs.free_vars().iter().all(|v| bindings.contains_key(v))
+        let expandable = rest.iter().enumerate().find_map(|(i, p)| match &p.lhs {
+            Expr::Var(v)
+                if p.op == PredOp::In
+                    && !bindings.contains_key(v)
+                    && p.rhs.free_vars().iter().all(|v| bindings.contains_key(v)) =>
+            {
+                Some((i, v.clone()))
+            }
+            _ => None,
         });
-        match pos {
-            Some(i) => {
+        match expandable {
+            Some((i, var)) => {
                 let pred = rest.remove(i);
-                let Expr::Var(var) = &pred.lhs else {
-                    unreachable!("position() checked lhs is a var")
-                };
                 let bag = self.eval(&pred.rhs, &bindings)?;
                 let items = match bag {
                     Value::Bag(items) => items,
                     other => return Err(EngineError::type_error("bag", &other, "`in` predicate")),
                 };
                 for item in items {
-                    if let Some(decl) = q.decl(var) {
+                    if let Some(decl) = q.decl(&var) {
                         check_decl(decl, &item)?;
                     }
                     let mut b = bindings.clone();
@@ -867,10 +865,10 @@ impl<'a> QueryBuilder<'a> {
 fn value_pipeline(v: Value) -> Pipeline {
     let values = match v {
         Value::Sp(h) => return Pipeline::relay(vec![h]),
-        Value::Bag(items) if !items.is_empty() && items.iter().all(|i| i.as_sp().is_some()) => {
-            return Pipeline::relay(items.iter().map(|i| i.as_sp().expect("all sps")).collect())
-        }
-        Value::Bag(items) => items,
+        Value::Bag(items) => match items.iter().map(Value::as_sp).collect::<Option<Vec<_>>>() {
+            Some(sps) if !sps.is_empty() => return Pipeline::relay(sps),
+            _ => items,
+        },
         other => vec![other],
     };
     Pipeline {

@@ -22,16 +22,6 @@
 //! gathered survivors, which keeps their order. `tests/columnar_equiv.rs`
 //! enforces this against random pipelines.
 
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::expect_used,
-        clippy::unwrap_used,
-        clippy::unreachable,
-        clippy::panic
-    )
-)]
-
 use crate::error::EngineError;
 use crate::ops::{bandwidth_accumulate, quantile_accumulate, ArithOp, CmpOp, MapFunc};
 use scsq_ql::column::{Column, ColumnData, SelectionVector, METRIC_COLUMNS};

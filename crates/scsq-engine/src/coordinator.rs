@@ -131,7 +131,7 @@ impl PreparedQuery {
             .stats()
             .profile
             .clone()
-            .expect("profiled run carries a profile");
+            .ok_or_else(|| EngineError::Runtime("a profiled run carried no profile".into()))?;
         Ok((result, *profile))
     }
 

@@ -41,6 +41,10 @@ pub fn explain_graph(graph: &QueryGraph) -> String {
     let mut streams = Vec::new();
     let mut collect = |producers: &[SpHandle], dst: String, dst_cluster: ClusterName| {
         for p in producers {
+            #[expect(
+                clippy::expect_used,
+                reason = "the builder subscribes a pipeline only to SPs of the same graph"
+            )]
             let src = graph
                 .sps
                 .iter()

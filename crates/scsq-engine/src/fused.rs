@@ -26,16 +26,6 @@
 //! cannot tell which ran. `explain`'s verdicts ([`admission_verdicts`])
 //! read the walk the table is lowered along.
 
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::expect_used,
-        clippy::unwrap_used,
-        clippy::unreachable,
-        clippy::panic
-    )
-)]
-
 use crate::columnar::{self, Vals};
 use crate::error::EngineError;
 use crate::funcs;

@@ -1,9 +1,6 @@
 //! Query set-up (§2.2): one RP per stream process and one for the client
 //! manager, a stream channel per subscription, and their start events.
 
-#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
-#![cfg_attr(not(test), deny(clippy::unreachable, clippy::panic))]
-
 use super::{ChannelRt, Ev, GenRt, LatTrack, RpState, RunOptions, Sim, World};
 use crate::builder::QueryGraph;
 use crate::coordinator::Coordinator;

@@ -1,6 +1,3 @@
-#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
-#![cfg_attr(not(test), deny(clippy::unreachable, clippy::panic))]
-
 use super::source::{chain, charge, emit, enqueue_elem, finish_rp, process_and_emit};
 use super::{Elem, Ev, Sim, World};
 use crate::fused::ColumnEnding;

@@ -11,9 +11,6 @@
 //! is complete (§2.2: RPs terminate when the stream is finite and
 //! exhausted).
 
-#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
-#![cfg_attr(not(test), deny(clippy::unreachable, clippy::panic))]
-
 use crate::builder::QueryGraph;
 use crate::error::EngineError;
 use crate::fused::{CostModel, PreparedSource};

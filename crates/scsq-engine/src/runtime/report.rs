@@ -2,9 +2,6 @@
 //! dry, the result values, per-channel and per-RP statistics and, for a
 //! profiled run, the profile become one [`QueryResult`].
 
-#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
-#![cfg_attr(not(test), deny(clippy::unreachable, clippy::panic))]
-
 use super::{ChannelRt, RpState, RunOptions, Sim};
 use crate::error::EngineError;
 use crate::explain::{describe_input, describe_stage};

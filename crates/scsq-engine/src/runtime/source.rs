@@ -1,6 +1,3 @@
-#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
-#![cfg_attr(not(test), deny(clippy::unreachable, clippy::panic))]
-
 use super::deliver::send_run;
 use super::{Elem, Ev, Sim, World};
 use crate::error::EngineError;

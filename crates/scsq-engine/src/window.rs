@@ -148,16 +148,13 @@ impl WindowState {
         }
         let total = acc + int_acc as f64;
         Ok(match self.spec.agg {
-            AggKind::Count => unreachable!("handled above"),
-            AggKind::Sum => {
-                if all_int {
-                    Value::Integer(int_acc)
-                } else {
-                    Value::Real(total)
-                }
-            }
+            AggKind::Count => Value::Integer(self.buffer.len() as i64),
+            AggKind::Sum if all_int => Value::Integer(int_acc),
+            AggKind::Sum => Value::Real(total),
             AggKind::Avg => Value::Real(total / self.buffer.len() as f64),
-            AggKind::Max | AggKind::Min => best.expect("non-empty window").clone(),
+            AggKind::Max | AggKind::Min => best
+                .cloned()
+                .ok_or_else(|| EngineError::Runtime("winagg max/min of an empty window".into()))?,
         })
     }
 }
