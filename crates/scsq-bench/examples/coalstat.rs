@@ -7,9 +7,11 @@
 //! `cargo run --release -p scsq-bench --example coalstat [arrays] [jitter] [seed] [counts]`
 //! (defaults: the paper's 100 arrays, no service jitter; a seed other
 //! than 0 perturbs the LOFAR rates by 2 % like the repo benchmark;
-//! a fourth argument skips the timing and prints the counts only).
-use scsq_bench::{buffer_sweep, fig15, fig6, fig8, Scale};
-use scsq_core::{HardwareSpec, PreparedQuery, RunOptions, Scsq, Value};
+//! a fourth argument skips the timing and prints the count columns
+//! only, which are exact: `scripts/verify.sh` diffs `100 0 11 counts`
+//! against `crates/scsq-bench/tests/golden/coalstat_counts.csv`).
+use scsq_bench::{paper_points, Scale};
+use scsq_core::{HardwareSpec, PreparedQuery, RunOptions, Scsq};
 use std::time::Instant;
 
 fn wall_ms(plan: &PreparedQuery, spec: &HardwareSpec, options: &RunOptions) -> f64 {
@@ -37,80 +39,55 @@ fn main() {
         ..Scale::paper()
     };
     let mut scsq = Scsq::with_spec(spec.clone());
-    let legs = [
-        ("fig6", fig6::query(scale)),
-        ("fig8-seq", fig8::query(scale, fig8::Selection::Sequential)),
-        ("fig8-bal", fig8::query(scale, fig8::Selection::Balanced)),
-    ];
+    let points = paper_points(&mut scsq, scale, service_jitter).unwrap();
+    let timing = if timed { ",on_ms,off_ms" } else { "" };
     println!(
         "leg,buffering,buffer,events,digests,jumps,dispatched,coords_per_digest,\
-         shape_words_per_digest,on_ms,off_ms"
+         shape_words_per_digest{timing}"
     );
-    let mut totals = (0u64, 0u64, 0u64, 0.0, 0.0, 0u64, 0u64);
-    let mut row = |leg: &str, variant: &str, x: u64, plan: &PreparedQuery, options: RunOptions| {
-        let on = plan.run(&spec, &options).unwrap();
+    let (mut digests, mut jumps, mut dispatched, mut coords, mut words) = (0, 0, 0, 0, 0);
+    let (mut on_total, mut off_total) = (0.0, 0.0);
+    for point in &points {
+        let on = point.plan.run(&spec, &point.options).unwrap();
         let s = on.stats();
-        let dispatched = s.events - s.coalesce.events_skipped;
-        let (mut on_ms, mut off_ms) = (0.0, 0.0);
+        let c = s.coalesce;
+        let events = s.events - c.events_skipped;
+        print!(
+            "{},{},{},{},{},{},{events},{:.1},{:.1}",
+            point.leg,
+            point.variant,
+            point.x,
+            s.events,
+            c.digests,
+            c.jumps,
+            c.coords as f64 / c.digests.max(1) as f64,
+            c.shape_words as f64 / c.digests.max(1) as f64,
+        );
         if timed {
-            on_ms = wall_ms(plan, &spec, &options);
+            let on_ms = wall_ms(&point.plan, &spec, &point.options);
             let off = RunOptions {
                 coalesce: false,
-                ..options
+                ..point.options.clone()
             };
-            off_ms = wall_ms(plan, &spec, &off);
+            let off_ms = wall_ms(&point.plan, &spec, &off);
+            print!(",{on_ms:.2},{off_ms:.2}");
+            on_total += on_ms;
+            off_total += off_ms;
         }
-        let c = s.coalesce;
-        let coords = c.coords as f64 / c.digests.max(1) as f64;
-        let words = c.shape_words as f64 / c.digests.max(1) as f64;
-        println!(
-            "{leg},{variant},{x},{},{},{},{dispatched},{coords:.1},{words:.1},{on_ms:.2},{off_ms:.2}",
-            s.events, c.digests, c.jumps,
-        );
-        totals.0 += s.coalesce.digests;
-        totals.1 += s.coalesce.jumps;
-        totals.2 += dispatched;
-        totals.3 += on_ms;
-        totals.4 += off_ms;
-        totals.5 += c.coords;
-        totals.6 += c.shape_words;
-    };
-    for (leg, text) in &legs {
-        let plan = scsq.prepare(text).unwrap();
-        for double in [false, true] {
-            for &buffer in &buffer_sweep() {
-                let options = RunOptions {
-                    mpi_buffer: buffer,
-                    mpi_double: double,
-                    service_jitter,
-                    ..RunOptions::default()
-                };
-                let variant = if double { "double" } else { "single" };
-                row(leg, variant, buffer, &plan, options);
-            }
-        }
+        println!();
+        digests += c.digests;
+        jumps += c.jumps;
+        dispatched += events;
+        coords += c.coords;
+        words += c.shape_words;
     }
-    for q in 1..=6u8 {
-        let text = fig15::query(q, scale);
-        for n in 1..=4u32 {
-            let plan = scsq
-                .prepare_with(&text, &[("n", Value::Integer(i64::from(n)))])
-                .unwrap();
-            let options = RunOptions {
-                service_jitter,
-                ..RunOptions::default()
-            };
-            row("fig15", &format!("q{q}"), u64::from(n), &plan, options);
-        }
-    }
-    println!(
-        "total,,,,{},{},{},{:.1},{:.1},{:.2},{:.2}",
-        totals.0,
-        totals.1,
-        totals.2,
-        totals.5 as f64 / totals.0.max(1) as f64,
-        totals.6 as f64 / totals.0.max(1) as f64,
-        totals.3,
-        totals.4
+    print!(
+        "total,,,,{digests},{jumps},{dispatched},{:.1},{:.1}",
+        coords as f64 / digests.max(1) as f64,
+        words as f64 / digests.max(1) as f64,
     );
+    if timed {
+        print!(",{on_total:.2},{off_total:.2}");
+    }
+    println!();
 }

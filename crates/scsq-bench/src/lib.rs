@@ -149,6 +149,78 @@ pub fn sweep(
     Ok(series)
 }
 
+/// One query of the paper sweep the coalescer tables walk: the
+/// Figure 6 and both Figure 8 selections at every swept buffer size,
+/// single and double buffered, then Figure 15's six queries at one to
+/// four generators. 102 points.
+pub struct PaperPoint {
+    /// `fig6`, `fig8-seq`, `fig8-bal` or `fig15`.
+    pub leg: &'static str,
+    /// `single` / `double` buffering, or the Figure 15 query `q1`..`q6`.
+    pub variant: String,
+    /// The buffer size, or the number of Figure 15 generators.
+    pub x: u64,
+    /// The compiled query.
+    pub plan: PreparedQuery,
+    /// Runtime knobs for this point.
+    pub options: RunOptions,
+}
+
+/// The 102 paper-sweep points at `scale`, compiled on `scsq`, each run
+/// with `service_jitter`.
+///
+/// # Errors
+///
+/// Propagates a query that fails to compile.
+pub fn paper_points(
+    scsq: &mut scsq_core::Scsq,
+    scale: Scale,
+    service_jitter: f64,
+) -> Result<Vec<PaperPoint>, ScsqError> {
+    let mut points = Vec::with_capacity(102);
+    let legs = [
+        ("fig6", fig6::query(scale)),
+        ("fig8-seq", fig8::query(scale, fig8::Selection::Sequential)),
+        ("fig8-bal", fig8::query(scale, fig8::Selection::Balanced)),
+    ];
+    for (leg, text) in legs {
+        let plan = scsq.prepare(&text)?;
+        for double in [false, true] {
+            for buffer in buffer_sweep() {
+                points.push(PaperPoint {
+                    leg,
+                    variant: if double { "double" } else { "single" }.to_owned(),
+                    x: buffer,
+                    plan: plan.clone(),
+                    options: RunOptions {
+                        mpi_buffer: buffer,
+                        mpi_double: double,
+                        service_jitter,
+                        ..RunOptions::default()
+                    },
+                });
+            }
+        }
+    }
+    for q in 1..=6u8 {
+        let text = fig15::query(q, scale);
+        for n in 1..=4u32 {
+            let n_value = scsq_core::Value::Integer(i64::from(n));
+            points.push(PaperPoint {
+                leg: "fig15",
+                variant: format!("q{q}"),
+                x: u64::from(n),
+                plan: scsq.prepare_with(&text, &[("n", n_value)])?,
+                options: RunOptions {
+                    service_jitter,
+                    ..RunOptions::default()
+                },
+            });
+        }
+    }
+    Ok(points)
+}
+
 /// The buffer-size sweep used by Figures 6 and 8.
 pub fn buffer_sweep() -> Vec<u64> {
     vec![

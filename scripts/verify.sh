@@ -46,6 +46,15 @@ echo "==> obs_overhead (observability ceiling on the jittered per-event grid)"
 # over a plain one (medians of 7 interleaved passes), or changes a series.
 cargo run -q --release -p scsq-bench --example obs_overhead
 
+echo "==> coalstat counts (the paper sweep's per-point coalescer counts)"
+# Digests, jumps, dispatched events, coordinates and shape words per
+# digest at all 102 paper-sweep points, seed-11 spec: exact counts, so
+# any drift from the pinned table fails.
+cargo build -q --release -p scsq-bench --example coalstat
+./target/release/examples/coalstat 100 0 11 counts |
+    diff crates/scsq-bench/tests/golden/coalstat_counts.csv -
+echo "    102 points unchanged"
+
 echo "==> profiled representative run with a simulated-timeline trace"
 # The same run CI archives: --trace writes the profiled run's own spans.
 # Fails unless the trace holds at least one span and every begin event

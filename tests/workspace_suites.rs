@@ -27,6 +27,9 @@ mod coalesce_equiv;
 #[path = "../crates/scsq-engine/tests/coalesce_counts.rs"]
 mod coalesce_counts;
 
+#[path = "../crates/scsq-bench/tests/coalesce_points.rs"]
+mod coalesce_points;
+
 #[path = "../crates/scsq-bench/tests/coalesce_csv.rs"]
 mod coalesce_csv;
 
