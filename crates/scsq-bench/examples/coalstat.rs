@@ -1,8 +1,9 @@
 //! Per-point coalescing diagnostics (dev tool): one row per Figure 6,
 //! Figure 8 and Figure 15 point — the 102 queries of a paper sweep —
 //! with the detector's counts, the coordinates a digest records and the
-//! words it mixes into its shape hash on average, and the wall clock
-//! with and without the coalescer.
+//! words it mixes into its shape hash on average, the wall clock with
+//! and without the coalescer, and how much of it a profiled run's
+//! digests spent walking the event queue (`queue_ms`).
 //!
 //! `cargo run --release -p scsq-bench --example coalstat [arrays] [jitter] [seed] [counts]`
 //! (defaults: the paper's 100 arrays, no service jitter; a seed other
@@ -14,15 +15,33 @@ use scsq_bench::{paper_points, Scale};
 use scsq_core::{HardwareSpec, PreparedQuery, RunOptions, Scsq};
 use std::time::Instant;
 
+/// Best of seven: the table is about the detector, not the host.
+fn best_of_7(mut ms: impl FnMut() -> f64) -> f64 {
+    (0..7).map(|_| ms()).fold(f64::INFINITY, f64::min)
+}
+
 fn wall_ms(plan: &PreparedQuery, spec: &HardwareSpec, options: &RunOptions) -> f64 {
-    // Best of seven: the table is about the detector, not the host.
-    (0..7)
-        .map(|_| {
-            let t = Instant::now();
-            plan.run(spec, options).unwrap();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
+    best_of_7(|| {
+        let t = Instant::now();
+        plan.run(spec, options).unwrap();
+        t.elapsed().as_secs_f64() * 1e3
+    })
+}
+
+/// The digests' event-queue walks of a profiled run.
+fn queue_ms(plan: &PreparedQuery, spec: &HardwareSpec, options: &RunOptions) -> f64 {
+    let profiled = RunOptions {
+        profile: true,
+        ..options.clone()
+    };
+    best_of_7(|| {
+        let r = plan.run(spec, &profiled).unwrap();
+        r.stats()
+            .profile
+            .as_ref()
+            .map_or(0, |p| p.coalesce_queue_ns) as f64
+            / 1e6
+    })
 }
 
 fn main() {
@@ -40,13 +59,13 @@ fn main() {
     };
     let mut scsq = Scsq::with_spec(spec.clone());
     let points = paper_points(&mut scsq, scale, service_jitter).unwrap();
-    let timing = if timed { ",on_ms,off_ms" } else { "" };
+    let timing = if timed { ",on_ms,off_ms,queue_ms" } else { "" };
     println!(
         "leg,buffering,buffer,events,digests,jumps,dispatched,coords_per_digest,\
          shape_words_per_digest{timing}"
     );
     let (mut digests, mut jumps, mut dispatched, mut coords, mut words) = (0, 0, 0, 0, 0);
-    let (mut on_total, mut off_total) = (0.0, 0.0);
+    let (mut on_total, mut off_total, mut queue_total) = (0.0, 0.0, 0.0);
     for point in &points {
         let on = point.plan.run(&spec, &point.options).unwrap();
         let s = on.stats();
@@ -70,9 +89,11 @@ fn main() {
                 ..point.options.clone()
             };
             let off_ms = wall_ms(&point.plan, &spec, &off);
-            print!(",{on_ms:.2},{off_ms:.2}");
+            let queue_ms = queue_ms(&point.plan, &spec, &point.options);
+            print!(",{on_ms:.2},{off_ms:.2},{queue_ms:.3}");
             on_total += on_ms;
             off_total += off_ms;
+            queue_total += queue_ms;
         }
         println!();
         digests += c.digests;
@@ -87,7 +108,7 @@ fn main() {
         words as f64 / digests.max(1) as f64,
     );
     if timed {
-        print!(",{on_total:.2},{off_total:.2}");
+        print!(",{on_total:.2},{off_total:.2},{queue_total:.3}");
     }
     println!();
 }

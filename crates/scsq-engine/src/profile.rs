@@ -102,6 +102,9 @@ pub struct ProfileReport {
     /// Real time spent digesting state at cuts: the probe walks and
     /// the detector's comparison of consecutive snapshots.
     pub coalesce_digest_ns: u64,
+    /// The part of `coalesce_digest_ns` spent walking the event queue;
+    /// the rest is the world walk and the detector.
+    pub coalesce_queue_ns: u64,
     /// Real time spent advancing state across jumps (advance walks).
     pub coalesce_advance_ns: u64,
     /// The run's simulated-timeline spans in recording order, the
@@ -185,9 +188,14 @@ impl ProfileReport {
         );
         let _ = writeln!(
             out,
-            "coalescer wall: digests {:.2}%, advances {:.2}%; {:.1} coordinates/digest, \
-             {:.1} shape words/digest",
+            "coalescer wall: digests {:.2}% (queue walk {:.2}%, world walk and observe \
+             {:.2}%), advances {:.2}%; {:.1} coordinates/digest, {:.1} shape words/digest",
             share(self.coalesce_digest_ns),
+            share(self.coalesce_queue_ns),
+            share(
+                self.coalesce_digest_ns
+                    .saturating_sub(self.coalesce_queue_ns)
+            ),
             share(self.coalesce_advance_ns),
             c.coords as f64 / c.digests.max(1) as f64,
             c.shape_words as f64 / c.digests.max(1) as f64,
@@ -230,6 +238,7 @@ mod tests {
                 shape_words: 1_800,
             },
             coalesce_digest_ns: 6_000,
+            coalesce_queue_ns: 4_000,
             coalesce_advance_ns: 500,
             spans: Vec::new(),
             spans_dropped: 0,
@@ -247,8 +256,8 @@ mod tests {
             text.contains(
                 "coalescer: 12 digests, 3 jumps (4.0 digests/jump); \
                  100 events dispatched, 900 skipped\n\
-                 coalescer wall: digests 12.00%, advances 1.00%; 350.0 coordinates/digest, \
-                 150.0 shape words/digest"
+                 coalescer wall: digests 12.00% (queue walk 8.00%, world walk and observe \
+                 4.00%), advances 1.00%; 350.0 coordinates/digest, 150.0 shape words/digest"
             ),
             "{text}"
         );

@@ -49,6 +49,7 @@ pub(super) fn report(
             events,
             coalesce,
             coalesce_digest_ns: wall.digest_ns,
+            coalesce_queue_ns: wall.queue_ns,
             coalesce_advance_ns: wall.advance_ns,
             spans: std::mem::take(&mut world.spans),
             spans_dropped: world.spans_dropped,

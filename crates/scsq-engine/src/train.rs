@@ -27,6 +27,9 @@ use std::time::Instant;
 pub(crate) struct CoalesceWall {
     /// Digest walks and the detector's `observe`.
     pub digest_ns: u64,
+    /// The part of `digest_ns` the digest walks spent in the event
+    /// queue: the clock and event counter, then every pending event.
+    pub queue_ns: u64,
     /// Advance walks.
     pub advance_ns: u64,
 }
@@ -43,7 +46,13 @@ pub(crate) fn run_coalesced(sim: &mut Sim) -> (SimTime, CoalesceStats, CoalesceW
         if co.note_event(key) {
             let t0 = profile.then(Instant::now);
             let mut p = co.digest_probe();
-            sim.probe_state(&mut p, Ev::probe, World::probe);
+            // The simulator walks its queue first, then the world.
+            let queue_ns = &mut wall.queue_ns;
+            let probe_world = |w: &mut World, p: &mut StateProbe<'_>, now: SimTime| {
+                *queue_ns += elapsed(t0);
+                w.probe(p, now);
+            };
+            sim.probe_state(&mut p, Ev::probe, probe_world);
             let plan = co.observe(p.finish());
             wall.digest_ns += elapsed(t0);
             if let Some(plan) = plan {
