@@ -404,6 +404,13 @@ impl<'g> Event<World<'g>> for Ev {
         let (kind, idx) = self.kind_target();
         (idx * EV_KINDS + kind) as u32
     }
+
+    /// `Ev::probe` shapes the event's key, which its lane determines
+    /// (the lane is injective in kind and target), and for a `Deliver`
+    /// its batch, which the lane does not.
+    fn probe_follows_lane(&self) -> bool {
+        !matches!(self, Ev::Deliver { .. })
+    }
 }
 
 /// Hashes a value's full contents into a probe's shape: tuple payloads

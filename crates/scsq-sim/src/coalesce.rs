@@ -330,6 +330,12 @@ impl Snapshot {
         &self.nums
     }
 
+    /// The recorded caps, as (coordinate, bound).
+    #[cfg(test)]
+    pub(crate) fn caps(&self) -> Vec<(usize, u64)> {
+        self.caps.iter().map(|c| (c.coord, c.bound)).collect()
+    }
+
     /// Whether the detector compares `self` and `other` coordinate by
     /// coordinate: equal shapes, widths and caps.
     pub fn comparable(&self, other: &Snapshot) -> bool {

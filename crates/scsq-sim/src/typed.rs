@@ -54,6 +54,16 @@ pub trait Event<W>: Sized {
     fn lane(&self) -> u32 {
         0
     }
+
+    /// Whether this event's coalescing probe walks only what its lane
+    /// determines: every event queued in its lane probes exactly the
+    /// same shape words and no coordinate. A digest then probes one
+    /// event per lane of a periodic block of queued events, not each
+    /// one. Every event of a lane must give the same answer. The
+    /// default says no.
+    fn probe_follows_lane(&self) -> bool {
+        false
+    }
 }
 
 /// A discrete-event simulator whose events are a concrete type rather
@@ -182,7 +192,9 @@ impl<W, E> TypedSimulator<W, E> {
     pub fn peek_key(&self, f: impl FnOnce(&E) -> u64) -> Option<u64> {
         self.queue.peek_payload().map(f)
     }
+}
 
+impl<W, E: Event<W>> TypedSimulator<W, E> {
     /// Walks the simulator's entire state — clock, executed-event
     /// counter, queued events, and the world — through a coalescing
     /// [`StateProbe`]. With a digest-mode probe this is observationally
@@ -191,7 +203,10 @@ impl<W, E> TypedSimulator<W, E> {
     ///
     /// `probe_event` and `probe_world` must walk their arguments
     /// identically in both modes; the walk order defines coordinate
-    /// identity. Both receive the pre-advance clock as `now`.
+    /// identity. `probe_world` receives the pre-advance clock as `now`.
+    /// Where [`Event::probe_follows_lane`] holds, `probe_event` must walk
+    /// every event of a lane through the same shape words and nothing
+    /// else.
     ///
     /// # Panics
     ///
@@ -210,16 +225,15 @@ impl<W, E> TypedSimulator<W, E> {
             Some(limit) => p.bounded(&mut self.executed, limit),
             None => p.num(&mut self.executed),
         }
-        self.queue.probe_entries(p, now, probe_event);
+        self.queue
+            .probe_entries(p, now, probe_event, E::probe_follows_lane);
         let world = self
             .world
             .as_mut()
             .expect("probe_state called during event dispatch");
         probe_world(world, p, now);
     }
-}
 
-impl<W, E: Event<W>> TypedSimulator<W, E> {
     /// Schedules `event` to fire at absolute time `at`.
     ///
     /// # Panics

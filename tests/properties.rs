@@ -240,7 +240,7 @@ proptest! {
                 3 => {
                     let mut walked = Vec::new();
                     let mut p = StateProbe::digest();
-                    q.probe_entries(&mut p, SimTime::ZERO, |v, _| walked.push(*v));
+                    q.probe_entries(&mut p, SimTime::ZERO, |v, _| walked.push(*v), |_| false);
                     let mut sorted = model.clone();
                     sorted.sort();
                     let expected: Vec<usize> = sorted.iter().map(|&(_, s)| s).collect();
@@ -252,7 +252,7 @@ proptest! {
                 4 => {
                     let zeros = vec![0i64; 2 * q.len()];
                     let mut p = StateProbe::advance(&zeros, 3);
-                    q.probe_entries(&mut p, SimTime::ZERO, |_, _| {});
+                    q.probe_entries(&mut p, SimTime::ZERO, |_, _| {}, |_| false);
                 }
                 // An arithmetic run of six pushes into one lane, with a
                 // step of 1 to 3.
@@ -304,9 +304,12 @@ fn event_queue_decreasing_pushes_into_one_lane_pop_in_order() {
         }
         if i == N / 2 {
             let mut walked = Vec::new();
-            q.probe_entries(&mut StateProbe::digest(), SimTime::ZERO, |v, _| {
-                walked.push(*v)
-            });
+            q.probe_entries(
+                &mut StateProbe::digest(),
+                SimTime::ZERO,
+                |v, _| walked.push(*v),
+                |_| false,
+            );
             assert!(walked.iter().copied().eq(model.iter().map(|&(_, i)| i)));
         }
     }
