@@ -320,6 +320,33 @@ mod tests {
     }
 
     #[test]
+    fn explain_names_the_carrier_a_run_uses() {
+        // A back-end stream into the BlueGene and the result stream out
+        // of it both cross clusters: TCP by default, UDP when the run
+        // carries inter-cluster streams over UDP, exactly as the run's
+        // channel reports say.
+        let q = "select extract(b) from sp a, sp b
+                 where b=sp(streamof(count(extract(a))), 'bg', 0)
+                 and a=sp(gen_array(1000,10),'be',1);";
+        let mut scsq = Scsq::lofar();
+        let tcp = scsq.explain(q).unwrap();
+        assert!(tcp.contains("sp#0 (be:1) =tcp=> sp#1 (bg:0)"), "{tcp}");
+        scsq.options_mut().udp_inter_cluster = true;
+        let udp = scsq.explain(q).unwrap();
+        assert!(udp.contains("sp#0 (be:1) =udp=> sp#1 (bg:0)"), "{udp}");
+        assert!(udp.contains("sp#1 (bg:0) =udp=> client (fe:0)"), "{udp}");
+        let carriers: Vec<_> = scsq
+            .run(q)
+            .unwrap()
+            .stats()
+            .channels
+            .iter()
+            .map(|c| c.carrier.clone())
+            .collect();
+        assert_eq!(carriers, ["udp", "udp"]);
+    }
+
+    #[test]
     fn prepared_query_is_shareable_across_threads() {
         let mut scsq = Scsq::lofar();
         let plan = scsq

@@ -136,9 +136,10 @@ impl PreparedQuery {
     }
 
     /// The plan's set-up picture (same rendering as
-    /// [`ClientManager::explain`]).
-    pub fn explain(&self) -> String {
-        crate::explain::explain_graph(&self.graph)
+    /// [`ClientManager::explain`]), its streams named by the carriers a
+    /// run with `options` gives them.
+    pub fn explain(&self, options: &RunOptions) -> String {
+        crate::explain::explain_graph(&self.graph, options)
     }
 }
 
@@ -304,7 +305,7 @@ impl ClientManager {
         let graph =
             crate::builder::QueryBuilder::new(&mut env, &self.catalog, options.placement, options)
                 .build(&stmt, &[])?;
-        Ok(crate::explain::explain_graph(&graph))
+        Ok(crate::explain::explain_graph(&graph, options))
     }
 }
 

@@ -9,12 +9,14 @@
 use crate::builder::QueryGraph;
 use crate::fused::PreparedSource;
 use crate::ops::{InputKind, Pipeline, Stage};
-use scsq_cluster::ClusterName;
+use crate::runtime::{carrier_for, carrier_name, RunOptions};
+use scsq_cluster::NodeId;
 use scsq_ql::SpHandle;
 use std::fmt::Write;
 
-/// Renders a query graph as a human-readable set-up report.
-pub fn explain_graph(graph: &QueryGraph) -> String {
+/// Renders a query graph as a human-readable set-up report, each
+/// stream named by the carrier a run with `options` gives it.
+pub fn explain_graph(graph: &QueryGraph, options: &RunOptions) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -39,7 +41,7 @@ pub fn explain_graph(graph: &QueryGraph) -> String {
     );
     write_verdicts(&mut out, &graph.client, None);
     let mut streams = Vec::new();
-    let mut collect = |producers: &[SpHandle], dst: String, dst_cluster: ClusterName| {
+    let mut collect = |producers: &[SpHandle], dst: String, dst_node: NodeId| {
         for p in producers {
             #[expect(
                 clippy::expect_used,
@@ -50,13 +52,7 @@ pub fn explain_graph(graph: &QueryGraph) -> String {
                 .iter()
                 .find(|s| s.handle == *p)
                 .expect("producer exists");
-            let carrier = if src.node.cluster == ClusterName::BlueGene
-                && dst_cluster == ClusterName::BlueGene
-            {
-                "mpi"
-            } else {
-                "tcp"
-            };
+            let carrier = carrier_name(carrier_for(src.node, dst_node, options));
             streams.push(format!(
                 "  sp#{} ({}) ={}=> {}",
                 p.0, src.node, carrier, dst
@@ -67,13 +63,13 @@ pub fn explain_graph(graph: &QueryGraph) -> String {
         collect(
             sp.pipeline.producers(),
             format!("sp#{} ({})", sp.handle.0, sp.node),
-            sp.node.cluster,
+            sp.node,
         );
     }
     collect(
         graph.client.producers(),
         format!("client ({})", graph.client_node),
-        graph.client_node.cluster,
+        graph.client_node,
     );
     let _ = writeln!(out, "streams ({}):", streams.len());
     for s in streams {
@@ -183,7 +179,7 @@ mod tests {
         let graph = QueryBuilder::new(&mut env, &catalog, PlacementPolicy::Naive, &options)
             .build(&stmt, &[])
             .expect("builds");
-        explain_graph(&graph)
+        explain_graph(&graph, &options)
     }
 
     #[test]

@@ -7,13 +7,39 @@ use crate::coordinator::Coordinator;
 use crate::error::EngineError;
 use crate::funcs;
 use crate::ops::{InputKind, StageChain};
-use scsq_cluster::{ClusterName, Environment};
+use scsq_cluster::{ClusterName, Environment, NodeId};
 use scsq_net::FlowId;
 use scsq_ql::Value;
 use scsq_sim::{SimTime, TypedSimulator};
 use scsq_transport::{Carrier, ChannelConfig, StreamChannel};
 use std::iter;
 use std::sync::Arc;
+
+/// The carrier a stream from `src` to `dst` runs on: MPI inside the
+/// BlueGene (with the run's buffer size and buffering), otherwise TCP,
+/// or UDP when the run carries inter-cluster streams over UDP. The
+/// runtime's channels and `explain`'s set-up report both ask here.
+pub(crate) fn carrier_for(src: NodeId, dst: NodeId, options: &RunOptions) -> Carrier {
+    if src.cluster == ClusterName::BlueGene && dst.cluster == ClusterName::BlueGene {
+        Carrier::Mpi {
+            buffer: options.mpi_buffer,
+            double: options.mpi_double,
+        }
+    } else if options.udp_inter_cluster {
+        Carrier::Udp
+    } else {
+        Carrier::Tcp
+    }
+}
+
+/// A carrier's name in reports: `mpi`, `tcp` or `udp`.
+pub(crate) fn carrier_name(carrier: Carrier) -> &'static str {
+    match carrier {
+        Carrier::Mpi { .. } => "mpi",
+        Carrier::Tcp => "tcp",
+        Carrier::Udp => "udp",
+    }
+}
 
 /// Instantiates the per-run state of `graph` on `env`: one RP per SP,
 /// then the client's, each with one channel per producer, and every
@@ -52,22 +78,11 @@ pub(crate) fn build<'g>(
                 return Err(EngineError::Runtime(e));
             };
             let src = graph.sps[src_rp].node;
-            let carrier =
-                if src.cluster == ClusterName::BlueGene && node.cluster == ClusterName::BlueGene {
-                    Carrier::Mpi {
-                        buffer: options.mpi_buffer,
-                        double: options.mpi_double,
-                    }
-                } else if options.udp_inter_cluster {
-                    Carrier::Udp
-                } else {
-                    Carrier::Tcp
-                };
             let cfg = ChannelConfig {
                 flow: FlowId(channels.len() as u64),
                 src,
                 dst: node,
-                carrier,
+                carrier: carrier_for(src, node, options),
             };
             outputs[src_rp].push(channels.len());
             channels.push(ChannelRt {

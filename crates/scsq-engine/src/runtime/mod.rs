@@ -28,7 +28,7 @@ mod deliver;
 mod report;
 mod source;
 
-pub(crate) use build::build;
+pub(crate) use build::{build, carrier_for, carrier_name};
 use deliver::{cycle, deliver, eos};
 use report::report;
 use source::{finish_rp, produce, start_rp};

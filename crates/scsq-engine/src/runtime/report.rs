@@ -10,7 +10,6 @@ use crate::profile::{ProfileReport, RpProfile, StageProfile};
 use crate::train::CoalesceWall;
 use scsq_cluster::Environment;
 use scsq_sim::{CoalesceStats, SimTime};
-use scsq_transport::Carrier;
 use std::time::Instant;
 
 /// Assembles a finished run's result: `end` is the simulated time the
@@ -81,12 +80,7 @@ fn channel_report(c: &ChannelRt) -> ChannelReport {
     ChannelReport {
         src: cfg.src,
         dst: cfg.dst,
-        carrier: match cfg.carrier {
-            Carrier::Mpi { .. } => "mpi",
-            Carrier::Tcp => "tcp",
-            Carrier::Udp => "udp",
-        }
-        .to_string(),
+        carrier: super::carrier_name(cfg.carrier).to_string(),
         bytes: stats.bytes_delivered,
         bytes_enqueued: stats.bytes_enqueued,
         buffers_sent: stats.buffers_sent,

@@ -26,7 +26,7 @@ fn main() -> Result<(), ScsqError> {
     scsq.options_mut().coalesce = false;
     let plan = scsq.prepare(query)?;
 
-    println!("{}", plan.explain());
+    println!("{}", plan.explain(scsq.options()));
 
     let mut run_tier = |label: &str, columnar: bool| -> Result<QueryResult, ScsqError> {
         scsq.options_mut().columnar = columnar;
