@@ -260,7 +260,7 @@ pub(super) fn run_rows(
         emit(world, sim, dst, &mut out, now);
     }
     if let Err(e) = res {
-        world.error = Some(e);
+        world.fail(sim, e);
     }
     world.scratch = out;
 }
@@ -314,7 +314,7 @@ pub(super) fn run_columns(
     match chain(world, dst, |c| c.process_cols(admit)) {
         Ok(None) => {}
         Ok(Some((out, sel))) => emit_columns(world, sim, dst, &out, sel, &readies, now),
-        Err(e) => world.error = Some(e),
+        Err(e) => world.fail(sim, e),
     }
     world.ready_scratch = readies;
     if let Some(busy0) = span_busy0 {

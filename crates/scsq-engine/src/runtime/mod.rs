@@ -378,12 +378,9 @@ impl Ev {
 }
 
 impl<'g> Event<World<'g>> for Ev {
-    /// Once the query has failed (`World::error`), every event is a
-    /// no-op: the handlers run only on a live query.
+    /// Handlers run only on a live query: the one that fails it
+    /// (`World::fail`) stops the simulator.
     fn fire(self, world: &mut World<'g>, sim: &mut Sim<'g>) {
-        if world.error.is_some() {
-            return;
-        }
         match self {
             Ev::StartRp(idx) => start_rp(world, sim, idx),
             Ev::Produce(idx) => produce(world, sim, idx),
@@ -491,6 +488,14 @@ impl RpState<'_> {
 }
 
 impl World<'_> {
+    /// Fails the query with `e` and stops the simulator: no handler
+    /// runs after this one, and `report` returns the error.
+    #[cold]
+    pub(crate) fn fail(&mut self, sim: &mut Sim<'_>, e: EngineError) {
+        self.error = Some(e);
+        sim.stop();
+    }
+
     /// Keeps a profiled run's span, or counts it as dropped once the
     /// run holds `SPAN_CAPACITY` of them; a plain run records nothing.
     /// Forced inline so a plain run's transmit pays one field test,

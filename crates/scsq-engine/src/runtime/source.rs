@@ -49,7 +49,10 @@ pub(super) fn start_rp(world: &mut World, sim: &mut Sim, idx: usize) {
 pub(super) fn produce(world: &mut World, sim: &mut Sim, idx: usize) {
     let node = world.rps[idx].node;
     let Some(gen) = world.rps[idx].gen.as_mut() else {
-        world.error = Some(EngineError::Runtime(format!("rp {idx} has no generator")));
+        world.fail(
+            sim,
+            EngineError::Runtime(format!("rp {idx} has no generator")),
+        );
         return;
     };
     if gen.remaining == 0 {
@@ -135,7 +138,7 @@ pub(super) fn process_and_emit(
     out.clear();
     let res = chain(world, idx, |c| c.process_into(value, from, &mut out));
     if let Err(e) = res {
-        world.error = Some(e);
+        world.fail(sim, e);
         world.scratch = out;
         return;
     }
@@ -227,7 +230,7 @@ pub(super) fn finish_rp(world: &mut World, sim: &mut Sim, idx: usize) {
     let mut finals = match chain(world, idx, StageChain::finish) {
         Ok(f) => f,
         Err(e) => {
-            world.error = Some(e);
+            world.fail(sim, e);
             return;
         }
     };

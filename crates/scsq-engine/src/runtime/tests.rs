@@ -546,3 +546,34 @@ fn type_error_inside_operator_aborts_the_query() {
     .unwrap_err();
     assert!(err.to_string().contains("expected number"), "{err}");
 }
+
+#[test]
+fn a_failing_handler_stops_the_simulator() {
+    // sum() over synthetic arrays fails at the first array the
+    // receiver processes, with the generator's 50 arrays still
+    // streaming: the query returns the error, and no event fires after
+    // the one whose handler failed.
+    let q = "select extract(b) from sp a, sp b
+             where b=sp(streamof(sum(extract(a))), 'bg', 0)
+             and a=sp(gen_array(1000,50),'bg',1);";
+    let options = RunOptions::default();
+    let err = run_opts(q, &options).unwrap_err();
+    assert!(err.to_string().contains("expected number"), "{err}");
+
+    let mut env = Environment::lofar();
+    let stmt = parse_statement(q).expect("parses");
+    let graph = QueryBuilder::new(&mut env, &Catalog::new(), PlacementPolicy::Naive, &options)
+        .build(&stmt, &[])
+        .unwrap();
+    let mut sim = build(env, &graph, &options).unwrap();
+    let mut failed_at = None;
+    while sim.step() {
+        assert_eq!(failed_at, None, "an event fired after the failure");
+        if sim.world().error.is_some() {
+            failed_at = Some(sim.events_executed());
+        }
+    }
+    assert!(failed_at.is_some(), "the query failed");
+    assert!(sim.events_pending() > 0, "the stream was still running");
+    assert!(!sim.limit_exceeded());
+}

@@ -80,6 +80,9 @@ pub struct TypedSimulator<W, E> {
     world: Option<Box<W>>,
     executed: u64,
     limit: Option<u64>,
+    /// Whether dispatch has stopped: the event budget ran out, or the
+    /// model called [`TypedSimulator::stop`]. The one flag `step` tests.
+    stopped: bool,
     limit_exceeded: bool,
     /// High-water mark of the pending-event population. A monotone max
     /// over the queue length, which the coalescing probe walks as shape
@@ -97,6 +100,7 @@ impl<W, E> TypedSimulator<W, E> {
             world: Some(Box::new(world)),
             executed: 0,
             limit: None,
+            stopped: false,
             limit_exceeded: false,
             pending_hwm: 0,
         }
@@ -111,6 +115,7 @@ impl<W, E> TypedSimulator<W, E> {
             world: Some(Box::new(world)),
             executed: 0,
             limit: None,
+            stopped: false,
             limit_exceeded: false,
             pending_hwm: 0,
         }
@@ -127,6 +132,12 @@ impl<W, E> TypedSimulator<W, E> {
     /// Whether the event budget was exhausted before the queue drained.
     pub fn limit_exceeded(&self) -> bool {
         self.limit_exceeded
+    }
+
+    /// Stops dispatch, say from inside an event whose handler failed:
+    /// no further event fires, and the pending ones stay queued.
+    pub fn stop(&mut self) {
+        self.stopped = true;
     }
 
     /// The current simulation time.
@@ -264,13 +275,15 @@ impl<W, E: Event<W>> TypedSimulator<W, E> {
     }
 
     /// Runs a single event if one is pending. Returns `false` when the
-    /// queue is empty or the event budget is exhausted.
+    /// queue is empty, the event budget is exhausted or dispatch was
+    /// stopped.
     pub fn step(&mut self) -> bool {
-        if self.limit_exceeded {
+        if self.stopped {
             return false;
         }
         if let Some(limit) = self.limit {
             if self.executed >= limit {
+                self.stopped = true;
                 self.limit_exceeded = true;
                 return false;
             }
@@ -359,6 +372,30 @@ mod tests {
         assert!(sim.limit_exceeded());
         assert_eq!(sim.events_executed(), 3);
         assert_eq!(sim.events_pending(), 1, "the chained event stays queued");
+    }
+
+    /// Stops dispatch at the chain's third link.
+    struct StopAt3;
+
+    impl Event<Vec<u32>> for StopAt3 {
+        fn fire(self, world: &mut Vec<u32>, sim: &mut TypedSimulator<Vec<u32>, StopAt3>) {
+            world.push(world.len() as u32);
+            if world.len() == 3 {
+                sim.stop();
+            }
+            sim.schedule_after(SimDur::from_nanos(1), StopAt3);
+        }
+    }
+
+    #[test]
+    fn stop_ends_dispatch_after_the_current_event() {
+        let mut sim = TypedSimulator::new(Vec::new());
+        sim.schedule_at(SimTime::from_nanos(1), StopAt3);
+        sim.run_to_completion();
+        assert_eq!(sim.world(), &[0, 1, 2]);
+        assert_eq!(sim.events_pending(), 1, "the next link stays queued");
+        assert!(!sim.limit_exceeded(), "a stop is not the budget");
+        assert!(!sim.step());
     }
 
     #[test]
