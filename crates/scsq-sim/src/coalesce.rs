@@ -60,7 +60,10 @@ const CONFIRM_MATCHES: u32 = 3;
 /// stretches must stop digesting quickly.
 const FIRST_SKIP: u64 = 4;
 /// Events a jump must skip per digest spent finding it to count as
-/// repaid (a state walk costs what dispatching 40 to 60 events does).
+/// repaid. A digest of a Figure 6 or 8 paper point costs what
+/// dispatching some 12 to 32 events does, about 80 on Figure 15's
+/// blockless queues; the constant keeps the margin it was set with
+/// when digests cost 40 to 60.
 const DIGEST_EVENTS: u64 = 64;
 /// Events a post-jump sleep may cost: what the four back-off windows
 /// (two digests each) that would otherwise probe the stretch cost, so a
@@ -330,12 +333,6 @@ impl Snapshot {
         &self.nums
     }
 
-    /// The recorded caps, as (coordinate, bound).
-    #[cfg(test)]
-    pub(crate) fn caps(&self) -> Vec<(usize, u64)> {
-        self.caps.iter().map(|c| (c.coord, c.bound)).collect()
-    }
-
     /// Whether the detector compares `self` and `other` coordinate by
     /// coordinate: equal shapes, widths and caps.
     pub fn comparable(&self, other: &Snapshot) -> bool {
@@ -379,7 +376,7 @@ pub struct JumpPlan {
 /// `CONFIRM_MATCHES` equal delta vectors over consecutive cuts (a
 /// *confirm window*), then `Coalescer::plan_periods`. *When* to open
 /// a window is the schedule's call, because a digest costs what
-/// dispatching some fifty events does:
+/// dispatching tens of events does:
 ///
 /// * a window that ends without a jump — a changed shape, a changed
 ///   delta, no room, or an irregular period cutting it short — is a
@@ -644,6 +641,14 @@ impl Coalescer {
         self.backoff = 0;
         self.since_jump = 0;
         self.woken = false;
+    }
+}
+
+#[cfg(test)]
+impl Snapshot {
+    /// The recorded caps, as (coordinate, bound).
+    pub(crate) fn caps(&self) -> Vec<(usize, u64)> {
+        self.caps.iter().map(|c| (c.coord, c.bound)).collect()
     }
 }
 

@@ -454,8 +454,6 @@ impl Walk {
     ) -> Option<Block> {
         let n = if seen < self.listed.len() - self.cut {
             seen
-        } else if step == 0 {
-            self.block_len_by_entry(lanes, m, step)
         } else {
             self.block_len(lanes, m, step)
         };
@@ -494,13 +492,13 @@ impl Walk {
             let Some((t, seq)) = bound else {
                 return r;
             };
-            let t = t.as_nanos();
-            let mut c = t.saturating_sub(h.at()).div_ceil(step) as usize;
-            if c < r && h.at() + c as u64 * step == t && lanes[h.src as usize][h.pos + c].seq < seq
-            {
-                c += 1;
-            }
-            c.min(r)
+            let before = match t.as_nanos().checked_sub(h.at()) {
+                Some(0) | None => 0,
+                Some(_) if step == 0 => r,
+                Some(dt) => (dt.div_ceil(step) as usize).min(r),
+            };
+            let run = lanes[h.src as usize].range(h.pos + before..h.pos + r);
+            before + run.take_while(|e| e.at == t && e.seq < seq).count()
         };
         let mut n = (0..m).map(|j| cycles(j) * m + j).min().unwrap_or(0);
         // Entries `k` and `k + 1` of a cycle tie when their lanes' heads
@@ -520,24 +518,6 @@ impl Walk {
             if let Some(c) = pairs.take(cycles).position(|(x, y)| x.seq > y.seq) {
                 n = c * m + j;
             }
-        }
-        n
-    }
-
-    /// The length of the block that opens the listed entries, listing
-    /// entries while each repeats the lane `m` places back, `step`
-    /// later.
-    #[inline(never)]
-    fn block_len_by_entry(&mut self, lanes: &[VecDeque<Entry>], m: usize, step: u64) -> usize {
-        let mut n = self.listed.len() - self.cut;
-        while (self.cut + n < self.listed.len() || {
-            self.list(lanes, 4 * MAX_CYCLE);
-            self.cut + n < self.listed.len()
-        }) && {
-            let (s, t) = (&self.listed[self.cut + n], &self.listed[self.cut + n - m]);
-            s.src == t.src && s.at() - t.at() == step
-        } {
-            n += 1;
         }
         n
     }
@@ -854,8 +834,7 @@ impl<T> EventQueue<T> {
     /// lanes' arithmetic runs, kept per lane between walks and brought
     /// up to date from the entries appended since the last walk, and
     /// from the first entry of any other source. Lanes that tie in time
-    /// within a cycle cost one sequence comparison per cycle, and only a
-    /// block of one instant (a step of zero) is listed entry by entry.
+    /// within a cycle cost one sequence comparison per cycle.
     ///
     /// `lane_probe` says whether an entry's payload probe is the same
     /// for every entry of its lane. When it holds for each lane of a
@@ -975,12 +954,32 @@ impl<T> EventQueue<T> {
         tokens.extend(loose);
         self.heads = BinaryHeap::from(tokens);
     }
+}
 
+/// Probes an entry's time outside a block: the margin to the previous
+/// entry as a guard (an advancing `now` must never overtake the entry,
+/// and entries must not swap order; only the implicit negative-delta
+/// rule applies), the time as a coordinate.
+#[inline]
+fn probe_single(p: &mut StateProbe<'_>, at: &mut u64, prev_at: &mut u64) {
+    p.guard(at.saturating_sub(*prev_at), u64::MAX);
+    *prev_at = *at;
+    p.num(at);
+}
+
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        EventQueue::new()
+    }
+}
+
+/// The walks the tests compare `probe_entries` against.
+#[cfg(test)]
+impl<T> EventQueue<T> {
     /// The reference for [`EventQueue::probe_entries`]' cut, digest
     /// mode only: every entry below the front slot listed in surfacing
     /// order by a sort, then cut entry by entry into the blocks each
     /// position opens, every payload probed in surfacing order.
-    #[cfg(test)]
     pub(crate) fn probe_entries_sorted(
         &mut self,
         p: &mut StateProbe<'_>,
@@ -1032,7 +1031,6 @@ impl<T> EventQueue<T> {
     /// The walk [`EventQueue::probe_entries`] replaced, kept as its
     /// reference: every entry probed as its time and its margin to the
     /// previous entry, blocks or not.
-    #[cfg(test)]
     pub(crate) fn probe_entries_per_entry(
         &mut self,
         p: &mut StateProbe<'_>,
@@ -1090,23 +1088,6 @@ impl<T> EventQueue<T> {
         self.heads = BinaryHeap::from(tokens);
         // Renumbered sequences void every lane's run summary.
         self.walk = Walk::default();
-    }
-}
-
-/// Probes an entry's time outside a block: the margin to the previous
-/// entry as a guard (an advancing `now` must never overtake the entry,
-/// and entries must not swap order; only the implicit negative-delta
-/// rule applies), the time as a coordinate.
-#[inline]
-fn probe_single(p: &mut StateProbe<'_>, at: &mut u64, prev_at: &mut u64) {
-    p.guard(at.saturating_sub(*prev_at), u64::MAX);
-    *prev_at = *at;
-    p.num(at);
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        EventQueue::new()
     }
 }
 
@@ -1521,7 +1502,7 @@ mod tests {
         /// pops.
         #[test]
         fn lane_walk_keeps_up_with_a_changing_queue(
-            step in 1u64..50,
+            step in 0u64..50,
             ops in proptest::collection::vec((0u8..10, 0usize..4, 0u64..100), 0..300),
         ) {
             let mut q = EventQueue::new();
