@@ -173,8 +173,8 @@ impl ProfileReport {
             share(self.unattributed_ns()),
         );
         // Where the simulator's own wall time went: every digest costs
-        // about what dispatching some fifty events does, every jump
-        // saves the events it skipped.
+        // what dispatching tens of events does, every jump saves the
+        // events it skipped.
         let c = &self.coalesce;
         let _ = writeln!(
             out,
